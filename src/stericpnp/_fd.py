@@ -24,36 +24,22 @@ def gradient(arr: np.ndarray, grid: Grid) -> np.ndarray:
     return np.gradient(arr, grid.dx, edge_order=2)
 
 
-def second_derivative(arr: np.ndarray, grid: Grid, ghost: str = "mirror_linear") -> np.ndarray:
+def second_derivative(arr: np.ndarray, grid: Grid) -> np.ndarray:
     """Three-point second derivative.
 
-    For electrode grids the wall values depend on the ghost-node rule:
-    "mirror_even" reflects evenly (ghost = a1), the discrete form of a
-    homogeneous Neumann condition a_x = 0 and the variational closure of
-    the face-difference gradient energy; "mirror_linear" extrapolates
-    linearly (ghost = 2 a0 - a1), which encodes a zero second derivative
-    at the wall; "onesided" uses the second-order one-sided stencil.
+    Electrode grids reflect evenly at the walls (ghost = a1), the discrete
+    form of a homogeneous Neumann condition a_x = 0 and the variational
+    closure of the face-difference gradient energy.
     """
     dx2 = grid.dx**2
-    if grid.periodic:
-        out = np.empty_like(arr)
-        out[1:-1] = (arr[2:] - 2.0 * arr[1:-1] + arr[:-2]) / dx2
-        out[0] = (arr[1] - 2.0 * arr[0] + arr[-1]) / dx2
-        out[-1] = (arr[0] - 2.0 * arr[-1] + arr[-2]) / dx2
-        return out
     out = np.empty_like(arr)
     out[1:-1] = (arr[2:] - 2.0 * arr[1:-1] + arr[:-2]) / dx2
-    if ghost == "mirror_even":
+    if grid.periodic:
+        out[0] = (arr[1] - 2.0 * arr[0] + arr[-1]) / dx2
+        out[-1] = (arr[0] - 2.0 * arr[-1] + arr[-2]) / dx2
+    else:
         out[0] = 2.0 * (arr[1] - arr[0]) / dx2
         out[-1] = 2.0 * (arr[-2] - arr[-1]) / dx2
-    elif ghost == "mirror_linear":
-        out[0] = 0.0
-        out[-1] = 0.0
-    elif ghost == "onesided":
-        out[0] = (2.0 * arr[0] - 5.0 * arr[1] + 4.0 * arr[2] - arr[3]) / dx2
-        out[-1] = (2.0 * arr[-1] - 5.0 * arr[-2] + 4.0 * arr[-3] - arr[-4]) / dx2
-    else:
-        raise ValueError(f"unknown ghost rule {ghost!r}")
     return out
 
 

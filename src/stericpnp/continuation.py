@@ -173,16 +173,10 @@ def _assemble(
         raise ParameterError("stationary residual needs positive concentrations")
 
     sig = p.sigma
-
-    def lap(c: np.ndarray) -> np.ndarray:
-        out = np.empty_like(c)
-        out[1:-1] = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / dx2
-        out[0] = 2.0 * (c[1] - c[0]) / dx2
-        out[-1] = 2.0 * (c[-2] - c[-1]) / dx2
-        return out
-
-    mu1 = np.log(c1) + p.g11 * c1 + p.g12 * c2 + p.z1 * phi - sig * lap(c1)
-    mu2 = np.log(c2) + p.g12 * c1 + p.g22 * c2 + p.z2 * phi - sig * lap(c2)
+    lap1 = second_derivative(c1, grid)
+    lap2 = second_derivative(c2, grid)
+    mu1 = np.log(c1) + p.g11 * c1 + p.g12 * c2 + p.z1 * phi - sig * lap1
+    mu2 = np.log(c2) + p.g12 * c1 + p.g22 * c2 + p.z2 * phi - sig * lap2
 
     m = 3 * n
     r = np.empty(m + 2)
@@ -289,7 +283,8 @@ def _as_profile(guess, grid: Grid) -> Profile:
         n = grid.n
         if guess.size != 3 * n + 2:
             raise ParameterError("guess vector has the wrong length")
-        return Profile(grid, guess[:n].copy(), guess[n : 2 * n].copy(), guess[2 * n : 3 * n].copy())
+        c1, c2, phi, _, _ = _unpack(guess)
+        return Profile(grid, c1.copy(), c2.copy(), phi.copy())
     phi = getattr(guess, "phi", None)
     return Profile(
         grid,
@@ -318,8 +313,8 @@ def _initial_vector(
     mu1 = np.log(c1) + p.g11 * c1 + p.g12 * c2 + p.z1 * phi
     mu2 = np.log(c2) + p.g12 * c1 + p.g22 * c2 + p.z2 * phi
     if p.sigma > 0.0:
-        mu1 -= p.sigma * second_derivative(c1, grid, ghost="mirror_even")
-        mu2 -= p.sigma * second_derivative(c2, grid, ghost="mirror_even")
+        mu1 -= p.sigma * second_derivative(c1, grid)
+        mu2 -= p.sigma * second_derivative(c2, grid)
     n = grid.n
     u = np.empty(3 * n + 2)
     u[0 : 3 * n : 3] = c1
@@ -399,18 +394,9 @@ def _dresidual_dparam(
     m = 3 * n
     out = np.zeros(m + 2)
     if param_name == "sigma":
-        dx2 = grid.dx**2
         c1, c2, _, _, _ = _unpack(u)
-
-        def lap(c: np.ndarray) -> np.ndarray:
-            v = np.empty_like(c)
-            v[1:-1] = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / dx2
-            v[0] = 2.0 * (c[1] - c[0]) / dx2
-            v[-1] = 2.0 * (c[-2] - c[-1]) / dx2
-            return v
-
-        out[0:m:3] = -lap(c1)
-        out[1:m:3] = -lap(c2)
+        out[0:m:3] = -second_derivative(c1, grid)
+        out[1:m:3] = -second_derivative(c2, grid)
     elif param_name == "voltage":
         # Dirichlet rows phi_0 - (-V) and phi_{n-1} - V
         out[2] = 1.0

@@ -21,15 +21,18 @@ chemical-potential difference across the face, and wall faces carry zero
 flux. With trapezoid quadrature weights this telescopes exactly, so the
 discrete masses are conserved to roundoff by construction.
 
-Time stepping is linearly implicit (one Newton-like solve per step):
+Time stepping is linearly implicit (one Newton-like solve per step; the
+Rosenbrock-Euler step of Hairer & Wanner, Solving ODEs II, IV.7):
 
     (I - dt J) dc = dt F(c_n),
 
-where J approximates the Jacobian of F at c_n with the potential frozen.
+where J is the exact Jacobian of F at c_n with the potential frozen.
 Freezing phi keeps J banded (bandwidth 4 in the interleaved species
-ordering); it is assembled by finite differences with column coloring,
-which costs nine F evaluations. The long-range coupling through the
-Poisson solve is explicit, which is harmless for stability since it is a
+ordering), and its nine diagonals are written out from the flux formula
+at the cost of one chemical-potential evaluation. Every column of J sums
+to zero against the quadrature weights, so the linear step conserves
+mass to roundoff, as F does. The long-range coupling through the Poisson
+solve is explicit, which is harmless for stability since it is a
 compact perturbation, not a stiff term.
 
 A step controller enforces the physics the scheme is meant to have: a
@@ -56,7 +59,6 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from ._fd import (
-    gradient,
     second_derivative,
     solve_poisson_dirichlet,
     solve_poisson_periodic,
@@ -136,9 +138,8 @@ def chemical_potential(
     mu1 = np.log(c1) + p.g11 * c1 + p.g12 * c2 + p.z1 * phi
     mu2 = np.log(c2) + p.g12 * c1 + p.g22 * c2 + p.z2 * phi
     if p.sigma > 0.0:
-        ghost = "periodic" if bc.kind == "periodic" else "mirror_even"
-        mu1 = mu1 - p.sigma * second_derivative(c1, grid, ghost=ghost)
-        mu2 = mu2 - p.sigma * second_derivative(c2, grid, ghost=ghost)
+        mu1 = mu1 - p.sigma * second_derivative(c1, grid)
+        mu2 = mu2 - p.sigma * second_derivative(c2, grid)
     return mu1, mu2
 
 
@@ -222,57 +223,86 @@ def _face_energy(arr: np.ndarray, grid: Grid, coeff: float) -> float:
     return coeff * s / grid.dx
 
 
-def _banded_fd_jacobian(fun: Callable, u0: np.ndarray, f0: np.ndarray) -> np.ndarray:
-    """Banded Jacobian of fun at u0 by finite differences with coloring.
+def _shift(x: np.ndarray, d: int) -> np.ndarray:
+    """x[..., k - d] along the last axis, wrapping."""
+    return np.concatenate((x[..., -d:], x[..., :-d]), axis=-1)
 
-    Columns a full band apart never share rows, so one perturbed
-    evaluation per color recovers them all exactly; 2 * bandwidth + 1
-    colors cover the matrix. Returns solve_banded storage with the
-    diagonal in row _BANDWIDTH.
+
+def _rhs_and_band(
+    u: np.ndarray,
+    phi: np.ndarray,
+    p: ModelParams,
+    grid: Grid,
+    bc: BoundaryConditions,
+) -> tuple[np.ndarray, np.ndarray]:
+    """F = (c mu_x)_x at frozen phi and its exact Jacobian, interleaved.
+
+    u and F interleave (c1_k, c2_k). The band holds band[4 - o, col] =
+    J[col - o, col], indices mod 2n: solve_banded storage for electrode
+    runs, whose wrapped corners are exactly zero, and the circular storage
+    of _solve_circular for periodic runs.
+
+    Face f joins nodes f and f + 1 (mod n); on electrode grids face n - 1
+    is the closed wall and carries nothing. Its flux a_f (mu_f+1 - mu_f),
+    a_f = (c_f + c_f+1) / (2 dx), depends on the same species at nodes
+    f - 1 ... f + 2, through mu's diagonal 1/c + g_ii + 2 sigma/dx^2 and
+    the sigma-Laplacian off-diagonals beta = -sigma/dx^2 (2 beta from a
+    wall node inwards, by the even mirror), and on the other species at
+    nodes f, f + 1 through g12. F_j = (flux_j - flux_j-1) / w_j, so
+    column k of J holds the differences of d flux_f / d c_k over the faces
+    f = k - 3 ... k + 2, each over its row's weight: they telescope to
+    zero against the weights.
     """
-    b = _BANDWIDTH
-    n = u0.size
-    ab = np.zeros((2 * b + 1, n))
-    stride = 2 * b + 1
-    for color in range(stride):
-        cols = np.arange(color, n, stride)
-        h = 1e-7 * (np.abs(u0[cols]) + 1.0)
-        up = u0.copy()
-        up[cols] += h
-        df = fun(up) - f0
-        for off in range(-b, b + 1):
-            rows = cols + off
-            ok = (rows >= 0) & (rows < n)
-            ab[b + off, cols[ok]] = df[rows[ok]] / h[ok]
-    return ab
+    n = grid.n
+    dx = grid.dx
+    c = u.reshape(n, 2).T
+    mu = np.array(chemical_potential(c[0], c[1], phi, p, grid, bc))
+    c_face = 0.5 * (c + _shift(c, -1))
+    dmu = _shift(mu, -1) - mu
+    if not grid.periodic:
+        c_face[:, -1] = 0.0
+        dmu[:, -1] = 0.0
+    flux = c_face * dmu / dx
+    rhs = np.empty((n, 2))
+    np.divide(flux - _shift(flux, 1), grid.weights, out=rhs.T)
 
+    beta = -p.sigma / dx**2
+    a = c_face / dx
+    a_prev = _shift(a, 1)
+    h = 0.5 * dmu / dx
+    diag = 1.0 / c + np.array([[p.g11], [p.g22]]) - 2.0 * beta
+    # d flux_f / d c_k of the same species, f = k - 3 ... k + 2
+    dflux = np.zeros((6, 2, n))
+    np.multiply(beta, _shift(a_prev, 1), out=dflux[1])
+    np.add(_shift(h, 1), a_prev * (diag - beta), out=dflux[2])
+    np.add(h, a * (beta - diag), out=dflux[3])
+    np.multiply(-beta, _shift(a, -1), out=dflux[4])
+    if not grid.periodic:
+        # nothing reaches across a wall; a wall node's mu sees its neighbour twice
+        dflux[1, :, 0] = 0.0
+        dflux[2, :, 1] -= beta * a_prev[:, 1]
+        dflux[3, :, -2] += beta * a[:, -2]
+        dflux[4, :, -1] = 0.0
+    # d flux_f / d c_k of the other species, f = k - 2 ... k + 1
+    ga = p.g12 * a[::-1]
+    xflux = np.zeros((4, 2, n))
+    xflux[1] = _shift(ga, 1)
+    np.negative(ga, out=xflux[2])
 
-def _circular_fd_jacobian(fun: Callable, u0: np.ndarray, f0: np.ndarray) -> np.ndarray:
-    """Circular-band Jacobian for periodic runs, same coloring idea.
+    # 1 / w_{k+e} for the rows at nodes k + e, e = -2 ... 2
+    inv_w = 1.0 / grid.weights
+    iw = np.stack([_shift(inv_w, -e) for e in range(-2, 3)])[:, None, :]
 
-    The wrap couples the first and last nodes, so the band is circular:
-    entry (b + o, j) holds J[(j + o) mod n, j]. The trailing 2b columns
-    get singleton colors, since the base stride cannot guarantee circular
-    separation across the seam.
-    """
-    b = _BANDWIDTH
-    n = u0.size
-    stride = 2 * b + 1
-    cb = np.zeros((stride, n))
-    tail = n - 2 * b
-    groups = [np.arange(c, tail, stride) for c in range(stride)]
-    groups += [np.array([j]) for j in range(tail, n)]
-    for cols in groups:
-        if cols.size == 0:
-            continue
-        h = 1e-7 * (np.abs(u0[cols]) + 1.0)
-        up = u0.copy()
-        up[cols] += h
-        df = fun(up) - f0
-        for off in range(-b, b + 1):
-            rows = (cols + off) % n
-            cb[b + off, cols] = df[rows] / h
-    return cb
+    # rows at nodes k - 2 ... k + 2 of the same species sit in band rows
+    # 0, 2, ..., 8; rows at nodes k - 1 ... k + 1 of the other species in
+    # band rows 1, 3, 5 for c2 columns and 3, 5, 7 for c1 columns
+    band = np.zeros((2 * _BANDWIDTH + 1, n, 2))
+    by_species = band.transpose(0, 2, 1)
+    np.multiply(np.diff(dflux, axis=0), iw, out=by_species[0::2])
+    cross = np.diff(xflux, axis=0) * iw[1:4]
+    by_species[1:6:2, 1] = cross[:, 1]
+    by_species[3:8:2, 0] = cross[:, 0]
+    return rhs.reshape(2 * n), band.reshape(2 * _BANDWIDTH + 1, 2 * n)
 
 
 @lru_cache(maxsize=16)
@@ -367,14 +397,6 @@ def evolve(
     def unpack(u):
         return u[0::2], u[1::2]
 
-    def rhs_frozen_phi(phi):
-        def fun(u):
-            a, b = unpack(u)
-            d1, d2 = time_derivatives(a, b, phi, p, grid, bc)
-            return pack(d1, d2)
-
-        return fun
-
     phi = solve_potential(c1, c2, p, grid, bc)
     e_cur = discrete_energy(c1, c2, phi, p, grid)
     w = grid.weights
@@ -390,8 +412,7 @@ def evolve(
     obs_hist = [observer(0.0, c1, c2, phi)] if observer else None
 
     u = pack(c1, c2)
-    fun = rhs_frozen_phi(phi)
-    f0 = fun(u)
+    f0, jac = _rhs_and_band(u, phi, p, grid, bc)
     dcdt_norm = float(np.max(np.abs(f0)))
     verdict, reason = "Running", "reached time horizon"
 
@@ -402,13 +423,12 @@ def evolve(
     is_ring = bc.kind == "periodic"
     while t < t_end:
         dt_try = min(dt, t_end - t)
-        ab = _circular_fd_jacobian(fun, u, f0) if is_ring else _banded_fd_jacobian(fun, u, f0)
         halvings = 0
         while True:
             if is_ring:
-                du = _solve_circular(ab, dt_try, dt_try * f0)
+                du = _solve_circular(jac, dt_try, dt_try * f0)
             else:
-                system = -dt_try * ab
+                system = -dt_try * jac
                 system[_BANDWIDTH, :] += 1.0
                 du = solve_banded((_BANDWIDTH, _BANDWIDTH), system, dt_try * f0)
             u_new = u + du
@@ -445,8 +465,7 @@ def evolve(
         steps += 1
         u, phi, e_cur = u_new, phi_new, e_new
         c1, c2 = unpack(u)
-        fun = rhs_frozen_phi(phi)
-        f0 = fun(u)
+        f0, jac = _rhs_and_band(u, phi, p, grid, bc)
         dcdt_norm = float(np.max(np.abs(f0)))
 
         times.append(t)

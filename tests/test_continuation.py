@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from stericpnp.continuation import (
+    StationaryState,
+    _as_profile,
     l2_norm,
     load_branchset,
     mirror_state,
@@ -50,6 +52,18 @@ def test_newton_on_homogeneous_recovers_multipliers():
     r = stationary_residual(st.pack(), with_sigma(P_SYM, 0.25), grid, electrode_bc())
     assert float(np.max(np.abs(r))) < 1e-10
     assert np.ptp(st.c1) < 1e-11 and np.ptp(st.phi) < 1e-11
+
+
+def test_as_profile_decodes_a_packed_vector():
+    grid = make_grid(DomainSpec(2.0), 17)
+    x = grid.x
+    state = StationaryState(
+        1.0 + 0.3 * np.cos(x), 1.2 - 0.2 * np.sin(x), 0.1 * x**2, 5.5, 5.25, "sigma", 0.1
+    )
+    prof = _as_profile(state.pack(), grid)
+    np.testing.assert_array_equal(prof.c1, state.c1)
+    np.testing.assert_array_equal(prof.c2, state.c2)
+    np.testing.assert_array_equal(prof.phi, state.phi)
 
 
 def test_weighted_norm_closed_forms():

@@ -1,15 +1,21 @@
-"""Dissipative time stepping: mass conservation, energy decay, steady detection."""
+"""Dissipative time stepping: mass conservation, energy decay, steady detection,
+and the exact Jacobian of the linearly implicit step."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stericpnp.dynamics import (
+    _rhs_and_band,
     chemical_potential,
     discrete_energy,
     electrode_bc,
     evolve,
     periodic_bc,
     solve_potential,
+    time_derivatives,
 )
 from stericpnp.model import (
     DomainSpec,
@@ -140,3 +146,77 @@ def test_observer_collects_custom_series():
     )
     assert len(res.observables) == len(res.times)
     assert res.observables[0] == pytest.approx(float(np.max(prof.c1)), rel=1e-12)
+
+
+@st.composite
+def _linearization_case(draw, kind, sigma_term):
+    """Admissible parameters, a grid of 8-24 nodes and a positive profile."""
+    p = make_params(
+        draw(st.floats(0.5, 3.0)),
+        -draw(st.floats(0.5, 3.0)),
+        draw(st.floats(0.0, 4.0)),
+        draw(st.floats(0.0, 4.0)),
+        draw(st.floats(0.0, 4.0)),
+        draw(st.floats(0.2, 2.0)),
+        draw(st.floats(0.2, 2.0)),
+        sigma=draw(st.floats(1e-3, 0.1)) if sigma_term else 0.0,
+    )
+    n = draw(st.integers(8, 24))
+    half = draw(st.floats(0.5, 5.0))
+    if kind == "periodic":
+        grid, bc = make_periodic_grid(half, n), periodic_bc()
+    else:
+        grid = make_grid(DomainSpec(half), n)
+        bc = electrode_bc(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    scale = arrays(np.float64, n, elements=st.floats(0.2, 2.0))
+    return p, grid, bc, p.cbar1 * draw(scale), p.cbar2 * draw(scale)
+
+
+def _interleaved(a, b):
+    u = np.empty(2 * a.size)
+    u[0::2] = a
+    u[1::2] = b
+    return u
+
+
+def _dense_from_band(band, periodic):
+    """J[(col - o) mod N, col] = band[4 - o, col]; off-matrix slots must be 0."""
+    size = band.shape[1]
+    cols = np.arange(size)
+    J = np.zeros((size, size))
+    for o in range(-4, 5):
+        rows = cols - o
+        inside = periodic | ((rows >= 0) & (rows < size))
+        J[rows[inside] % size, cols[inside]] = band[4 - o, inside]
+        assert np.all(band[4 - o, ~inside] == 0.0)
+    return J
+
+
+@pytest.mark.parametrize("sigma_term", [False, True], ids=["sigma0", "sigma"])
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exact_band_is_the_jacobian_of_the_rhs(kind, sigma_term, data):
+    p, grid, bc, c1, c2 = data.draw(_linearization_case(kind, sigma_term))
+    phi = solve_potential(c1, c2, p, grid, bc)
+
+    def rhs(u):
+        return _interleaved(*time_derivatives(u[0::2], u[1::2], phi, p, grid, bc))
+
+    u = _interleaved(c1, c2)
+    f, band = _rhs_and_band(u, phi, p, grid, bc)
+    np.testing.assert_array_equal(f, rhs(u))
+    J = _dense_from_band(band, grid.periodic)
+
+    J_fd = np.empty_like(J)
+    for k in range(u.size):
+        h = 1e-6 * u[k]
+        up, um = u.copy(), u.copy()
+        up[k] += h
+        um[k] -= h
+        J_fd[:, k] = (rhs(up) - rhs(um)) / (2.0 * h)
+    assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J_fd))
+
+    # weighted column sums vanish: the linear step conserves both masses
+    w = np.repeat(grid.weights, 2)
+    assert np.all(np.abs(w @ J) <= 1e-12 * (w @ np.abs(J)))
