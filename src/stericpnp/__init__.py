@@ -3,7 +3,7 @@
 Subpackage map:
 
 - model: parameters, domains, grids, profiles
-- energy: free-energy functional, Hessian determinant D(c), convexity
+- energy: free-energy density, Hessian determinant D(c), convexity
 - trajectories: phase-plane analysis and stationary-profile construction
 - stability: dispersion relations and instability onset
 - weakly_nonlinear: amplitude equations near onset

@@ -14,13 +14,7 @@ from .model import Grid
 
 
 def gradient(arr: np.ndarray, grid: Grid) -> np.ndarray:
-    """First derivative, O(dx^2) everywhere (one-sided at electrode walls)."""
-    if grid.periodic:
-        out = np.empty_like(arr)
-        out[1:-1] = (arr[2:] - arr[:-2]) / (2.0 * grid.dx)
-        out[0] = (arr[1] - arr[-1]) / (2.0 * grid.dx)
-        out[-1] = (arr[0] - arr[-2]) / (2.0 * grid.dx)
-        return out
+    """First derivative on a wall-to-wall grid, O(dx^2), one-sided at the walls."""
     return np.gradient(arr, grid.dx, edge_order=2)
 
 

@@ -14,7 +14,8 @@ run is reproducible from its manifest: same config and seed give bit
 identical CSV output. Numbers in CSV files carry 17 significant digits;
 JSON files are written with sorted keys.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
+Exit codes: 0 success, 2 configuration error (including a parameter value
+the model rejects, such as sigma < 0), 3 numerical failure,
 4 model-regime error (for example requesting the onset of a parameter set
 that has none).
 """
@@ -595,7 +596,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
+        return EXIT_CONFIG
     except RegimeError as exc:
         print(f"model-regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME

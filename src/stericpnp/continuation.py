@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,7 +57,13 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from ._fd import gradient, second_derivative, trapz
-from .dynamics import BoundaryConditions, electrode_bc, evolve, solve_potential
+from .dynamics import (
+    BoundaryConditions,
+    chemical_potential,
+    electrode_bc,
+    evolve,
+    solve_potential,
+)
 from .errors import NumericsError, ParameterError
 from .model import DomainSpec, Grid, ModelParams, Profile, make_grid, with_sigma
 
@@ -81,6 +88,14 @@ __all__ = [
 ]
 
 _BAND = 3  # sub/super-diagonals of the core Jacobian in interleaved order
+_NEWTON_TOL = 1e-10  # max-norm residual of a converged state
+_NEWTON_MAX_ITER = 40
+_DS_MAX = 0.05  # arclength step bounds of trace_branch
+_DS_MIN = 1e-6
+_PROBE_NOISE = 1e-3  # amplitude of stability_probe's perturbation
+_DEDUP_TOL = 1e-4  # states_at: distinct states differ by this * (1 + max c1)
+
+_log = logging.getLogger(__name__)
 
 
 def weighted_norm(c1: np.ndarray, grid: Grid) -> float:
@@ -115,14 +130,7 @@ class StationaryState:
     param_value: float
 
     def pack(self) -> np.ndarray:
-        n = self.c1.size
-        u = np.empty(3 * n + 2)
-        u[0 : 3 * n : 3] = self.c1
-        u[1 : 3 * n : 3] = self.c2
-        u[2 : 3 * n : 3] = self.phi
-        u[-2] = self.lam1
-        u[-1] = self.lam2
-        return u
+        return _pack(self.c1, self.c2, self.phi, self.lam1, self.lam2)
 
     def as_profile(self, grid: Grid) -> Profile:
         return Profile(
@@ -134,6 +142,19 @@ class StationaryState:
             float(np.max(np.abs(self.c1 - other.c1))),
             float(np.max(np.abs(self.c2 - other.c2))),
         )
+
+
+def _pack(
+    c1: np.ndarray, c2: np.ndarray, phi: np.ndarray, lam1: float, lam2: float
+) -> np.ndarray:
+    m = 3 * c1.size
+    u = np.empty(m + 2)
+    u[0:m:3] = c1
+    u[1:m:3] = c2
+    u[2:m:3] = phi
+    u[-2] = lam1
+    u[-1] = lam2
+    return u
 
 
 def _unpack(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
@@ -173,10 +194,7 @@ def _assemble(
         raise ParameterError("stationary residual needs positive concentrations")
 
     sig = p.sigma
-    lap1 = second_derivative(c1, grid)
-    lap2 = second_derivative(c2, grid)
-    mu1 = np.log(c1) + p.g11 * c1 + p.g12 * c2 + p.z1 * phi - sig * lap1
-    mu2 = np.log(c2) + p.g12 * c1 + p.g22 * c2 + p.z2 * phi - sig * lap2
+    mu1, mu2 = chemical_potential(c1, c2, phi, p, grid)
 
     m = 3 * n
     r = np.empty(m + 2)
@@ -310,19 +328,8 @@ def _initial_vector(
         phi = solve_potential(c1, c2, p, grid, bc)
     else:
         phi = np.asarray(guess.phi, float)
-    mu1 = np.log(c1) + p.g11 * c1 + p.g12 * c2 + p.z1 * phi
-    mu2 = np.log(c2) + p.g12 * c1 + p.g22 * c2 + p.z2 * phi
-    if p.sigma > 0.0:
-        mu1 -= p.sigma * second_derivative(c1, grid)
-        mu2 -= p.sigma * second_derivative(c2, grid)
-    n = grid.n
-    u = np.empty(3 * n + 2)
-    u[0 : 3 * n : 3] = c1
-    u[1 : 3 * n : 3] = c2
-    u[2 : 3 * n : 3] = phi
-    u[-2] = float(np.mean(mu1))
-    u[-1] = float(np.mean(mu2))
-    return u
+    mu1, mu2 = chemical_potential(c1, c2, phi, p, grid)
+    return _pack(c1, c2, phi, float(np.mean(mu1)), float(np.mean(mu2)))
 
 
 def newton_solve(
@@ -332,8 +339,6 @@ def newton_solve(
     bc: BoundaryConditions,
     param_name: str = "sigma",
     param_value: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 40,
 ) -> StationaryState:
     """Damped Newton on the stationary system at fixed parameters.
 
@@ -354,8 +359,8 @@ def newton_solve(
     rnorm = float(np.max(np.abs(r)))
     if not np.isfinite(rnorm):
         raise NumericsError("stationary residual is not finite at the initial guess")
-    for _ in range(max_iter):
-        if rnorm < tol:
+    for _ in range(_NEWTON_MAX_ITER):
+        if rnorm < _NEWTON_TOL:
             c1, c2, phi, lam1, lam2 = _unpack(u)
             return StationaryState(
                 c1.copy(), c2.copy(), phi.copy(), lam1, lam2, param_name, param_value
@@ -369,7 +374,7 @@ def newton_solve(
                 rn_try = float(np.max(np.abs(r_try)))
                 if not np.isfinite(rn_try):
                     rn_try = np.inf
-                if rn_try < rnorm * (1.0 - 0.25 * t) or rn_try < tol:
+                if rn_try < rnorm * (1.0 - 0.25 * t) or rn_try < _NEWTON_TOL:
                     u, r, ab, C, D, E = u_try, r_try, ab_try, C_try, D_try, E_try
                     rnorm = rn_try
                     break
@@ -378,7 +383,7 @@ def newton_solve(
                 raise NumericsError(
                     f"Newton stalled at residual {rnorm:.3e} (no damped decrease)"
                 )
-    if rnorm < tol:
+    if rnorm < _NEWTON_TOL:
         c1, c2, phi, lam1, lam2 = _unpack(u)
         return StationaryState(
             c1.copy(), c2.copy(), phi.copy(), lam1, lam2, param_name, param_value
@@ -550,8 +555,6 @@ def trace_branch(
     param_name: str,
     param_range: tuple[float, float],
     ds0: float = 0.01,
-    ds_max: float = 0.05,
-    ds_min: float = 1e-6,
     max_points: int = 300,
     directions: tuple[int, ...] = (-1,),
     origin: str = "seed",
@@ -592,7 +595,7 @@ def trace_branch(
                 # ParameterError: predictor left the parameter's admissible
                 # set (e.g. sigma < 0); shrink the step like a failed solve.
                 ds *= 0.5
-                if ds < ds_min:
+                if ds < _DS_MIN:
                     truncated = True
                     break
                 continue
@@ -600,9 +603,9 @@ def trace_branch(
             w = w_new
             leg.append(_make_point(w, grid, param_name, tangent))
             if iters <= 3:
-                ds = min(2.0 * ds, ds_max)
+                ds = min(2.0 * ds, _DS_MAX)
             elif iters >= 8:
-                ds = max(0.5 * ds, ds_min)
+                ds = max(0.5 * ds, _DS_MIN)
             s = float(w[-1])
             if s < lo or s > hi:
                 break
@@ -622,9 +625,7 @@ def stability_probe(
     param_name: str,
     tol_scale: float = 1e-4,
     t_end: float = 200.0,
-    noise: float = 1e-3,
     seed: int = 0,
-    steady_tol: float = 1e-8,
 ) -> ProbeResult:
     """Dynamic stability of a stationary state.
 
@@ -643,10 +644,10 @@ def stability_probe(
     rng = np.random.default_rng(seed)
     prof = state.as_profile(grid)
     for arr in (prof.c1, prof.c2):
-        delta = noise * rng.standard_normal(arr.size)
+        delta = _PROBE_NOISE * rng.standard_normal(arr.size)
         delta -= trapz(delta, grid) / (2.0 * grid.L)
         arr += delta
-    res = evolve(p, prof, bc, t_end=t_end, steady_tol=steady_tol)
+    res = evolve(p, prof, bc, t_end=t_end)
     scale = 1.0 + max(float(np.max(np.abs(state.c1))), float(np.max(np.abs(state.c2))))
     dist = max(
         float(np.max(np.abs(res.profile.c1 - state.c1))),
@@ -710,7 +711,6 @@ def states_at(
     d: DomainSpec,
     grid: Grid,
     param_name: str,
-    dedup_tol: float = 1e-4,
 ) -> list[StationaryState]:
     """All distinct branch states re-converged at an exact parameter value.
 
@@ -742,7 +742,7 @@ def states_at(
             except NumericsError:
                 continue
             scale = 1.0 + float(np.max(np.abs(st.c1)))
-            if all(st.distance(prev) >= dedup_tol * scale for prev in found):
+            if all(st.distance(prev) >= _DEDUP_TOL * scale for prev in found):
                 found.append(st)
     return found
 
@@ -762,7 +762,6 @@ def run_combined(
     probe_stride: int = 1,
     probe_t_end: float = 200.0,
     probe_seed: int = 0,
-    verbose: bool = False,
 ) -> BranchSet:
     """Combined continuation / dynamic-relaxation branch mapping.
 
@@ -777,7 +776,8 @@ def run_combined(
     Seeds may be StationaryState, Profile-like objects, or bare arrays;
     non-states are Newton-converged at param_start (default: the top of
     param_range for sigma, matching the decreasing-sigma reading of the
-    diagrams; the bottom for voltage).
+    diagrams; the bottom for voltage). Each traced branch and each new
+    probe escape is logged at INFO level on this module's logger.
     """
     lo, hi = min(param_range), max(param_range)
     if param_start is None:
@@ -831,13 +831,17 @@ def run_combined(
             origin=origin,
         )
         bs.branches.append(branch)
-        if verbose:
-            ps = branch.params()
-            print(
-                f"branch {len(bs.branches)} ({origin}): {len(branch.points)} points, "
-                f"{param_name} in [{ps.min():.5g}, {ps.max():.5g}]"
-                + (" truncated" if branch.truncated else "")
-            )
+        ps = branch.params()
+        _log.info(
+            "branch %d (%s): %d points, %s in [%.5g, %.5g]%s",
+            len(bs.branches),
+            origin,
+            len(branch.points),
+            param_name,
+            ps.min(),
+            ps.max(),
+            " truncated" if branch.truncated else "",
+        )
         prev_target: StationaryState | None = None
         for idx, pt in enumerate(branch.points):
             if idx % probe_stride:
@@ -861,11 +865,12 @@ def run_combined(
             scale = 1.0 + float(np.max(np.abs(target.c1)))
             if prev_target is None or target.distance(prev_target) > tol_scale * scale:
                 bs.pending.append(target)
-                if verbose:
-                    print(
-                        f"  probe escape at {param_name}={pt.param:.5g} "
-                        f"-> wnorm {weighted_norm(target.c1, grid):.5g}"
-                    )
+                _log.info(
+                    "  probe escape at %s=%.5g -> wnorm %.5g",
+                    param_name,
+                    pt.param,
+                    weighted_norm(target.c1, grid),
+                )
             prev_target = target
         for cand in bs.pending:
             if _state_on_branches(cand, bs.branches, p0, d, grid, param_name, tol_scale):

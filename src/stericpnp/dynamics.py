@@ -38,11 +38,12 @@ compact perturbation, not a stiff term.
 A step controller enforces the physics the scheme is meant to have: a
 candidate step is rejected, and dt halved, whenever a concentration
 leaves the positive cone or the discrete energy increases by more
-than energy_tol. Because the monitored energy is the exact Lyapunov
+than 1e-10. Because the monitored energy is the exact Lyapunov
 functional of the semi-discrete system, a rejected step always succeeds
 after enough halvings (the semi-discrete slope is -sum_f c_f |dmu|^2/dx
-<= 0, so the energy rise is pure time-integration error, O(dt^2)). After five consecutive accepted steps dt grows by 1.3x
-up to dt_max. Twenty rejections in a row abandon the run with verdict
+<= 0, so the energy rise is pure time-integration error, O(dt^2)). After
+five consecutive accepted steps dt grows by 1.3x up to dt_max. A step
+still rejected after twenty halvings abandons the run with verdict
 "Unstable"; reaching the steady tolerance on max |c_t| gives "Steady";
 running out the horizon gives "Running".
 """
@@ -81,6 +82,12 @@ __all__ = [
 ]
 
 _BANDWIDTH = 4  # interleaved (c1_j, c2_j): node offset 2, sigma reach 2 nodes
+# step controller: the energy may rise by at most _ENERGY_TOL per step, no
+# concentration may fall to _POSITIVITY_FLOOR, and a step still rejected
+# after _MAX_HALVINGS halvings abandons the run
+_ENERGY_TOL = 1e-10
+_POSITIVITY_FLOOR = 1e-12
+_MAX_HALVINGS = 20
 
 
 @dataclass(frozen=True)
@@ -133,8 +140,13 @@ def chemical_potential(
     phi: np.ndarray,
     p: ModelParams,
     grid: Grid,
-    bc: BoundaryConditions,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """mu_i = log c_i + (G c)_i + z_i phi - sigma c_i,xx.
+
+    The only place mu is written: the time stepper and the stationary
+    solver both take it from here. With the Neumann wall closure of
+    second_derivative, mu_i is exactly (1/w_j) dE/dc_ij of discrete_energy.
+    """
     mu1 = np.log(c1) + p.g11 * c1 + p.g12 * c2 + p.z1 * phi
     mu2 = np.log(c2) + p.g12 * c1 + p.g22 * c2 + p.z2 * phi
     if p.sigma > 0.0:
@@ -174,9 +186,8 @@ def time_derivatives(
     phi: np.ndarray,
     p: ModelParams,
     grid: Grid,
-    bc: BoundaryConditions,
 ) -> tuple[np.ndarray, np.ndarray]:
-    mu1, mu2 = chemical_potential(c1, c2, phi, p, grid, bc)
+    mu1, mu2 = chemical_potential(c1, c2, phi, p, grid)
     return _flux_divergence(c1, mu1, grid), _flux_divergence(c2, mu2, grid)
 
 
@@ -233,7 +244,6 @@ def _rhs_and_band(
     phi: np.ndarray,
     p: ModelParams,
     grid: Grid,
-    bc: BoundaryConditions,
 ) -> tuple[np.ndarray, np.ndarray]:
     """F = (c mu_x)_x at frozen phi and its exact Jacobian, interleaved.
 
@@ -256,7 +266,7 @@ def _rhs_and_band(
     n = grid.n
     dx = grid.dx
     c = u.reshape(n, 2).T
-    mu = np.array(chemical_potential(c[0], c[1], phi, p, grid, bc))
+    mu = np.array(chemical_potential(c[0], c[1], phi, p, grid))
     c_face = 0.5 * (c + _shift(c, -1))
     dmu = _shift(mu, -1) - mu
     if not grid.periodic:
@@ -364,18 +374,12 @@ def evolve(
     dt0: float = 1e-3,
     dt_max: float = 0.25,
     steady_tol: float = 1e-8,
-    energy_tol: float = 1e-10,
-    adaptive: bool = True,
     observer: Callable[[float, np.ndarray, np.ndarray, np.ndarray], float] | None = None,
-    positivity_floor: float = 1e-12,
-    max_halvings: int = 20,
 ) -> EvolveResult:
     """Relax a profile under the dissipative dynamics until t_end.
 
     Stops early with verdict "Steady" when max |c_t| drops below
-    steady_tol. adaptive=False freezes the accepted step at dt0 (useful
-    for rate fitting); the energy/positivity rejection logic stays active
-    either way. observer, if given, is evaluated as observer(t, c1, c2,
+    steady_tol. observer, if given, is evaluated as observer(t, c1, c2,
     phi) after every accepted step and collected in the result.
     """
     grid = profile0.grid
@@ -383,19 +387,12 @@ def evolve(
     if t_end <= 0 or dt0 <= 0:
         raise ParameterError("t_end and dt0 must be positive")
     n = grid.n
-    c1 = profile0.c1.astype(float).copy()
-    c2 = profile0.c2.astype(float).copy()
+    c1, c2 = profile0.c1, profile0.c2
     if c1.min() <= 0 or c2.min() <= 0:
         raise ParameterError("initial concentrations must be strictly positive")
-
-    def pack(a, b):
-        u = np.empty(2 * n)
-        u[0::2] = a
-        u[1::2] = b
-        return u
-
-    def unpack(u):
-        return u[0::2], u[1::2]
+    # u interleaves (c1_j, c2_j); after the first step c1, c2 are the
+    # columns of its (n, 2) view
+    u = np.column_stack((c1, c2)).ravel()
 
     phi = solve_potential(c1, c2, p, grid, bc)
     e_cur = discrete_energy(c1, c2, phi, p, grid)
@@ -411,8 +408,7 @@ def evolve(
     m2_hist = [float(w @ c2)]
     obs_hist = [observer(0.0, c1, c2, phi)] if observer else None
 
-    u = pack(c1, c2)
-    f0, jac = _rhs_and_band(u, phi, p, grid, bc)
+    f0, jac = _rhs_and_band(u, phi, p, grid)
     dcdt_norm = float(np.max(np.abs(f0)))
     verdict, reason = "Running", "reached time horizon"
 
@@ -423,8 +419,7 @@ def evolve(
     is_ring = bc.kind == "periodic"
     while t < t_end:
         dt_try = min(dt, t_end - t)
-        halvings = 0
-        while True:
+        for halvings in range(_MAX_HALVINGS + 1):
             if is_ring:
                 du = _solve_circular(jac, dt_try, dt_try * f0)
             else:
@@ -432,40 +427,25 @@ def evolve(
                 system[_BANDWIDTH, :] += 1.0
                 du = solve_banded((_BANDWIDTH, _BANDWIDTH), system, dt_try * f0)
             u_new = u + du
-            c1n, c2n = unpack(u_new)
-            ok = np.all(np.isfinite(u_new)) and c1n.min() > positivity_floor and c2n.min() > positivity_floor
+            ok = np.all(np.isfinite(u_new)) and u_new.min() > _POSITIVITY_FLOOR
             if ok:
+                c1n, c2n = u_new.reshape(n, 2).T
                 phi_new = solve_potential(c1n, c2n, p, grid, bc)
                 e_new = discrete_energy(c1n, c2n, phi_new, p, grid)
-                ok = np.isfinite(e_new) and (e_new <= e_cur + energy_tol)
+                ok = np.isfinite(e_new) and (e_new <= e_cur + _ENERGY_TOL)
             if ok:
                 break
             rejects += 1
-            halvings += 1
-            if halvings > max_halvings:
-                c1f, c2f = unpack(u)
-                prof = Profile(grid=grid, c1=c1f, c2=c2f, phi=phi)
-                return EvolveResult(
-                    profile=prof,
-                    t=t,
-                    verdict="Unstable",
-                    reason="time step collapsed under the dissipation controller",
-                    steps=steps,
-                    rejects=rejects,
-                    dcdt_norm=dcdt_norm,
-                    times=np.array(times),
-                    energy=np.array(energies),
-                    mass1=np.array(m1_hist),
-                    mass2=np.array(m2_hist),
-                    observables=np.array(obs_hist) if obs_hist is not None else None,
-                )
             dt_try *= 0.5
+        else:
+            verdict, reason = "Unstable", "time step collapsed under the dissipation controller"
+            break
 
         t += dt_try
         steps += 1
         u, phi, e_cur = u_new, phi_new, e_new
-        c1, c2 = unpack(u)
-        f0, jac = _rhs_and_band(u, phi, p, grid, bc)
+        c1, c2 = c1n, c2n
+        f0, jac = _rhs_and_band(u, phi, p, grid)
         dcdt_norm = float(np.max(np.abs(f0)))
 
         times.append(t)
@@ -480,11 +460,9 @@ def evolve(
             accepted_streak = 0
         else:
             accepted_streak += 1
-            if adaptive and accepted_streak >= 5:
+            if accepted_streak >= 5:
                 dt = min(dt * 1.3, dt_max)
                 accepted_streak = 0
-            elif not adaptive:
-                dt = min(dt0, dt * 2.0) if dt < dt0 else dt0
 
         if dcdt_norm < steady_tol:
             verdict, reason = "Steady", f"max |c_t| fell below {steady_tol:g}"

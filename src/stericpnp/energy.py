@@ -24,6 +24,10 @@ and, when sigma > 0, a gradient penalty:
 
     E[c] = int h(c) + 1/2 |phi_x|^2 + sigma/2 (|c1_x|^2 + |c2_x|^2) dx.
 
+Its one discretisation is dynamics.discrete_energy, the Lyapunov functional
+that the time stepper, Newton and continuation share. This module holds the
+bulk density h, its Hessian and convexity, and the segregated-pattern
+energy contest, which keeps its own convention (see SegregatedComparison).
 Entropy terms are evaluated with the xlogy limit c ln c -> 0 at c = 0, so
 fully segregated profiles (exact zeros) have finite energy.
 """
@@ -126,60 +130,6 @@ def concave_window_bounds(p: ModelParams) -> tuple[float, float]:
     return (p.g22 / gap, p.g11 / gap)
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Quadrature of the energy functional, split by physical origin."""
-
-    entropy: float
-    steric: float
-    electrostatic: float
-    gradient: float
-
-    @property
-    def total(self) -> float:
-        return self.entropy + self.steric + self.electrostatic + self.gradient
-
-
-def free_energy(profile: Profile, p: ModelParams) -> EnergyBreakdown:
-    """Evaluate the functional on a sampled profile.
-
-    The field term uses profile.E when present, otherwise the numerical
-    gradient of phi. The gradient penalty enters only when sigma > 0.
-    """
-    grid = profile.grid
-    ent = _fd.trapz(
-        xlogy(profile.c1, profile.c1 / p.cbar1)
-        - profile.c1
-        + xlogy(profile.c2, profile.c2 / p.cbar2)
-        - profile.c2,
-        grid,
-    )
-    steric = _fd.trapz(
-        0.5
-        * (
-            p.g11 * profile.c1**2
-            + 2.0 * p.g12 * profile.c1 * profile.c2
-            + p.g22 * profile.c2**2
-        ),
-        grid,
-    )
-    if profile.E is not None:
-        field = profile.E
-    elif profile.phi is not None:
-        field = _fd.gradient(profile.phi, grid)
-    else:
-        raise ParameterError("free_energy needs E or phi on the profile")
-    elec = _fd.trapz(0.5 * field**2, grid)
-    grad = 0.0
-    if p.sigma > 0:
-        g1 = _fd.gradient(profile.c1, grid)
-        g2 = _fd.gradient(profile.c2, grid)
-        grad = 0.5 * p.sigma * _fd.trapz(g1**2 + g2**2, grid)
-    return EnergyBreakdown(
-        entropy=float(ent), steric=float(steric), electrostatic=float(elec), gradient=float(grad)
-    )
-
-
 def segregated_pattern(n_freq: int, cbar: float, grid: Grid) -> Profile:
     """Fully segregated alternating pattern with n_freq periods per unit length.
 
@@ -208,9 +158,16 @@ def segregated_pattern(n_freq: int, cbar: float, grid: Grid) -> Profile:
 class SegregatedComparison:
     """Energy contest between the segregated pattern and the uniform state.
 
-    Uses the convention where the steric integral is int c.G c dx (no 1/2)
-    with g11 = g22 = 0, i.e. steric = 2 g12 int c1 c2 dx; entropy and field
-    terms are the same as in free_energy.
+    Its own convention, with g11 = g22 = 0, each term a trapezoid integral
+    over [-1, 1]:
+
+    - entropy: sum_i c_i ln(c_i / cbar) - c_i, with xlogy's 0 ln 0 = 0;
+    - steric: int c.G c dx with no 1/2, i.e. 2 g12 int c1 c2 dx;
+    - field: 1/2 int phi_x^2 dx, phi_x from second-order centred
+      differences (one-sided at the walls).
+
+    This is not dynamics.discrete_energy, which halves the steric term
+    and writes the field part over faces in its rho-phi form.
     """
 
     entropy_seg: float
@@ -232,7 +189,10 @@ class SegregatedComparison:
 def segregated_comparison(
     n_freq: int, cbar: float, g12: float, n_nodes: int = 2001
 ) -> SegregatedComparison:
-    """Quadrature both sides of the segregation energy contest on [-1, 1]."""
+    """Quadrature both sides of the segregation energy contest on [-1, 1].
+
+    In SegregatedComparison's convention, not dynamics.discrete_energy's.
+    """
     from .model import DomainSpec, make_grid
 
     grid = make_grid(DomainSpec(L=1.0), n_nodes)

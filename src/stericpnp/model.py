@@ -205,11 +205,10 @@ class Profile:
     c1: np.ndarray
     c2: np.ndarray
     phi: np.ndarray | None = None
-    E: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = self.grid.n
-        for name in ("c1", "c2", "phi", "E"):
+        for name in ("c1", "c2", "phi"):
             arr = getattr(self, name)
             if arr is None:
                 continue
@@ -249,5 +248,4 @@ def homogeneous_profile(grid: Grid, p: ModelParams) -> Profile:
         c1=np.full(n, p.cbar1),
         c2=np.full(n, p.cbar2),
         phi=np.zeros(n),
-        E=np.zeros(n),
     )

@@ -817,8 +817,8 @@ def extract_bvp(
     L = 0.5 * (x_right - x_left)
     center = 0.5 * (x_left + x_right)
     grid = make_grid(L, n)
-    c1, c2, E, phi = pull(grid.x + center)
+    c1, c2, _, phi = pull(grid.x + center)
     domain = DomainSpec(L=L, phi_left=float(phi[0]), phi_right=float(phi[-1]))
-    profile = Profile(grid=grid, c1=c1, c2=c2, phi=phi, E=E)
+    profile = Profile(grid=grid, c1=c1, c2=c2, phi=phi)
     m1, m2 = profile.mass_means()
     return ExtractedBvp(profile=profile, domain=domain, cbar1=m1, cbar2=m2)

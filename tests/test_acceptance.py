@@ -400,7 +400,7 @@ def _instability_index(state, p, grid, bc):
     def rate(u):
         c1, c2 = u[:n], u[n:]
         phi = solve_potential(c1, c2, p, grid, bc)
-        return np.concatenate(time_derivatives(c1, c2, phi, p, grid, bc))
+        return np.concatenate(time_derivatives(c1, c2, phi, p, grid))
 
     u0 = np.concatenate((state.c1, state.c2))
     jac = np.empty((2 * n, 2 * n))

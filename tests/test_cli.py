@@ -55,6 +55,20 @@ def test_missing_config_file(tmp_path):
     assert main(["onset", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("onset", "sigma = -1\n"),
+        ("evolve", "\n[domain]\nl = 1.0\n[grid]\nn = 4\n[evolve]\nt_end = 1.0\n"),
+    ],
+    ids=["negative_sigma", "grid_under_8_nodes"],
+)
+def test_bad_parameter_value_is_a_config_error(tmp_path, capsys, command, extra):
+    cfg = _write(tmp_path, SYM_MODEL + extra)
+    assert main([command, cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "parameter error" in capsys.readouterr().err
+
+
 def test_no_onset_maps_to_regime_exit(tmp_path):
     cfg = _write(tmp_path, SYM_MODEL.replace("g12 = 3.5", "g12 = 2.8"))
     assert main(["onset", cfg, "--out", str(tmp_path / "o")]) == 4

@@ -6,10 +6,17 @@ pin the machinery on small boxes where every answer has a closed form.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stericpnp.continuation import (
     StationaryState,
+    _apply_param,
     _as_profile,
+    _assemble,
+    _dresidual_dparam,
+    _pack,
     l2_norm,
     load_branchset,
     mirror_state,
@@ -21,7 +28,13 @@ from stericpnp.continuation import (
     trace_branch,
     weighted_norm,
 )
-from stericpnp.dynamics import electrode_bc, evolve, periodic_bc
+from stericpnp.dynamics import (
+    electrode_bc,
+    evolve,
+    periodic_bc,
+    solve_potential,
+    time_derivatives,
+)
 from stericpnp.errors import ParameterError
 from stericpnp.model import (
     DomainSpec,
@@ -228,3 +241,131 @@ def test_branchset_roundtrip(tmp_path):
         np.testing.assert_allclose(
             ba.points[0].state.c1, bb.points[0].state.c1, rtol=0, atol=1e-14
         )
+
+
+@st.composite
+def _admissible_params(draw, sigmas):
+    return make_params(
+        draw(st.floats(0.5, 3.0)),
+        -draw(st.floats(0.5, 3.0)),
+        draw(st.floats(0.0, 4.0)),
+        draw(st.floats(0.0, 4.0)),
+        draw(st.floats(0.0, 4.0)),
+        draw(st.floats(0.2, 2.0)),
+        draw(st.floats(0.2, 2.0)),
+        sigma=draw(sigmas),
+    )
+
+
+@st.composite
+def _stationary_case(draw, sigma_term, equal_walls=False):
+    """Parameters, an electrode domain, an 8-24 node grid and a packed vector
+    with positive concentrations, a random potential and random multipliers."""
+    p = draw(_admissible_params(st.floats(1e-3, 0.1) if sigma_term else st.just(0.0)))
+    left = draw(st.floats(-1.0, 1.0))
+    right = left if equal_walls else draw(st.floats(-1.0, 1.0))
+    d = DomainSpec(draw(st.floats(0.5, 5.0)), phi_left=left, phi_right=right)
+    n = draw(st.integers(8, 24))
+    scale = arrays(np.float64, n, elements=st.floats(0.2, 2.0))
+    phi = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    lam = draw(arrays(np.float64, 2, elements=st.floats(-5.0, 5.0)))
+    u = _pack(p.cbar1 * draw(scale), p.cbar2 * draw(scale), phi, *lam)
+    return p, d, make_grid(d, n), u
+
+
+def _dense_jacobian(ab, C, D, E):
+    """[[B, C], [D, E]] with B[col + k, col] = ab[b + k, col]; off-matrix slots must be 0."""
+    m = ab.shape[1]
+    b = (ab.shape[0] - 1) // 2
+    J = np.zeros((m + 2, m + 2))
+    cols = np.arange(m)
+    for k in range(-b, b + 1):
+        rows = cols + k
+        inside = (rows >= 0) & (rows < m)
+        J[rows[inside], cols[inside]] = ab[b + k, inside]
+        assert np.all(ab[b + k, ~inside] == 0.0)
+    J[:m, m:] = C
+    J[m:, :m] = D
+    J[m:, m:] = E
+    return J
+
+
+@pytest.mark.parametrize("sigma_term", [False, True], ids=["sigma0", "sigma"])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_assembled_jacobian_is_the_derivative_of_the_residual(sigma_term, data):
+    p, d, grid, u = data.draw(_stationary_case(sigma_term))
+    bc = electrode_bc(d.phi_left, d.phi_right)
+    r, ab, C, D, E = _assemble(u, p, grid, bc)
+    np.testing.assert_array_equal(r, stationary_residual(u, p, grid, bc))
+    J = _dense_jacobian(ab, C, D, E)
+
+    J_fd = np.empty_like(J)
+    for k in range(u.size):
+        h = 1e-6 * (1.0 + abs(u[k]))
+        up, um = u.copy(), u.copy()
+        up[k] += h
+        um[k] -= h
+        J_fd[:, k] = (
+            stationary_residual(up, p, grid, bc) - stationary_residual(um, p, grid, bc)
+        ) / (2.0 * h)
+    assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J_fd))
+
+    # the residual is affine in sigma and in the applied voltage, so a
+    # forward difference in the parameter is exact up to rounding
+    for name, value in (("sigma", p.sigma), ("voltage", d.phi_right)):
+        def residual_at(v):
+            pv, bcv = _apply_param(p, d, name, v)
+            return stationary_residual(u, pv, grid, bcv)
+
+        dv = 1e-3
+        fd = (residual_at(value + dv) - residual_at(value)) / dv
+        exact = _dresidual_dparam(u, p, grid, name)
+        assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("sigma_term", [False, True], ids=["sigma0", "sigma"])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_residual_is_mirror_equivariant(sigma_term, data):
+    p, d, grid, u = data.draw(_stationary_case(sigma_term, equal_walls=True))
+    bc = electrode_bc(d.phi_left, d.phi_right)
+    m = 3 * grid.n
+
+    def reverse_nodes(v):
+        out = v.copy()
+        out[:m] = v[:m].reshape(grid.n, 3)[::-1].ravel()
+        return out
+
+    r = stationary_residual(u, p, grid, bc)
+    r_mirror = stationary_residual(reverse_nodes(u), p, grid, bc)
+    assert np.max(np.abs(r_mirror - reverse_nodes(r))) <= 1e-12 * np.max(np.abs(r))
+
+
+@settings(max_examples=20)
+@given(data=st.data())
+def test_newton_states_are_fixed_points_of_evolve(data):
+    p = data.draw(_admissible_params(st.floats(1e-3, 0.1)))
+    voltage = data.draw(st.floats(-0.5, 0.5))
+    grid = make_grid(DomainSpec(data.draw(st.floats(0.5, 5.0))), data.draw(st.integers(16, 32)))
+    bc = electrode_bc(-voltage, voltage)
+    # run_combined's path: relax the uniform state, then Newton-polish it
+    relaxed = evolve(p, homogeneous_profile(grid, p), bc, t_end=50.0)
+    state = newton_solve(relaxed.profile, p, grid, bc, "voltage", voltage)
+
+    again = evolve(p, state.as_profile(grid), bc, t_end=50.0)
+    assert again.verdict == "Steady"
+    assert again.steps == 0
+
+    # F_j = (flux_j - flux_j-1) / w_j with flux_f = c_f (mu_f+1 - mu_f) / dx
+    # and w_j >= dx / 2, while mu - lam is the residual's chemical-potential
+    # rows: |F| <= 8 max(c) max|mu - lam| / dx^2, up to the rounding of
+    # mu - lam. A chemical potential that differed between Newton and the
+    # dynamics would break this bound at the first node where they differ.
+    phi = solve_potential(state.c1, state.c2, p, grid, bc)
+    f = np.concatenate(time_derivatives(state.c1, state.c2, phi, p, grid))
+    r = stationary_residual(_pack(state.c1, state.c2, phi, state.lam1, state.lam2), p, grid, bc)
+    r_mu = np.max(np.abs(r[: 3 * grid.n].reshape(grid.n, 3)[:, :2]))
+    rounding = 4.0 * np.finfo(float).eps * max(abs(state.lam1), abs(state.lam2))
+    c_max = max(state.c1.max(), state.c2.max())
+    assert np.max(np.abs(f)) <= 8.0 * c_max * (r_mu + rounding) / grid.dx**2

@@ -8,10 +8,10 @@ diag(1/c) + G on one side, the expanded rational identity on the other).
 import numpy as np
 import pytest
 
+from stericpnp.dynamics import discrete_energy
 from stericpnp.energy import (
     concave_window_bounds,
     convexity_class,
-    free_energy,
     free_energy_density,
     g12_critical,
     hessian,
@@ -108,27 +108,13 @@ def test_g12_critical():
     assert g12_critical(P_FIG10) == pytest.approx(2.537715508089904, rel=1e-10)
 
 
-def test_free_energy_homogeneous_closed_form():
-    g = make_grid(DomainSpec(1.0), 401)
-    from stericpnp.model import homogeneous_profile
-
-    fe = free_energy(homogeneous_profile(g, P_SYM), P_SYM)
-    # length 2 domain: entropy 2 * 2 * (log 1 - 1), steric 2 * (g11 + 2 g12 + g22)/2
-    assert fe.entropy == pytest.approx(-4.0, abs=1e-12)
-    assert fe.steric == pytest.approx(11.0, abs=1e-12)
-    assert fe.electrostatic == pytest.approx(0.0, abs=1e-12)
-    assert fe.gradient == pytest.approx(0.0, abs=0.0)
-
-
 def test_segregated_pattern_breakdown():
     g = make_grid(DomainSpec(1.0), 801)
     seg = segregated_pattern(1, 1.0, g)
-    fe = free_energy(seg, P_SYM)
-    # hard segregation kills the cross term but doubles the diagonal ones
-    assert fe.entropy == pytest.approx(4 * (np.log(2) - 1), abs=1e-9)
-    assert fe.steric == pytest.approx(8.0, rel=1e-9)
-    assert fe.electrostatic == pytest.approx(1.0 / 12.0, rel=2e-4)
-    assert fe.gradient == 0.0
+    # hard segregation kills the cross term but doubles the diagonal ones:
+    # entropy 4 (ln 2 - 1), steric 8, field 1/12, and grounded walls do no work
+    total = discrete_energy(seg.c1, seg.c2, seg.phi, P_SYM, g)
+    assert total == pytest.approx(4 * (np.log(2) - 1) + 8.0 + 1.0 / 12.0, abs=2e-5)
 
 
 class TestSegregatedComparison:
