@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._fd import trapz
 from .continuation import run_combined, save_branchset
 from .dynamics import discrete_energy, electrode_bc, evolve, periodic_bc
 from .energy import (
@@ -122,12 +123,6 @@ def _load_config(path: str, overrides: list[str]) -> configparser.ConfigParser:
                 f"unknown key(s) in [{section}]: {', '.join(sorted(extra))}"
             )
     return cfg
-
-
-def _need(cfg, section: str, key: str) -> str:
-    if not cfg.has_option(section, key):
-        raise ConfigError(f"missing required key {key} in [{section}]")
-    return cfg.get(section, key)
 
 
 def _fval(cfg, section: str, key: str, default: float | None = None) -> float:
@@ -454,7 +449,9 @@ def _cmd_evolve(cfg, p, outdir: Path) -> tuple[list[str], dict]:
             rng = np.random.default_rng(seed)
             for arr in (prof.c1, prof.c2):
                 delta = amp * rng.standard_normal(arr.size)
-                delta -= np.mean(delta)
+                # zero mean in the grid's quadrature, so the masses that
+                # evolve conserves stay at 2 L cbar
+                delta -= trapz(delta, grid) / (2.0 * grid.L)
                 arr += delta
         prof = prof.require_positive(1e-10)
     res = evolve(

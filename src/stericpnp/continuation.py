@@ -34,10 +34,10 @@ stability_probe perturbs a converged state with seeded zero-mean noise,
 relaxes it with evolve, and declares the state stable when it returns to
 itself. When the probe escapes to a different attractor, the relaxed
 profile is Newton-polished into a new stationary state. run_combined
-chains the two: continue a branch, probe every accepted point, collect
-escape targets that differ from the previous one, filter out targets
-that land on already-known branches, and launch fresh continuations from
-the genuinely new states until the pending list drains.
+chains the two: continue a branch, probe every accepted point, queue
+escape targets that differ from the previous one, skip each queued state
+that lands on an already-known branch, and launch fresh continuations
+from the genuinely new states until the queue drains.
 
 Diagrams live in the (parameter, weighted arc-length norm of c1) plane.
 The weight 1 + (x + L)/(2L) breaks reflection symmetry, so a state and
@@ -77,7 +77,6 @@ __all__ = [
     "l2_norm",
     "stationary_residual",
     "newton_solve",
-    "arclength_step",
     "trace_branch",
     "stability_probe",
     "run_combined",
@@ -90,6 +89,7 @@ __all__ = [
 _BAND = 3  # sub/super-diagonals of the core Jacobian in interleaved order
 _NEWTON_TOL = 1e-10  # max-norm residual of a converged state
 _NEWTON_MAX_ITER = 40
+_CORRECTOR_MAX_ITER = 12
 _DS_MAX = 0.05  # arclength step bounds of trace_branch
 _DS_MIN = 1e-6
 _PROBE_NOISE = 1e-3  # amplitude of stability_probe's perturbation
@@ -137,7 +137,7 @@ class StationaryState:
             c1=self.c1.copy(), c2=self.c2.copy(), phi=self.phi.copy(), grid=grid
         )
 
-    def distance(self, other: "StationaryState") -> float:
+    def distance(self, other: "StationaryState | Profile") -> float:
         return max(
             float(np.max(np.abs(self.c1 - other.c1))),
             float(np.max(np.abs(self.c2 - other.c2))),
@@ -291,49 +291,34 @@ def stationary_residual(
     return r
 
 
-def _as_profile(guess, grid: Grid) -> Profile:
-    """Coerce a seed (state, packed vector, or profile-like) to a Profile."""
-    if isinstance(guess, Profile):
-        return guess
-    if isinstance(guess, StationaryState):
-        return Profile(grid, guess.c1.copy(), guess.c2.copy(), guess.phi.copy())
-    if isinstance(guess, np.ndarray):
-        n = grid.n
-        if guess.size != 3 * n + 2:
-            raise ParameterError("guess vector has the wrong length")
-        c1, c2, phi, _, _ = _unpack(guess)
-        return Profile(grid, c1.copy(), c2.copy(), phi.copy())
-    phi = getattr(guess, "phi", None)
-    return Profile(
-        grid,
-        np.asarray(guess.c1, float).copy(),
-        np.asarray(guess.c2, float).copy(),
-        None if phi is None else np.asarray(phi, float).copy(),
-    )
-
-
 def _initial_vector(
-    guess, p: ModelParams, grid: Grid, bc: BoundaryConditions
+    guess: StationaryState | Profile, p: ModelParams, grid: Grid, bc: BoundaryConditions
 ) -> np.ndarray:
-    if isinstance(guess, StationaryState):
+    """Packed unknowns from a state, or from a profile on grid.
+
+    A profile without phi gets it from Poisson; its multiplier seeds are
+    the mean chemical potentials.
+    """
+    if isinstance(guess, StationaryState) and guess.c1.size == grid.n:
         return guess.pack()
-    if isinstance(guess, np.ndarray):
-        if guess.size != 3 * grid.n + 2:
-            raise ParameterError("guess vector has the wrong length")
-        return guess.astype(float).copy()
-    # Profile-like: c1/c2/phi attributes
-    c1 = np.asarray(guess.c1, float)
-    c2 = np.asarray(guess.c2, float)
-    if getattr(guess, "phi", None) is None:
-        phi = solve_potential(c1, c2, p, grid, bc)
-    else:
-        phi = np.asarray(guess.phi, float)
+    if not (isinstance(guess, Profile) and np.array_equal(guess.grid.x, grid.x)):
+        raise ParameterError(
+            "a seed must be a StationaryState or a Profile on the run's grid"
+        )
+    c1, c2 = guess.c1, guess.c2
+    phi = solve_potential(c1, c2, p, grid, bc) if guess.phi is None else guess.phi
     mu1, mu2 = chemical_potential(c1, c2, phi, p, grid)
     return _pack(c1, c2, phi, float(np.mean(mu1)), float(np.mean(mu2)))
 
 
+def _positive(u: np.ndarray) -> bool:
+    """Are all concentrations of the packed vector u strictly positive?"""
+    m = u.size - 2
+    return bool(np.all(u[0:m:3] > 0.0) and np.all(u[1:m:3] > 0.0))
+
+
 def newton_solve(
-    guess,
+    guess: StationaryState | Profile,
     p: ModelParams,
     grid: Grid,
     bc: BoundaryConditions,
@@ -342,9 +327,9 @@ def newton_solve(
 ) -> StationaryState:
     """Damped Newton on the stationary system at fixed parameters.
 
-    guess may be a StationaryState, a packed vector, or anything with
-    c1/c2/phi arrays (multiplier seeds then come from the mean chemical
-    potentials). Step lengths are backtracked until the concentrations
+    guess is a StationaryState or a Profile on grid (multiplier seeds
+    then come from the mean chemical potentials); anything else raises
+    ParameterError. Step lengths are backtracked until the concentrations
     stay positive and the residual norm drops; a step that cannot be
     damped into decrease raises NumericsError.
     """
@@ -352,24 +337,18 @@ def newton_solve(
         param_value = p.sigma if param_name == "sigma" else bc.phi_right
     u = _initial_vector(guess, p, grid, bc)
     m = 3 * grid.n
-    cmask = np.zeros(u.size, bool)
-    cmask[0:m:3] = True
-    cmask[1:m:3] = True
     r, ab, C, D, E = _assemble(u, p, grid, bc)
     rnorm = float(np.max(np.abs(r)))
     if not np.isfinite(rnorm):
         raise NumericsError("stationary residual is not finite at the initial guess")
     for _ in range(_NEWTON_MAX_ITER):
         if rnorm < _NEWTON_TOL:
-            c1, c2, phi, lam1, lam2 = _unpack(u)
-            return StationaryState(
-                c1.copy(), c2.copy(), phi.copy(), lam1, lam2, param_name, param_value
-            )
+            break
         step = _solve_bordered(ab, C, D, E, -r[:m], -r[m:])
         t = 1.0
         while True:
             u_try = u + t * step
-            if np.all(u_try[cmask] > 0.0):
+            if _positive(u_try):
                 r_try, ab_try, C_try, D_try, E_try = _assemble(u_try, p, grid, bc)
                 rn_try = float(np.max(np.abs(r_try)))
                 if not np.isfinite(rn_try):
@@ -383,12 +362,12 @@ def newton_solve(
                 raise NumericsError(
                     f"Newton stalled at residual {rnorm:.3e} (no damped decrease)"
                 )
-    if rnorm < _NEWTON_TOL:
-        c1, c2, phi, lam1, lam2 = _unpack(u)
-        return StationaryState(
-            c1.copy(), c2.copy(), phi.copy(), lam1, lam2, param_name, param_value
-        )
-    raise NumericsError(f"Newton did not converge: residual {rnorm:.3e}")
+    if rnorm >= _NEWTON_TOL:
+        raise NumericsError(f"Newton did not converge: residual {rnorm:.3e}")
+    c1, c2, phi, lam1, lam2 = _unpack(u)
+    return StationaryState(
+        c1.copy(), c2.copy(), phi.copy(), lam1, lam2, param_name, param_value
+    )
 
 
 def _dresidual_dparam(
@@ -420,7 +399,6 @@ class BranchPoint:
     l2: float
     wnorm: float
     stable: bool | None = None
-    tangent: np.ndarray | None = None
 
 
 @dataclass
@@ -436,7 +414,6 @@ class Branch:
 @dataclass
 class BranchSet:
     branches: list[Branch] = field(default_factory=list)
-    pending: list[StationaryState] = field(default_factory=list)
     tol: float = 1e-4
     param_name: str = "sigma"
 
@@ -473,23 +450,18 @@ def _corrector(
     d: DomainSpec,
     grid: Grid,
     param_name: str,
-    tol: float = 1e-10,
-    max_iter: int = 12,
 ) -> tuple[np.ndarray, int]:
     """Newton on [stationary residual; <t, w - w_pred> = 0]. Returns (w, iters)."""
     w = w_pred.copy()
     m = 3 * grid.n
-    cmask = np.zeros(w.size, bool)
-    cmask[0:m:3] = True
-    cmask[1:m:3] = True
-    for it in range(max_iter):
+    for it in range(_CORRECTOR_MAX_ITER):
         p, bc = _apply_param(p0, d, param_name, float(w[-1]))
-        if np.any(w[cmask] <= 0.0):
+        if not _positive(w[:-1]):
             raise NumericsError("corrector left the positive cone")
         r, ab, C2, D2, E2 = _assemble(w[:-1], p, grid, bc)
         arc = geom.dot(tangent, w - w_pred)
         rnorm = max(float(np.max(np.abs(r))), abs(arc))
-        if rnorm < tol:
+        if rnorm < _NEWTON_TOL:
             return w, it
         dps = _dresidual_dparam(w[:-1], p, grid, param_name)
         # Border: columns [lam1, lam2, s]; rows [mass1, mass2, arc]
@@ -508,7 +480,7 @@ def _corrector(
         t = 1.0
         while t >= 1.0 / 256.0:
             w_try = w + t * step
-            if np.all(w_try[cmask] > 0.0):
+            if _positive(w_try[:-1]):
                 w = w_try
                 break
             t *= 0.5
@@ -517,9 +489,7 @@ def _corrector(
     raise NumericsError("arclength corrector did not converge")
 
 
-def _make_point(
-    w: np.ndarray, grid: Grid, param_name: str, tangent: np.ndarray | None
-) -> BranchPoint:
+def _make_point(w: np.ndarray, grid: Grid, param_name: str) -> BranchPoint:
     c1, c2, phi, lam1, lam2 = _unpack(w[:-1])
     s = float(w[-1])
     state = StationaryState(c1.copy(), c2.copy(), phi.copy(), lam1, lam2, param_name, s)
@@ -528,23 +498,7 @@ def _make_point(
         state=state,
         l2=l2_norm(c1, c2, grid),
         wnorm=weighted_norm(c1, grid),
-        tangent=tangent,
     )
-
-
-def arclength_step(
-    w_prev: np.ndarray,
-    tangent: np.ndarray,
-    ds: float,
-    geom: _Arclength,
-    p0: ModelParams,
-    d: DomainSpec,
-    grid: Grid,
-    param_name: str,
-) -> tuple[np.ndarray, int]:
-    """One predictor/corrector move of weighted arclength ds."""
-    w_pred = w_prev + ds * tangent
-    return _corrector(w_pred, tangent, geom, p0, d, grid, param_name)
 
 
 def trace_branch(
@@ -583,13 +537,13 @@ def trace_branch(
         tangent = geom.normalize(np.concatenate([du, [1.0]]))
         if np.sign(tangent[-1]) != direction:
             tangent = -tangent
-        leg = [_make_point(w0, grid, param_name, tangent)]
+        leg = [_make_point(w0, grid, param_name)]
         ds = ds0
         w = w0
         while len(leg) < max_points:
             try:
-                w_new, iters = arclength_step(
-                    w, tangent, ds, geom, p0, d, grid, param_name
+                w_new, iters = _corrector(
+                    w + ds * tangent, tangent, geom, p0, d, grid, param_name
                 )
             except (NumericsError, ParameterError):
                 # ParameterError: predictor left the parameter's admissible
@@ -601,7 +555,7 @@ def trace_branch(
                 continue
             tangent = geom.normalize(w_new - w)
             w = w_new
-            leg.append(_make_point(w, grid, param_name, tangent))
+            leg.append(_make_point(w, grid, param_name))
             if iters <= 3:
                 ds = min(2.0 * ds, _DS_MAX)
             elif iters >= 8:
@@ -649,10 +603,7 @@ def stability_probe(
         arr += delta
     res = evolve(p, prof, bc, t_end=t_end)
     scale = 1.0 + max(float(np.max(np.abs(state.c1))), float(np.max(np.abs(state.c2))))
-    dist = max(
-        float(np.max(np.abs(res.profile.c1 - state.c1))),
-        float(np.max(np.abs(res.profile.c2 - state.c2))),
-    )
+    dist = state.distance(res.profile)
     if dist < tol_scale * scale and res.verdict != "Unstable":
         return ProbeResult(True, None, res.verdict, dist)
     if res.verdict == "Unstable":
@@ -748,7 +699,7 @@ def states_at(
 
 
 def run_combined(
-    seeds,
+    seeds: list[StationaryState | Profile],
     p0: ModelParams,
     d: DomainSpec,
     param_name: str,
@@ -768,16 +719,18 @@ def run_combined(
     For each queued seed: converge it, skip it if it lies on a branch
     already traced, trace its branch across param_range, then walk the
     branch probing every probe_stride-th point with the dynamics. Probe
-    escapes that differ from the previous escape target are collected;
-    after the branch, targets that do not lie on any known branch are
-    queued as fresh seeds (both continuation directions). The walk ends
-    when the queue drains or max_branches is reached.
+    escapes that differ from the previous escape target are queued as
+    fresh seeds (both continuation directions). The walk ends when the
+    queue drains or max_branches is reached.
 
-    Seeds may be StationaryState, Profile-like objects, or bare arrays;
-    non-states are Newton-converged at param_start (default: the top of
-    param_range for sigma, matching the decreasing-sigma reading of the
-    diagrams; the bottom for voltage). Each traced branch and each new
-    probe escape is logged at INFO level on this module's logger.
+    Seeds are StationaryStates or Profiles on the run's grid; anything
+    else raises ParameterError. A state strictly inside param_range is
+    traced from where it is; every other seed is Newton-converged at
+    param_start (default: the top of param_range for sigma, matching the
+    decreasing-sigma reading of the diagrams; the bottom for voltage). A
+    seed state strictly inside the range is traced in both directions,
+    one at an end of it towards the other end. Each traced branch and
+    each new probe escape is logged at INFO level on this module's logger.
     """
     lo, hi = min(param_range), max(param_range)
     if param_start is None:
@@ -786,25 +739,21 @@ def run_combined(
     bs = BranchSet(tol=tol_scale, param_name=param_name)
 
     queue: list[tuple[StationaryState, tuple[int, ...], str]] = []
-    first_dirs = (-1,) if param_start >= hi else (1,)
-    for k, seed in enumerate(seeds):
-        if isinstance(seed, StationaryState):
-            st = seed
-            if lo < st.param_value < hi:
-                queue.append((st, (-1, 1), f"seed[{k}]"))
-                continue
-        else:
+    for k, st in enumerate(seeds):
+        if not (isinstance(st, StationaryState) and lo < st.param_value < hi):
             p, bc = _apply_param(p0, d, param_name, param_start)
             try:
-                st = newton_solve(seed, p, grid, bc, param_name, param_start)
+                st = newton_solve(st, p, grid, bc, param_name, param_start)
             except NumericsError:
                 # seed too far for Newton (e.g. a flat profile under applied
                 # voltage, where boundary layers are an O(1) correction);
                 # let the dynamics carry it into a basin first
-                prof = _as_profile(seed, grid)
+                prof = st.as_profile(grid) if isinstance(st, StationaryState) else st
                 res = evolve(p, prof, bc, t_end=probe_t_end)
                 st = newton_solve(res.profile, p, grid, bc, param_name, param_start)
-        queue.append((st, first_dirs, f"seed[{k}]"))
+        s = st.param_value
+        dirs = (-1, 1) if lo < s < hi else (-1,) if s >= hi else (1,)
+        queue.append((st, dirs, f"seed[{k}]"))
 
     mirror_ok = d.phi_left == d.phi_right and param_name != "voltage"
 
@@ -857,14 +806,14 @@ def run_combined(
                 seed=probe_seed,
             )
             pt.stable = probe.stable
-            relaxed = pt.state if probe.stable else probe.target
             if probe.stable or probe.target is None:
-                prev_target = relaxed
+                prev_target = pt.state if probe.stable else None
                 continue
             target = probe.target
             scale = 1.0 + float(np.max(np.abs(target.c1)))
             if prev_target is None or target.distance(prev_target) > tol_scale * scale:
-                bs.pending.append(target)
+                # a target on a known branch is skipped when it is popped
+                queue.append((target, (-1, 1), "probe"))
                 _log.info(
                     "  probe escape at %s=%.5g -> wnorm %.5g",
                     param_name,
@@ -872,13 +821,6 @@ def run_combined(
                     weighted_norm(target.c1, grid),
                 )
             prev_target = target
-        for cand in bs.pending:
-            if _state_on_branches(cand, bs.branches, p0, d, grid, param_name, tol_scale):
-                continue
-            # duplicates already in the queue are caught at pop time, once
-            # their twin's branch exists
-            queue.append((cand, (-1, 1), "probe"))
-        bs.pending = []
     return bs
 
 

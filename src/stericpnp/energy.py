@@ -11,7 +11,7 @@ so its Hessian is
 
 with determinant
 
-    D(c) = 1/(c1 c2) + g11/c1 + g22/c2 + det G.
+    D(c) = 1/(c1 c2) + g22/c1 + g11/c2 + det G.
 
 D controls everything downstream: the phase-plane flow of stationary
 profiles is regular where D != 0, homogeneous states lose linear stability

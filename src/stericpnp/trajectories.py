@@ -226,13 +226,11 @@ def compute_trajectory(
     up, down = legs
     pieces_c2 = []
     pieces_c1 = []
-    for sol, ascending in ((down, False), (up, True)):
+    for sol in (down, up):
         t0, t1 = sol.t[0], sol.t[-1]
         a, b = (min(t0, t1), max(t0, t1))
         ts = np.geomspace(a, b, samples_per_leg)
         cs = sol.sol(ts)[0]
-        if not ascending:
-            pass  # geomspace already ascending
         pieces_c2.append(ts)
         pieces_c1.append(cs)
     c2_all = np.concatenate([pieces_c2[0][:-1], pieces_c2[1]])

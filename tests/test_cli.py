@@ -125,6 +125,21 @@ def test_evolve_seed_lands_in_manifest(tmp_path):
     assert len(rows) >= 3
 
 
+def test_electrode_evolve_noise_keeps_the_bulk_masses(tmp_path):
+    # the noise is zero-mean in the trapezoid quadrature that evolve
+    # conserves, so the initial masses are exactly 2 L cbar_i
+    body = SYM_MODEL + (
+        "sigma = 0.06\n[domain]\nl = 2.0\n[grid]\nn = 48\n"
+        "[evolve]\nt_end = 0.5\nperturb_amp = 1e-3\nperturb_seed = 3\n"
+    )
+    out = tmp_path / "o"
+    assert main(["evolve", _write(tmp_path, body), "--out", str(out)]) == 0
+    first = (out / "timeseries.csv").read_text().splitlines()[1].split(",")
+    mass1, mass2 = float(first[2]), float(first[3])
+    assert mass1 == pytest.approx(4.0, rel=1e-12)
+    assert mass2 == pytest.approx(4.0, rel=1e-12)
+
+
 def test_energy_command_reports_segregation(tmp_path):
     body = SYM_MODEL + "\n[energy]\nc1 = 0.65\nc2 = 0.42\nn_freq = 1\n"
     cfg = _write(tmp_path, body)

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stericpnp.continuation import (
-    StationaryState,
     _apply_param,
-    _as_profile,
     _assemble,
     _dresidual_dparam,
     _pack,
@@ -65,18 +63,6 @@ def test_newton_on_homogeneous_recovers_multipliers():
     r = stationary_residual(st.pack(), with_sigma(P_SYM, 0.25), grid, electrode_bc())
     assert float(np.max(np.abs(r))) < 1e-10
     assert np.ptp(st.c1) < 1e-11 and np.ptp(st.phi) < 1e-11
-
-
-def test_as_profile_decodes_a_packed_vector():
-    grid = make_grid(DomainSpec(2.0), 17)
-    x = grid.x
-    state = StationaryState(
-        1.0 + 0.3 * np.cos(x), 1.2 - 0.2 * np.sin(x), 0.1 * x**2, 5.5, 5.25, "sigma", 0.1
-    )
-    prof = _as_profile(state.pack(), grid)
-    np.testing.assert_array_equal(prof.c1, state.c1)
-    np.testing.assert_array_equal(prof.c2, state.c2)
-    np.testing.assert_array_equal(prof.phi, state.phi)
 
 
 def test_weighted_norm_closed_forms():
@@ -135,7 +121,7 @@ def test_probe_flips_across_onset_on_periodic_box():
 
 
 class TestRunCombined:
-    def _run(self):
+    def _run(self, param_start=None):
         d = DomainSpec(2.0)
         grid = make_grid(d, 48)
         prof = homogeneous_profile(grid, P_SYM)
@@ -146,6 +132,7 @@ class TestRunCombined:
             "sigma",
             (0.2, 0.3),
             grid.n,
+            param_start=param_start,
             ds0=0.02,
             max_points=12,
             probe_stride=1,
@@ -155,7 +142,6 @@ class TestRunCombined:
     def test_far_above_onset_is_a_single_stable_branch(self):
         bs, grid = self._run()
         assert len(bs.branches) == 1
-        assert bs.pending == []
         branch = bs.branches[0]
         assert all(pt.stable for pt in branch.points)
         assert not branch.truncated
@@ -179,12 +165,25 @@ class TestRunCombined:
             assert [p.l2 for p in ba.points] == [p.l2 for p in bb.points]
             assert [p.stable for p in ba.points] == [p.stable for p in bb.points]
 
-    def test_rejects_malformed_seed_vector(self):
+    def test_interior_profile_seed_is_traced_both_ways(self):
+        bs, _ = self._run(param_start=0.25)
+        params = np.concatenate([b.params() for b in bs.branches])
+        assert params.min() < 0.25 < params.max()
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            np.ones(17),
+            homogeneous_profile(make_grid(DomainSpec(2.0), 17), P_SYM),
+        ],
+        ids=["vector", "profile_on_17_nodes"],
+    )
+    def test_rejects_malformed_seed_vector(self, seed):
         d = DomainSpec(2.0)
         grid = make_grid(d, 48)
         with pytest.raises(ParameterError):
             run_combined(
-                [np.ones(17)], P_SYM, d, "sigma", (0.2, 0.3), grid.n, max_points=4
+                [seed], P_SYM, d, "sigma", (0.2, 0.3), grid.n, max_points=4
             )
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stericpnp.dynamics import (
+    _ENERGY_TOL,
     _rhs_and_band,
     chemical_potential,
     discrete_energy,
@@ -149,9 +150,8 @@ def test_observer_collects_custom_series():
 
 
 @st.composite
-def _linearization_case(draw, kind, sigma_term):
-    """Admissible parameters, a grid of 8-24 nodes and a positive profile."""
-    p = make_params(
+def _admissible_params(draw, sigma_term):
+    return make_params(
         draw(st.floats(0.5, 3.0)),
         -draw(st.floats(0.5, 3.0)),
         draw(st.floats(0.0, 4.0)),
@@ -161,6 +161,12 @@ def _linearization_case(draw, kind, sigma_term):
         draw(st.floats(0.2, 2.0)),
         sigma=draw(st.floats(1e-3, 0.1)) if sigma_term else 0.0,
     )
+
+
+@st.composite
+def _linearization_case(draw, kind, sigma_term):
+    """Admissible parameters, a grid of 8-24 nodes and a positive profile."""
+    p = draw(_admissible_params(sigma_term))
     n = draw(st.integers(8, 24))
     half = draw(st.floats(0.5, 5.0))
     if kind == "periodic":
@@ -220,3 +226,38 @@ def test_exact_band_is_the_jacobian_of_the_rhs(kind, sigma_term, data):
     # weighted column sums vanish: the linear step conserves both masses
     w = np.repeat(grid.weights, 2)
     assert np.all(np.abs(w @ J) <= 1e-12 * (w @ np.abs(J)))
+
+
+@st.composite
+def _relaxation_case(draw, kind, sigma_term):
+    """Admissible parameters, a grid of 8-24 nodes on L in [0.5, 3] (walls
+    at |V| <= 0.5, or periodic) and log-normal positive profiles."""
+    p = draw(_admissible_params(sigma_term))
+    n = draw(st.integers(8, 24))
+    half = draw(st.floats(0.5, 3.0))
+    if kind == "periodic":
+        grid, bc = make_periodic_grid(half, n), periodic_bc()
+    else:
+        grid = make_grid(DomainSpec(half), n)
+        bc = electrode_bc(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.floats(0.01, 0.5))
+    c1 = p.cbar1 * rng.lognormal(0.0, spread, n)
+    c2 = p.cbar2 * rng.lognormal(0.0, spread, n)
+    return p, grid, bc, Profile(grid, c1, c2)
+
+
+@pytest.mark.parametrize("sigma_term", [False, True], ids=["sigma0", "sigma"])
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_relaxation_conserves_mass_and_dissipates_energy(kind, sigma_term, data):
+    p, grid, bc, prof = data.draw(_relaxation_case(kind, sigma_term))
+    res = evolve(p, prof, bc, t_end=2.0)
+    assert res.verdict != "Unstable"
+    for mass in (res.mass1, res.mass2):
+        assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
+    assert np.all(np.diff(res.energy) <= _ENERGY_TOL)
+    final = res.profile
+    recomputed = discrete_energy(final.c1, final.c2, final.phi, p, grid)
+    assert res.energy[-1] == pytest.approx(recomputed, rel=1e-12)
