@@ -7,8 +7,10 @@ Electrode grids include both endpoints; periodic grids wrap.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .model import Grid
 
@@ -37,29 +39,42 @@ def second_derivative(arr: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _dirichlet_factor(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """LDL^T factor (d, e) of the m x m interior matrix tridiag(-1, 2, -1)."""
+    d, e, info = dpttrf(np.full(m, 2.0), np.full(m - 1, -1.0))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpttrf failed with info={info}")
+    d.setflags(write=False)
+    e.setflags(write=False)
+    return d, e
+
+
 def solve_poisson_dirichlet(
     rhs: np.ndarray, grid: Grid, left: float, right: float
 ) -> np.ndarray:
     """Solve phi_xx = -rhs with phi(-L) = left, phi(L) = right.
 
-    Standard tridiagonal solve; the system is symmetric positive definite.
+    The interior matrix tridiag(-1, 2, -1) is symmetric positive definite
+    and depends only on the size, so it is factored once per size (LAPACK
+    pttrf) and each call runs only the triangular solves (pttrs). That is
+    the same arithmetic as solveh_banded's ptsv, bit for bit. rhs is not
+    checked for finiteness: a non-finite rhs gives a non-finite phi.
     """
     n = grid.n
-    dx2 = grid.dx**2
     m = n - 2
     if m <= 0:
         raise ValueError("grid too small for a Poisson solve")
     # -phi_{j-1} + 2 phi_j - phi_{j+1} = dx^2 rhs_j, interior rows only
-    ab = np.zeros((2, m))
-    ab[0, 1:] = -1.0
-    ab[1, :] = 2.0
-    b = dx2 * rhs[1:-1]
+    b = grid.dx**2 * rhs[1:-1]
     b[0] += left
     b[-1] += right
+    d, e = _dirichlet_factor(m)
     phi = np.empty(n)
     phi[0] = left
     phi[-1] = right
-    phi[1:-1] = solveh_banded(ab, b)
+    # pttrs reports only illegal arguments, which the shapes here rule out
+    phi[1:-1] = dpttrs(d, e, b, overwrite_b=True)[0]
     return phi
 
 

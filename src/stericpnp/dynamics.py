@@ -46,6 +46,14 @@ five consecutive accepted steps dt grows by 1.3x up to dt_max. A step
 still rejected after twenty halvings abandons the run with verdict
 "Unstable"; reaching the steady tolerance on max |c_t| gives "Steady";
 running out the horizon gives "Running".
+
+Work that does not change from step to step is done once: the grid's dx
+and quadrature weights once per grid, the table of 1/w rows the band
+needs once per grid, the Dirichlet Poisson factor once per interior size
+(_fd.solve_poisson_dirichlet), and the periodic sparse layout once per
+size. Finiteness is checked once per band, where _rhs_and_band returns
+F and J; the banded step solves, which only rescale those two, skip
+scipy's own check on every attempt.
 """
 
 from __future__ import annotations
@@ -239,6 +247,15 @@ def _shift(x: np.ndarray, d: int) -> np.ndarray:
     return np.concatenate((x[..., -d:], x[..., :-d]), axis=-1)
 
 
+@lru_cache(maxsize=16)
+def _inv_weight_rows(grid: Grid) -> np.ndarray:
+    """1 / w_{k+e} for the rows at nodes k + e, e = -2 ... 2; shape (5, 1, n)."""
+    inv_w = 1.0 / grid.weights
+    iw = np.stack([_shift(inv_w, -e) for e in range(-2, 3)])[:, None, :]
+    iw.setflags(write=False)
+    return iw
+
+
 def _rhs_and_band(
     u: np.ndarray,
     phi: np.ndarray,
@@ -262,6 +279,8 @@ def _rhs_and_band(
     column k of J holds the differences of d flux_f / d c_k over the faces
     f = k - 3 ... k + 2, each over its row's weight: they telescope to
     zero against the weights.
+
+    Raises ValueError if F or the band is not finite.
     """
     n = grid.n
     dx = grid.dx
@@ -299,9 +318,7 @@ def _rhs_and_band(
     xflux[1] = _shift(ga, 1)
     np.negative(ga, out=xflux[2])
 
-    # 1 / w_{k+e} for the rows at nodes k + e, e = -2 ... 2
-    inv_w = 1.0 / grid.weights
-    iw = np.stack([_shift(inv_w, -e) for e in range(-2, 3)])[:, None, :]
+    iw = _inv_weight_rows(grid)
 
     # rows at nodes k - 2 ... k + 2 of the same species sit in band rows
     # 0, 2, ..., 8; rows at nodes k - 1 ... k + 1 of the other species in
@@ -312,6 +329,9 @@ def _rhs_and_band(
     cross = np.diff(xflux, axis=0) * iw[1:4]
     by_species[1:6:2, 1] = cross[:, 1]
     by_species[3:8:2, 0] = cross[:, 0]
+    # the one finiteness check per band: the step solves skip their own
+    if not (np.isfinite(rhs).all() and np.isfinite(band).all()):
+        raise ValueError("array must not contain infs or NaNs")
     return rhs.reshape(2 * n), band.reshape(2 * _BANDWIDTH + 1, 2 * n)
 
 
@@ -425,7 +445,15 @@ def evolve(
             else:
                 system = -dt_try * jac
                 system[_BANDWIDTH, :] += 1.0
-                du = solve_banded((_BANDWIDTH, _BANDWIDTH), system, dt_try * f0)
+                # both operands are fresh, and f0, jac were checked finite
+                du = solve_banded(
+                    (_BANDWIDTH, _BANDWIDTH),
+                    system,
+                    dt_try * f0,
+                    overwrite_ab=True,
+                    overwrite_b=True,
+                    check_finite=False,
+                )
             u_new = u + du
             ok = np.all(np.isfinite(u_new)) and u_new.min() > _POSITIVITY_FLOOR
             if ok:

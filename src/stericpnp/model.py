@@ -24,6 +24,7 @@ defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -153,17 +154,21 @@ class Grid:
     def n(self) -> int:
         return self.x.size
 
-    @property
+    @cached_property
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        """Quadrature weights: trapezoid (electrode) or uniform (periodic)."""
+        """Quadrature weights: trapezoid (electrode) or uniform (periodic).
+
+        Built once per grid and read-only, like x; copy before modifying.
+        """
         w = np.full(self.n, self.dx)
         if not self.periodic:
             w[0] *= 0.5
             w[-1] *= 0.5
+        w.setflags(write=False)
         return w
 
     @property
@@ -197,8 +202,9 @@ def make_periodic_grid(L: float, n: int, min_points: int = 8) -> Grid:
 class Profile:
     """Concentration and potential fields sampled on a grid.
 
-    c1, c2 must be nonnegative everywhere (segregated patterns contain exact
-    zeros); contexts that need strict positivity call require_positive().
+    All fields must be finite, and c1, c2 nonnegative everywhere (segregated
+    patterns contain exact zeros); contexts that need strict positivity call
+    require_positive().
     """
 
     grid: Grid
@@ -215,6 +221,8 @@ class Profile:
             arr = np.asarray(arr, dtype=float)
             if arr.shape != (n,):
                 raise ParameterError(f"{name} has shape {arr.shape}, expected ({n},)")
+            if not np.all(np.isfinite(arr)):
+                raise ParameterError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
         if np.any(self.c1 < 0) or np.any(self.c2 < 0):
             raise ParameterError("concentrations must be nonnegative")

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from stericpnp.continuation import (
     mirror_state,
@@ -507,9 +508,9 @@ def _bump_profile(grid, centers, amp=0.65, w=0.25):
     c1 = np.ones(x.size)
     for x0 in centers:
         c1 = c1 + amp * np.exp(-(((x - x0) / w) ** 2))
-    c1 *= 10.0 / np.trapezoid(c1, x)
+    c1 *= 10.0 / trapezoid(c1, x)
     c2 = np.clip(2.0 - c1, 0.05, None)
-    c2 *= 10.0 / np.trapezoid(c2, x)
+    c2 *= 10.0 / trapezoid(c2, x)
     return Profile(grid, c1, c2)
 
 

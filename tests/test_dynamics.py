@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.integrate import trapezoid
 
 from stericpnp.dynamics import (
     _ENERGY_TOL,
@@ -18,6 +19,7 @@ from stericpnp.dynamics import (
     solve_potential,
     time_derivatives,
 )
+from stericpnp.errors import ParameterError
 from stericpnp.model import (
     DomainSpec,
     Profile,
@@ -123,7 +125,7 @@ def test_electrode_walls_with_bias_still_dissipate():
     g = make_grid(DomainSpec(2.0), 81)
     rng = np.random.default_rng(5)
     bump = 1e-2 * rng.standard_normal(g.n)
-    bump -= np.trapezoid(bump, g.x) / g.length
+    bump -= trapezoid(bump, g.x) / g.length
     prof = Profile(g, 1.0 + bump, np.ones(g.n))
     p = with_sigma(P_SYM, 0.05)
     res = evolve(p, prof, electrode_bc(-0.5, 0.5), t_end=30.0)
@@ -261,3 +263,52 @@ def test_relaxation_conserves_mass_and_dissipates_energy(kind, sigma_term, data)
     final = res.profile
     recomputed = discrete_energy(final.c1, final.c2, final.phi, p, grid)
     assert res.energy[-1] == pytest.approx(recomputed, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+def test_evolve_rejects_non_finite_profiles(kind, bad):
+    n = 24
+    if kind == "periodic":
+        grid, bc = make_periodic_grid(2.0, n), periodic_bc()
+    else:
+        grid, bc = make_grid(DomainSpec(2.0), n), electrode_bc()
+    c1 = np.ones(n)
+    c1[5] = bad
+    with pytest.raises(ParameterError, match="c1 must be finite"):
+        evolve(with_sigma(P_SYM, 0.02), Profile(grid, c1, np.ones(n)), bc, t_end=1.0)
+
+
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+def test_rejected_attempts_leave_the_step_system_intact(kind):
+    """A first step of dt = 2 from a rough profile is halved 11 times before
+    it is accepted. The accepted step must still be the linearly implicit
+    step (I - dt J0) du = dt F0 from the F0 and J0 of the initial state, so
+    no rejected attempt may have overwritten them."""
+    p = with_sigma(P_SYM, 0.02)
+    n = 48
+    if kind == "periodic":
+        grid, bc = make_periodic_grid(3.0, n), periodic_bc()
+    else:
+        grid, bc = make_grid(DomainSpec(3.0), n), electrode_bc(-0.5, 0.5)
+    rng = np.random.default_rng(1)
+    prof = Profile(grid, rng.lognormal(0.0, 0.8, n), rng.lognormal(0.0, 0.8, n))
+    seen = []
+
+    def observer(t, c1, c2, phi):
+        seen.append(_interleaved(c1, c2))
+        return 0.0
+
+    res = evolve(p, prof, bc, t_end=2.0, dt0=5.0, dt_max=5.0, observer=observer)
+    assert res.rejects > 0
+    for mass in (res.mass1, res.mass2):
+        assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
+    assert np.all(np.diff(res.energy) <= _ENERGY_TOL)
+
+    u0 = _interleaved(prof.c1, prof.c2)
+    phi0 = solve_potential(prof.c1, prof.c2, p, grid, bc)
+    f0, band = _rhs_and_band(u0, phi0, p, grid)
+    dt = res.times[1]
+    system = np.eye(u0.size) - dt * _dense_from_band(band, grid.periodic)
+    expected = u0 + np.linalg.solve(system, dt * f0)
+    assert np.max(np.abs(seen[1] - expected)) <= 1e-12 * np.max(np.abs(expected))

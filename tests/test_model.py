@@ -59,6 +59,15 @@ def test_periodic_grid_drops_duplicate_endpoint():
     assert g.weights.sum() == pytest.approx(4.0, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "grid", [make_grid(2.0, 9), make_periodic_grid(2.0, 8)], ids=["electrode", "periodic"]
+)
+def test_weights_are_built_once_and_read_only(grid):
+    assert grid.weights is grid.weights
+    with pytest.raises(ValueError):
+        grid.weights[0] = 1.0
+
+
 def test_make_grid_accepts_bare_half_length():
     g = make_grid(1.5, 16)
     assert g.length == pytest.approx(3.0)
