@@ -86,7 +86,7 @@ _SCHEMA = {
     "periodic": {"amplitude", "x_max", "match_tol", "samples", "periods"},
     "ivp": {"c1_0", "c2_0", "e0", "x_max", "stop_at_neutral", "samples"},
     "dispersion": {"k_min", "k_max", "count", "log_spaced", "sigma"},
-    "onset": {"newton_steps"},
+    "onset": set(),
     "wnl": {"map", "asym_min", "asym_max", "asym_steps",
             "g12_min", "g12_max", "g12_steps", "g_sum", "cbar"},
     "evolve": {"t_end", "dt0", "dt_max", "steady_tol", "bc",
@@ -367,7 +367,7 @@ def _cmd_dispersion(cfg, p, outdir: Path) -> list[str]:
 
 
 def _cmd_onset(cfg, p, outdir: Path) -> list[str]:
-    onset = find_onset(p, newton_steps=_ival(cfg, "onset", "newton_steps", 12))
+    onset = find_onset(p)
     payload = {
         "sigma_c": onset.sigma_c,
         "k_c": onset.k_c,

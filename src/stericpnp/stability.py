@@ -17,10 +17,22 @@ when
 
     g12 > g12_crit = sqrt((1/cbar1 + g11)(1/cbar2 + g22)),
 
-i.e. when D(cbar) < 0. On the zero-growth locus, det B(k; sigma) = 0 is a
-quadratic in s = sigma k^4, which gives sigma(k) in closed form; sigma_c is
-its maximum over k and k_c the maximizer. That construction seeds a damped
-Newton polish on (lambda, dlambda/dk) = 0.
+i.e. when D(cbar) < 0. With q = k^2, det B(k; sigma) = q G(q, sigma) where
+
+    G = sigma^2 q^3 + sigma S q^2 + sigma |z|^2 q + D q + w,
+
+S = a1 + a2, D = a1 a2 - g12^2, w = a1 z2^2 + a2 z1^2 - 2 g12 z1 z2 > 0 and
+a_i = 1/cbar_i + g_ii. The onset is the double root G = dG/dq = 0. The
+combination q dG/dq - G = 2 sigma^2 q^3 + sigma S q^2 - w = 0 gives, with
+t = sigma q, q = w / (t (2t + S)), and substituting into G = 0 leaves the
+cubic
+
+    c(t) = 2|z|^2 t^3 + (|z|^2 S + 3w) t^2 + 2wS t + wD = 0.
+
+Its coefficient signs are +, +, +, - when D < 0, so by Descartes' rule it
+has exactly one positive root, bracketed by [0, -D/(2S)]. That root is the
+only critical point of the zero-growth locus sigma(k), which vanishes at
+both ends, so it is the global maximum: sigma_c = t / q, k_c = sqrt(q).
 """
 
 from __future__ import annotations
@@ -28,17 +40,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 
 from .energy import g12_critical, hessian
-from .errors import NoOnsetError, NumericsError
+from .errors import NoOnsetError
 from .model import ModelParams
 
 __all__ = [
     "DispersionResult",
     "OnsetResult",
     "growth_matrix",
-    "steric_matrix",
     "interaction_matrix",
     "max_growth_rate",
     "dispersion",
@@ -62,17 +73,6 @@ def interaction_matrix(k: float, p: ModelParams, sigma: float | None = None) -> 
 def growth_matrix(k: float, p: ModelParams, sigma: float | None = None) -> np.ndarray:
     """M(k) = -diag(cbar) B(k); eigenvalues are the linear growth rates."""
     return -np.diag(p.cbar) @ interaction_matrix(k, p, sigma)
-
-
-def steric_matrix(k: float, p: ModelParams) -> np.ndarray:
-    """A(k) = diag(cbar)(k^2 Hess + z z^T), the sigma = 0 decay matrix.
-
-    Decay convention: perturbations evolve like e^{-t eig(A)}, so
-    A = -M(k) at sigma = 0.
-    """
-    z = p.z
-    H = hessian(p.cbar1, p.cbar2, p)
-    return np.diag(p.cbar) @ (k * k * H + np.outer(z, z))
 
 
 def _growth_eigs(k: float, p: ModelParams, sigma: float) -> tuple[float, float]:
@@ -158,77 +158,37 @@ def _rate_slope(k: float, p: ModelParams, sigma: float) -> float:
     return (max_growth_rate(k + h, p, sigma) - max_growth_rate(k - h, p, sigma)) / (2.0 * h)
 
 
-def find_onset(p: ModelParams, newton_steps: int = 12) -> OnsetResult:
+def find_onset(p: ModelParams) -> OnsetResult:
     """Locate (sigma_c, k_c): lambda = 0, dlambda/dk = 0, lambda < 0 elsewhere.
 
-    Seeded by maximizing the closed-form zero-growth locus sigma(k), then
-    polished by damped Newton on (lambda, dlambda/dk) with centered
-    differences. Raises NoOnsetError when g12 <= g12_crit.
+    Solves the onset cubic c(t) of the module docstring for its one
+    positive root t = sigma_c k_c^2 by a bracketed root solve on
+    [0, -D/(2S)] (c(0) = wD < 0, c(-D/(2S)) > 0), then reads off
+    k_c^2 = w / (t (2t + S)) and sigma_c = t / k_c^2. Raises NoOnsetError
+    when g12 <= g12_crit.
     """
     gcrit = g12_critical(p)
-    if p.g12 <= gcrit:
+    a1 = 1.0 / p.cbar1 + p.g11
+    a2 = 1.0 / p.cbar2 + p.g22
+    S = a1 + a2
+    D = a1 * a2 - p.g12**2
+    if p.g12 <= gcrit or D >= 0.0:  # D >= 0 also catches rounding at the threshold
         raise NoOnsetError(
             f"no finite-wavenumber onset: g12 = {p.g12} <= g12_crit = {gcrit:.6f}"
         )
-    # The sigma-free part of det B is k^2 [k^2 D(cbar) + w]; instability
-    # lives at k^2 > w/|D(cbar)|.
-    a1 = 1.0 / p.cbar1 + p.g11
-    a2 = 1.0 / p.cbar2 + p.g22
-    d_cbar = a1 * a2 - p.g12**2
     w = a1 * p.z2**2 + a2 * p.z1**2 - 2.0 * p.g12 * p.z1 * p.z2
-    k_min = np.sqrt(w / (-d_cbar))
-    # Geometric scan upward from the neutral wavenumber to bracket the max.
-    ks = k_min * np.geomspace(1.0 + 1e-9, 50.0, 400)
-    sig = np.array([sigma_zero_locus(k, p) for k in ks])
-    if np.all(~np.isfinite(sig)):
-        raise NoOnsetError("zero-growth locus is empty despite g12 > g12_crit")
-    i = int(np.nanargmax(sig))
-    lo = ks[max(i - 1, 0)]
-    hi = ks[min(i + 1, len(ks) - 1)]
-    res = minimize_scalar(
-        lambda k: -sigma_zero_locus(k, p),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12 * ks[i]},
+    zz = p.z1**2 + p.z2**2
+    c3, c2, c1, c0 = 2.0 * zz, zz * S + 3.0 * w, 2.0 * w * S, w * D
+    t = brentq(
+        lambda t: ((c3 * t + c2) * t + c1) * t + c0,
+        0.0,
+        -D / (2.0 * S),
+        xtol=np.finfo(float).tiny,
+        rtol=4 * np.finfo(float).eps,
     )
-    k_c = float(res.x)
-    sigma_c = sigma_zero_locus(k_c, p)
-
-    # Damped Newton polish on F = (lambda, dlambda/dk); finite-difference
-    # Jacobian. The seed is already accurate, so this is a couple of steps.
-    k, s = k_c, sigma_c
-    scale = abs(max_growth_rate(2.0 * k, p, s)) + 1.0
-
-    def F(k: float, s: float) -> np.ndarray:
-        return np.array([max_growth_rate(k, p, s), _rate_slope(k, p, s)])
-
-    f = F(k, s)
-    for _ in range(newton_steps):
-        if np.linalg.norm(f) < 1e-13 * scale:
-            break
-        hk = 1e-7 * k
-        hs = 1e-7 * max(s, 1e-12)
-        J = np.column_stack(
-            [(F(k + hk, s) - F(k - hk, s)) / (2 * hk), (F(k, s + hs) - F(k, s - hs)) / (2 * hs)]
-        )
-        try:
-            step = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
-            break
-        alpha = 1.0
-        for _ in range(8):
-            k_new, s_new = k + alpha * step[0], s + alpha * step[1]
-            if k_new > 0 and s_new > 0:
-                f_new = F(k_new, s_new)
-                if np.linalg.norm(f_new) <= np.linalg.norm(f):
-                    k, s, f = k_new, s_new, f_new
-                    break
-            alpha /= 2.0
-        else:
-            break
-    k_c, sigma_c = k, s
-    if not (sigma_c > 0 and k_c > 0):
-        raise NumericsError("onset solve produced a non-positive (k_c, sigma_c)")
+    q = w / (t * (2.0 * t + S))
+    k_c = float(np.sqrt(q))
+    sigma_c = t / q
 
     v0 = np.array([-p.z2, p.z1])
     v0 = v0 / np.linalg.norm(v0)

@@ -79,6 +79,15 @@ __all__ = [
     "extract_bvp",
 ]
 
+_RTOL = 1e-10  # orbit and field integrations (solve_ivp RK45)
+_ATOL = 1e-12
+_PERIODIC_RTOL = 1e-12  # build_periodic: bulk orbit and both half-periods
+_PERIODIC_ATOL = 1e-14
+_MEAN_SAMPLES = 4096  # uniform samples per period in mean_concentrations
+_CROSS_X_MAX = 0.5  # cross_d_zero: reach on each side of the crossing
+_CROSS_H = 1e-6  # cross_d_zero: Taylor step off the degenerate curve
+_CROSS_N_SIDE = 400  # cross_d_zero: geometric samples per side
+
 
 # ---------------------------------------------------------------------------
 # orbit geometry
@@ -179,16 +188,15 @@ def compute_trajectory(
     c1_0: float,
     c2_0: float,
     c2_span: tuple[float, float] = (1e-6, 1e6),
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
     samples_per_leg: int = 800,
 ) -> TrajectoryResult:
     """Integrate the orbit through (c1_0, c2_0) across c2_span.
 
-    The integration runs both directions from the seed and stops early if
-    c1 leaves [1e-12, 1e12]. Crossings of the neutral line and of the
-    degenerate curve are located by the integrator's event refinement
-    (sign-change bracketing plus local root polish).
+    The integration runs both directions from the seed (RK45 at rtol
+    1e-10, atol 1e-12) and stops early if c1 leaves [1e-12, 1e12].
+    Crossings of the neutral line and of the degenerate curve are located
+    by the integrator's event refinement (sign-change bracketing plus
+    local root polish).
     """
     if c1_0 <= 0 or c2_0 <= 0:
         raise ParameterError("orbit seed must have positive concentrations")
@@ -214,8 +222,8 @@ def compute_trajectory(
             (c2_0, target),
             [c1_0],
             method="RK45",
-            rtol=rtol,
-            atol=atol,
+            rtol=_RTOL,
+            atol=_ATOL,
             dense_output=True,
             events=events,
         )
@@ -341,8 +349,8 @@ def integrate_field_ivp(
     x_span: tuple[float, float] = (0.0, 50.0),
     stop_at_neutral: bool = False,
     d_guard: float = 1e-8,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    rtol: float = _RTOL,
+    atol: float = _ATOL,
 ) -> FieldSolution:
     """Integrate the spatial system from (c0, E0, phi0) across x_span.
 
@@ -453,12 +461,12 @@ class PeriodicSolution:
         c1, c2, E, phi = self.evaluate(x)
         return x, c1, c2, E, phi
 
-    def mean_concentrations(self, n: int = 4096) -> tuple[float, float]:
-        _, c1, c2, _, _ = self.sample(n_per_period=n)
+    def mean_concentrations(self) -> tuple[float, float]:
+        _, c1, c2, _, _ = self.sample(n_per_period=_MEAN_SAMPLES)
         return float(c1.mean()), float(c2.mean())
 
 
-def _orbit_through_bulk(p: ModelParams, reach: float, rtol: float, atol: float):
+def _orbit_through_bulk(p: ModelParams, reach: float):
     """Dense orbit c1(c2) through the bulk point over [cbar2 - reach, cbar2 + reach]."""
     if reach >= p.cbar2:
         raise ParameterError(
@@ -475,8 +483,8 @@ def _orbit_through_bulk(p: ModelParams, reach: float, rtol: float, atol: float):
             (p.cbar2, target),
             [p.cbar1],
             method="RK45",
-            rtol=rtol,
-            atol=atol,
+            rtol=_PERIODIC_RTOL,
+            atol=_PERIODIC_ATOL,
             dense_output=True,
         )
         if sol.status != 0:
@@ -496,21 +504,20 @@ def build_periodic(
     amplitude: float,
     x_max: float = 100.0,
     match_tol: float = 1e-10,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
 ) -> PeriodicSolution:
     """Construct a periodic stationary profile around the bulk point.
 
     amplitude sets the c2 half-excursion of the wider side; the other
     side's turning point is matched by a bracketed root solve so the
     field peak reached at the bulk crossing agrees from both directions
-    to match_tol. Requires the orbit to stay inside the concavity region
-    between the two turning points, which is where closed excursions
-    around the bulk point exist.
+    to match_tol. The bulk orbit and both halves are integrated at rtol
+    1e-12, atol 1e-14. Requires the orbit to stay inside the concavity
+    region between the two turning points, which is where closed
+    excursions around the bulk point exist.
     """
     if amplitude <= 0:
         raise ParameterError("amplitude must be positive")
-    gamma = _orbit_through_bulk(p, amplitude, rtol, atol)
+    gamma = _orbit_through_bulk(p, amplitude)
 
     def half(side: int, amp: float):
         """Integrate from the turning point on one side to the bulk crossing."""
@@ -522,8 +529,8 @@ def build_periodic(
             E0=0.0,
             x_span=(0.0, x_max),
             stop_at_neutral=True,
-            rtol=rtol,
-            atol=atol,
+            rtol=_PERIODIC_RTOL,
+            atol=_PERIODIC_ATOL,
         )
         if fs.status == "degenerate":
             raise NumericsError(
@@ -680,7 +687,6 @@ class CrossingSolution:
     c_star: tuple[float, float]
     f_value: float
     sqrt_f: float
-    branch: int
     x: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
@@ -690,22 +696,14 @@ class CrossingSolution:
     ratio: np.ndarray
 
 
-def cross_d_zero(
-    p: ModelParams,
-    c_star: tuple[float, float],
-    x_max: float = 0.5,
-    h: float = 1e-6,
-    branch: int = 1,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    n_side: int = 400,
-) -> CrossingSolution:
+def cross_d_zero(p: ModelParams, c_star: tuple[float, float]) -> CrossingSolution:
     """Regularized solution through c_star on the degenerate curve.
 
     The point must satisfy D(c_star) = 0 (checked to 1e-10 relative) and
-    f(c_star) > 0. A first-order Taylor step of size h seeds the regular
-    flow on each side; branch = +1 or -1 picks the sign of sqrt(f) used
-    for the concentration slopes at the crossing.
+    f(c_star) > 0. A first-order Taylor step of size 1e-6 seeds the regular
+    flow on each side, which runs out to |x| = 0.5 with 400 geometric
+    samples. The concentration slopes at the crossing take the positive
+    sqrt(f); the negative root gives the mirror solution x -> -x.
     """
     c1s, c2s = c_star
     a1 = 1.0 / c1s + p.g11
@@ -715,14 +713,12 @@ def cross_d_zero(
         raise ParameterError(
             f"point {c_star} is not on the degenerate curve (D = {D0:.3e})"
         )
-    if branch not in (1, -1):
-        raise ParameterError("branch must be +1 or -1")
     f = crossing_f(c1s, c2s, p)
     if f <= 0:
         raise RegimeError(
             f"no regular crossing at {c_star}: the limit value f = {f:.3e} is not positive"
         )
-    sq = branch * float(np.sqrt(f))
+    sq = float(np.sqrt(f))
     br1, br2 = _brackets(c1s, c2s, p)
     c1_x0 = -br1 * sq
     c2_x0 = -br2 * sq
@@ -731,7 +727,7 @@ def cross_d_zero(
 
     sides = {}
     for s in (+1, -1):
-        x0 = s * h
+        x0 = s * _CROSS_H
         c1_seed = c1s + x0 * c1_x0
         c2_seed = c2s + x0 * c2_x0
         E_seed = x0 * E_x0
@@ -741,16 +737,14 @@ def cross_d_zero(
             (c1_seed, c2_seed),
             E0=E_seed,
             phi0=phi_seed,
-            x_span=(x0, s * x_max),
-            rtol=rtol,
-            atol=atol,
+            x_span=(x0, s * _CROSS_X_MAX),
             d_guard=1e-13,
         )
         sides[s] = fs
 
     def side_samples(s):
         fs = sides[s]
-        xs = s * np.geomspace(h, abs(fs.x_end), n_side)
+        xs = s * np.geomspace(_CROSS_H, abs(fs.x_end), _CROSS_N_SIDE)
         return xs, fs.at(xs)
 
     x_neg, y_neg = side_samples(-1)
@@ -759,7 +753,7 @@ def cross_d_zero(
     state0 = np.array([[c1s], [c2s], [0.0], [phi_star]])
     y_all = np.concatenate([y_neg[:, ::-1], state0, y_pos], axis=1)
 
-    ratio_x = np.geomspace(h, min(x_max, 1e-2), 12)
+    ratio_x = np.geomspace(_CROSS_H, 1e-2, 12)
     ry = sides[+1].at(ratio_x)
     ratio = ry[2] / hessian_det(ry[0], ry[1], p)
 
@@ -768,7 +762,6 @@ def cross_d_zero(
         c_star=(float(c1s), float(c2s)),
         f_value=float(f),
         sqrt_f=sq,
-        branch=branch,
         x=x_all,
         c1=y_all[0],
         c2=y_all[1],

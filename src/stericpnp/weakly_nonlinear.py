@@ -183,9 +183,11 @@ def criticality_map(
     g12_values: np.ndarray,
     g_sum: float = 4.0,
     cbar: float = 1.0,
-    z: tuple[float, float] = (1.0, -1.0),
 ) -> CriticalityMap:
-    """Classify the onset over a grid with g11 + g22 = g_sum held fixed."""
+    """Classify the onset over a grid with g11 + g22 = g_sum held fixed.
+
+    Valences z = (1, -1) and equal bulk concentrations cbar throughout.
+    """
     asym = np.asarray(asym_values, dtype=float)
     g12s = np.asarray(g12_values, dtype=float)
     shape = (asym.size, g12s.size)
@@ -197,7 +199,7 @@ def criticality_map(
         g11 = g_sum / 2.0 + d
         g22 = g_sum / 2.0 - d
         for j, g12 in enumerate(g12s):
-            p = make_params(z[0], z[1], g11, g22, g12, cbar, cbar)
+            p = make_params(1.0, -1.0, g11, g22, g12, cbar, cbar)
             if g12 <= g12_critical(p):
                 continue
             onset = find_onset(p)
