@@ -408,8 +408,8 @@ def evolve(
         raise ParameterError("t_end and dt0 must be positive")
     n = grid.n
     c1, c2 = profile0.c1, profile0.c2
-    if not (c1.min() > 0 and c2.min() > 0):  # a NaN fails it too
-        raise ParameterError("initial concentrations must be strictly positive")
+    if not (c1.min() > 0 and c2.min() > 0 and c1.max() + c2.max() < np.inf):  # NaN, inf fail
+        raise ParameterError("initial concentrations must be finite and strictly positive")
     # u interleaves (c1_j, c2_j); after the first step c1, c2 are the
     # columns of its (n, 2) view
     u = np.column_stack((c1, c2)).ravel()

@@ -16,7 +16,12 @@ Dividing the concentration equations eliminates x and E entirely:
     dc1/dc2 = (z1 a2 - z2 g12) / (z2 a1 - z1 g12),
 
 which is strictly negative for admissible valences (z1 > 0 > z2), so
-orbits in the (c2, c1) plane are monotone decreasing graphs. Because the
+orbits in the (c2, c1) plane are monotone decreasing graphs. They need
+no integration: phi drops out of z2 mu1 - z1 mu2 = psi_1(c1) + psi_2(c2)
+with psi_1 = z2 log c1 + b1 c1, b1 = z2 g11 - z1 g12, and psi_2 =
+-z1 log c2 + b2 c2, b2 = z2 g12 - z1 g22. Both are strictly decreasing,
+so each orbit is a level set of that sum, inverted exactly with the
+Wright omega function. Because the
 line z . (c - cbar) = 0 has positive slope, each orbit meets it exactly
 once; E is extremal there. Orbits are classified by how they sit relative
 to the degenerate curve D = 0:
@@ -54,6 +59,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.special import wrightomega
 
 from .energy import hessian_det
 from .errors import NumericsError, ParameterError, RegimeError
@@ -79,10 +85,11 @@ __all__ = [
     "extract_bvp",
 ]
 
-_RTOL = 1e-10  # orbit and field integrations (solve_ivp RK45)
+_RTOL = 1e-10  # field integrations (solve_ivp RK45)
 _ATOL = 1e-12
-_PERIODIC_RTOL = 1e-12  # build_periodic: bulk orbit and both half-periods
+_PERIODIC_RTOL = 1e-12  # build_periodic: both half-periods
 _PERIODIC_ATOL = 1e-14
+_C1_MIN, _C1_MAX = 1e-12, 1e12  # compute_trajectory: orbits end where c1 leaves these
 _MEAN_SAMPLES = 4096  # uniform samples per period in mean_concentrations
 _CROSS_X_MAX = 0.5  # cross_d_zero: reach on each side of the crossing
 _CROSS_H = 1e-6  # cross_d_zero: Taylor step off the degenerate curve
@@ -161,6 +168,38 @@ def _event(fn: Callable, terminal: bool, direction: float = 0.0) -> Callable:
     return fn
 
 
+def _psi(c, a: float, b: float):
+    return a * np.log(c) + b * c
+
+
+def _psi_inverse(y, a: float, b: float):
+    """The c > 0 with a log c + b c = y, for a < 0 and b <= 0.
+
+    w = s c with s = b/a solves w + log w = y/a + log s. c = w/s loses
+    nothing for w >= 1, c = exp(y/a - w) nothing as w underflows.
+    """
+    s = b / a
+    if s == 0.0:
+        return np.exp(y / a)
+    w = wrightomega(y / a + np.log(s))
+    return np.where(w < 1.0, np.exp(y / a - w), w / s)
+
+
+def _orbit_maps(p: ModelParams, c1_0: float, c2_0: float):
+    """c1(c2) and c2(c1) on the level set of psi_1 + psi_2 through (c1_0, c2_0)."""
+    t1 = (p.z2, p.z2 * p.g11 - p.z1 * p.g12)
+    t2 = (-p.z1, p.z2 * p.g12 - p.z1 * p.g22)
+    level = _psi(c1_0, *t1) + _psi(c2_0, *t2)
+
+    def c1_of(c2):
+        return _psi_inverse(level - _psi(c2, *t2), *t1)
+
+    def c2_of(c1):
+        return _psi_inverse(level - _psi(c1, *t1), *t2)
+
+    return c1_of, c2_of
+
+
 # ---------------------------------------------------------------------------
 # orbits c1(c2)
 
@@ -190,70 +229,48 @@ def compute_trajectory(
     c2_span: tuple[float, float] = (1e-6, 1e6),
     samples_per_leg: int = 800,
 ) -> TrajectoryResult:
-    """Integrate the orbit through (c1_0, c2_0) across c2_span.
+    """The orbit through (c1_0, c2_0) across c2_span, in closed form.
 
-    The integration runs both directions from the seed (RK45 at rtol
-    1e-10, atol 1e-12) and stops early if c1 leaves [1e-12, 1e12].
-    Crossings of the neutral line and of the degenerate curve are located
-    by the integrator's event refinement (sign-change bracketing plus
-    local root polish).
+    c1(c2) is the exact inverse of the orbit invariant (module docstring).
+    The orbit ends early where c1 leaves [1e-12, 1e12]; those cutoffs are
+    exact too, and c2_span in the result is the span that remains. Each
+    leg from the seed carries samples_per_leg geometric samples in c2.
+    Crossings of the neutral line and of the degenerate curve are the
+    sign changes of their functions on the samples, each polished by
+    brentq to a relative 4 eps in c2.
     """
-    if c1_0 <= 0 or c2_0 <= 0:
-        raise ParameterError("orbit seed must have positive concentrations")
+    if not (_C1_MIN < c1_0 < _C1_MAX and c2_0 > 0):
+        raise ParameterError(
+            f"orbit seed needs {_C1_MIN} < c1_0 < {_C1_MAX} and c2_0 > 0, got ({c1_0}, {c2_0})"
+        )
     lo, hi = c2_span
     if not (0 < lo < c2_0 < hi):
         raise ParameterError(
             f"c2_span {c2_span} must straddle the seed ordinate {c2_0}"
         )
+    c1_of, c2_of = _orbit_maps(p, c1_0, c2_0)
+    # c1 falls as c2 rises, so its upper cutoff bounds c2 from below
+    c2_lo, c2_hi = max(lo, float(c2_of(_C1_MAX))), min(hi, float(c2_of(_C1_MIN)))
+    down = np.geomspace(c2_lo, c2_0, samples_per_leg)
+    c2 = np.concatenate([down[:-1], np.geomspace(c2_0, c2_hi, samples_per_leg)])
+    c1 = c1_of(c2)
 
-    def rhs(c2, y):
-        return [trajectory_slope(y[0], c2, p)]
+    def crossings(fn, values):
+        """Rows (c1, c2) at the sign changes of fn, sampled as values.
 
-    ev_neutral = _event(lambda c2, y: _neutral_deviation(y[0], c2, p), False)
-    ev_dzero = _event(lambda c2, y: hessian_det(y[0], c2, p), False)
-    ev_small = _event(lambda c2, y: y[0] - 1e-12, True)
-    ev_large = _event(lambda c2, y: y[0] - 1e12, True)
-    events = [ev_neutral, ev_dzero, ev_small, ev_large]
-
-    legs = []
-    for target in (hi, lo):
-        sol = solve_ivp(
-            rhs,
-            (c2_0, target),
-            [c1_0],
-            method="RK45",
-            rtol=_RTOL,
-            atol=_ATOL,
-            dense_output=True,
-            events=events,
+        A zero sample counts as positive, so a crossing on it is found once.
+        """
+        idx = np.flatnonzero((values[:-1] >= 0) != (values[1:] >= 0))
+        fl = np.finfo(float)
+        roots = np.array(
+            [brentq(fn, c2[i], c2[i + 1], xtol=fl.tiny, rtol=4 * fl.eps) for i in idx]
         )
-        if sol.status == -1:
-            raise NumericsError(f"orbit integration failed: {sol.message}")
-        legs.append(sol)
+        return np.column_stack((c1_of(roots), roots))
 
-    up, down = legs
-    pieces_c2 = []
-    pieces_c1 = []
-    for sol in (down, up):
-        t0, t1 = sol.t[0], sol.t[-1]
-        a, b = (min(t0, t1), max(t0, t1))
-        ts = np.geomspace(a, b, samples_per_leg)
-        cs = sol.sol(ts)[0]
-        pieces_c2.append(ts)
-        pieces_c1.append(cs)
-    c2_all = np.concatenate([pieces_c2[0][:-1], pieces_c2[1]])
-    c1_all = np.concatenate([pieces_c1[0][:-1], pieces_c1[1]])
-
-    def gather(idx):
-        pts = []
-        for sol in legs:
-            for t in sol.t_events[idx]:
-                pts.append((float(sol.sol(t)[0]), float(t)))
-        pts.sort(key=lambda q: q[1])
-        return np.array(pts).reshape(-1, 2)
-
-    neutral = gather(0)
-    dzero = gather(1)
+    neutral = crossings(
+        lambda x: _neutral_deviation(c1_of(x), x, p), _neutral_deviation(c1, c2, p)
+    )
+    dzero = crossings(lambda x: hessian_det(c1_of(x), x, p), hessian_det(c1, c2, p))
     d_at_neutral = (
         float(hessian_det(neutral[0, 0], neutral[0, 1], p))
         if neutral.shape[0]
@@ -261,13 +278,13 @@ def compute_trajectory(
     )
     return TrajectoryResult(
         p=p,
-        c2=c2_all,
-        c1=c1_all,
+        c2=c2,
+        c1=c1,
         neutral_points=neutral,
         d_zero_points=dzero,
         d_at_neutral=d_at_neutral,
         start=(c1_0, c2_0),
-        c2_span=(float(min(down.t[-1], up.t[0])), float(max(up.t[-1], down.t[0]))),
+        c2_span=(c2_lo, c2_hi),
     )
 
 
@@ -277,7 +294,7 @@ def classify_trajectory(res: TrajectoryResult) -> str:
         return "I"
     if res.neutral_points.shape[0] == 0 or not np.isfinite(res.d_at_neutral):
         raise NumericsError(
-            "orbit never met the neutral line within the integrated span; "
+            "orbit never met the neutral line within its span; "
             "widen c2_span before classifying"
         )
     if res.d_at_neutral < 0:
@@ -467,36 +484,13 @@ class PeriodicSolution:
 
 
 def _orbit_through_bulk(p: ModelParams, reach: float):
-    """Dense orbit c1(c2) through the bulk point over [cbar2 - reach, cbar2 + reach]."""
+    """c1(c2) on the orbit through the bulk point, for |c2 - cbar2| <= reach."""
     if reach >= p.cbar2:
         raise ParameterError(
             f"amplitude {reach} must stay below cbar2 = {p.cbar2} to keep c2 positive"
         )
-
-    def rhs(c2, y):
-        return [trajectory_slope(y[0], c2, p)]
-
-    sols = {}
-    for key, target in (("up", p.cbar2 + reach), ("down", p.cbar2 - reach)):
-        sol = solve_ivp(
-            rhs,
-            (p.cbar2, target),
-            [p.cbar1],
-            method="RK45",
-            rtol=_PERIODIC_RTOL,
-            atol=_PERIODIC_ATOL,
-            dense_output=True,
-        )
-        if sol.status != 0:
-            raise NumericsError(f"bulk orbit integration failed: {sol.message}")
-        sols[key] = sol.sol
-    up, down = sols["up"], sols["down"]
-
-    def gamma(c2: float) -> float:
-        s = up if c2 >= p.cbar2 else down
-        return float(s(c2)[0])
-
-    return gamma
+    c1_of = _orbit_maps(p, p.cbar1, p.cbar2)[0]
+    return lambda c2: float(c1_of(c2))
 
 
 def build_periodic(
@@ -510,10 +504,11 @@ def build_periodic(
     amplitude sets the c2 half-excursion of the wider side; the other
     side's turning point is matched by a bracketed root solve so the
     field peak reached at the bulk crossing agrees from both directions
-    to match_tol. The bulk orbit and both halves are integrated at rtol
-    1e-12, atol 1e-14. Requires the orbit to stay inside the concavity
-    region between the two turning points, which is where closed
-    excursions around the bulk point exist.
+    to match_tol. The turning points lie on the closed-form orbit through
+    the bulk point; both halves are integrated at rtol 1e-12, atol 1e-14.
+    Requires the orbit to stay inside the concavity region between the
+    two turning points, which is where closed excursions around the bulk
+    point exist.
     """
     if amplitude <= 0:
         raise ParameterError("amplitude must be positive")

@@ -277,12 +277,12 @@ def test_evolve_rejects_non_finite_profiles(kind, bad):
     c1[5] = bad
     with pytest.raises(ParameterError, match="c1 must be finite"):
         evolve(with_sigma(P_SYM, 0.02), Profile(grid, c1, np.ones(n)), bc, t_end=1.0)
-    if np.isnan(bad):
-        # written into a built profile, a NaN must not pass evolve's start check
-        prof = Profile(grid, np.ones(n), np.ones(n))
-        prof.c1[5] = bad
-        with pytest.raises(ParameterError):
-            evolve(with_sigma(P_SYM, 0.02), prof, bc, t_end=1.0)
+    # written into a built profile, neither NaN nor inf may pass evolve's
+    # start check
+    prof = Profile(grid, np.ones(n), np.ones(n))
+    prof.c1[5] = bad
+    with pytest.raises(ParameterError):
+        evolve(with_sigma(P_SYM, 0.02), prof, bc, t_end=1.0)
 
 
 @pytest.mark.parametrize("kind", ["electrode", "periodic"])

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
+from stericpnp.energy import hessian_det
+from stericpnp.errors import ParameterError
 from stericpnp.model import make_params
 from stericpnp.trajectories import (
     build_periodic,
@@ -57,7 +62,98 @@ def test_neutral_point_on_diagonal_for_symmetric_electrolyte():
     assert classify_trajectory(res) == "III"
     assert res.d_at_neutral == pytest.approx(-6.0062322148620435, rel=1e-9)
     c1n, c2n = res.neutral_points[0]
-    assert c1n == pytest.approx(c2n, rel=1e-9)
+    assert c1n == pytest.approx(c2n, rel=1e-13)
+
+
+_G = st.one_of(st.just(0.0), st.floats(0.0, 4.0))
+_SEED = st.floats(0.05, 2.5)
+
+
+@given(
+    z1=st.floats(0.5, 3.0),
+    z2=st.floats(-3.0, -0.5),
+    g11=_G,
+    g22=_G,
+    g12=_G,
+    cbar1=st.floats(0.2, 2.0),
+    cbar2=st.floats(0.2, 2.0),
+    c1_0=_SEED,
+    c2_0=_SEED,
+)
+# a subnormal g11 makes s = b/a, and w = s c1, subnormal in the inverse of psi_1
+@example(z1=1.0, z2=-1.0, g11=1e-320, g22=0.0, g12=0.0, cbar1=1.0, cbar2=1.0, c1_0=0.5, c2_0=2.0)
+def test_orbit_matches_the_invariant_and_an_rk45_reference(
+    z1, z2, g11, g22, g12, cbar1, cbar2, c1_0, c2_0
+):
+    p = make_params(z1, z2, g11, g22, g12, cbar1, cbar2)
+    res = compute_trajectory(p, c1_0, c2_0)
+    c1, c2 = res.c1, res.c2
+    assert np.all(np.diff(c2) > 0) and np.all(np.diff(c1) < 0)
+
+    # the potential drops out of z2 mu1 - z1 mu2, so it is constant along
+    # every stationary orbit; compare against the sum of the term sizes
+    def invariant(c1, c2):
+        t1 = z2 * np.array([np.log(c1), g11 * c1, g12 * c2])
+        t2 = -z1 * np.array([np.log(c2), g12 * c1, g22 * c2])
+        return t1.sum(0) + t2.sum(0), np.abs(t1).sum(0) + np.abs(t2).sum(0)
+
+    level, size0 = invariant(c1_0, c2_0)
+    inv, size = invariant(c1, c2)
+    assert np.all(np.abs(inv - level) <= 1e-13 * np.maximum(size, size0))
+
+    # RK45 on the slope field in (log c2, log c1), where the orbit stays
+    # smooth as c2 -> 0, with events for the two crossings; at rtol 1e-10
+    # its own error reaches 2e-7 on some draws, at 1e-12 about 1e-8
+    def slope(s, y):
+        c1, c2 = np.exp(y[0]), np.exp(s)
+        return [trajectory_slope(c1, c2, p) * c2 / c1]
+
+    def neutral(s, y):
+        return z1 * (np.exp(y[0]) - cbar1) + z2 * (np.exp(s) - cbar2)
+
+    def degenerate(s, y):
+        return hessian_det(np.exp(y[0]), np.exp(s), p)
+
+    c2_lo, c2_hi = res.c2_span
+    ref_c1 = np.empty_like(c1)
+    events = {"neutral": [], "degenerate": []}
+    for target, side in ((c2_hi, c2 >= c2_0), (c2_lo, c2 < c2_0)):
+        sol = solve_ivp(
+            slope,
+            (np.log(c2_0), np.log(target)),
+            [np.log(c1_0)],
+            rtol=1e-12,
+            atol=1e-12,
+            dense_output=True,
+            events=[neutral, degenerate],
+        )
+        assert sol.status == 0
+        ref_c1[side] = np.exp(sol.sol(np.log(c2[side]))[0])
+        events["neutral"].extend(sol.t_events[0])
+        events["degenerate"].extend(sol.t_events[1])
+    mid = (c1 > 1e-6) & (c1 < 1e6)
+    assert np.max(np.abs(c1[mid] - ref_c1[mid]) / ref_c1[mid]) <= 1e-7
+    # a crossing at the seed is reported by both legs
+    assert len(res.neutral_points) == np.unique(events["neutral"]).size
+    assert len(res.d_zero_points) == np.unique(events["degenerate"]).size
+
+    for c1n, c2n in res.neutral_points:
+        size = z1 * (c1n + cbar1) - z2 * (c2n + cbar2)
+        assert abs(z1 * (c1n - cbar1) + z2 * (c2n - cbar2)) <= 1e-14 * size
+    for c1d, c2d in res.d_zero_points:
+        assert c1d == pytest.approx(d_zero_c1(c2d, p), rel=1e-12)
+
+
+def test_seed_on_the_neutral_line_is_its_one_crossing():
+    res = compute_trajectory(P_FIG3, 1.0, 1.0)
+    assert res.neutral_points.shape == (1, 2)
+    assert np.allclose(res.neutral_points, 1.0, rtol=0, atol=4e-16)
+
+
+@pytest.mark.parametrize("c1_0", [0.0, 1e-12, 1e12, 1e13])
+def test_orbit_seed_must_lie_inside_the_c1_cutoffs(c1_0):
+    with pytest.raises(ParameterError, match="orbit seed"):
+        compute_trajectory(P_FIG3, c1_0, 1.0)
 
 
 def test_trajectory_slope_frozen():
