@@ -83,7 +83,7 @@ _SCHEMA = {
     "output": {"dir"},
     "energy": {"c1", "c2", "n_freq", "cbar_segregated"},
     "trajectory": {"c1_0", "c2_0", "c2_min", "c2_max", "samples_per_leg"},
-    "periodic": {"amplitude", "x_max", "match_tol", "samples", "periods"},
+    "periodic": {"amplitude", "samples", "periods"},
     "ivp": {"c1_0", "c2_0", "e0", "x_max", "stop_at_neutral", "samples"},
     "dispersion": {"k_min", "k_max", "count", "log_spaced", "sigma"},
     "onset": set(),
@@ -298,12 +298,7 @@ def _cmd_trajectory(cfg, p, outdir: Path) -> list[str]:
 
 
 def _cmd_periodic(cfg, p, outdir: Path) -> list[str]:
-    sol = build_periodic(
-        p,
-        amplitude=_fval(cfg, "periodic", "amplitude"),
-        x_max=_fval(cfg, "periodic", "x_max", 100.0),
-        match_tol=_fval(cfg, "periodic", "match_tol", 1e-10),
-    )
+    sol = build_periodic(p, amplitude=_fval(cfg, "periodic", "amplitude"))
     x, c1, c2, E, phi = sol.sample(
         n_per_period=_ival(cfg, "periodic", "samples", 1024),
         periods=_ival(cfg, "periodic", "periods", 1),

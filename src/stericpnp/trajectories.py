@@ -37,7 +37,16 @@ the orbit through (cbar1, cbar2): one to each side of the bulk point,
 with the turning-point amplitudes matched so the field peak built up on
 either side agrees. Both halves must stay inside the concavity region;
 outside it the spatial flow runs away from the bulk point instead of
-oscillating around it.
+oscillating around it. Neither half needs an ODE solve. With mu
+constant, the osmotic pressure c1 + c2 + c.Gc/2 changes as
+-(z . c) E, which gives the stress first integral
+
+    E^2 = 2 [ptilde(c) - ptilde(c_t)],   ptilde = c1 + c2 + c.Gc/2 - rho0 phi,
+
+from a turning point c_t where E = 0. It is evaluated as a quadrature of
+dE^2/dc2 = 2 z.(c - cbar) D / br2 along the orbit, which avoids the
+cancellation of the ptilde difference, and the half-length is the
+quadrature x = int D dc2 / (-br2 E).
 
 Solutions that reach D = 0 with E != 0 suffer gradient blow-up. The
 exceptional solutions that pass through the degenerate curve do so at
@@ -57,6 +66,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import wrightomega
@@ -87,10 +97,13 @@ __all__ = [
 
 _RTOL = 1e-10  # field integrations (solve_ivp RK45)
 _ATOL = 1e-12
-_PERIODIC_RTOL = 1e-12  # build_periodic: both half-periods
-_PERIODIC_ATOL = 1e-14
 _C1_MIN, _C1_MAX = 1e-12, 1e12  # compute_trajectory: orbits end where c1 leaves these
 _MEAN_SAMPLES = 4096  # uniform samples per period in mean_concentrations
+_CHEB_POINTS = (32, 64, 128, 256, 512, 1024)  # build_periodic: interpolation sizes tried
+_CHEB_TAIL = 1e-13  # a series is resolved when its last 3 coefficients fall below this share
+_NEWTON_MAX = 100  # Newton steps inverting x(s) at the Chebyshev points
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)  # _field_sq's rule on [0, 1]
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 _CROSS_X_MAX = 0.5  # cross_d_zero: reach on each side of the crossing
 _CROSS_H = 1e-6  # cross_d_zero: Taylor step off the degenerate curve
 _CROSS_N_SIDE = 400  # cross_d_zero: geometric samples per side
@@ -425,11 +438,132 @@ def integrate_field_ivp(
 # periodic profiles
 
 
+def _require_concave(d, c2_turn: float) -> None:
+    if np.any(d >= 0):
+        raise NumericsError(
+            f"the orbit leaves the concavity region D < 0 between the turning point "
+            f"c2 = {c2_turn:.6g} and the bulk (max D = {np.max(d):.3g}); "
+            "no periodic profile at this amplitude"
+        )
+
+
+def _chebfun(fn: Callable, lo: float, hi: float, tol: float) -> Chebyshev:
+    """Chebyshev interpolant of fn on [lo, hi], resolved to tol.
+
+    fn is sampled at n Chebyshev points of the first kind, n doubling from
+    32 to 1024, and the series is accepted once its last three
+    coefficients fall below tol relative to the largest. The coefficients
+    are a cosine transform with every angle reduced below 2 pi, exact to
+    rounding at every n (numpy's chebinterpolate builds cos(k theta) by a
+    recurrence that loses about n eps).
+    """
+    for n in _CHEB_POINTS:
+        j = np.arange(n)
+        t = np.cos(np.pi * (j + 0.5) / n)
+        basis = np.cos(np.pi * (np.outer(j, 2 * j + 1) % (4 * n)) / (2 * n))
+        coef = basis @ fn(lo + 0.5 * (hi - lo) * (t + 1.0)) * (2.0 / n)
+        coef[0] *= 0.5
+        mag = np.abs(coef)
+        if np.max(mag[-3:]) <= tol * np.max(mag):
+            return Chebyshev(coef, domain=(lo, hi))
+    raise NumericsError(
+        f"the half-orbit is not resolved by {_CHEB_POINTS[-1]} Chebyshev points; "
+        "its turning point lies too close to D = 0"
+    )
+
+
+def _field_sq(p: ModelParams, c1_of: Callable, c2_turn: float, s):
+    """E^2 / s^2 at c2 = c2_turn + (cbar2 - c2_turn) s^2 on the orbit.
+
+    E vanishes at the turning point c2_turn, and dE^2/dc2 =
+    2 z.(c - cbar) D / br2 along the orbit, so E^2 / s^2 =
+    delta int_0^1 (dE^2/dc2)(c2_turn + delta s^2 v) dv with
+    delta = cbar2 - c2_turn, by Gauss-Legendre in v. This is the stress
+    first integral E^2 = 2 [ptilde(c) - ptilde(c_t)] without the
+    cancellation of the ptilde difference near the turning point.
+    """
+    delta = p.cbar2 - c2_turn
+    c2 = c2_turn + delta * np.multiply.outer(s * s, _GL_NODES)
+    c1 = c1_of(c2)
+    d = hessian_det(c1, c2, p)
+    _require_concave(d, c2_turn)
+    slope = 2.0 * _neutral_deviation(c1, c2, p) * d / _brackets(c1, c2, p)[1]
+    return delta * (slope @ _GL_WEIGHTS)
+
+
+@dataclass(frozen=True)
+class _HalfOrbit:
+    """The half-orbit from a turning point to the bulk, in the variable s.
+
+    c2 = c2_turn + delta s^2 runs from the turning point (s = 0) to cbar2
+    (s = 1); E = s sqrt(q(s)) there, and s_of_x maps the distance from the
+    turning point, 0 to length, to s.
+    """
+
+    c2_turn: float
+    delta: float
+    length: float
+    q: Chebyshev
+    s_of_x: Chebyshev
+
+
+def _half_orbit(p: ModelParams, c1_of: Callable, c2_turn: float) -> _HalfOrbit:
+    """Half-length and evaluation series of one half-orbit, integrating no ODE.
+
+    Along the orbit x = int D dc2 / (-br2 E). Under c2 = c2_turn +
+    delta s^2 both q = E^2 / s^2 (_field_sq) and dx/ds =
+    2 |delta D| / (|br2| sqrt(q)) are smooth in s, the latter because E
+    vanishes like s at the turning point. Each is a Chebyshev interpolant
+    in s; x(s) is the integral of dx/ds, and s(x) its inverse, by Newton
+    at the Chebyshev points in x.
+    """
+    delta = p.cbar2 - c2_turn
+    # z.(c - cbar) carries an absolute rounding error of about
+    # eps (|z1| cbar1 + |z2| cbar2); relative to its size at the turning
+    # point, that bounds how far any series here can be resolved
+    rounding = np.finfo(float).eps * (abs(p.z1) * p.cbar1 + abs(p.z2) * p.cbar2)
+    tol = max(_CHEB_TAIL, rounding / abs(_neutral_deviation(c1_of(c2_turn), c2_turn, p)))
+
+    def q_of(s):
+        q = _field_sq(p, c1_of, c2_turn, s)
+        if np.any(q <= 0):
+            raise NumericsError(
+                f"E^2 <= 0 between the turning point c2 = {c2_turn:.6g} and the bulk; "
+                "the orbit leaves the concavity region D < 0"
+            )
+        return q
+
+    q = _chebfun(q_of, 0.0, 1.0, tol)
+
+    def x_rate(s):
+        c2 = c2_turn + delta * s * s
+        c1 = c1_of(c2)
+        d = hessian_det(c1, c2, p)
+        _require_concave(d, c2_turn)
+        return 2.0 * np.abs(delta * d / _brackets(c1, c2, p)[1]) / np.sqrt(q(s))
+
+    rate = _chebfun(x_rate, 0.0, 1.0, tol)
+    x_of_s = rate.integ(lbnd=0.0)
+    length = float(x_of_s(1.0))
+
+    def s_at(x):
+        s = x / length
+        for _ in range(_NEWTON_MAX):
+            step = (x_of_s(s) - x) / rate(s)
+            s = np.clip(s - step, 0.0, 1.0)
+            if np.max(np.abs(step)) < 1e-13:
+                # the convergence is quadratic: one more step reaches rounding
+                return np.clip(s - (x_of_s(s) - x) / rate(s), 0.0, 1.0)
+        raise NumericsError("inverting x(s) on the half-orbit did not converge")
+
+    return _HalfOrbit(c2_turn, delta, length, q, _chebfun(s_at, 0.0, length, tol))
+
+
 @dataclass(eq=False)
 class PeriodicSolution:
     """One period of a bounded stationary profile.
 
-    The stored halves run from each turning point to the bulk crossing;
+    The two half-orbits run from each turning point to the bulk crossing;
     evaluate() unfolds them using the reversibility of the spatial flow
     (concentrations and potential even, field odd about every turning
     point). x = 0 is the turning point with c2 above the bulk value.
@@ -444,28 +578,29 @@ class PeriodicSolution:
     e_peak: float
     turning_a: tuple[float, float]
     turning_b: tuple[float, float]
-    _sol_a: object = field(repr=False)
-    _sol_b: object = field(repr=False)
+    _half_a: _HalfOrbit = field(repr=False)
+    _half_b: _HalfOrbit = field(repr=False)
 
     def evaluate(self, x):
         """Sample (c1, c2, E, phi) at arbitrary x, periodically extended."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         T = self.period
-        half = 0.5 * T
         xi = np.mod(x, T)
-        sign = np.where(xi > half, -1.0, 1.0)
-        xi = np.where(xi > half, T - xi, xi)
-        out = np.empty((4, xi.size))
+        sign = np.where(xi > 0.5 * T, -1.0, 1.0)
+        xi = np.where(xi > 0.5 * T, T - xi, xi)
         in_a = xi <= self.x_a
-        if np.any(in_a):
-            out[:, in_a] = self._sol_a(xi[in_a])
-        if np.any(~in_a):
-            zeta = np.clip(self.x_b - (xi[~in_a] - self.x_a), 0.0, self.x_b)
-            vals = self._sol_b(zeta)
-            vals[2] *= -1.0
-            out[:, ~in_a] = vals
-        out[2] *= sign
-        return out
+        c2 = np.empty_like(xi)
+        E = np.empty_like(xi)
+        # distance from each half's own turning point; E >= 0 on [0, T/2]
+        for half, sel, dist in (
+            (self._half_a, in_a, xi),
+            (self._half_b, ~in_a, self.x_a + self.x_b - xi),
+        ):
+            s = np.clip(half.s_of_x(dist[sel]), 0.0, 1.0)
+            c2[sel] = half.c2_turn + half.delta * s * s
+            E[sel] = s * np.sqrt(half.q(s))
+        c1 = _orbit_maps(self.p, self.p.cbar1, self.p.cbar2)[0](c2)
+        return np.array([c1, c2, sign * E, phi_of_c(c1, c2, self.p)])
 
     def sample(self, n_per_period: int = 1024, periods: int = 1):
         """Uniform samples over an integer number of periods.
@@ -483,101 +618,62 @@ class PeriodicSolution:
         return float(c1.mean()), float(c2.mean())
 
 
-def _orbit_through_bulk(p: ModelParams, reach: float):
-    """c1(c2) on the orbit through the bulk point, for |c2 - cbar2| <= reach."""
-    if reach >= p.cbar2:
-        raise ParameterError(
-            f"amplitude {reach} must stay below cbar2 = {p.cbar2} to keep c2 positive"
-        )
-    c1_of = _orbit_maps(p, p.cbar1, p.cbar2)[0]
-    return lambda c2: float(c1_of(c2))
-
-
-def build_periodic(
-    p: ModelParams,
-    amplitude: float,
-    x_max: float = 100.0,
-    match_tol: float = 1e-10,
-) -> PeriodicSolution:
+def build_periodic(p: ModelParams, amplitude: float) -> PeriodicSolution:
     """Construct a periodic stationary profile around the bulk point.
 
-    amplitude sets the c2 half-excursion of the wider side; the other
-    side's turning point is matched by a bracketed root solve so the
-    field peak reached at the bulk crossing agrees from both directions
-    to match_tol. The turning points lie on the closed-form orbit through
-    the bulk point; both halves are integrated at rtol 1e-12, atol 1e-14.
-    Requires the orbit to stay inside the concavity region between the
-    two turning points, which is where closed excursions around the bulk
-    point exist.
+    The turning points (E = 0) lie on the closed-form orbit through the
+    bulk point, at c2 = cbar2 + amplitude and cbar2 - amplitude; both must
+    lie inside the concavity region D < 0, where closed excursions around
+    the bulk point exist. The stress first integral fixes the field peak
+    at the bulk crossing from either side, E^2 = 2 [ptilde(cbar) -
+    ptilde(c_t)], as one quadrature along the orbit (_field_sq). The side
+    that builds the larger peak is shrunk by a bracketed root until the
+    two agree, and each half-length is a quadrature too (_half_orbit), so
+    no ODE is integrated. Raises NumericsError if the orbit leaves D < 0
+    between a turning point and the bulk.
     """
-    if amplitude <= 0:
-        raise ParameterError("amplitude must be positive")
-    gamma = _orbit_through_bulk(p, amplitude)
-
-    def half(side: int, amp: float):
-        """Integrate from the turning point on one side to the bulk crossing."""
-        c2_0 = p.cbar2 + side * amp
-        c1_0 = gamma(c2_0)
-        fs = integrate_field_ivp(
-            p,
-            (c1_0, c2_0),
-            E0=0.0,
-            x_span=(0.0, x_max),
-            stop_at_neutral=True,
-            rtol=_PERIODIC_RTOL,
-            atol=_PERIODIC_ATOL,
+    if not amplitude > 0:
+        raise ParameterError(f"amplitude must be positive, got {amplitude}")
+    if amplitude >= p.cbar2:
+        raise ParameterError(
+            f"amplitude {amplitude} must stay below cbar2 = {p.cbar2} to keep c2 positive"
         )
-        if fs.status == "degenerate":
-            raise NumericsError(
-                "orbit left the concavity region; no periodic profile at this amplitude"
-            )
-        if fs.status != "neutral":
-            raise NumericsError(
-                f"no bulk crossing within x_max = {x_max}; increase x_max"
-            )
-        x_len = fs.x_end
-        peak = float(abs(fs.at(x_len)[2, 0]))
-        return x_len, peak, fs
+    c1_of = _orbit_maps(p, p.cbar1, p.cbar2)[0]
+    for c2 in (p.cbar2 + amplitude, p.cbar2 - amplitude):
+        _require_concave(hessian_det(c1_of(c2), c2, p), c2)
 
-    x_a, peak_a, fs_a = half(+1, amplitude)
-    x_b, peak_b, fs_b = half(-1, amplitude)
-    amp_a = amp_b = amplitude
+    def peak_sq(c2_turn):
+        return float(_field_sq(p, c1_of, c2_turn, 1.0))
 
-    if abs(peak_a - peak_b) > match_tol:
-        # Shrink the side that builds the larger peak until they agree.
-        side, target = (+1, peak_b) if peak_a > peak_b else (-1, peak_a)
-
-        def mismatch(amp: float) -> float:
-            return half(side, amp)[1] - target
-
-        lo = 1e-12 * amplitude
-        a_match = brentq(
-            mismatch, lo, amplitude, xtol=1e-15, rtol=4 * np.finfo(float).eps
-        )
-        if side > 0:
-            amp_a = a_match
-            x_a, peak_a, fs_a = half(+1, amp_a)
-        else:
-            amp_b = a_match
-            x_b, peak_b, fs_b = half(-1, amp_b)
-        if abs(peak_a - peak_b) > match_tol:
-            raise NumericsError(
-                f"field peaks differ by {abs(peak_a - peak_b):.3e} after matching; "
-                "tighten integrator tolerances"
-            )
-
+    top, bottom = peak_sq(p.cbar2 + amplitude), peak_sq(p.cbar2 - amplitude)
+    # the side that builds the larger field peak shrinks; the other keeps
+    # the full amplitude
+    side = 1.0 if top > bottom else -1.0
+    kept = _half_orbit(p, c1_of, p.cbar2 - side * amplitude)
+    target = min(top, bottom)
+    a_match = brentq(
+        lambda a: peak_sq(p.cbar2 + side * a) - target,
+        0.0,
+        amplitude,
+        xtol=1e-15,
+        rtol=4 * np.finfo(float).eps,
+    )
+    shrunk = _half_orbit(p, c1_of, p.cbar2 + side * a_match)
+    half_a, half_b = (shrunk, kept) if side > 0 else (kept, shrunk)
+    amp_a, amp_b = (a_match, amplitude) if side > 0 else (amplitude, a_match)
+    peak_a, peak_b = np.sqrt(half_a.q(1.0)), np.sqrt(half_b.q(1.0))
     return PeriodicSolution(
         p=p,
-        period=2.0 * (x_a + x_b),
-        x_a=x_a,
-        x_b=x_b,
+        period=2.0 * (half_a.length + half_b.length),
+        x_a=half_a.length,
+        x_b=half_b.length,
         amp_a=amp_a,
         amp_b=amp_b,
-        e_peak=0.5 * (peak_a + peak_b),
-        turning_a=(gamma(p.cbar2 + amp_a), p.cbar2 + amp_a),
-        turning_b=(gamma(p.cbar2 - amp_b), p.cbar2 - amp_b),
-        _sol_a=fs_a.sol,
-        _sol_b=fs_b.sol,
+        e_peak=float(0.5 * (peak_a + peak_b)),
+        turning_a=(float(c1_of(half_a.c2_turn)), half_a.c2_turn),
+        turning_b=(float(c1_of(half_b.c2_turn)), half_b.c2_turn),
+        _half_a=half_a,
+        _half_b=half_b,
     )
 
 

@@ -98,6 +98,18 @@ def test_trajectory_products(tmp_path):
     assert header.split(",")[:3] == ["c2", "c1", "det_hessian"]
 
 
+def test_periodic_products_and_retired_keys(tmp_path, capsys):
+    cfg = _write(tmp_path, SYM_MODEL + "\n[periodic]\namplitude = 0.3\n")
+    out = tmp_path / "o"
+    assert main(["periodic", cfg, "--out", str(out)]) == 0
+    info = json.loads((out / "periodic.json").read_text())
+    assert info["period"] == pytest.approx(3.0884630588032227, rel=1e-11)
+    # the periodic build integrates no ODE, so its shooting options are gone
+    for override in ("periodic.x_max=50", "periodic.match_tol=1e-10"):
+        assert main(["periodic", cfg, "--set", override, "--out", str(tmp_path / "p")]) == 2
+        assert override.split(".")[1].split("=")[0] in capsys.readouterr().err
+
+
 def test_csv_reruns_are_bit_identical(tmp_path):
     body = SYM_MODEL + "\n[dispersion]\nk_min = 0.2\nk_max = 6.0\ncount = 40\nsigma = 0.02\n"
     cfg = _write(tmp_path, body)

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from stericpnp.energy import hessian_det
-from stericpnp.errors import ParameterError
+from stericpnp.errors import NumericsError, ParameterError
 from stericpnp.model import make_params
 from stericpnp.trajectories import (
     build_periodic,
@@ -196,10 +196,14 @@ def test_crossing_ratio_approaches_sqrt_f():
 class TestPeriodicOrbit:
     def test_frozen_period_and_amplitudes(self):
         sol = build_periodic(P_SYM, amplitude=0.3)
-        assert sol.period == pytest.approx(3.0884630588032227, rel=1e-9)
+        assert sol.period == pytest.approx(3.0884630588032227, rel=1e-11)
         assert sol.amp_a == pytest.approx(0.3, abs=1e-12)
-        assert sol.amp_b == pytest.approx(0.28636110400152587, rel=1e-8)
-        assert sol.e_peak == pytest.approx(0.28292632718774763, rel=1e-8)
+        assert sol.amp_b == pytest.approx(0.28636110400152587, rel=1e-11)
+        assert sol.e_peak == pytest.approx(0.28292632718774763, rel=1e-11)
+        # swapping the species maps P_SYM's orbit onto itself, so equal
+        # field peaks put the turning points at each other's mirror image
+        assert sol.turning_b[1] == pytest.approx(sol.turning_a[0], rel=1e-15)
+        assert sol.turning_b[0] == pytest.approx(sol.turning_a[1], rel=1e-15)
 
     def test_orbit_mean_near_bulk(self):
         sol = build_periodic(P_SYM, amplitude=0.3)
@@ -245,6 +249,84 @@ class TestPeriodicOrbit:
         assert m2 == pytest.approx(bvp.cbar2, rel=1e-9)
         assert bvp.profile.phi is not None
         bvp.profile.require_positive(1e-12)
+
+
+@pytest.mark.parametrize("amplitude", [float("nan"), 0.0, -0.1])
+def test_periodic_amplitude_must_be_positive(amplitude):
+    with pytest.raises(ParameterError, match="amplitude must be positive"):
+        build_periodic(P_SYM, amplitude)
+
+
+# P_SYM's orbit through the bulk has D < 0 for 0.364 < c2 < 1.721: at 0.9
+# both turning points lie outside (D = 3.26 and 17.3), at 0.7 one does
+# (D = -0.26 at c2 = 1.7, +1.36 at c2 = 0.3)
+@pytest.mark.parametrize("amplitude", [0.9, 0.7])
+def test_periodic_outside_the_concave_window_names_it(amplitude):
+    with pytest.raises(NumericsError, match="concavity region"):
+        build_periodic(P_SYM, amplitude)
+
+
+def test_small_amplitude_period_tends_to_the_linear_one():
+    # linearising mu = const and Poisson about the bulk gives
+    # omega^2 = -(z1^2 a2 - 2 z1 z2 g12 + z2^2 a1) / D = 13 / 3.25 on P_SYM,
+    # and the period moves by O(amplitude^2) from 2 pi / omega; at 1e-6
+    # the rounding of z.(c - cbar) limits how far the series resolve
+    for amplitude, gap in ((1e-2, 2e-5), (1e-3, 2e-7), (1e-4, 2e-9), (1e-6, 2e-11)):
+        sol = build_periodic(P_SYM, amplitude)
+        assert abs(sol.period / np.pi - 1.0) < gap
+
+
+@settings(max_examples=60)
+@given(
+    z1=st.floats(0.5, 3.0),
+    z2=st.floats(-3.0, -0.5),
+    g11=_G,
+    g22=_G,
+    excess=st.floats(0.02, 0.5),
+    cbar1=st.floats(0.2, 2.0),
+    cbar2=st.floats(0.2, 2.0),
+    reach=st.floats(0.05, 0.9),
+)
+def test_periodic_orbit_keeps_the_first_integral_and_matches_rk45(
+    z1, z2, g11, g22, excess, cbar1, cbar2, reach
+):
+    # g12 past the threshold sqrt(a1 a2) puts the bulk point inside D < 0
+    g12 = (1.0 + excess) * np.sqrt((1.0 / cbar1 + g11) * (1.0 / cbar2 + g22))
+    p = make_params(z1, z2, g11, g22, g12, cbar1, cbar2)
+    # the amplitude is a share of the distance from cbar2 to the nearer
+    # end of the concave window on the orbit through the bulk point
+    edges = compute_trajectory(p, cbar1, cbar2).d_zero_points[:, 1]
+    above, below = edges[edges > cbar2], edges[edges < cbar2]
+    window = min(
+        above.min() - cbar2 if above.size else np.inf,
+        cbar2 - below.max() if below.size else cbar2,
+    )
+    sol = build_periodic(p, reach * window)
+
+    # independent route: RK45 on the full spatial system from each turning
+    # point to the bulk crossing
+    for turning, length in ((sol.turning_a, sol.x_a), (sol.turning_b, sol.x_b)):
+        ref = integrate_field_ivp(
+            p, turning, x_span=(0.0, 2.0 * sol.period), stop_at_neutral=True,
+            rtol=1e-12, atol=1e-14,
+        )
+        assert ref.status == "neutral"
+        assert ref.x_end == pytest.approx(length, rel=1e-9)
+        assert abs(ref.at(ref.x_end)[2, 0]) == pytest.approx(sol.e_peak, rel=1e-9)
+
+    # stress first integral: E^2 / 2 - (c1 + c2 + c.Gc / 2 - rho0 phi)
+    x, c1, c2, E, phi = sol.sample(n_per_period=8192)
+    pressure = c1 + c2 + 0.5 * (g11 * c1**2 + 2.0 * g12 * c1 * c2 + g22 * c2**2)
+    assert np.ptp(0.5 * E**2 - pressure + p.rho0 * phi) <= 1e-12
+
+    # 8192 samples keep the fourth-order differences' own truncation error
+    # below the bounds of test_sampled_orbit_is_stationary
+    res = stationary_residual_fd(x, c1, c2, E, phi, p, periodic=True)
+    assert res["c1"] < 1e-8
+    assert res["c2"] < 1e-8
+    assert res["field"] < 1e-9
+    assert res["potential_gradient"] < 1e-7
+    assert res["poisson"] < 1e-4
 
 
 def test_field_ivp_frozen_endpoint():
