@@ -3,6 +3,8 @@
 Shared by the energy diagnostics, the time integrator, and the stationary
 solver so that every module differentiates and integrates the same way.
 Electrode grids include both endpoints; periodic grids wrap.
+The Laplacian's Neumann wall closure lives here only: second_derivative
+applies it, and _laplacian_columns gives it to the exact Jacobians.
 """
 
 from __future__ import annotations
@@ -37,6 +39,21 @@ def second_derivative(arr: np.ndarray, grid: Grid) -> np.ndarray:
         out[0] = 2.0 * (arr[1] - arr[0]) / dx2
         out[-1] = 2.0 * (arr[-2] - arr[-1]) / dx2
     return out
+
+
+@lru_cache(maxsize=16)
+def _laplacian_columns(grid: Grid) -> np.ndarray:
+    """L[k - 1, k] and L[k + 1, k] of second_derivative's matrix, times dx^2.
+
+    1 inside, 2 next to a wall (the mirror counts the neighbour twice), 0
+    beyond a wall, 1 everywhere on periodic grids; per grid, read-only.
+    """
+    cols = np.ones((2, grid.n))
+    if not grid.periodic:
+        cols[0, 0] = cols[1, -1] = 0.0
+        cols[0, 1] = cols[1, -2] = 2.0
+    cols.setflags(write=False)
+    return cols
 
 
 @lru_cache(maxsize=16)

@@ -15,12 +15,14 @@ unknown vector on an n-node wall-to-wall grid is
 with Dirichlet rows phi_0 - phi_left and phi_{n-1} - phi_right replacing
 the wall Poisson rows, plus two mass rows sum_j w_j c_{i,j} - 2 L cbar_i.
 The c_xx stencil uses the same Neumann wall closure as the dynamics, so
-converged states are exact fixed points of evolve.
+converged states are exact fixed points of evolve (both Jacobians read
+it from _fd._laplacian_columns).
 
 The Jacobian is banded (l = u = 3 in the node-interleaved ordering)
 bordered by dense columns for the multipliers and dense mass rows; each
 Newton system is solved by block elimination: one banded factorization
-with a handful of right-hand sides and a small Schur complement.
+with a handful of right-hand sides and a small Schur complement. One
+loop, _damped_newton, serves newton_solve and the arclength corrector.
 
 Branches in a model parameter (sigma, or the applied voltage amplitude)
 are traced by pseudo-arclength continuation: secant tangent, predictor
@@ -56,7 +58,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import solve_banded
 
-from ._fd import gradient, second_derivative, trapz
+from ._fd import _laplacian_columns, gradient, second_derivative, trapz
 from .dynamics import (
     BoundaryConditions,
     chemical_potential,
@@ -220,23 +222,19 @@ def _assemble(
 
     # mu1 rows: d/dc1_j, d/dc2_j (+1), d/dphi_j (+2), d/dc1_{j+-1} (+-3)
     diag_sig = np.full(n, 2.0 * sig / dx2)
-    off_sig = np.full(n - 1, -sig / dx2)
+    up, down = (-sig / dx2) * _laplacian_columns(grid)
     ab[b, rows1] = 1.0 / c1 + p.g11 + diag_sig
     ab[b - 1, rows1 + 1] = p.g12
     ab[b - 2, rows1 + 2] = p.z1
-    ab[b - 3, rows1[:-1] + 3] = off_sig  # col = row + 3 (c1_{j+1})
-    ab[b + 3, rows1[1:] - 3] = off_sig  # col = row - 3 (c1_{j-1})
-    ab[b - 3, 3] = -2.0 * sig / dx2  # wall rows use the mirrored stencil
-    ab[b + 3, m - 6] = -2.0 * sig / dx2
+    ab[b - 3, rows1] = up  # row = col - 3 (mu1_{j-1})
+    ab[b + 3, rows1] = down  # row = col + 3 (mu1_{j+1})
 
     # mu2 rows: d/dc1_j (-1), d/dc2_j, d/dphi_j (+1), d/dc2_{j+-1} (+-3)
     ab[b + 1, rows2 - 1] = p.g12
     ab[b, rows2] = 1.0 / c2 + p.g22 + diag_sig
     ab[b - 1, rows2 + 1] = p.z2
-    ab[b - 3, rows2[:-1] + 3] = off_sig
-    ab[b + 3, rows2[1:] - 3] = off_sig
-    ab[b - 3, 4] = -2.0 * sig / dx2
-    ab[b + 3, m - 5] = -2.0 * sig / dx2
+    ab[b - 3, rows2] = up
+    ab[b + 3, rows2] = down
 
     # Poisson rows: d/dc1_j (-2), d/dc2_j (-1), d/dphi_j, d/dphi_{j+-1}
     ab[b + 2, rows3[1:-1] - 2] = p.z1
@@ -311,10 +309,43 @@ def _initial_vector(
     return _pack(c1, c2, phi, float(np.mean(mu1)), float(np.mean(mu2)))
 
 
-def _positive(u: np.ndarray) -> bool:
-    """Are all concentrations of the packed vector u strictly positive?"""
-    m = u.size - 2
-    return bool(np.all(u[0:m:3] > 0.0) and np.all(u[1:m:3] > 0.0))
+def _damped_newton(w: np.ndarray, system, max_iter: int) -> tuple[np.ndarray, int]:
+    """Damped Newton on system(w) = (r, ab, C, D, E); returns (w, iterations).
+
+    The first ab.shape[1] entries of w are the nodes' (c1, c2, phi), the
+    rest border unknowns. A step is halved until the concentrations stay
+    positive and the max-norm residual drops; below 1/1024, or with the
+    residual still above _NEWTON_TOL after max_iter steps, NumericsError.
+    """
+    r, ab, C, D, E = system(w)
+    m = ab.shape[1]
+    rnorm = float(np.max(np.abs(r)))
+    if not np.isfinite(rnorm):
+        raise NumericsError("stationary residual is not finite at the initial guess")
+    for it in range(max_iter):
+        if rnorm < _NEWTON_TOL:
+            return w, it
+        step = _solve_bordered(ab, C, D, E, -r[:m], -r[m:])
+        t = 1.0
+        while True:
+            w_try = w + t * step
+            if np.all(w_try[0:m:3] > 0.0) and np.all(w_try[1:m:3] > 0.0):
+                r_try, ab_try, C_try, D_try, E_try = system(w_try)
+                rn_try = float(np.max(np.abs(r_try)))
+                if not np.isfinite(rn_try):
+                    rn_try = np.inf
+                if rn_try < rnorm * (1.0 - 0.25 * t) or rn_try < _NEWTON_TOL:
+                    w, r, ab, C, D, E = w_try, r_try, ab_try, C_try, D_try, E_try
+                    rnorm = rn_try
+                    break
+            t *= 0.5
+            if t < 1.0 / 1024.0:
+                raise NumericsError(
+                    f"Newton stalled at residual {rnorm:.3e} (no damped decrease)"
+                )
+    if rnorm >= _NEWTON_TOL:
+        raise NumericsError(f"Newton did not converge: residual {rnorm:.3e}")
+    return w, max_iter
 
 
 def newton_solve(
@@ -329,41 +360,15 @@ def newton_solve(
 
     guess is a StationaryState or a Profile on grid (multiplier seeds
     then come from the mean chemical potentials); anything else raises
-    ParameterError. Step lengths are backtracked until the concentrations
-    stay positive and the residual norm drops; a step that cannot be
-    damped into decrease raises NumericsError.
+    ParameterError. NumericsError if _damped_newton fails.
     """
     if param_value is None:
         param_value = p.sigma if param_name == "sigma" else bc.phi_right
-    u = _initial_vector(guess, p, grid, bc)
-    m = 3 * grid.n
-    r, ab, C, D, E = _assemble(u, p, grid, bc)
-    rnorm = float(np.max(np.abs(r)))
-    if not np.isfinite(rnorm):
-        raise NumericsError("stationary residual is not finite at the initial guess")
-    for _ in range(_NEWTON_MAX_ITER):
-        if rnorm < _NEWTON_TOL:
-            break
-        step = _solve_bordered(ab, C, D, E, -r[:m], -r[m:])
-        t = 1.0
-        while True:
-            u_try = u + t * step
-            if _positive(u_try):
-                r_try, ab_try, C_try, D_try, E_try = _assemble(u_try, p, grid, bc)
-                rn_try = float(np.max(np.abs(r_try)))
-                if not np.isfinite(rn_try):
-                    rn_try = np.inf
-                if rn_try < rnorm * (1.0 - 0.25 * t) or rn_try < _NEWTON_TOL:
-                    u, r, ab, C, D, E = u_try, r_try, ab_try, C_try, D_try, E_try
-                    rnorm = rn_try
-                    break
-            t *= 0.5
-            if t < 1.0 / 1024.0:
-                raise NumericsError(
-                    f"Newton stalled at residual {rnorm:.3e} (no damped decrease)"
-                )
-    if rnorm >= _NEWTON_TOL:
-        raise NumericsError(f"Newton did not converge: residual {rnorm:.3e}")
+    u, _ = _damped_newton(
+        _initial_vector(guess, p, grid, bc),
+        lambda u: _assemble(u, p, grid, bc),
+        _NEWTON_MAX_ITER,
+    )
     c1, c2, phi, lam1, lam2 = _unpack(u)
     return StationaryState(
         c1.copy(), c2.copy(), phi.copy(), lam1, lam2, param_name, param_value
@@ -452,41 +457,22 @@ def _corrector(
     param_name: str,
 ) -> tuple[np.ndarray, int]:
     """Newton on [stationary residual; <t, w - w_pred> = 0]. Returns (w, iters)."""
-    w = w_pred.copy()
     m = 3 * grid.n
-    for it in range(_CORRECTOR_MAX_ITER):
+
+    def system(w):
         p, bc = _apply_param(p0, d, param_name, float(w[-1]))
-        if not _positive(w[:-1]):
-            raise NumericsError("corrector left the positive cone")
         r, ab, C2, D2, E2 = _assemble(w[:-1], p, grid, bc)
-        arc = geom.dot(tangent, w - w_pred)
-        rnorm = max(float(np.max(np.abs(r))), abs(arc))
-        if rnorm < _NEWTON_TOL:
-            return w, it
         dps = _dresidual_dparam(w[:-1], p, grid, param_name)
         # Border: columns [lam1, lam2, s]; rows [mass1, mass2, arc]
         C = np.column_stack([C2, dps[:m]])
         D = np.vstack([D2, tangent[:m] / geom.dim])
         E = np.zeros((3, 3))
-        E[0:2, 0:2] = E2
-        E[0, 2] = dps[m]
-        E[1, 2] = dps[m + 1]
-        E[2, 0] = tangent[m] / geom.dim
-        E[2, 1] = tangent[m + 1] / geom.dim
-        E[2, 2] = tangent[-1] / geom.pscale**2
-        f = -r[:m]
-        g = -np.array([r[m], r[m + 1], arc])
-        step = _solve_bordered(ab, C, D, E, f, g)
-        t = 1.0
-        while t >= 1.0 / 256.0:
-            w_try = w + t * step
-            if _positive(w_try[:-1]):
-                w = w_try
-                break
-            t *= 0.5
-        else:
-            raise NumericsError("corrector could not stay positive")
-    raise NumericsError("arclength corrector did not converge")
+        E[:2, :2] = E2
+        E[:2, 2] = dps[m:]
+        E[2] = tangent[m:] / [geom.dim, geom.dim, geom.pscale**2]
+        return np.append(r, geom.dot(tangent, w - w_pred)), ab, C, D, E
+
+    return _damped_newton(w_pred, system, _CORRECTOR_MAX_ITER)
 
 
 def _make_point(w: np.ndarray, grid: Grid, param_name: str) -> BranchPoint:

@@ -19,7 +19,8 @@ Space is discretized with finite volumes: the flux through each interior
 face uses the arithmetic mean of the neighboring concentrations times the
 chemical-potential difference across the face, and wall faces carry zero
 flux. With trapezoid quadrature weights this telescopes exactly, so the
-discrete masses are conserved to roundoff by construction.
+discrete masses are conserved to roundoff by construction. Only
+_flux_divergence writes F; time_derivatives and _rhs_and_band call it.
 
 Time stepping is linearly implicit (one Newton-like solve per step; the
 Rosenbrock-Euler step of Hairer & Wanner, Solving ODEs II, IV.7):
@@ -29,11 +30,12 @@ Rosenbrock-Euler step of Hairer & Wanner, Solving ODEs II, IV.7):
 where J is the exact Jacobian of F at c_n with the potential frozen.
 Freezing phi keeps J banded (bandwidth 4 in the interleaved species
 ordering), and its nine diagonals are written out from the flux formula
-at the cost of one chemical-potential evaluation. Every column of J sums
-to zero against the quadrature weights, so the linear step conserves
-mass to roundoff, as F does. The long-range coupling through the Poisson
-solve is explicit, which is harmless for stability since it is a
-compact perturbation, not a stiff term.
+at the cost of one chemical-potential evaluation, walls included
+through _fd._laplacian_columns. Every column of J sums to zero against
+the quadrature weights, so the linear step conserves mass to roundoff,
+as F does. The long-range coupling through the Poisson solve is
+explicit, which is harmless for stability since it is a compact
+perturbation, not a stiff term.
 
 A step controller enforces the physics the scheme is meant to have: a
 candidate step is rejected, and dt halved, whenever a concentration
@@ -68,6 +70,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from ._fd import (
+    _laplacian_columns,
     second_derivative,
     solve_poisson_dirichlet,
     solve_poisson_periodic,
@@ -163,31 +166,6 @@ def chemical_potential(
     return mu1, mu2
 
 
-@lru_cache(maxsize=16)
-def _ring_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    base = np.arange(n)
-    ip1 = np.concatenate((base[1:], base[:1]))
-    im1 = np.concatenate((base[-1:], base[:-1]))
-    return ip1, im1
-
-
-def _flux_divergence(c: np.ndarray, mu: np.ndarray, grid: Grid) -> np.ndarray:
-    """d/dt contribution (c mu_x)_x with zero-flux walls (or periodic faces)."""
-    dx = grid.dx
-    if grid.periodic:
-        ip1, im1 = _ring_indices(c.size)
-        c_face = 0.5 * (c + c[ip1])
-        flux = c_face * (mu[ip1] - mu) / dx
-        return (flux - flux[im1]) / dx
-    c_face = 0.5 * (c[:-1] + c[1:])
-    flux = c_face * (mu[1:] - mu[:-1]) / dx
-    out = np.empty_like(c)
-    out[0] = flux[0] / (0.5 * dx)
-    out[-1] = -flux[-1] / (0.5 * dx)
-    out[1:-1] = (flux[1:] - flux[:-1]) / dx
-    return out
-
-
 def time_derivatives(
     c1: np.ndarray,
     c2: np.ndarray,
@@ -195,8 +173,9 @@ def time_derivatives(
     p: ModelParams,
     grid: Grid,
 ) -> tuple[np.ndarray, np.ndarray]:
-    mu1, mu2 = chemical_potential(c1, c2, phi, p, grid)
-    return _flux_divergence(c1, mu1, grid), _flux_divergence(c2, mu2, grid)
+    mu = np.array(chemical_potential(c1, c2, phi, p, grid))
+    f = _flux_divergence(np.array((c1, c2)), mu, grid)[0]
+    return f[0], f[1]
 
 
 def discrete_energy(
@@ -247,6 +226,25 @@ def _shift(x: np.ndarray, d: int) -> np.ndarray:
     return np.concatenate((x[..., -d:], x[..., :-d]), axis=-1)
 
 
+def _flux_divergence(
+    c: np.ndarray, mu: np.ndarray, grid: Grid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, c_face, dmu) of both species, rows of (2, n) arrays.
+
+    Face f joins nodes f and f + 1 (mod n); on electrode grids face n - 1
+    is the closed wall and carries nothing. Its flux is c_face dmu / dx,
+    with c_face = (c_f + c_f+1) / 2, dmu = mu_f+1 - mu_f, and F_j =
+    (flux_j - flux_j-1) / w_j.
+    """
+    c_face = 0.5 * (c + _shift(c, -1))
+    dmu = _shift(mu, -1) - mu
+    if not grid.periodic:
+        c_face[:, -1] = 0.0
+        dmu[:, -1] = 0.0
+    flux = c_face * dmu / grid.dx
+    return (flux - _shift(flux, 1)) / grid.weights, c_face, dmu
+
+
 @lru_cache(maxsize=16)
 def _inv_weight_rows(grid: Grid) -> np.ndarray:
     """1 / w_{k+e} for the rows at nodes k + e, e = -2 ... 2; shape (5, 1, n)."""
@@ -269,13 +267,11 @@ def _rhs_and_band(
     runs, whose wrapped corners are exactly zero, and the circular storage
     of _solve_circular for periodic runs.
 
-    Face f joins nodes f and f + 1 (mod n); on electrode grids face n - 1
-    is the closed wall and carries nothing. Its flux a_f (mu_f+1 - mu_f),
-    a_f = (c_f + c_f+1) / (2 dx), depends on the same species at nodes
-    f - 1 ... f + 2, through mu's diagonal 1/c + g_ii + 2 sigma/dx^2 and
-    the sigma-Laplacian off-diagonals beta = -sigma/dx^2 (2 beta from a
-    wall node inwards, by the even mirror), and on the other species at
-    nodes f, f + 1 through g12. F_j = (flux_j - flux_j-1) / w_j, so
+    The flux of face f (_flux_divergence), a_f dmu_f with a_f = c_face /
+    dx, depends on the same species at nodes f - 1 ... f + 2, through mu's
+    diagonal 1/c + g_ii + 2 sigma/dx^2 and the sigma-Laplacian's
+    off-diagonals -sigma/dx^2 _fd._laplacian_columns, and on the other
+    species at nodes f, f + 1 through g12. F_j = (flux_j - flux_j-1) / w_j, so
     column k of J holds the differences of d flux_f / d c_k over the faces
     f = k - 3 ... k + 2, each over its row's weight: they telescope to
     zero against the weights.
@@ -286,32 +282,20 @@ def _rhs_and_band(
     dx = grid.dx
     c = u.reshape(n, 2).T
     mu = np.array(chemical_potential(c[0], c[1], phi, p, grid))
-    c_face = 0.5 * (c + _shift(c, -1))
-    dmu = _shift(mu, -1) - mu
-    if not grid.periodic:
-        c_face[:, -1] = 0.0
-        dmu[:, -1] = 0.0
-    flux = c_face * dmu / dx
-    rhs = np.empty((n, 2))
-    np.divide(flux - _shift(flux, 1), grid.weights, out=rhs.T)
+    f, c_face, dmu = _flux_divergence(c, mu, grid)
 
     beta = -p.sigma / dx**2
+    up, down = beta * _laplacian_columns(grid)  # d mu_k-1 / d c_k, d mu_k+1 / d c_k
     a = c_face / dx
     a_prev = _shift(a, 1)
     h = 0.5 * dmu / dx
     diag = 1.0 / c + np.array([[p.g11], [p.g22]]) - 2.0 * beta
     # d flux_f / d c_k of the same species, f = k - 3 ... k + 2
     dflux = np.zeros((6, 2, n))
-    np.multiply(beta, _shift(a_prev, 1), out=dflux[1])
-    np.add(_shift(h, 1), a_prev * (diag - beta), out=dflux[2])
-    np.add(h, a * (beta - diag), out=dflux[3])
-    np.multiply(-beta, _shift(a, -1), out=dflux[4])
-    if not grid.periodic:
-        # nothing reaches across a wall; a wall node's mu sees its neighbour twice
-        dflux[1, :, 0] = 0.0
-        dflux[2, :, 1] -= beta * a_prev[:, 1]
-        dflux[3, :, -2] += beta * a[:, -2]
-        dflux[4, :, -1] = 0.0
+    np.multiply(up, _shift(a_prev, 1), out=dflux[1])
+    np.add(_shift(h, 1), a_prev * (diag - up), out=dflux[2])
+    np.add(h, a * (down - diag), out=dflux[3])
+    np.multiply(-down, _shift(a, -1), out=dflux[4])
     # d flux_f / d c_k of the other species, f = k - 2 ... k + 1
     ga = p.g12 * a[::-1]
     xflux = np.zeros((4, 2, n))
@@ -330,9 +314,9 @@ def _rhs_and_band(
     by_species[1:6:2, 1] = cross[:, 1]
     by_species[3:8:2, 0] = cross[:, 0]
     # the one finiteness check per band: the step solves skip their own
-    if not (np.isfinite(rhs).all() and np.isfinite(band).all()):
+    if not (np.isfinite(f).all() and np.isfinite(band).all()):
         raise ValueError("array must not contain infs or NaNs")
-    return rhs.reshape(2 * n), band.reshape(2 * _BANDWIDTH + 1, 2 * n)
+    return f.T.reshape(2 * n), band.reshape(2 * _BANDWIDTH + 1, 2 * n)
 
 
 @lru_cache(maxsize=16)

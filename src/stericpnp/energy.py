@@ -44,6 +44,7 @@ from .errors import ParameterError, RegimeError
 from .model import Grid, ModelParams, Profile
 
 _ArrayLike = float | np.ndarray
+_SEGREGATED_NODES = 2001  # segregated_comparison's quadrature grid on [-1, 1]
 
 
 def free_energy_density(c1: _ArrayLike, c2: _ArrayLike, p: ModelParams) -> _ArrayLike:
@@ -101,12 +102,16 @@ class ConvexityClass:
     eig_max: float
 
 
+def _eig2(tr: float, det: float) -> tuple[float, float]:
+    """Eigenvalues (lo, hi) of a 2x2 matrix with real spectrum, from its
+    trace and determinant; a negative discriminant is rounding and reads 0."""
+    root = np.sqrt(max(tr * tr - 4.0 * det, 0.0))
+    return (tr - root) / 2.0, (tr + root) / 2.0
+
+
 def convexity_class(p: ModelParams) -> ConvexityClass:
     """Classify G: positive semidefinite G keeps h convex for all c > 0."""
-    tr = p.g11 + p.g22
-    det = p.g11 * p.g22 - p.g12**2
-    disc = np.sqrt(max(tr * tr - 4.0 * det, 0.0))
-    lo, hi = (tr - disc) / 2.0, (tr + disc) / 2.0
+    lo, hi = _eig2(p.g11 + p.g22, p.g11 * p.g22 - p.g12**2)
     return ConvexityClass(is_convex=bool(lo >= 0.0), eig_min=float(lo), eig_max=float(hi))
 
 
@@ -186,16 +191,14 @@ class SegregatedComparison:
         return self.entropy_hom + self.steric_hom + self.electrostatic_hom
 
 
-def segregated_comparison(
-    n_freq: int, cbar: float, g12: float, n_nodes: int = 2001
-) -> SegregatedComparison:
+def segregated_comparison(n_freq: int, cbar: float, g12: float) -> SegregatedComparison:
     """Quadrature both sides of the segregation energy contest on [-1, 1].
 
     In SegregatedComparison's convention, not dynamics.discrete_energy's.
     """
     from .model import DomainSpec, make_grid
 
-    grid = make_grid(DomainSpec(L=1.0), n_nodes)
+    grid = make_grid(DomainSpec(L=1.0), _SEGREGATED_NODES)
     prof = segregated_pattern(n_freq, cbar, grid)
     ent_seg = _fd.trapz(
         xlogy(prof.c1, prof.c1 / cbar) - prof.c1 + xlogy(prof.c2, prof.c2 / cbar) - prof.c2,

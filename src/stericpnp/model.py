@@ -32,6 +32,7 @@ from .errors import ParameterError
 
 # Electroneutrality is enforced to this absolute tolerance.
 NEUTRALITY_TOL = 1e-12
+_MIN_POINTS = 8  # make_grid, make_periodic_grid: fewest nodes accepted
 
 
 @dataclass(frozen=True)
@@ -176,21 +177,21 @@ class Grid:
         return 2.0 * self.L
 
 
-def make_grid(domain: DomainSpec | float, n: int, min_points: int = 8) -> Grid:
+def make_grid(domain: DomainSpec | float, n: int) -> Grid:
     """Electrode grid with n nodes on [-L, L], endpoints included."""
     L = domain.L if isinstance(domain, DomainSpec) else float(domain)
-    if n < min_points:
-        raise ParameterError(f"grid needs at least {min_points} nodes, got {n}")
+    if n < _MIN_POINTS:
+        raise ParameterError(f"grid needs at least {_MIN_POINTS} nodes, got {n}")
     if L <= 0:
         raise ParameterError(f"half-length must be positive, got {L}")
     x = np.linspace(-L, L, n)
     return Grid(x=x, L=L, periodic=False)
 
 
-def make_periodic_grid(L: float, n: int, min_points: int = 8) -> Grid:
+def make_periodic_grid(L: float, n: int) -> Grid:
     """Periodic grid on [-L, L): n nodes, right endpoint excluded."""
-    if n < min_points:
-        raise ParameterError(f"grid needs at least {min_points} nodes, got {n}")
+    if n < _MIN_POINTS:
+        raise ParameterError(f"grid needs at least {_MIN_POINTS} nodes, got {n}")
     if L <= 0:
         raise ParameterError(f"half-length must be positive, got {L}")
     dx = 2.0 * L / n

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .energy import g12_critical, hessian
+from .energy import _eig2, g12_critical, hessian
 from .errors import NoOnsetError
 from .model import ModelParams
 
@@ -78,11 +78,8 @@ def growth_matrix(k: float, p: ModelParams, sigma: float | None = None) -> np.nd
 def _growth_eigs(k: float, p: ModelParams, sigma: float) -> tuple[float, float]:
     """Both eigenvalues of M(k), descending; closed-form 2x2 arithmetic."""
     M = growth_matrix(k, p, sigma)
-    tr = M[0, 0] + M[1, 1]
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    disc = tr * tr - 4.0 * det
-    root = np.sqrt(max(disc, 0.0))  # real by similarity to a symmetric matrix
-    return ((tr + root) / 2.0, (tr - root) / 2.0)
+    # real by similarity to a symmetric matrix
+    return _eig2(M[0, 0] + M[1, 1], M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])[::-1]
 
 
 def max_growth_rate(k: float, p: ModelParams, sigma: float | None = None) -> float:
@@ -259,7 +256,4 @@ def verify_onset(onset: OnsetResult, p: ModelParams) -> dict[str, float]:
 def min_hessian_eigenvalue(p: ModelParams) -> float:
     """Smaller eigenvalue of Hess h(cbar); negative iff D(cbar) < 0."""
     H = hessian(p.cbar1, p.cbar2, p)
-    tr = H[0, 0] + H[1, 1]
-    det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
-    disc = np.sqrt(max(tr * tr - 4.0 * det, 0.0))
-    return float((tr - disc) / 2.0)
+    return float(_eig2(H[0, 0] + H[1, 1], H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0])[0])

@@ -104,6 +104,7 @@ _CHEB_TAIL = 1e-13  # a series is resolved when its last 3 coefficients fall bel
 _NEWTON_MAX = 100  # Newton steps inverting x(s) at the Chebyshev points
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)  # _field_sq's rule on [0, 1]
 _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+_BRENT_RTOL = 4 * np.finfo(float).eps  # build_periodic's bracketed roots
 _CROSS_X_MAX = 0.5  # cross_d_zero: reach on each side of the crossing
 _CROSS_H = 1e-6  # cross_d_zero: Taylor step off the degenerate curve
 _CROSS_N_SIDE = 400  # cross_d_zero: geometric samples per side
@@ -622,15 +623,16 @@ def build_periodic(p: ModelParams, amplitude: float) -> PeriodicSolution:
     """Construct a periodic stationary profile around the bulk point.
 
     The turning points (E = 0) lie on the closed-form orbit through the
-    bulk point, at c2 = cbar2 + amplitude and cbar2 - amplitude; both must
-    lie inside the concavity region D < 0, where closed excursions around
-    the bulk point exist. The stress first integral fixes the field peak
-    at the bulk crossing from either side, E^2 = 2 [ptilde(cbar) -
-    ptilde(c_t)], as one quadrature along the orbit (_field_sq). The side
-    that builds the larger peak is shrunk by a bracketed root until the
-    two agree, and each half-length is a quadrature too (_half_orbit), so
-    no ODE is integrated. Raises NumericsError if the orbit leaves D < 0
-    between a turning point and the bulk.
+    bulk point, at c2 = cbar2 + amplitude and cbar2 - amplitude. The stress
+    first integral fixes the field peak at the bulk crossing from either
+    side, E^2 = 2 [ptilde(cbar) - ptilde(c_t)], as one quadrature along
+    the orbit (_field_sq). The side that builds the larger peak is shrunk
+    by a bracketed root until the two agree, and each half-length is a
+    quadrature too (_half_orbit), so no ODE is integrated. Closed
+    excursions exist only where D < 0: the side kept must lie there, and
+    a side that starts outside must be the one shrunk, its peak taken at
+    the window edge D = 0. Raises NumericsError if the orbit leaves D < 0
+    between a kept turning point and the bulk.
     """
     if not amplitude > 0:
         raise ParameterError(f"amplitude must be positive, got {amplitude}")
@@ -639,24 +641,33 @@ def build_periodic(p: ModelParams, amplitude: float) -> PeriodicSolution:
             f"amplitude {amplitude} must stay below cbar2 = {p.cbar2} to keep c2 positive"
         )
     c1_of = _orbit_maps(p, p.cbar1, p.cbar2)[0]
-    for c2 in (p.cbar2 + amplitude, p.cbar2 - amplitude):
-        _require_concave(hessian_det(c1_of(c2), c2, p), c2)
 
-    def peak_sq(c2_turn):
-        return float(_field_sq(p, c1_of, c2_turn, 1.0))
+    def d_at(a):
+        return hessian_det(c1_of(p.cbar2 + a), p.cbar2 + a, p)
 
-    top, bottom = peak_sq(p.cbar2 + amplitude), peak_sq(p.cbar2 - amplitude)
+    def peak_sq(a):
+        return float(_field_sq(p, c1_of, p.cbar2 + a, 1.0))
+
+    def reach(side):
+        """How far from the bulk towards cbar2 + side * amplitude D stays < 0."""
+        if d_at(side * amplitude) < 0:
+            return amplitude
+        _require_concave(d_at(0.0), p.cbar2)
+        return brentq(lambda a: d_at(side * a), 0.0, amplitude, xtol=1e-15, rtol=_BRENT_RTOL)
+
+    far = {side: reach(side) for side in (1.0, -1.0)}
+    top, bottom = peak_sq(far[1.0]), peak_sq(-far[-1.0])
     # the side that builds the larger field peak shrinks; the other keeps
-    # the full amplitude
+    # the full amplitude, so its turning point must lie inside the window
     side = 1.0 if top > bottom else -1.0
+    _require_concave(d_at(-side * amplitude), p.cbar2 - side * amplitude)
     kept = _half_orbit(p, c1_of, p.cbar2 - side * amplitude)
-    target = min(top, bottom)
     a_match = brentq(
-        lambda a: peak_sq(p.cbar2 + side * a) - target,
+        lambda a: peak_sq(side * a) - min(top, bottom),
         0.0,
-        amplitude,
+        far[side],
         xtol=1e-15,
-        rtol=4 * np.finfo(float).eps,
+        rtol=_BRENT_RTOL,
     )
     shrunk = _half_orbit(p, c1_of, p.cbar2 + side * a_match)
     half_a, half_b = (shrunk, kept) if side > 0 else (kept, shrunk)
@@ -677,26 +688,22 @@ def build_periodic(p: ModelParams, amplitude: float) -> PeriodicSolution:
     )
 
 
+def _fd4_shifts(arr: np.ndarray, periodic: bool) -> list[np.ndarray]:
+    """arr[j + k], k = -2 ... 2, on the nodes where five-point stencils fit."""
+    if periodic:
+        return [np.roll(arr, -k) for k in range(-2, 3)]
+    return [arr[2 + k : arr.size - 2 + k] for k in range(-2, 3)]
+
+
 def _fd4_first(arr: np.ndarray, h: float, periodic: bool) -> np.ndarray:
     """Fourth-order centered first derivative."""
-
-    def shift(k):
-        if periodic:
-            return np.roll(arr, -k)
-        return arr[2 + k : arr.size - 2 + k]
-
-    return (shift(-2) - 8.0 * shift(-1) + 8.0 * shift(1) - shift(2)) / (12.0 * h)
+    m2, m1, _, p1, p2 = _fd4_shifts(arr, periodic)
+    return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h)
 
 
 def _fd4_second(arr: np.ndarray, h: float, periodic: bool) -> np.ndarray:
-    def shift(k):
-        if periodic:
-            return np.roll(arr, -k)
-        return arr[2 + k : arr.size - 2 + k]
-
-    return (
-        -shift(-2) + 16.0 * shift(-1) - 30.0 * shift(0) + 16.0 * shift(1) - shift(2)
-    ) / (12.0 * h * h)
+    m2, m1, c0, p1, p2 = _fd4_shifts(arr, periodic)
+    return (-m2 + 16.0 * m1 - 30.0 * c0 + 16.0 * p1 - p2) / (12.0 * h * h)
 
 
 def stationary_residual_fd(

@@ -258,12 +258,50 @@ def test_periodic_amplitude_must_be_positive(amplitude):
 
 
 # P_SYM's orbit through the bulk has D < 0 for 0.364 < c2 < 1.721: at 0.9
-# both turning points lie outside (D = 3.26 and 17.3), at 0.7 one does
-# (D = -0.26 at c2 = 1.7, +1.36 at c2 = 0.3)
-@pytest.mark.parametrize("amplitude", [0.9, 0.7])
+# both turning points lie outside (D = 3.26 and 17.3)
+@pytest.mark.parametrize("amplitude", [0.9])
 def test_periodic_outside_the_concave_window_names_it(amplitude):
     with pytest.raises(NumericsError, match="concavity region"):
         build_periodic(P_SYM, amplitude)
+
+
+def test_periodic_shrinks_the_side_outside_the_concave_window():
+    # at 0.7 only the lower turning point lies outside (D = -0.26 at
+    # c2 = 1.7, +1.36 at c2 = 0.3); the upper one keeps the full amplitude,
+    # and the species swap, which maps P_SYM's orbit onto itself, puts the
+    # matched lower one at c2 = c1(1.7), inside the window
+    sol = build_periodic(P_SYM, 0.7)
+    assert sol.amp_a == 0.7
+    assert sol.turning_b[1] == pytest.approx(0.3796256890131222, rel=1e-12)
+    assert sol.turning_b[1] == pytest.approx(sol.turning_a[0], rel=1e-14)
+    assert sol.period == pytest.approx(2.883189554856995, rel=1e-9)
+    for turning, length in ((sol.turning_a, sol.x_a), (sol.turning_b, sol.x_b)):
+        ref = integrate_field_ivp(
+            P_SYM, turning, x_span=(0.0, 2.0 * sol.period), stop_at_neutral=True,
+            rtol=1e-12, atol=1e-14,
+        )
+        assert ref.status == "neutral"
+        assert ref.x_end == pytest.approx(length, rel=1e-9)
+    # the upper turning point sits 0.021 from the window edge, where the
+    # profile steepens: the fourth-order differences' truncation error falls
+    # as h^4 (c1: 3.9e-6 at 2048 samples, 1.5e-8 at 8192, 9.7e-10 at 16384)
+    x, c1, c2, E, phi = sol.sample(n_per_period=16384)
+    res = stationary_residual_fd(x, c1, c2, E, phi, P_SYM, periodic=True)
+    assert res["c1"] < 1e-8
+    assert res["c2"] < 1e-8
+    assert res["field"] < 1e-9
+    assert res["potential_gradient"] < 1e-7
+    assert res["poisson"] < 1e-4
+
+
+def test_periodic_side_that_cannot_match_names_the_window():
+    # on this orbit D < 0 for 0.790 < c2 < 5.83: at amplitude 1.3 the upper
+    # turning point c2 = 3.31 lies inside, the lower one, 0.71, outside, and
+    # even the lower window edge builds a smaller field peak than c2 = 3.31
+    p = make_params(1, -1, 3.4, 0.6, 2.65, 2.0, 2.01)
+    build_periodic(p, 1.2)
+    with pytest.raises(NumericsError, match="between the turning point c2 = 0.71 "):
+        build_periodic(p, 1.3)
 
 
 def test_small_amplitude_period_tends_to_the_linear_one():
