@@ -9,10 +9,12 @@ continuation/relaxation branch mapping.
 Every run reads a flat INI config (sections of key=value pairs), optionally
 patched by repeated ``--set section.key=value`` flags, and writes its
 products into a single output directory together with ``manifest.json``
-(config hash, package version, argv, seeds). All randomness is seeded, so a
-run is reproducible from its manifest: same config and seed give bit
-identical CSV output. Numbers in CSV files carry 17 significant digits;
-JSON files are written with sorted keys.
+(config hash, package version, argv, seeds). Each key sets one library
+argument; a key the config leaves out is not passed on, so that argument
+keeps the library's own default. All randomness is seeded, so a run is
+reproducible from its manifest: same config and seed give bit identical
+CSV output. Numbers in CSV files carry 17 significant digits; JSON files
+are written with sorted keys.
 
 Exit codes: 0 success, 2 configuration error (including a parameter value
 the model rejects, such as sigma < 0), 3 numerical failure,
@@ -27,14 +29,14 @@ import configparser
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._fd import trapz
 from .continuation import run_combined, save_branchset
-from .dynamics import discrete_energy, electrode_bc, evolve, periodic_bc
+from .dynamics import add_noise, discrete_energy, electrode_bc, evolve, periodic_bc
 from .energy import (
     concave_window_bounds,
     convexity_class,
@@ -48,7 +50,6 @@ from .errors import NumericsError, ParameterError, RegimeError
 from .model import (
     DomainSpec,
     ModelParams,
-    Profile,
     homogeneous_profile,
     make_grid,
     make_params,
@@ -69,31 +70,62 @@ EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 EXIT_REGIME = 4
 
+_GRID_N = 96  # nodes when [grid] sets no n; the grid builders have no default
+
 
 class ConfigError(Exception):
     """Malformed config file, unknown key, or missing required entry."""
 
 
-# Allowed keys per section. Unknown sections and unknown keys are rejected
-# outright so a typo cannot silently fall back to a default.
+def _flag(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+def _int_list(raw: str) -> list[int]:
+    return [int(tok) for tok in raw.split(",") if tok.strip()]
+
+
+def _one_of(*names: str):
+    def read(raw: str) -> str:
+        if raw.lower() not in names:
+            raise ValueError(f"must be one of {', '.join(names)}, got {raw!r}")
+        return raw.lower()
+
+    return read
+
+
+# Section -> key -> converter from the INI string. Unknown sections and
+# unknown keys are rejected outright so a typo cannot silently fall back
+# to a default.
 _SCHEMA = {
-    "model": {"z1", "z2", "g11", "g22", "g12", "cbar1", "cbar2", "rho0", "sigma"},
-    "domain": {"l", "phi_left", "phi_right"},
-    "grid": {"n"},
-    "output": {"dir"},
-    "energy": {"c1", "c2", "n_freq", "cbar_segregated"},
-    "trajectory": {"c1_0", "c2_0", "c2_min", "c2_max", "samples_per_leg"},
-    "periodic": {"amplitude", "samples", "periods"},
-    "ivp": {"c1_0", "c2_0", "e0", "x_max", "stop_at_neutral", "samples"},
-    "dispersion": {"k_min", "k_max", "count", "log_spaced", "sigma"},
-    "onset": set(),
-    "wnl": {"map", "asym_min", "asym_max", "asym_steps",
-            "g12_min", "g12_max", "g12_steps", "g_sum", "cbar"},
-    "evolve": {"t_end", "dt0", "dt_max", "steady_tol", "bc",
-               "perturb_amp", "perturb_mode", "perturb_seed"},
-    "continue": {"param", "lo", "hi", "start", "ds0", "max_points",
-                 "max_branches", "probe_stride", "probe_t_end",
-                 "probe_seed", "tol_scale"},
+    "model": dict.fromkeys(
+        ("z1", "z2", "g11", "g22", "g12", "cbar1", "cbar2", "rho0", "sigma"), float
+    ),
+    "domain": dict.fromkeys(("l", "phi_left", "phi_right"), float),
+    "grid": {"n": int},
+    "output": {"dir": str},
+    "energy": {"c1": float, "c2": float, "n_freq": _int_list, "cbar_segregated": float},
+    "trajectory": {"c1_0": float, "c2_0": float, "c2_min": float, "c2_max": float,
+                   "samples_per_leg": int},
+    "periodic": {"amplitude": float, "samples": int, "periods": int},
+    "ivp": {"c1_0": float, "c2_0": float, "e0": float, "x_max": float,
+            "stop_at_neutral": _flag, "samples": int},
+    "dispersion": {"k_min": float, "k_max": float, "count": int, "log_spaced": _flag,
+                   "sigma": float},
+    "onset": {},
+    "wnl": {"map": _flag, "asym_min": float, "asym_max": float, "asym_steps": int,
+            "g12_min": float, "g12_max": float, "g12_steps": int, "g_sum": float,
+            "cbar": float},
+    "evolve": {"t_end": float, "dt0": float, "dt_max": float, "steady_tol": float,
+               "bc": _one_of("electrode", "periodic"), "perturb_amp": float,
+               "perturb_mode": int, "perturb_seed": int},
+    "continue": {"param": _one_of("sigma", "voltage"), "lo": float, "hi": float,
+                 "start": float, "ds0": float, "max_points": int, "max_branches": int,
+                 "probe_stride": int, "probe_t_end": float, "probe_seed": int,
+                 "tol_scale": float},
 }
 
 
@@ -117,7 +149,7 @@ def _load_config(path: str, overrides: list[str]) -> configparser.ConfigParser:
     for section in cfg.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        extra = set(cfg[section]) - _SCHEMA[section]
+        extra = set(cfg[section]) - set(_SCHEMA[section])
         if extra:
             raise ConfigError(
                 f"unknown key(s) in [{section}]: {', '.join(sorted(extra))}"
@@ -125,83 +157,49 @@ def _load_config(path: str, overrides: list[str]) -> configparser.ConfigParser:
     return cfg
 
 
-def _fval(cfg, section: str, key: str, default: float | None = None) -> float:
-    if not cfg.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"missing required key {key} in [{section}]")
-        return default
-    try:
-        return cfg.getfloat(section, key)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} is not a number") from exc
+def _section(cfg, name: str, required: tuple[str, ...] = ()) -> dict:
+    """The keys that [name] sets, each converted by _SCHEMA.
+
+    ConfigError if a required key is missing or a value does not convert.
+    """
+    raw = dict(cfg[name]) if cfg.has_section(name) else {}
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"missing required key {key} in [{name}]")
+    out = {}
+    for key, text in raw.items():
+        try:
+            out[key] = _SCHEMA[name][key](text)
+        except ValueError as exc:
+            raise ConfigError(f"[{name}] {key}: {exc}") from exc
+    return out
 
 
-def _ival(cfg, section: str, key: str, default: int | None = None) -> int:
-    if not cfg.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"missing required key {key} in [{section}]")
-        return default
-    try:
-        return cfg.getint(section, key)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} is not an integer") from exc
-
-
-def _bval(cfg, section: str, key: str, default: bool) -> bool:
-    if not cfg.has_option(section, key):
-        return default
-    try:
-        return cfg.getboolean(section, key)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} is not a boolean") from exc
+def _renamed(opts: dict, **names: str) -> dict:
+    """opts with each config key in names replaced by the argument it sets."""
+    return {names.get(key, key): value for key, value in opts.items()}
 
 
 def _model_from(cfg) -> ModelParams:
-    if not cfg.has_section("model"):
-        raise ConfigError("config needs a [model] section")
-    rho0 = _fval(cfg, "model", "rho0", np.nan)
-    return make_params(
-        z1=_fval(cfg, "model", "z1"),
-        z2=_fval(cfg, "model", "z2"),
-        g11=_fval(cfg, "model", "g11"),
-        g22=_fval(cfg, "model", "g22"),
-        g12=_fval(cfg, "model", "g12"),
-        cbar1=_fval(cfg, "model", "cbar1"),
-        cbar2=_fval(cfg, "model", "cbar2"),
-        rho0=None if np.isnan(rho0) else rho0,
-        sigma=_fval(cfg, "model", "sigma", 0.0),
-    )
+    return make_params(**_section(
+        cfg, "model", required=("z1", "z2", "g11", "g22", "g12", "cbar1", "cbar2")
+    ))
 
 
 def _domain_from(cfg) -> DomainSpec:
-    if not cfg.has_section("domain"):
-        raise ConfigError("this command needs a [domain] section")
-    return DomainSpec(
-        L=_fval(cfg, "domain", "l"),
-        phi_left=_fval(cfg, "domain", "phi_left", 0.0),
-        phi_right=_fval(cfg, "domain", "phi_right", 0.0),
-    )
+    opts = _section(cfg, "domain", required=("l",))
+    return DomainSpec(opts.pop("l"), **opts)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
+def _json_default(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(outdir: Path, name: str, payload: dict) -> str:
     with open(outdir / name, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True, default=_json_default)
         fh.write("\n")
     return name
 
@@ -226,12 +224,13 @@ def _cell(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each returns (products, manifest extras)
 
 
-def _cmd_energy(cfg, p, outdir: Path) -> list[str]:
-    c1 = _fval(cfg, "energy", "c1", p.cbar1)
-    c2 = _fval(cfg, "energy", "c2", p.cbar2)
+def _cmd_energy(cfg, p, outdir: Path) -> tuple[list[str], dict]:
+    opts = {"c1": p.cbar1, "c2": p.cbar2, "n_freq": [1, 2, 4],
+            "cbar_segregated": p.cbar1} | _section(cfg, "energy")
+    c1, c2 = opts["c1"], opts["c2"]
     conv = convexity_class(p)
     try:
         window = list(concave_window_bounds(p))
@@ -250,42 +249,19 @@ def _cmd_energy(cfg, p, outdir: Path) -> list[str]:
         "g12_crit": g12_critical(p),
         "concave_window": window,
     }
-    outputs = [_write_json(outdir, "energy.json", payload)]
-    raw = cfg.get("energy", "n_freq", fallback="1,2,4")
-    try:
-        n_freqs = [int(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError("[energy] n_freq must be a comma list of integers") from exc
-    cbar_seg = _fval(cfg, "energy", "cbar_segregated", p.cbar1)
-    rows = {k: [] for k in (
-        "n_freq", "entropy_seg", "steric_seg", "electrostatic_seg",
-        "entropy_hom", "steric_hom", "electrostatic_hom", "total_seg", "total_hom",
-    )}
-    for nf in n_freqs:
-        cmp_ = segregated_comparison(nf, cbar_seg, p.g12)
-        rows["n_freq"].append(nf)
-        for key in ("entropy_seg", "steric_seg", "electrostatic_seg",
-                    "entropy_hom", "steric_hom", "electrostatic_hom"):
-            rows[key].append(getattr(cmp_, key))
-        rows["total_seg"].append(cmp_.total_seg)
-        rows["total_hom"].append(cmp_.total_hom)
-    header = list(rows)
-    outputs.append(_write_csv(outdir, "segregated.csv", header,
-                              [rows[k] for k in header]))
-    return outputs
+    fields = ("entropy_seg", "steric_seg", "electrostatic_seg", "entropy_hom",
+              "steric_hom", "electrostatic_hom", "total_seg", "total_hom")
+    cmps = [segregated_comparison(nf, opts["cbar_segregated"], p.g12)
+            for nf in opts["n_freq"]]
+    return [
+        _write_json(outdir, "energy.json", payload),
+        _write_csv(outdir, "segregated.csv", ["n_freq", *fields],
+                   [opts["n_freq"], *([getattr(c, f) for c in cmps] for f in fields)]),
+    ], {}
 
 
-def _cmd_trajectory(cfg, p, outdir: Path) -> list[str]:
-    c1_0 = _fval(cfg, "trajectory", "c1_0")
-    c2_0 = _fval(cfg, "trajectory", "c2_0")
-    span = (_fval(cfg, "trajectory", "c2_min", 1e-6),
-            _fval(cfg, "trajectory", "c2_max", 1e6))
-    res = compute_trajectory(
-        p, c1_0, c2_0, c2_span=span,
-        samples_per_leg=_ival(cfg, "trajectory", "samples_per_leg", 800),
-    )
-    outputs = [_write_csv(outdir, "trajectory.csv", ["c2", "c1", "det_hessian"],
-                          [res.c2, res.c1, res.d_values])]
+def _cmd_trajectory(cfg, p, outdir: Path) -> tuple[list[str], dict]:
+    res = compute_trajectory(p, **_section(cfg, "trajectory", required=("c1_0", "c2_0")))
     payload = {
         "classification": classify_trajectory(res),
         "start": list(res.start),
@@ -293,18 +269,17 @@ def _cmd_trajectory(cfg, p, outdir: Path) -> list[str]:
         "d_zero_points": res.d_zero_points,
         "d_at_neutral": res.d_at_neutral,
     }
-    outputs.append(_write_json(outdir, "trajectory.json", payload))
-    return outputs
+    return [
+        _write_csv(outdir, "trajectory.csv", ["c2", "c1", "det_hessian"],
+                   [res.c2, res.c1, res.d_values]),
+        _write_json(outdir, "trajectory.json", payload),
+    ], {}
 
 
-def _cmd_periodic(cfg, p, outdir: Path) -> list[str]:
-    sol = build_periodic(p, amplitude=_fval(cfg, "periodic", "amplitude"))
-    x, c1, c2, E, phi = sol.sample(
-        n_per_period=_ival(cfg, "periodic", "samples", 1024),
-        periods=_ival(cfg, "periodic", "periods", 1),
-    )
-    outputs = [_write_csv(outdir, "periodic.csv", ["x", "c1", "c2", "E", "phi"],
-                          [x, c1, c2, E, phi])]
+def _cmd_periodic(cfg, p, outdir: Path) -> tuple[list[str], dict]:
+    opts = _section(cfg, "periodic", required=("amplitude",))
+    sol = build_periodic(p, amplitude=opts.pop("amplitude"))
+    x, c1, c2, E, phi = sol.sample(**_renamed(opts, samples="n_per_period"))
     payload = {
         "period": sol.period,
         "amp_a": sol.amp_a,
@@ -312,22 +287,22 @@ def _cmd_periodic(cfg, p, outdir: Path) -> list[str]:
         "e_peak": sol.e_peak,
         "residuals": stationary_residual_fd(x, c1, c2, E, phi, p, periodic=True),
     }
-    outputs.append(_write_json(outdir, "periodic.json", payload))
-    return outputs
+    return [
+        _write_csv(outdir, "periodic.csv", ["x", "c1", "c2", "E", "phi"],
+                   [x, c1, c2, E, phi]),
+        _write_json(outdir, "periodic.json", payload),
+    ], {}
 
 
-def _cmd_ivp(cfg, p, outdir: Path) -> list[str]:
-    sol = integrate_field_ivp(
-        p,
-        c0=(_fval(cfg, "ivp", "c1_0"), _fval(cfg, "ivp", "c2_0")),
-        E0=_fval(cfg, "ivp", "e0", 0.0),
-        x_span=(0.0, _fval(cfg, "ivp", "x_max", 50.0)),
-        stop_at_neutral=_bval(cfg, "ivp", "stop_at_neutral", False),
-    )
-    x = np.linspace(sol.x_start, sol.x_end, _ival(cfg, "ivp", "samples", 2001))
+def _cmd_ivp(cfg, p, outdir: Path) -> tuple[list[str], dict]:
+    opts = {"samples": 2001} | _section(cfg, "ivp", required=("c1_0", "c2_0"))
+    c0 = (opts.pop("c1_0"), opts.pop("c2_0"))
+    samples = opts.pop("samples")
+    if "x_max" in opts:
+        opts["x_span"] = (0.0, opts.pop("x_max"))
+    sol = integrate_field_ivp(p, c0, **_renamed(opts, e0="E0"))
+    x = np.linspace(sol.x_start, sol.x_end, samples)
     c1, c2, E, phi = sol.at(x)
-    outputs = [_write_csv(outdir, "ivp.csv", ["x", "c1", "c2", "E", "phi"],
-                          [x, c1, c2, E, phi])]
     payload = {
         "x_start": sol.x_start,
         "x_end": sol.x_end,
@@ -335,127 +310,80 @@ def _cmd_ivp(cfg, p, outdir: Path) -> list[str]:
         "blow_up": sol.blow_up,
         "symmetric": sol.symmetric,
     }
-    outputs.append(_write_json(outdir, "ivp.json", payload))
-    return outputs
+    return [
+        _write_csv(outdir, "ivp.csv", ["x", "c1", "c2", "E", "phi"], [x, c1, c2, E, phi]),
+        _write_json(outdir, "ivp.json", payload),
+    ], {}
 
 
-def _cmd_dispersion(cfg, p, outdir: Path) -> list[str]:
-    k_min = _fval(cfg, "dispersion", "k_min", 0.1)
-    k_max = _fval(cfg, "dispersion", "k_max", 20.0)
-    count = _ival(cfg, "dispersion", "count", 256)
-    if _bval(cfg, "dispersion", "log_spaced", False):
-        if k_min <= 0:
+def _cmd_dispersion(cfg, p, outdir: Path) -> tuple[list[str], dict]:
+    opts = {"k_min": 0.1, "k_max": 20.0, "count": 256,
+            "log_spaced": False} | _section(cfg, "dispersion")
+    k_range = (opts.pop("k_min"), opts.pop("k_max"), opts.pop("count"))
+    if opts.pop("log_spaced"):
+        if k_range[0] <= 0:
             raise ConfigError("[dispersion] log_spaced needs k_min > 0")
-        k = np.geomspace(k_min, k_max, count)
+        k = np.geomspace(*k_range)
     else:
-        k = np.linspace(k_min, k_max, count)
-    sigma = _fval(cfg, "dispersion", "sigma", p.sigma)
-    res = dispersion(k, p, sigma=sigma)
-    outputs = [_write_csv(outdir, "dispersion.csv", ["k", "rate"],
-                          [res.k, res.rate])]
-    outputs.append(_write_json(outdir, "dispersion.json", {
-        "sigma": res.sigma,
-        "rate_max": float(np.max(res.rate)),
-        "k_at_max": float(res.k[int(np.argmax(res.rate))]),
-    }))
-    return outputs
+        k = np.linspace(*k_range)
+    res = dispersion(k, p, **opts)
+    return [
+        _write_csv(outdir, "dispersion.csv", ["k", "rate"], [res.k, res.rate]),
+        _write_json(outdir, "dispersion.json", {
+            "sigma": res.sigma,
+            "rate_max": float(np.max(res.rate)),
+            "k_at_max": float(res.k[int(np.argmax(res.rate))]),
+        }),
+    ], {}
 
 
-def _cmd_onset(cfg, p, outdir: Path) -> list[str]:
+def _cmd_onset(cfg, p, outdir: Path) -> tuple[list[str], dict]:
     onset = find_onset(p)
-    payload = {
-        "sigma_c": onset.sigma_c,
-        "k_c": onset.k_c,
-        "g12_crit": onset.g12_crit,
-        "v0": onset.v0,
-        "v_kc": onset.v_kc,
-        "residual_rate": onset.residual_rate,
-        "residual_slope": onset.residual_slope,
-        "polynomial_residuals": verify_onset(onset, p),
-    }
-    return [_write_json(outdir, "onset.json", payload)]
+    payload = {**asdict(onset), "polynomial_residuals": verify_onset(onset, p)}
+    return [_write_json(outdir, "onset.json", payload)], {}
 
 
-def _cmd_wnl(cfg, p, outdir: Path) -> list[str]:
-    onset = find_onset(p)
-    coeffs = amplitude_coefficients(onset, p)
-    payload = {
-        "sigma_c": coeffs.sigma_c,
-        "k_c": coeffs.k_c,
-        "v_kc": coeffs.v_kc,
-        "gamma": coeffs.gamma,
-        "a": coeffs.a,
-        "b": coeffs.b,
-        "beta0_sq": coeffs.beta0_sq,
-        "criticality": coeffs.criticality,
-    }
-    outputs = [_write_json(outdir, "wnl.json", payload)]
-    if _bval(cfg, "wnl", "map", False):
-        asym = np.linspace(_fval(cfg, "wnl", "asym_min", 0.0),
-                           _fval(cfg, "wnl", "asym_max", 1.8),
-                           _ival(cfg, "wnl", "asym_steps", 10))
-        g12v = np.linspace(_fval(cfg, "wnl", "g12_min", 2.0),
-                           _fval(cfg, "wnl", "g12_max", 4.0),
-                           _ival(cfg, "wnl", "g12_steps", 11))
-        cmap = criticality_map(asym, g12v,
-                               g_sum=_fval(cfg, "wnl", "g_sum", 4.0),
-                               cbar=_fval(cfg, "wnl", "cbar", 1.0))
-        rows = {"asymmetry": [], "g12": [], "tag": [],
-                "sigma_c": [], "k_c": [], "beta0_sq": []}
-        for i, a_ in enumerate(cmap.asymmetry):
-            for j, g_ in enumerate(cmap.g12):
-                rows["asymmetry"].append(a_)
-                rows["g12"].append(g_)
-                rows["tag"].append(cmap.tags[i][j])
-                rows["sigma_c"].append(cmap.sigma_c[i, j])
-                rows["k_c"].append(cmap.k_c[i, j])
-                rows["beta0_sq"].append(cmap.beta0_sq[i, j])
-        header = list(rows)
+def _cmd_wnl(cfg, p, outdir: Path) -> tuple[list[str], dict]:
+    coeffs = amplitude_coefficients(find_onset(p), p)
+    outputs = [_write_json(outdir, "wnl.json", asdict(coeffs))]
+    opts = {"map": False, "asym_min": 0.0, "asym_max": 1.8, "asym_steps": 10,
+            "g12_min": 2.0, "g12_max": 4.0, "g12_steps": 11} | _section(cfg, "wnl")
+    if opts.pop("map"):
+        asym = np.linspace(opts.pop("asym_min"), opts.pop("asym_max"), opts.pop("asym_steps"))
+        g12v = np.linspace(opts.pop("g12_min"), opts.pop("g12_max"), opts.pop("g12_steps"))
+        cmap = criticality_map(asym, g12v, **opts)
+        a_, g_ = np.meshgrid(cmap.asymmetry, cmap.g12, indexing="ij")
+        header = ["asymmetry", "g12", "tag", "sigma_c", "k_c", "beta0_sq"]
+        columns = [a_, g_, cmap.tags, cmap.sigma_c, cmap.k_c, cmap.beta0_sq]
         outputs.append(_write_csv(outdir, "criticality_map.csv", header,
-                                  [rows[k] for k in header]))
-    return outputs
+                                  [c.ravel() for c in columns]))
+    return outputs, {}
 
 
 def _cmd_evolve(cfg, p, outdir: Path) -> tuple[list[str], dict]:
     d = _domain_from(cfg)
-    n = _ival(cfg, "grid", "n", 96)
-    kind = cfg.get("evolve", "bc", fallback="electrode").strip().lower()
-    if kind == "periodic":
-        grid = make_periodic_grid(d.L, n)
-        bc = periodic_bc()
-    elif kind == "electrode":
-        grid = make_grid(d, n)
-        bc = electrode_bc(d.phi_left, d.phi_right)
+    n = _section(cfg, "grid").get("n", _GRID_N)
+    opts = {"bc": "electrode", "perturb_amp": 0.0, "perturb_mode": 0,
+            "perturb_seed": 0} | _section(cfg, "evolve", required=("t_end",))
+    periodic = opts.pop("bc") == "periodic"
+    if periodic:
+        grid, bc = make_periodic_grid(d.L, n), periodic_bc()
     else:
-        raise ConfigError("[evolve] bc must be electrode or periodic")
+        grid, bc = make_grid(d, n), electrode_bc(d.phi_left, d.phi_right)
     prof = homogeneous_profile(grid, p)
-    amp = _fval(cfg, "evolve", "perturb_amp", 0.0)
-    mode = _ival(cfg, "evolve", "perturb_mode", 0)
-    seed = _ival(cfg, "evolve", "perturb_seed", 0)
+    amp, mode, seed = (opts.pop(k) for k in ("perturb_amp", "perturb_mode", "perturb_seed"))
     if amp != 0.0:
         if mode >= 1:
-            if kind == "periodic":
-                shape = np.cos(mode * np.pi * (grid.x + grid.L) / grid.L)
-            else:
-                shape = np.cos(mode * np.pi * (grid.x + grid.L) / (2.0 * grid.L))
+            # `mode` whole wavelengths around the ring, `mode` half
+            # wavelengths (a Neumann cosine) between the walls
+            scale = grid.L if periodic else 2.0 * grid.L
+            shape = np.cos(mode * np.pi * (grid.x + grid.L) / scale)
             prof.c1 += amp * shape
             prof.c2 -= amp * shape
         else:
-            rng = np.random.default_rng(seed)
-            for arr in (prof.c1, prof.c2):
-                delta = amp * rng.standard_normal(arr.size)
-                # zero mean in the grid's quadrature, so the masses that
-                # evolve conserves stay at 2 L cbar
-                delta -= trapz(delta, grid) / (2.0 * grid.L)
-                arr += delta
+            add_noise(prof, amp, seed)
         prof = prof.require_positive(1e-10)
-    res = evolve(
-        p, prof, bc,
-        t_end=_fval(cfg, "evolve", "t_end"),
-        dt0=_fval(cfg, "evolve", "dt0", 1e-3),
-        dt_max=_fval(cfg, "evolve", "dt_max", 0.25),
-        steady_tol=_fval(cfg, "evolve", "steady_tol", 1e-8),
-    )
+    res = evolve(p, prof, bc, **opts)
     outputs = [
         _write_csv(outdir, "timeseries.csv", ["t", "energy", "mass1", "mass2"],
                    [res.times, res.energy, res.mass1, res.mass2]),
@@ -479,27 +407,15 @@ def _cmd_evolve(cfg, p, outdir: Path) -> tuple[list[str], dict]:
 
 def _cmd_continue(cfg, p, outdir: Path) -> tuple[list[str], dict]:
     d = _domain_from(cfg)
-    n = _ival(cfg, "grid", "n", 96)
-    param = cfg.get("continue", "param", fallback="sigma").strip().lower()
-    if param not in ("sigma", "voltage"):
-        raise ConfigError("[continue] param must be sigma or voltage")
-    lo = _fval(cfg, "continue", "lo")
-    hi = _fval(cfg, "continue", "hi")
-    start = _fval(cfg, "continue", "start", np.nan)
-    probe_seed = _ival(cfg, "continue", "probe_seed", 0)
+    n = _section(cfg, "grid").get("n", _GRID_N)
+    opts = {"param": "sigma"} | _section(cfg, "continue", required=("lo", "hi"))
+    # the manifest records the probe seed, so it is fixed here rather than
+    # left to run_combined's default
+    opts.setdefault("probe_seed", 0)
+    param, lo, hi = opts.pop("param"), opts.pop("lo"), opts.pop("hi")
     grid = make_grid(d, n)
-    seeds = [homogeneous_profile(grid, p)]
-    bs = run_combined(
-        seeds, p, d, param, (lo, hi), n=n,
-        param_start=None if np.isnan(start) else start,
-        tol_scale=_fval(cfg, "continue", "tol_scale", 1e-4),
-        ds0=_fval(cfg, "continue", "ds0", 0.01),
-        max_points=_ival(cfg, "continue", "max_points", 300),
-        max_branches=_ival(cfg, "continue", "max_branches", 12),
-        probe_stride=_ival(cfg, "continue", "probe_stride", 1),
-        probe_t_end=_fval(cfg, "continue", "probe_t_end", 200.0),
-        probe_seed=probe_seed,
-    )
+    bs = run_combined([homogeneous_profile(grid, p)], p, d, param, (lo, hi), n=n,
+                      **_renamed(opts, start="param_start"))
     save_branchset(bs, grid, outdir / "branches")
     summary = {
         "param": param,
@@ -519,7 +435,7 @@ def _cmd_continue(cfg, p, outdir: Path) -> tuple[list[str], dict]:
     }
     outputs = ["branches/branches.json",
                _write_json(outdir, "continue.json", summary)]
-    return outputs, {"probe_seed": probe_seed}
+    return outputs, {"probe_seed": opts["probe_seed"]}
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +485,7 @@ def main(argv: list[str] | None = None) -> int:
         p = _model_from(cfg)
         outdir = Path(args.out or cfg.get("output", "dir", fallback=f"run_{args.command}"))
         outdir.mkdir(parents=True, exist_ok=True)
-        result = _COMMANDS[args.command](cfg, p, outdir)
-        outputs, extra = result if isinstance(result, tuple) else (result, {})
+        outputs, extra = _COMMANDS[args.command](cfg, p, outdir)
         manifest = {
             "command": args.command,
             "config": str(args.config),

@@ -61,6 +61,7 @@ from scipy.linalg import solve_banded
 from ._fd import _laplacian_columns, gradient, second_derivative, trapz
 from .dynamics import (
     BoundaryConditions,
+    add_noise,
     chemical_potential,
     electrode_bc,
     evolve,
@@ -182,12 +183,13 @@ def _apply_param(
 
 def _assemble(
     u: np.ndarray, p: ModelParams, grid: Grid, bc: BoundaryConditions
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Residual and Jacobian blocks at u.
 
-    Returns (r, ab, C, D, E): full residual (3n + 2), the core band in
+    Returns (r, ab, C, D): full residual (3n + 2), the core band in
     solve_banded storage (2*_BAND + 1, 3n), the dense multiplier columns
-    C (3n, 2), the mass rows D (2, 3n), and E = dD/dlam = 0 (2, 2).
+    C (3n, 2) and the mass rows D (2, 3n). The mass rows do not depend on
+    the multipliers, so the 2 x 2 corner of the Jacobian is zero.
     """
     n = grid.n
     dx2 = grid.dx**2
@@ -251,19 +253,18 @@ def _assemble(
     D = np.zeros((2, m))
     D[0, 0:m:3] = w
     D[1, 1:m:3] = w
-    E = np.zeros((2, 2))
-    return r, ab, C, D, E
+    return r, ab, C, D
 
 
 def _solve_bordered(
+    f: np.ndarray,
+    g: np.ndarray,
     ab: np.ndarray,
     C: np.ndarray,
     D: np.ndarray,
-    E: np.ndarray,
-    f: np.ndarray,
-    g: np.ndarray,
+    E: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Solve [[B, C], [D, E]] [x; y] = [f; g] with B banded.
+    """Solve [[B, C], [D, E]] [x; y] = [f; g] with B banded, E zero if None.
 
     One banded factorization over k+1 right-hand sides, then a k x k
     Schur complement for the border unknowns.
@@ -272,7 +273,7 @@ def _solve_bordered(
     X = solve_banded((_BAND, _BAND), ab, rhs)
     xf = X[:, 0]
     XC = X[:, 1:]
-    S = E - D @ XC
+    S = -(D @ XC) if E is None else E - D @ XC
     y = np.linalg.solve(S, g - D @ xf)
     return np.concatenate([xf - XC @ y, y])
 
@@ -310,32 +311,33 @@ def _initial_vector(
 
 
 def _damped_newton(w: np.ndarray, system, max_iter: int) -> tuple[np.ndarray, int]:
-    """Damped Newton on system(w) = (r, ab, C, D, E); returns (w, iterations).
+    """Damped Newton on system(w) = (r, ab, C, D[, E]); returns (w, iterations).
 
-    The first ab.shape[1] entries of w are the nodes' (c1, c2, phi), the
-    rest border unknowns. A step is halved until the concentrations stay
-    positive and the max-norm residual drops; below 1/1024, or with the
-    residual still above _NEWTON_TOL after max_iter steps, NumericsError.
+    The blocks after r are _solve_bordered's. The first ab.shape[1]
+    entries of w are the nodes' (c1, c2, phi), the rest border unknowns.
+    A step is halved until the concentrations stay positive and the
+    max-norm residual drops; below 1/1024, or with the residual still
+    above _NEWTON_TOL after max_iter steps, NumericsError.
     """
-    r, ab, C, D, E = system(w)
-    m = ab.shape[1]
+    r, *blocks = system(w)
+    m = blocks[0].shape[1]
     rnorm = float(np.max(np.abs(r)))
     if not np.isfinite(rnorm):
         raise NumericsError("stationary residual is not finite at the initial guess")
     for it in range(max_iter):
         if rnorm < _NEWTON_TOL:
             return w, it
-        step = _solve_bordered(ab, C, D, E, -r[:m], -r[m:])
+        step = _solve_bordered(-r[:m], -r[m:], *blocks)
         t = 1.0
         while True:
             w_try = w + t * step
             if np.all(w_try[0:m:3] > 0.0) and np.all(w_try[1:m:3] > 0.0):
-                r_try, ab_try, C_try, D_try, E_try = system(w_try)
+                r_try, *blocks_try = system(w_try)
                 rn_try = float(np.max(np.abs(r_try)))
                 if not np.isfinite(rn_try):
                     rn_try = np.inf
                 if rn_try < rnorm * (1.0 - 0.25 * t) or rn_try < _NEWTON_TOL:
-                    w, r, ab, C, D, E = w_try, r_try, ab_try, C_try, D_try, E_try
+                    w, r, blocks = w_try, r_try, blocks_try
                     rnorm = rn_try
                     break
             t *= 0.5
@@ -353,17 +355,17 @@ def newton_solve(
     p: ModelParams,
     grid: Grid,
     bc: BoundaryConditions,
-    param_name: str = "sigma",
-    param_value: float | None = None,
+    param_name: str,
+    param_value: float,
 ) -> StationaryState:
     """Damped Newton on the stationary system at fixed parameters.
 
     guess is a StationaryState or a Profile on grid (multiplier seeds
     then come from the mean chemical potentials); anything else raises
-    ParameterError. NumericsError if _damped_newton fails.
+    ParameterError. The state records param_name and param_value, the
+    parameter value p and bc were built for. NumericsError if
+    _damped_newton fails.
     """
-    if param_value is None:
-        param_value = p.sigma if param_name == "sigma" else bc.phi_right
     u, _ = _damped_newton(
         _initial_vector(guess, p, grid, bc),
         lambda u: _assemble(u, p, grid, bc),
@@ -461,14 +463,14 @@ def _corrector(
 
     def system(w):
         p, bc = _apply_param(p0, d, param_name, float(w[-1]))
-        r, ab, C2, D2, E2 = _assemble(w[:-1], p, grid, bc)
+        r, ab, C2, D2 = _assemble(w[:-1], p, grid, bc)
         dps = _dresidual_dparam(w[:-1], p, grid, param_name)
-        # Border: columns [lam1, lam2, s]; rows [mass1, mass2, arc]
+        # Border: columns [lam1, lam2, s]; rows [mass1, mass2, arc]. The
+        # mass rows depend on neither the multipliers nor the parameter,
+        # so only the arclength row of the corner is nonzero.
         C = np.column_stack([C2, dps[:m]])
         D = np.vstack([D2, tangent[:m] / geom.dim])
         E = np.zeros((3, 3))
-        E[:2, :2] = E2
-        E[:2, 2] = dps[m:]
         E[2] = tangent[m:] / [geom.dim, geom.dim, geom.pscale**2]
         return np.append(r, geom.dot(tangent, w - w_pred)), ab, C, D, E
 
@@ -517,9 +519,9 @@ def trace_branch(
         w0 = np.concatenate([seed.pack(), [seed.param_value]])
         # Parameter-direction tangent at the seed.
         p, bc = _apply_param(p0, d, param_name, seed.param_value)
-        _, ab, C, D, E = _assemble(w0[:-1], p, grid, bc)
+        _, *blocks = _assemble(w0[:-1], p, grid, bc)
         dps = _dresidual_dparam(w0[:-1], p, grid, param_name)
-        du = _solve_bordered(ab, C, D, E, -dps[: 3 * grid.n], -dps[3 * grid.n :])
+        du = _solve_bordered(-dps[: 3 * grid.n], -dps[3 * grid.n :], *blocks)
         tangent = geom.normalize(np.concatenate([du, [1.0]]))
         if np.sign(tangent[-1]) != direction:
             tangent = -tangent
@@ -581,12 +583,7 @@ def stability_probe(
     looks like an escape but is not one.
     """
     p, bc = _apply_param(p0, d, param_name, state.param_value)
-    rng = np.random.default_rng(seed)
-    prof = state.as_profile(grid)
-    for arr in (prof.c1, prof.c2):
-        delta = _PROBE_NOISE * rng.standard_normal(arr.size)
-        delta -= trapz(delta, grid) / (2.0 * grid.L)
-        arr += delta
+    prof = add_noise(state.as_profile(grid), _PROBE_NOISE, seed)
     res = evolve(p, prof, bc, t_end=t_end)
     scale = 1.0 + max(float(np.max(np.abs(state.c1))), float(np.max(np.abs(state.c2))))
     dist = state.distance(res.profile)
@@ -721,6 +718,10 @@ def run_combined(
     lo, hi = min(param_range), max(param_range)
     if param_start is None:
         param_start = hi if param_name == "sigma" else lo
+    if not np.all(np.isfinite([lo, hi, param_start])):
+        raise ParameterError(
+            f"{param_name} range ({lo}, {hi}) and start {param_start} must be finite"
+        )
     grid = make_grid(d, n)
     bs = BranchSet(tol=tol_scale, param_name=param_name)
 

@@ -88,6 +88,7 @@ __all__ = [
     "chemical_potential",
     "time_derivatives",
     "discrete_energy",
+    "add_noise",
     "EvolveResult",
     "evolve",
 ]
@@ -210,6 +211,22 @@ def discrete_energy(
         total += _face_energy(c1, grid, 0.5 * p.sigma)
         total += _face_energy(c2, grid, 0.5 * p.sigma)
     return float(total)
+
+
+def add_noise(profile: Profile, amplitude: float, seed: int) -> Profile:
+    """Add seeded Gaussian noise of the given amplitude to c1, then c2.
+
+    Each draw is shifted to zero mean in the grid's trapezoid quadrature,
+    so the masses that evolve conserves stay at their values. Modifies
+    profile in place and returns it.
+    """
+    grid = profile.grid
+    rng = np.random.default_rng(seed)
+    for arr in (profile.c1, profile.c2):
+        delta = amplitude * rng.standard_normal(arr.size)
+        delta -= trapz(delta, grid) / (2.0 * grid.L)
+        arr += delta
+    return profile
 
 
 def _face_energy(arr: np.ndarray, grid: Grid, coeff: float) -> float:

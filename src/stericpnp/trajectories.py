@@ -240,10 +240,11 @@ def compute_trajectory(
     p: ModelParams,
     c1_0: float,
     c2_0: float,
-    c2_span: tuple[float, float] = (1e-6, 1e6),
+    c2_min: float = 1e-6,
+    c2_max: float = 1e6,
     samples_per_leg: int = 800,
 ) -> TrajectoryResult:
-    """The orbit through (c1_0, c2_0) across c2_span, in closed form.
+    """The orbit through (c1_0, c2_0) for c2_min < c2 < c2_max, in closed form.
 
     c1(c2) is the exact inverse of the orbit invariant (module docstring).
     The orbit ends early where c1 leaves [1e-12, 1e12]; those cutoffs are
@@ -257,14 +258,13 @@ def compute_trajectory(
         raise ParameterError(
             f"orbit seed needs {_C1_MIN} < c1_0 < {_C1_MAX} and c2_0 > 0, got ({c1_0}, {c2_0})"
         )
-    lo, hi = c2_span
-    if not (0 < lo < c2_0 < hi):
+    if not (0 < c2_min < c2_0 < c2_max):
         raise ParameterError(
-            f"c2_span {c2_span} must straddle the seed ordinate {c2_0}"
+            f"c2 range ({c2_min}, {c2_max}) must straddle the seed ordinate {c2_0}"
         )
     c1_of, c2_of = _orbit_maps(p, c1_0, c2_0)
     # c1 falls as c2 rises, so its upper cutoff bounds c2 from below
-    c2_lo, c2_hi = max(lo, float(c2_of(_C1_MAX))), min(hi, float(c2_of(_C1_MIN)))
+    c2_lo, c2_hi = max(c2_min, float(c2_of(_C1_MAX))), min(c2_max, float(c2_of(_C1_MIN)))
     down = np.geomspace(c2_lo, c2_0, samples_per_leg)
     c2 = np.concatenate([down[:-1], np.geomspace(c2_0, c2_hi, samples_per_leg)])
     c1 = c1_of(c2)
@@ -309,7 +309,7 @@ def classify_trajectory(res: TrajectoryResult) -> str:
     if res.neutral_points.shape[0] == 0 or not np.isfinite(res.d_at_neutral):
         raise NumericsError(
             "orbit never met the neutral line within its span; "
-            "widen c2_span before classifying"
+            "widen c2_min/c2_max before classifying"
         )
     if res.d_at_neutral < 0:
         return "III"
@@ -376,14 +376,16 @@ def integrate_field_ivp(
     p: ModelParams,
     c0: tuple[float, float],
     E0: float = 0.0,
-    phi0: float | None = None,
     x_span: tuple[float, float] = (0.0, 50.0),
     stop_at_neutral: bool = False,
     d_guard: float = 1e-8,
     rtol: float = _RTOL,
     atol: float = _ATOL,
 ) -> FieldSolution:
-    """Integrate the spatial system from (c0, E0, phi0) across x_span.
+    """Integrate the spatial system from (c0, E0) across x_span.
+
+    phi starts at phi_of_c(c0), the potential that puts the start on the
+    bulk chemical potentials.
 
     The run always terminates when the orbit comes within d_guard of the
     degenerate curve (the flow is singular there); the result is flagged
@@ -395,8 +397,7 @@ def integrate_field_ivp(
     c1_0, c2_0 = c0
     if c1_0 <= 0 or c2_0 <= 0:
         raise ParameterError("initial concentrations must be positive")
-    if phi0 is None:
-        phi0 = float(phi_of_c(c1_0, c2_0, p))
+    phi0 = float(phi_of_c(c1_0, c2_0, p))
     ev_neutral = _event(
         lambda x, y: _neutral_deviation(y[0], y[1], p), stop_at_neutral
     )
@@ -829,12 +830,10 @@ def cross_d_zero(p: ModelParams, c_star: tuple[float, float]) -> CrossingSolutio
         c1_seed = c1s + x0 * c1_x0
         c2_seed = c2s + x0 * c2_x0
         E_seed = x0 * E_x0
-        phi_seed = float(phi_of_c(c1_seed, c2_seed, p))
         fs = integrate_field_ivp(
             p,
             (c1_seed, c2_seed),
             E0=E_seed,
-            phi0=phi_seed,
             x_span=(x0, s * _CROSS_X_MAX),
             d_guard=1e-13,
         )

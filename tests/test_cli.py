@@ -60,8 +60,11 @@ def test_missing_config_file(tmp_path):
     [
         ("onset", "sigma = -1\n"),
         ("evolve", "\n[domain]\nl = 1.0\n[grid]\nn = 4\n[evolve]\nt_end = 1.0\n"),
+        # a key left out takes the library default; NaN is not a stand-in
+        ("onset", "rho0 = nan\n"),
+        ("continue", "\n[domain]\nl = 2.0\n[continue]\nlo = 0.04\nhi = 0.06\nstart = nan\n"),
     ],
-    ids=["negative_sigma", "grid_under_8_nodes"],
+    ids=["negative_sigma", "grid_under_8_nodes", "nan_rho0", "nan_start"],
 )
 def test_bad_parameter_value_is_a_config_error(tmp_path, capsys, command, extra):
     cfg = _write(tmp_path, SYM_MODEL + extra)
@@ -80,7 +83,7 @@ def test_set_override_recorded_and_applied(tmp_path):
     code = main(["onset", cfg, "--set", "model.g12=3.2", "--out", str(out)])
     assert code == 0
     data = json.loads((out / "onset.json").read_text())
-    # sigma_c = (g12 - 3)^2 / 32 at the symmetric point
+    # sigma_c = (g12 - 3)^2 / 8 at the symmetric point
     assert data["sigma_c"] == pytest.approx(0.005, rel=1e-6)
     man = json.loads((out / "manifest.json").read_text())
     assert man["overrides"] == ["model.g12=3.2"]
@@ -160,7 +163,130 @@ def test_energy_command_reports_segregation(tmp_path):
     data = json.loads((out / "energy.json").read_text())
     assert data["det_hessian"] == pytest.approx(3.2518315018315, rel=1e-10)
     assert data["g12_crit"] == pytest.approx(3.0, rel=1e-9)
-    assert data["convex"] == 0
+    assert data["convex"] is False
     assert data["eig_min"] == pytest.approx(-1.5, abs=1e-12)
     seg_header = (out / "segregated.csv").read_text().splitlines()[0]
     assert "entropy" in seg_header
+
+
+def _csv(path):
+    rows = path.read_text().splitlines()
+    return rows[0].split(","), [row.split(",") for row in rows[1:]]
+
+
+CONTINUE = (
+    "\n[domain]\nl = 2.0\n[grid]\nn = 24\n"
+    "[continue]\nlo = 0.04\nhi = 0.06\nmax_points = 8\nprobe_stride = 4\nprobe_t_end = 10\n"
+)
+
+
+def test_json_booleans_are_true_and_false(tmp_path):
+    # bool subclasses int, so an int check ahead of the bool one wrote 0/1
+    cfg = _write(tmp_path, SYM_MODEL + "\n[ivp]\nc1_0 = 1.3\nc2_0 = 1.3\nx_max = 1.0\n")
+    runs = {}
+    for name, command, overrides in (
+        ("concave", "energy", []),
+        ("convex", "energy", ["model.g12=1.0"]),
+        ("symmetric", "ivp", []),
+        ("field", "ivp", ["ivp.e0=0.2"]),
+    ):
+        out = tmp_path / name
+        args = [command, cfg, "--out", str(out)]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(args) == 0
+        runs[name] = json.loads((out / f"{command}.json").read_text())
+    assert runs["concave"]["convex"] is False
+    assert runs["convex"]["convex"] is True
+    assert runs["symmetric"]["symmetric"] is True
+    assert runs["field"]["symmetric"] is False
+    assert runs["symmetric"]["blow_up"] is False
+    assert runs["field"]["blow_up"] is False
+
+
+def test_continue_products(tmp_path):
+    out = tmp_path / "o"
+    assert main(["continue", _write(tmp_path, SYM_MODEL + CONTINUE), "--out", str(out)]) == 0
+    summary = json.loads((out / "continue.json").read_text())
+    assert summary["param"] == "sigma" and summary["range"] == [0.04, 0.06]
+    # the uniform state, traced down from sigma = 0.06 in eight points
+    (branch,) = summary["branches"]
+    assert branch["points"] == 8
+    assert branch["param_max"] == 0.06
+    assert branch["param_min"] == pytest.approx(0.0546, rel=1e-12)
+    # a JSON boolean, as in the branch index the same run writes
+    index = json.loads((out / "branches" / "branches.json").read_text())
+    assert branch["truncated"] is False
+    assert index["branches"][0]["truncated"] is False
+    header, rows = _csv(out / "branches" / "branch00_point0000.csv")
+    assert header == ["x", "c1", "c2", "phi"]
+    assert len(rows) == 24
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["probe_seed"] == 0
+    assert man["outputs"] == ["branches/branches.json", "continue.json"]
+
+
+def test_wnl_map_products(tmp_path):
+    cfg = _write(tmp_path, SYM_MODEL + "\n[wnl]\nmap = true\nasym_steps = 3\ng12_steps = 4\n")
+    out = tmp_path / "o"
+    assert main(["wnl", cfg, "--out", str(out)]) == 0
+    header, rows = _csv(out / "criticality_map.csv")
+    assert header == ["asymmetry", "g12", "tag", "sigma_c", "k_c", "beta0_sq"]
+    # rows run over g12 (2 ... 4) within each asymmetry (0, 0.9, 1.8)
+    assert [(float(r[0]), float(r[1])) for r in rows[:2]] == [(0.0, 2.0), (0.0, 2.0 + 2.0 / 3.0)]
+    cells = {(float(r[0]), float(r[1])): r for r in rows}
+    assert len(cells) == 12
+    # symmetric cell g11 = g22 = 2, g12 = 4: sigma_c = (g12 - 3)^2 / 8, k_c = 2
+    tag, sigma_c, k_c = cells[(0.0, 4.0)][2:5]
+    assert tag == "supercritical"
+    assert float(sigma_c) == pytest.approx(0.125, rel=1e-12)
+    assert float(k_c) == pytest.approx(2.0, rel=1e-12)
+    assert cells[(0.0, 2.0)][2:] == ["no_onset", "nan", "nan", "nan"]
+    assert cells[(1.8, 2.0 + 2.0 / 3.0)][2] == "subcritical"
+
+
+def test_ivp_products(tmp_path):
+    body = SYM_MODEL + "\n[ivp]\nc1_0 = 1.3\nc2_0 = 1.25\ne0 = 0.2\nstop_at_neutral = true\nsamples = 11\n"
+    out = tmp_path / "o"
+    assert main(["ivp", _write(tmp_path, body), "--out", str(out)]) == 0
+    info = json.loads((out / "ivp.json").read_text())
+    assert info["status"] == "neutral"
+    assert info["x_end"] == pytest.approx(1.7867560947647685, rel=1e-9)
+    header, rows = _csv(out / "ivp.csv")
+    assert header == ["x", "c1", "c2", "E", "phi"]
+    assert len(rows) == 11
+    assert [float(v) for v in rows[0][:4]] == [0.0, 1.3, 1.25, 0.2]
+
+
+def test_log_spaced_dispersion_products(tmp_path):
+    body = SYM_MODEL + (
+        "\n[dispersion]\nk_min = 0.1\nk_max = 10.0\ncount = 5\nlog_spaced = true\nsigma = 0.02\n"
+    )
+    out = tmp_path / "o"
+    assert main(["dispersion", _write(tmp_path, body), "--out", str(out)]) == 0
+    header, rows = _csv(out / "dispersion.csv")
+    assert header == ["k", "rate"]
+    k = [float(r[0]) for r in rows]
+    assert k == pytest.approx([0.1, 10**-0.5, 1.0, 10**0.5, 10.0], rel=1e-12)
+    info = json.loads((out / "dispersion.json").read_text())
+    assert info["k_at_max"] == pytest.approx(10**0.5, rel=1e-12)
+    assert info["rate_max"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_evolve_cosine_mode_products(tmp_path):
+    body = SYM_MODEL + (
+        "sigma = 0.06\n[domain]\nl = 2.0\n[grid]\nn = 32\n"
+        "[evolve]\nt_end = 1.0\nperturb_amp = 1e-2\nperturb_mode = 1\n"
+    )
+    out = tmp_path / "o"
+    assert main(["evolve", _write(tmp_path, body), "--out", str(out)]) == 0
+    header, rows = _csv(out / "timeseries.csv")
+    assert header == ["t", "energy", "mass1", "mass2"]
+    # mode 1 is half a cosine between the walls, so it moves no mass
+    assert float(rows[0][2]) == pytest.approx(4.0, rel=1e-14)
+    assert float(rows[0][3]) == pytest.approx(4.0, rel=1e-14)
+    info = json.loads((out / "evolve.json").read_text())
+    assert info["energy_first"] == pytest.approx(14.000029890373682, rel=1e-12)
+    header, rows = _csv(out / "final_profile.csv")
+    assert header == ["x", "c1", "c2", "phi"]
+    assert len(rows) == 32

@@ -272,8 +272,8 @@ def _stationary_case(draw, sigma_term, equal_walls=False):
     return p, d, make_grid(d, n), u
 
 
-def _dense_jacobian(ab, C, D, E):
-    """[[B, C], [D, E]] with B[col + k, col] = ab[b + k, col]; off-matrix slots must be 0."""
+def _dense_jacobian(ab, C, D):
+    """[[B, C], [D, 0]] with B[col + k, col] = ab[b + k, col]; off-matrix slots must be 0."""
     m = ab.shape[1]
     b = (ab.shape[0] - 1) // 2
     J = np.zeros((m + 2, m + 2))
@@ -285,7 +285,6 @@ def _dense_jacobian(ab, C, D, E):
         assert np.all(ab[b + k, ~inside] == 0.0)
     J[:m, m:] = C
     J[m:, :m] = D
-    J[m:, m:] = E
     return J
 
 
@@ -295,9 +294,10 @@ def _dense_jacobian(ab, C, D, E):
 def test_assembled_jacobian_is_the_derivative_of_the_residual(sigma_term, data):
     p, d, grid, u = data.draw(_stationary_case(sigma_term))
     bc = electrode_bc(d.phi_left, d.phi_right)
-    r, ab, C, D, E = _assemble(u, p, grid, bc)
+    r, ab, C, D = _assemble(u, p, grid, bc)
     np.testing.assert_array_equal(r, stationary_residual(u, p, grid, bc))
-    J = _dense_jacobian(ab, C, D, E)
+    # the finite differences check the zero multiplier corner too
+    J = _dense_jacobian(ab, C, D)
 
     J_fd = np.empty_like(J)
     for k in range(u.size):
