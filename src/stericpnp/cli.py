@@ -124,8 +124,7 @@ _SCHEMA = {
                "perturb_mode": int, "perturb_seed": int},
     "continue": {"param": _one_of("sigma", "voltage"), "lo": float, "hi": float,
                  "start": float, "ds0": float, "max_points": int, "max_branches": int,
-                 "probe_stride": int, "probe_t_end": float, "probe_seed": int,
-                 "tol_scale": float},
+                 "probe_stride": int, "probe_t_end": float, "probe_seed": int},
 }
 
 

@@ -31,6 +31,12 @@ orthogonality row <t, w - w_pred> = 0. The inner product weighs the
 state block by 1/dim and the parameter by 1/scale^2, so ds is measured
 in fractions of the parameter range and folds are turned smoothly.
 
+One rule says when two states are the same: StationaryState.same_as,
+max-norm concentration distance below _SAME_TOL * (1 + max(|c1|, |c2|))
+of the receiver. It alone decides whether a probe returned, whether an
+escape is new, whether a queued state lies on a known branch, and which
+re-converged states states_at keeps.
+
 Stability is decided by the dynamics rather than eigenvalues:
 stability_probe perturbs a converged state with seeded zero-mean noise,
 relaxes it with evolve, and declares the state stable when it returns to
@@ -49,7 +55,6 @@ are equal.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass, field
@@ -96,7 +101,7 @@ _CORRECTOR_MAX_ITER = 12
 _DS_MAX = 0.05  # arclength step bounds of trace_branch
 _DS_MIN = 1e-6
 _PROBE_NOISE = 1e-3  # amplitude of stability_probe's perturbation
-_DEDUP_TOL = 1e-4  # states_at: distinct states differ by this * (1 + max c1)
+_SAME_TOL = 1e-4  # same_as: relative max-norm distance of one state
 
 _log = logging.getLogger(__name__)
 
@@ -145,6 +150,11 @@ class StationaryState:
             float(np.max(np.abs(self.c1 - other.c1))),
             float(np.max(np.abs(self.c2 - other.c2))),
         )
+
+    def same_as(self, other: "StationaryState | Profile") -> bool:
+        """The identity rule: distance below _SAME_TOL * (1 + max |c|) of self."""
+        size = max(float(np.max(np.abs(self.c1))), float(np.max(np.abs(self.c2))))
+        return self.distance(other) < _SAME_TOL * (1.0 + size)
 
 
 def _pack(
@@ -401,11 +411,14 @@ def _dresidual_dparam(
 class BranchPoint:
     """One accepted continuation point."""
 
-    param: float
     state: StationaryState
     l2: float
     wnorm: float
     stable: bool | None = None
+
+    @property
+    def param(self) -> float:
+        return self.state.param_value
 
 
 @dataclass
@@ -421,7 +434,6 @@ class Branch:
 @dataclass
 class BranchSet:
     branches: list[Branch] = field(default_factory=list)
-    tol: float = 1e-4
     param_name: str = "sigma"
 
 
@@ -430,7 +442,6 @@ class ProbeResult:
     stable: bool
     target: StationaryState | None
     verdict: str
-    distance: float
 
 
 class _Arclength:
@@ -481,12 +492,7 @@ def _make_point(w: np.ndarray, grid: Grid, param_name: str) -> BranchPoint:
     c1, c2, phi, lam1, lam2 = _unpack(w[:-1])
     s = float(w[-1])
     state = StationaryState(c1.copy(), c2.copy(), phi.copy(), lam1, lam2, param_name, s)
-    return BranchPoint(
-        param=s,
-        state=state,
-        l2=l2_norm(c1, c2, grid),
-        wnorm=weighted_norm(c1, grid),
-    )
+    return BranchPoint(state, l2_norm(c1, c2, grid), weighted_norm(c1, grid))
 
 
 def trace_branch(
@@ -565,7 +571,6 @@ def stability_probe(
     d: DomainSpec,
     grid: Grid,
     param_name: str,
-    tol_scale: float = 1e-4,
     t_end: float = 200.0,
     seed: int = 0,
 ) -> ProbeResult:
@@ -573,9 +578,8 @@ def stability_probe(
 
     Perturbs the concentrations with seeded zero-mean noise (zero mean in
     the trapezoid sense, so the mass constraints stay put), relaxes with
-    evolve, and compares the relaxed profile against the input in the
-    max norm: stable iff the distance stays below
-    tol_scale * (1 + ||state||). An escaped probe is Newton-polished at
+    evolve, and calls the state stable iff the relaxed profile is
+    state.same_as it. An escaped probe is Newton-polished at
     the same parameter value and handed back as the new target; a polish
     failure (or an aborted evolve) returns target None. A polish that
     lands back on the input state counts as stable: near-marginal modes
@@ -585,21 +589,17 @@ def stability_probe(
     p, bc = _apply_param(p0, d, param_name, state.param_value)
     prof = add_noise(state.as_profile(grid), _PROBE_NOISE, seed)
     res = evolve(p, prof, bc, t_end=t_end)
-    scale = 1.0 + max(float(np.max(np.abs(state.c1))), float(np.max(np.abs(state.c2))))
-    dist = state.distance(res.profile)
-    if dist < tol_scale * scale and res.verdict != "Unstable":
-        return ProbeResult(True, None, res.verdict, dist)
     if res.verdict == "Unstable":
-        return ProbeResult(False, None, res.verdict, dist)
+        return ProbeResult(False, None, res.verdict)
+    if state.same_as(res.profile):
+        return ProbeResult(True, None, res.verdict)
     try:
-        target = newton_solve(
-            res.profile, p, grid, bc, param_name, state.param_value
-        )
+        target = newton_solve(res.profile, p, grid, bc, param_name, state.param_value)
     except NumericsError:
         target = None
-    if target is not None and target.distance(state) < tol_scale * scale:
-        return ProbeResult(True, None, res.verdict, dist)
-    return ProbeResult(False, target, res.verdict, dist)
+    if target is not None and state.same_as(target):
+        return ProbeResult(True, None, res.verdict)
+    return ProbeResult(False, target, res.verdict)
 
 
 def mirror_state(state: StationaryState) -> StationaryState:
@@ -615,29 +615,6 @@ def mirror_state(state: StationaryState) -> StationaryState:
     )
 
 
-def _state_on_branches(
-    state: StationaryState,
-    branches: list[Branch],
-    p0: ModelParams,
-    d: DomainSpec,
-    grid: Grid,
-    param_name: str,
-    tol_scale: float,
-) -> bool:
-    """Does state coincide with any known branch at its parameter value?
-
-    Branch points near the state's parameter are re-converged at exactly
-    that value and compared in state space, which is unambiguous where
-    (param, norm) curve distance is not.
-    """
-    scale = 1.0 + max(float(np.max(np.abs(state.c1))), float(np.max(np.abs(state.c2))))
-    for branch in branches:
-        for cand in states_at([branch], state.param_value, p0, d, grid, param_name):
-            if state.distance(cand) < tol_scale * scale:
-                return True
-    return False
-
-
 def states_at(
     branches: list[Branch],
     param_value: float,
@@ -650,8 +627,8 @@ def states_at(
 
     Scans each branch for consecutive points whose parameters bracket the
     requested value (a folded branch can cross it several times), Newton
-    solves from the nearer bracket end at the exact value, and deduplicates
-    the results in state space.
+    solves from the nearer bracket end at the exact value, and keeps a
+    result only if it is not the same_as one kept before.
     """
     p, bc = _apply_param(p0, d, param_name, param_value)
     found: list[StationaryState] = []
@@ -675,8 +652,7 @@ def states_at(
                 st = newton_solve(guess, p, grid, bc, param_name, param_value)
             except NumericsError:
                 continue
-            scale = 1.0 + float(np.max(np.abs(st.c1)))
-            if all(st.distance(prev) >= _DEDUP_TOL * scale for prev in found):
+            if not any(st.same_as(prev) for prev in found):
                 found.append(st)
     return found
 
@@ -689,7 +665,6 @@ def run_combined(
     param_range: tuple[float, float],
     n: int,
     param_start: float | None = None,
-    tol_scale: float = 1e-4,
     ds0: float = 0.01,
     max_points: int = 300,
     max_branches: int = 12,
@@ -723,7 +698,7 @@ def run_combined(
             f"{param_name} range ({lo}, {hi}) and start {param_start} must be finite"
         )
     grid = make_grid(d, n)
-    bs = BranchSet(tol=tol_scale, param_name=param_name)
+    bs = BranchSet(param_name=param_name)
 
     queue: list[tuple[StationaryState, tuple[int, ...], str]] = []
     for k, st in enumerate(seeds):
@@ -746,7 +721,13 @@ def run_combined(
 
     while queue and len(bs.branches) < max_branches:
         state, dirs, origin = queue.pop(0)
-        if _state_on_branches(state, bs.branches, p0, d, grid, param_name, tol_scale):
+        # compare in state space at the exact parameter value, which is
+        # unambiguous where (param, norm) curve distance is not
+        if any(
+            state.same_as(known)
+            for branch in bs.branches
+            for known in states_at([branch], state.param_value, p0, d, grid, param_name)
+        ):
             continue
         if mirror_ok:
             # equal-wall problems are reflection equivariant, so the mirror
@@ -783,22 +764,14 @@ def run_combined(
             if idx % probe_stride:
                 continue
             probe = stability_probe(
-                pt.state,
-                p0,
-                d,
-                grid,
-                param_name,
-                tol_scale=tol_scale,
-                t_end=probe_t_end,
-                seed=probe_seed,
+                pt.state, p0, d, grid, param_name, t_end=probe_t_end, seed=probe_seed
             )
             pt.stable = probe.stable
             if probe.stable or probe.target is None:
                 prev_target = pt.state if probe.stable else None
                 continue
             target = probe.target
-            scale = 1.0 + float(np.max(np.abs(target.c1)))
-            if prev_target is None or target.distance(prev_target) > tol_scale * scale:
+            if prev_target is None or not target.same_as(prev_target):
                 # a target on a known branch is skipped when it is popped
                 queue.append((target, (-1, 1), "probe"))
                 _log.info(
@@ -815,21 +788,19 @@ def save_branchset(bs: BranchSet, grid: Grid, out_dir: str | Path) -> Path:
     """Write the branch database: one JSON index plus per-point CSVs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    index = {
-        "param_name": bs.param_name,
-        "tol": bs.tol,
-        "grid": {"L": grid.L, "n": grid.n},
-        "branches": [],
-    }
+    index = {"param_name": bs.param_name, "grid": {"L": grid.L, "n": grid.n}, "branches": []}
     for bi, branch in enumerate(bs.branches):
         entry = {"origin": branch.origin, "truncated": branch.truncated, "points": []}
         for pi, pt in enumerate(branch.points):
             fname = f"branch{bi:02d}_point{pi:04d}.csv"
-            with open(out / fname, "w", newline="") as fh:
-                wr = csv.writer(fh)
-                wr.writerow(["x", "c1", "c2", "phi"])
-                for row in zip(grid.x, pt.state.c1, pt.state.c2, pt.state.phi):
-                    wr.writerow([f"{v:.17g}" for v in row])
+            np.savetxt(
+                out / fname,
+                np.column_stack([grid.x, pt.state.c1, pt.state.c2, pt.state.phi]),
+                fmt="%.17g",
+                delimiter=",",
+                header="x,c1,c2,phi",
+                comments="",
+            )
             entry["points"].append(
                 {
                     "param": pt.param,
@@ -853,28 +824,16 @@ def load_branchset(out_dir: str | Path) -> tuple[BranchSet, Grid]:
     with open(out / "branches.json") as fh:
         index = json.load(fh)
     grid = make_grid(float(index["grid"]["L"]), int(index["grid"]["n"]))
-    bs = BranchSet(tol=float(index["tol"]), param_name=index["param_name"])
+    bs = BranchSet(param_name=index["param_name"])
     for bentry in index["branches"]:
         branch = Branch(origin=bentry["origin"], truncated=bentry["truncated"])
         for pentry in bentry["points"]:
-            data = np.genfromtxt(out / pentry["csv"], delimiter=",", names=True)
-            state = StationaryState(
-                c1=np.atleast_1d(data["c1"]).astype(float),
-                c2=np.atleast_1d(data["c2"]).astype(float),
-                phi=np.atleast_1d(data["phi"]).astype(float),
-                lam1=float(pentry["lam1"]),
-                lam2=float(pentry["lam2"]),
-                param_name=index["param_name"],
-                param_value=float(pentry["param"]),
-            )
+            data = np.loadtxt(out / pentry["csv"], delimiter=",", skiprows=1, ndmin=2)
+            _, c1, c2, phi = data.T.copy()  # contiguous columns
+            lam1, lam2, param = (float(pentry[k]) for k in ("lam1", "lam2", "param"))
+            state = StationaryState(c1, c2, phi, lam1, lam2, index["param_name"], param)
             branch.points.append(
-                BranchPoint(
-                    param=float(pentry["param"]),
-                    state=state,
-                    l2=float(pentry["l2"]),
-                    wnorm=float(pentry["wnorm"]),
-                    stable=pentry["stable"],
-                )
+                BranchPoint(state, float(pentry["l2"]), float(pentry["wnorm"]), pentry["stable"])
             )
         bs.branches.append(branch)
     return bs, grid

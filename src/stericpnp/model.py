@@ -115,8 +115,8 @@ def validate_params(p: ModelParams) -> ModelParams:
 
 def with_sigma(p: ModelParams, sigma: float) -> ModelParams:
     """Copy of p with a different gradient-energy coefficient."""
-    if sigma < 0:
-        raise ParameterError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < np.inf:
+        raise ParameterError(f"sigma must be finite and >= 0, got {sigma}")
     return replace(p, sigma=sigma)
 
 

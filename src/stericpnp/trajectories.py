@@ -335,28 +335,14 @@ class FieldSolution:
     def at(self, x):
         """Evaluate (c1, c2, E, phi) at x; rows are the state components.
 
-        Solutions launched from a turning point extend evenly in the
-        concentrations and the potential and oddly in E, so queries on
-        the un-integrated side of the start are answered by reflection.
+        ParameterError if x leaves [x_start, x_end] (up to rounding).
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         lo, hi = sorted((self.x_start, self.x_end))
-        forward = self.x_end >= self.x_start
-        xq = x.copy()
-        sign = np.ones_like(x)
-        if self.symmetric:
-            if forward:
-                mask = x < self.x_start
-            else:
-                mask = x > self.x_start
-            xq[mask] = 2.0 * self.x_start - x[mask]
-            sign[mask] = -1.0
         span = hi - lo
-        if np.any(xq < lo - 1e-12 * span) or np.any(xq > hi + 1e-12 * span):
+        if np.any(x < lo - 1e-12 * span) or np.any(x > hi + 1e-12 * span):
             raise ParameterError("query outside the computed span")
-        out = self.sol(np.clip(xq, lo, hi))
-        out[2] *= sign
-        return out
+        return self.sol(np.clip(x, lo, hi))
 
 
 def _field_rhs(p: ModelParams):

@@ -365,7 +365,9 @@ def _cosine_census(p, grid, bc, sigma):
     Seeds are c_i proportional to exp(a_i cos(m pi (x + L) / (2L))) at the
     Neumann wavenumbers m = 1..8, amplitudes |a_1| = 0.1..1.2 of both signs,
     and c2/c1 amplitude ratios -1, 0, 1; each is rescaled to the bulk mass.
-    Duplicates are dropped with the tolerance states_at uses.
+    Duplicates are dropped by a test written out here, max-norm distance
+    below 1e-4 (1 + max c1), independent of StationaryState.same_as, so the
+    census is a reference the library's identity rule does not shape.
     """
     theta = np.pi * (grid.x + grid.L) / (2.0 * grid.L)
     w = grid.weights

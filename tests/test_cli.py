@@ -221,9 +221,20 @@ def test_continue_products(tmp_path):
     header, rows = _csv(out / "branches" / "branch00_point0000.csv")
     assert header == ["x", "c1", "c2", "phi"]
     assert len(rows) == 24
+    # LF line ends, like every other CSV product
+    assert b"\r" not in (out / "branches" / "branch00_point0000.csv").read_bytes()
+    assert "tol" not in index
     man = json.loads((out / "manifest.json").read_text())
     assert man["probe_seed"] == 0
     assert man["outputs"] == ["branches/branches.json", "continue.json"]
+
+
+def test_continue_tol_scale_is_retired(tmp_path, capsys):
+    # every identity test uses StationaryState.same_as, so the key is gone
+    cfg = _write(tmp_path, SYM_MODEL + CONTINUE)
+    out = tmp_path / "o"
+    assert main(["continue", cfg, "--set", "continue.tol_scale=1e-3", "--out", str(out)]) == 2
+    assert "tol_scale" in capsys.readouterr().err
 
 
 def test_wnl_map_products(tmp_path):

@@ -4,6 +4,8 @@ The expensive bifurcation surveys live in the acceptance suite; these tests
 pin the machinery on small boxes where every answer has a closed form.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stericpnp.continuation import (
+    _SAME_TOL,
     _apply_param,
     _assemble,
     _dresidual_dparam,
@@ -43,6 +46,8 @@ from stericpnp.model import (
     make_periodic_grid,
     with_sigma,
 )
+
+from _strategies import admissible_params
 
 P_SYM = make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0)
 SIGMA_C = 1.0 / 32.0
@@ -214,6 +219,19 @@ def test_states_at_refines_to_requested_parameter():
     assert np.ptp(got[0].c1) < 1e-10
 
 
+@pytest.mark.parametrize("factor, same", [(0.5, True), (2.0, False)])
+def test_same_as_is_a_relative_max_norm_test(factor, same):
+    # c2 dominates, so a scale taken from c1 alone would call 0.5x different
+    p = make_params(1, -1, 2.0, 2.0, 3.5, 0.2, 2.0)
+    grid = make_grid(DomainSpec(2.0), 24)
+    state = newton_solve(homogeneous_profile(grid, p), p, grid, electrode_bc(0.0, 0.0), "sigma", 0.0)
+    step = factor * _SAME_TOL * (1.0 + max(state.c1.max(), state.c2.max()))
+    moved = replace(state, c2=state.c2 + step * np.eye(1, grid.n, 5)[0])
+    assert state.same_as(moved) is same
+    assert state.same_as(moved.as_profile(grid)) is same
+    assert state.same_as(state)
+
+
 def test_branchset_roundtrip(tmp_path):
     d = DomainSpec(2.0)
     grid = make_grid(d, 48)
@@ -237,30 +255,16 @@ def test_branchset_roundtrip(tmp_path):
             [p.wnorm for p in bb.points], rel=1e-12
         )
         assert [p.stable for p in ba.points] == [p.stable for p in bb.points]
-        np.testing.assert_allclose(
-            ba.points[0].state.c1, bb.points[0].state.c1, rtol=0, atol=1e-14
-        )
-
-
-@st.composite
-def _admissible_params(draw, sigmas):
-    return make_params(
-        draw(st.floats(0.5, 3.0)),
-        -draw(st.floats(0.5, 3.0)),
-        draw(st.floats(0.0, 4.0)),
-        draw(st.floats(0.0, 4.0)),
-        draw(st.floats(0.0, 4.0)),
-        draw(st.floats(0.2, 2.0)),
-        draw(st.floats(0.2, 2.0)),
-        sigma=draw(sigmas),
-    )
+        for pa, pb in zip(ba.points, bb.points):
+            for name in ("c1", "c2", "phi"):
+                np.testing.assert_array_equal(getattr(pa.state, name), getattr(pb.state, name))
 
 
 @st.composite
 def _stationary_case(draw, sigma_term, equal_walls=False):
     """Parameters, an electrode domain, an 8-24 node grid and a packed vector
     with positive concentrations, a random potential and random multipliers."""
-    p = draw(_admissible_params(st.floats(1e-3, 0.1) if sigma_term else st.just(0.0)))
+    p = draw(admissible_params(sigma_term))
     left = draw(st.floats(-1.0, 1.0))
     right = left if equal_walls else draw(st.floats(-1.0, 1.0))
     d = DomainSpec(draw(st.floats(0.5, 5.0)), phi_left=left, phi_right=right)
@@ -344,7 +348,7 @@ def test_residual_is_mirror_equivariant(sigma_term, data):
 @settings(max_examples=20)
 @given(data=st.data())
 def test_newton_states_are_fixed_points_of_evolve(data):
-    p = data.draw(_admissible_params(st.floats(1e-3, 0.1)))
+    p = data.draw(admissible_params(True))
     voltage = data.draw(st.floats(-0.5, 0.5))
     grid = make_grid(DomainSpec(data.draw(st.floats(0.5, 5.0))), data.draw(st.integers(16, 32)))
     bc = electrode_bc(-voltage, voltage)

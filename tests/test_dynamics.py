@@ -30,6 +30,8 @@ from stericpnp.model import (
     with_sigma,
 )
 
+from _strategies import admissible_params
+
 P_SYM = make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0)
 
 
@@ -152,23 +154,9 @@ def test_observer_collects_custom_series():
 
 
 @st.composite
-def _admissible_params(draw, sigma_term):
-    return make_params(
-        draw(st.floats(0.5, 3.0)),
-        -draw(st.floats(0.5, 3.0)),
-        draw(st.floats(0.0, 4.0)),
-        draw(st.floats(0.0, 4.0)),
-        draw(st.floats(0.0, 4.0)),
-        draw(st.floats(0.2, 2.0)),
-        draw(st.floats(0.2, 2.0)),
-        sigma=draw(st.floats(1e-3, 0.1)) if sigma_term else 0.0,
-    )
-
-
-@st.composite
 def _linearization_case(draw, kind, sigma_term):
     """Admissible parameters, a grid of 8-24 nodes and a positive profile."""
-    p = draw(_admissible_params(sigma_term))
+    p = draw(admissible_params(sigma_term))
     n = draw(st.integers(8, 24))
     half = draw(st.floats(0.5, 5.0))
     if kind == "periodic":
@@ -265,7 +253,7 @@ def test_exact_band_is_the_jacobian_of_the_rhs(kind, sigma_term, data):
 def _relaxation_case(draw, kind, sigma_term):
     """Admissible parameters, a grid of 8-24 nodes on L in [0.5, 3] (walls
     at |V| <= 0.5, or periodic) and log-normal positive profiles."""
-    p = draw(_admissible_params(sigma_term))
+    p = draw(admissible_params(sigma_term))
     n = draw(st.integers(8, 24))
     half = draw(st.floats(0.5, 3.0))
     if kind == "periodic":

@@ -33,6 +33,12 @@ def test_default_background_charge_is_electroneutral():
         make_params(2, -1, 2.0, 2.0, 3.5, 1.0, 2.0, rho0=0.25)
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_with_sigma_rejects_non_admissible_sigma(sigma):
+    with pytest.raises(ParameterError, match="sigma"):
+        with_sigma(make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0), sigma)
+
+
 def test_with_sigma_does_not_mutate():
     p = make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0)
     q = with_sigma(p, 0.05)

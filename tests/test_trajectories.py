@@ -396,11 +396,12 @@ def test_field_ivp_frozen_endpoint():
     assert pe == pytest.approx(-1.9722083493333322, rel=1e-8)
 
 
-def test_field_ivp_reflection():
+def test_field_ivp_answers_only_inside_its_span():
+    # a launch from a turning point is still flagged, but a query on the far
+    # side of the start is not answered by reflection
     f = integrate_field_ivp(P_SYM, (1.3, 1.3), E0=0.0, x_span=(0.0, 3.0))
     assert f.symmetric
-    c1p, c2p, Ep, _ = (np.atleast_1d(v)[0] for v in f.at(1.2))
-    c1m, c2m, Em, _ = (np.atleast_1d(v)[0] for v in f.at(-1.2))
-    assert c1m == pytest.approx(c1p, rel=1e-12)
-    assert c2m == pytest.approx(c2p, rel=1e-12)
-    assert Em == pytest.approx(-Ep, rel=1e-12)
+    assert f.at([f.x_start, f.x_end]).shape == (4, 2)
+    for x in (-1.2, f.x_end + 0.5):
+        with pytest.raises(ParameterError, match="outside the computed span"):
+            f.at(x)
