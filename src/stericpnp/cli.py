@@ -88,6 +88,13 @@ def _int_list(raw: str) -> list[int]:
     return [int(tok) for tok in raw.split(",") if tok.strip()]
 
 
+def _count(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
 def _one_of(*names: str):
     def read(raw: str) -> str:
         if raw.lower() not in names:
@@ -110,11 +117,10 @@ _SCHEMA = {
     "energy": {"c1": float, "c2": float, "n_freq": _int_list, "cbar_segregated": float},
     "trajectory": {"c1_0": float, "c2_0": float, "c2_min": float, "c2_max": float,
                    "samples_per_leg": int},
-    "periodic": {"amplitude": float, "samples": int, "periods": int},
+    "periodic": {"amplitude": float, "samples": _count, "periods": _count},
     "ivp": {"c1_0": float, "c2_0": float, "e0": float, "x_max": float,
-            "stop_at_neutral": _flag, "samples": int},
-    "dispersion": {"k_min": float, "k_max": float, "count": int, "log_spaced": _flag,
-                   "sigma": float},
+            "stop_at_neutral": _flag, "samples": _count},
+    "dispersion": {"k_min": float, "k_max": float, "count": _count, "log_spaced": _flag},
     "onset": {},
     "wnl": {"map": _flag, "asym_min": float, "asym_max": float, "asym_steps": int,
             "g12_min": float, "g12_max": float, "g12_steps": int, "g_sum": float,
@@ -124,7 +130,7 @@ _SCHEMA = {
                "perturb_mode": int, "perturb_seed": int},
     "continue": {"param": _one_of("sigma", "voltage"), "lo": float, "hi": float,
                  "start": float, "ds0": float, "max_points": int, "max_branches": int,
-                 "probe_stride": int, "probe_t_end": float, "probe_seed": int},
+                 "probe_stride": _count, "probe_t_end": float, "probe_seed": int},
 }
 
 
@@ -318,14 +324,14 @@ def _cmd_ivp(cfg, p, outdir: Path) -> tuple[list[str], dict]:
 def _cmd_dispersion(cfg, p, outdir: Path) -> tuple[list[str], dict]:
     opts = {"k_min": 0.1, "k_max": 20.0, "count": 256,
             "log_spaced": False} | _section(cfg, "dispersion")
-    k_range = (opts.pop("k_min"), opts.pop("k_max"), opts.pop("count"))
-    if opts.pop("log_spaced"):
+    k_range = (opts["k_min"], opts["k_max"], opts["count"])
+    if opts["log_spaced"]:
         if k_range[0] <= 0:
             raise ConfigError("[dispersion] log_spaced needs k_min > 0")
         k = np.geomspace(*k_range)
     else:
         k = np.linspace(*k_range)
-    res = dispersion(k, p, **opts)
+    res = dispersion(k, p, p.sigma)
     return [
         _write_csv(outdir, "dispersion.csv", ["k", "rate"], [res.k, res.rate]),
         _write_json(outdir, "dispersion.json", {

@@ -682,7 +682,7 @@ def run_combined(
     queue drains or max_branches is reached.
 
     Seeds are StationaryStates or Profiles on the run's grid; anything
-    else raises ParameterError. A state strictly inside param_range is
+    else raises ParameterError, as does probe_stride < 1. A state strictly inside param_range is
     traced from where it is; every other seed is Newton-converged at
     param_start (default: the top of param_range for sigma, matching the
     decreasing-sigma reading of the diagrams; the bottom for voltage). A
@@ -697,6 +697,8 @@ def run_combined(
         raise ParameterError(
             f"{param_name} range ({lo}, {hi}) and start {param_start} must be finite"
         )
+    if probe_stride < 1:
+        raise ParameterError(f"probe_stride must be at least 1, got {probe_stride}")
     grid = make_grid(d, n)
     bs = BranchSet(param_name=param_name)
 

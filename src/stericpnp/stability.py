@@ -33,6 +33,11 @@ Its coefficient signs are +, +, +, - when D < 0, so by Descartes' rule it
 has exactly one positive root, bracketed by [0, -D/(2S)]. That root is the
 only critical point of the zero-growth locus sigma(k), which vanishes at
 both ends, so it is the global maximum: sigma_c = t / q, k_c = sqrt(q).
+
+sigma is always an explicit argument here; p.sigma is never read, so one
+parameter set serves every sigma of a dispersion scan. B is written only
+in interaction_matrix; the onset cubic's coefficients and the paper's
+as-printed polynomial are the two hand expansions of det B.
 """
 
 from __future__ import annotations
@@ -55,40 +60,30 @@ __all__ = [
     "dispersion",
     "sigma_zero_locus",
     "find_onset",
-    "onset_polynomial_residual",
     "verify_onset",
     "min_hessian_eigenvalue",
 ]
 
 
-def interaction_matrix(k: float, p: ModelParams, sigma: float | None = None) -> np.ndarray:
-    """B(k) = k^2 Hess h(cbar) + z z^T + sigma k^4 I."""
-    if sigma is None:
-        sigma = p.sigma
+def interaction_matrix(k: float, p: ModelParams, sigma: float) -> np.ndarray:
+    """B(k; sigma) = k^2 Hess h(cbar) + z z^T + sigma k^4 I."""
     z = p.z
     H = hessian(p.cbar1, p.cbar2, p)
     return k * k * H + np.outer(z, z) + sigma * k**4 * np.eye(2)
 
 
-def growth_matrix(k: float, p: ModelParams, sigma: float | None = None) -> np.ndarray:
-    """M(k) = -diag(cbar) B(k); eigenvalues are the linear growth rates."""
+def growth_matrix(k: float, p: ModelParams, sigma: float) -> np.ndarray:
+    """M(k) = -diag(cbar) B(k; sigma); eigenvalues are the linear growth rates."""
     return -np.diag(p.cbar) @ interaction_matrix(k, p, sigma)
 
 
-def _growth_eigs(k: float, p: ModelParams, sigma: float) -> tuple[float, float]:
-    """Both eigenvalues of M(k), descending; closed-form 2x2 arithmetic."""
-    M = growth_matrix(k, p, sigma)
-    # real by similarity to a symmetric matrix
-    return _eig2(M[0, 0] + M[1, 1], M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])[::-1]
-
-
-def max_growth_rate(k: float, p: ModelParams, sigma: float | None = None) -> float:
+def max_growth_rate(k: float, p: ModelParams, sigma: float) -> float:
     """Larger eigenvalue of M(k); k = 0 returns 0 exactly (neutral mode)."""
-    if sigma is None:
-        sigma = p.sigma
     if k == 0.0:
         return 0.0
-    return float(_growth_eigs(k, p, sigma)[0])
+    M = growth_matrix(k, p, sigma)
+    # real by similarity to a symmetric matrix
+    return float(_eig2(M[0, 0] + M[1, 1], M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])[1])
 
 
 @dataclass(frozen=True)
@@ -100,9 +95,7 @@ class DispersionResult:
     sigma: float
 
 
-def dispersion(k_values: np.ndarray, p: ModelParams, sigma: float | None = None) -> DispersionResult:
-    if sigma is None:
-        sigma = p.sigma
+def dispersion(k_values: np.ndarray, p: ModelParams, sigma: float) -> DispersionResult:
     ks = np.asarray(k_values, dtype=float)
     rates = np.array([max_growth_rate(k, p, sigma) for k in ks])
     return DispersionResult(k=ks, rate=rates, sigma=float(sigma))
@@ -111,22 +104,14 @@ def dispersion(k_values: np.ndarray, p: ModelParams, sigma: float | None = None)
 def sigma_zero_locus(k: float, p: ModelParams) -> float:
     """The sigma > 0 at which lambda(k) = 0 for this k, or nan if none.
 
-    det B(k; sigma) = 0 is a quadratic in s = sigma k^4; the larger root is
-    the stabilizing boundary. A positive root exists iff the sigma-free part
-    of B is indefinite at this k.
+    B(k; sigma) = B(k; 0) + sigma k^4 I turns singular, with the growth
+    rate crossing zero, at sigma = -lambda_min(B(k; 0)) / k^4. That sigma
+    is positive iff B(k; 0) is indefinite at this k.
     """
     if k <= 0:
         return float("nan")
-    k2 = k * k
-    b11 = (1.0 / p.cbar1 + p.g11) * k2 + p.z1**2
-    b22 = (1.0 / p.cbar2 + p.g22) * k2 + p.z2**2
-    b12 = p.g12 * k2 + p.z1 * p.z2
-    tr = b11 + b22
-    det0 = b11 * b22 - b12 * b12
-    disc = tr * tr - 4.0 * det0
-    if disc < 0.0:
-        return float("nan")
-    s = (-tr + np.sqrt(disc)) / 2.0
+    B = interaction_matrix(k, p, 0.0)
+    s = -_eig2(B[0, 0] + B[1, 1], B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0])[0]
     if s <= 0.0:
         return float("nan")
     return float(s / k**4)
@@ -162,7 +147,8 @@ def find_onset(p: ModelParams) -> OnsetResult:
     positive root t = sigma_c k_c^2 by a bracketed root solve on
     [0, -D/(2S)] (c(0) = wD < 0, c(-D/(2S)) > 0), then reads off
     k_c^2 = w / (t (2t + S)) and sigma_c = t / k_c^2. Raises NoOnsetError
-    when g12 <= g12_crit.
+    when g12 <= g12_crit, and when D(cbar) < 0 is so small that c(-D/(2S))
+    rounds to a nonpositive value (then sigma_c lies below rounding).
     """
     gcrit = g12_critical(p)
     a1 = 1.0 / p.cbar1 + p.g11
@@ -176,13 +162,17 @@ def find_onset(p: ModelParams) -> OnsetResult:
     w = a1 * p.z2**2 + a2 * p.z1**2 - 2.0 * p.g12 * p.z1 * p.z2
     zz = p.z1**2 + p.z2**2
     c3, c2, c1, c0 = 2.0 * zz, zz * S + 3.0 * w, 2.0 * w * S, w * D
-    t = brentq(
-        lambda t: ((c3 * t + c2) * t + c1) * t + c0,
-        0.0,
-        -D / (2.0 * S),
-        xtol=np.finfo(float).tiny,
-        rtol=4 * np.finfo(float).eps,
-    )
+
+    def cubic(t: float) -> float:
+        return ((c3 * t + c2) * t + c1) * t + c0
+
+    t_hi = -D / (2.0 * S)
+    if cubic(t_hi) <= 0.0:
+        raise NoOnsetError(
+            f"no resolvable onset: D(cbar) = {D:.3e} is so close to 0 that "
+            "sigma_c lies below rounding"
+        )
+    t = brentq(cubic, 0.0, t_hi, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps)
     q = w / (t * (2.0 * t + S))
     k_c = float(np.sqrt(q))
     sigma_c = t / q
@@ -211,45 +201,30 @@ def find_onset(p: ModelParams) -> OnsetResult:
     )
 
 
-def onset_polynomial_residual(
-    k: float, sigma: float, p: ModelParams, variant: str = "consistent"
-) -> float:
-    """Residual of the polynomial form of the zero-growth condition.
+def verify_onset(onset: OnsetResult, p: ModelParams) -> dict[str, float]:
+    """Zero-growth residuals at the computed onset.
 
-    variant="consistent": det B(k; sigma) expanded and divided by nothing,
-
-        sigma^2 k^8 + (a1+a2) sigma k^6 + [sigma(z1^2+z2^2) + D(cbar)] k^4
-        + [z2^2 a1 + z1^2 a2 - 2 z1 z2 g12] k^2,
-
-    which vanishes identically on the zero-growth locus. The
-    variant="as_printed" form differs in two places: its D-bracket uses
-    cbar1 in both factors, and its z^2 terms carry no k^2 factor; it is kept
-    as a diagnostic and does NOT vanish at onset for general parameters.
+    "consistent" is det B(k_c; sigma_c) = sigma^2 k^8 + (a1+a2) sigma k^6 +
+    [sigma |z|^2 + D(cbar)] k^4 + w k^2, zero on the zero-growth locus up
+    to rounding. "as_printed" is the paper's printed form of that
+    polynomial, which differs in two places: its D-bracket uses cbar1 in
+    both factors, and its z^2 terms carry no k^2 factor. It is kept as a
+    diagnostic of the misprint and does NOT vanish at onset for general
+    parameters.
     """
+    k, sigma = onset.k_c, onset.sigma_c
+    B = interaction_matrix(k, p, sigma)
     a1 = 1.0 / p.cbar1 + p.g11
     a2 = 1.0 / p.cbar2 + p.g22
     k2 = k * k
     common = sigma * sigma * k2**4 + (a1 + a2) * sigma * k2**3 + sigma * (
         p.z1**2 + p.z2**2
     ) * k2**2
-    if variant == "consistent":
-        d_cbar = a1 * a2 - p.g12**2
-        tail = d_cbar * k2**2 + (p.z2**2 * a1 + p.z1**2 * a2 - 2.0 * p.z1 * p.z2 * p.g12) * k2
-    elif variant == "as_printed":
-        bracket = (1.0 / p.cbar1 + p.g11) * (1.0 / p.cbar1 + p.g22) - p.g12**2
-        tail = bracket * k2**2 + (
-            p.z2**2 * a1 + p.z1**2 * a2 - 2.0 * p.z1 * p.z2 * p.g12 * k2
-        )
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return float(common + tail)
-
-
-def verify_onset(onset: OnsetResult, p: ModelParams) -> dict[str, float]:
-    """Evaluate both polynomial variants at the computed onset."""
+    bracket = (1.0 / p.cbar1 + p.g11) * (1.0 / p.cbar1 + p.g22) - p.g12**2
+    tail = bracket * k2**2 + (p.z2**2 * a1 + p.z1**2 * a2 - 2.0 * p.z1 * p.z2 * p.g12 * k2)
     return {
-        "consistent": onset_polynomial_residual(onset.k_c, onset.sigma_c, p, "consistent"),
-        "as_printed": onset_polynomial_residual(onset.k_c, onset.sigma_c, p, "as_printed"),
+        "consistent": float(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]),
+        "as_printed": float(common + tail),
     }
 
 

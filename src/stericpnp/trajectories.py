@@ -704,13 +704,18 @@ def stationary_residual_fd(
 ) -> dict[str, float]:
     """Sup-norm residuals of the stationary system on uniform samples.
 
-    Derivatives are formed with fourth-order centered differences; with
+    Derivatives are formed with fourth-order centered differences over
+    five samples, so fewer than five raise ParameterError; with
     periodic=True the samples must tile an integer number of periods
     (right endpoint excluded). Keys: "c1", "c2", "field" for the three
     flow equations, "potential_gradient" for phi_x = E, and "poisson"
     for phi_xx + z . c + rho0 = 0.
     """
     x = np.asarray(x, dtype=float)
+    if x.size < 5:
+        raise ParameterError(
+            f"residual check needs at least 5 samples, its stencil width; got {x.size}"
+        )
     h = x[1] - x[0]
     if not np.allclose(np.diff(x), h, rtol=1e-9, atol=1e-12 * abs(h)):
         raise ParameterError("residual check needs a uniform sample grid")

@@ -13,15 +13,15 @@ valences). The pieces, all evaluated at (k_c, sigma_c):
 - v: null vector of B(k_c), normalized so its first component is 1 (the
   amplitude bookkeeping below is for the c1 field);
 - gamma: second-harmonic response, M(2 k_c) gamma = diag(v) R v with
-  R = sigma_c k_c^4 I + k_c^2 G + z z^T;
+  R = B(k_c) - (k_c^2 / cbar) I = sigma_c k_c^4 I + k_c^2 G + z z^T;
 - a = (k_c^4 cbar / 2) v: sensitivity of the growth rate to the distance
   from onset (d lambda/d sigma = -cbar k_c^4 on the critical mode);
 - b = (k_c^2 / 4) [ v*gamma/cbar + gamma*m1 - 2 v*m2 ] (componentwise
   products), the cubic self-interaction, with the linearized chemical
-  potential responses
+  potential responses m(u, k) = B(k) u / k^2, which for equal bulk
+  concentrations is ((1/cbar + sigma_c k^2) I + G) u + z (z.u)/k^2:
 
-      m1 = ((1/cbar + sigma_c k_c^2) I + G) v + z (z.v)/k_c^2   (= 0 at onset),
-      m2 = ((1/cbar + 4 sigma_c k_c^2) I + G) gamma + z (z.gamma)/(4 k_c^2).
+      m1 = m(v, k_c)   (= 0 at onset),     m2 = m(gamma, 2 k_c).
 
 Projecting on the critical null vector gives the saturated amplitude
 
@@ -46,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import g12_critical
-from .errors import NumericsError, RegimeError
+from .errors import NoOnsetError, NumericsError, RegimeError
 from .model import ModelParams, make_params
 from .stability import OnsetResult, find_onset, growth_matrix, interaction_matrix
 
@@ -84,11 +83,10 @@ def _critical_vector(onset: OnsetResult) -> np.ndarray:
 
 def second_harmonic(onset: OnsetResult, p: ModelParams) -> np.ndarray:
     """Solve M(2 k_c) gamma = diag(v) R v for the second-harmonic response."""
-    _require_equal_bulk(p)
+    cbar = _require_equal_bulk(p)
     k = onset.k_c
     v = _critical_vector(onset)
-    z = p.z
-    R = onset.sigma_c * k**4 * np.eye(2) + k * k * p.G + np.outer(z, z)
+    R = interaction_matrix(k, p, onset.sigma_c) - (k * k / cbar) * np.eye(2)
     r1 = v * (R @ v)
     M2 = growth_matrix(2.0 * k, p, onset.sigma_c)
     det = M2[0, 0] * M2[1, 1] - M2[0, 1] * M2[1, 0]
@@ -117,19 +115,16 @@ def amplitude_coefficients(onset: OnsetResult, p: ModelParams) -> WnlCoefficient
     cbar = _require_equal_bulk(p)
     k = onset.k_c
     s = onset.sigma_c
-    z = p.z
     v = _critical_vector(onset)
+    Bv = interaction_matrix(k, p, s) @ v
     # Guard: v must genuinely span ker B(k_c).
-    null_res = np.linalg.norm(interaction_matrix(k, p, s) @ v)
+    null_res = np.linalg.norm(Bv)
     if null_res > 1e-8 * (1.0 + np.linalg.norm(v)):
         raise NumericsError(f"onset null vector residual too large: {null_res:.3e}")
     gamma = second_harmonic(onset, p)
-
-    def mu_response(u: np.ndarray, kk: float) -> np.ndarray:
-        return ((1.0 / cbar + s * kk * kk) * np.eye(2) + p.G) @ u + z * (z @ u) / (kk * kk)
-
-    m1 = mu_response(v, k)
-    m2 = mu_response(gamma, 2.0 * k)
+    # chemical-potential responses m(u, kk) = B(kk) u / kk^2
+    m1 = Bv / (k * k)
+    m2 = interaction_matrix(2.0 * k, p, s) @ gamma / (4.0 * k * k)
     a = (k**4 * cbar / 2.0) * v
     b = (k * k / 4.0) * (v * gamma / cbar + gamma * m1 - 2.0 * v * m2)
     denom = float(v @ b)
@@ -186,7 +181,8 @@ def criticality_map(
 ) -> CriticalityMap:
     """Classify the onset over a grid with g11 + g22 = g_sum held fixed.
 
-    Valences z = (1, -1) and equal bulk concentrations cbar throughout.
+    Valences z = (1, -1) and equal bulk concentrations cbar throughout. A
+    cell is "no_onset" exactly when find_onset raises NoOnsetError.
     """
     asym = np.asarray(asym_values, dtype=float)
     g12s = np.asarray(g12_values, dtype=float)
@@ -200,9 +196,10 @@ def criticality_map(
         g22 = g_sum / 2.0 - d
         for j, g12 in enumerate(g12s):
             p = make_params(1.0, -1.0, g11, g22, g12, cbar, cbar)
-            if g12 <= g12_critical(p):
+            try:
+                onset = find_onset(p)
+            except NoOnsetError:
                 continue
-            onset = find_onset(p)
             coeffs = amplitude_coefficients(onset, p)
             tags[i, j] = coeffs.criticality
             sig[i, j] = onset.sigma_c

@@ -1,10 +1,12 @@
 """Batch front-end: config parsing, products, manifests, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from stericpnp.cli import main
+from stericpnp.cli import _SCHEMA, main
 
 SYM_MODEL = """\
 [model]
@@ -77,6 +79,14 @@ def test_no_onset_maps_to_regime_exit(tmp_path):
     assert main(["onset", cfg, "--out", str(tmp_path / "o")]) == 4
 
 
+def test_onset_one_ulp_above_threshold_maps_to_regime_exit(tmp_path, capsys):
+    # g12 one ulp above g12_crit = sqrt(8): sigma_c lies below rounding
+    body = SYM_MODEL.replace("g11 = 2.0", "g11 = 3.0").replace(
+        "g22 = 2.0", "g22 = 1.0").replace("g12 = 3.5", "g12 = 2.8284271247461907")
+    assert main(["onset", _write(tmp_path, body), "--out", str(tmp_path / "o")]) == 4
+    assert "D(cbar)" in capsys.readouterr().err
+
+
 def test_set_override_recorded_and_applied(tmp_path):
     cfg = _write(tmp_path, SYM_MODEL)
     out = tmp_path / "o"
@@ -114,7 +124,7 @@ def test_periodic_products_and_retired_keys(tmp_path, capsys):
 
 
 def test_csv_reruns_are_bit_identical(tmp_path):
-    body = SYM_MODEL + "\n[dispersion]\nk_min = 0.2\nk_max = 6.0\ncount = 40\nsigma = 0.02\n"
+    body = SYM_MODEL + "sigma = 0.02\n[dispersion]\nk_min = 0.2\nk_max = 6.0\ncount = 40\n"
     cfg = _write(tmp_path, body)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["dispersion", cfg, "--out", str(out1)]) == 0
@@ -237,6 +247,47 @@ def test_continue_tol_scale_is_retired(tmp_path, capsys):
     assert "tol_scale" in capsys.readouterr().err
 
 
+def test_dispersion_sigma_is_retired(tmp_path, capsys):
+    # [model] sigma is the one sigma key of every command
+    cfg = _write(tmp_path, SYM_MODEL)
+    out = tmp_path / "o"
+    assert main(["dispersion", cfg, "--set", "dispersion.sigma=0.02", "--out", str(out)]) == 2
+    assert "unknown key(s) in [dispersion]: sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("dispersion", "dispersion.count=0"),
+        ("periodic", "periodic.samples=0"),
+        ("periodic", "periodic.periods=0"),
+        ("ivp", "ivp.samples=0"),
+        ("continue", "continue.probe_stride=0"),
+    ],
+)
+def test_count_below_one_is_a_config_error(tmp_path, capsys, command, override):
+    body = SYM_MODEL + "\n[periodic]\namplitude = 0.3\n[ivp]\nc1_0 = 1.3\nc2_0 = 1.3\n" + CONTINUE
+    cfg = _write(tmp_path, body)
+    assert main([command, cfg, "--set", override, "--out", str(tmp_path / "o")]) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_readme_lists_every_config_key():
+    # each section's rows of the README key table name exactly its _SCHEMA keys
+    listed, section = {}, None
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if not line.startswith("|") or len(cells) != 3:
+            continue
+        head = re.fullmatch(r"`\[(\w+)\]`", cells[0])
+        if head:
+            section = head.group(1)
+        elif cells[0]:
+            continue  # the header and its rule
+        listed.setdefault(section, set()).update(re.findall(r"`(\w+)`", cells[1]))
+    assert listed == {name: set(keys) for name, keys in _SCHEMA.items()}
+
+
 def test_wnl_map_products(tmp_path):
     cfg = _write(tmp_path, SYM_MODEL + "\n[wnl]\nmap = true\nasym_steps = 3\ng12_steps = 4\n")
     out = tmp_path / "o"
@@ -271,7 +322,7 @@ def test_ivp_products(tmp_path):
 
 def test_log_spaced_dispersion_products(tmp_path):
     body = SYM_MODEL + (
-        "\n[dispersion]\nk_min = 0.1\nk_max = 10.0\ncount = 5\nlog_spaced = true\nsigma = 0.02\n"
+        "sigma = 0.02\n[dispersion]\nk_min = 0.1\nk_max = 10.0\ncount = 5\nlog_spaced = true\n"
     )
     out = tmp_path / "o"
     assert main(["dispersion", _write(tmp_path, body), "--out", str(out)]) == 0

@@ -191,6 +191,17 @@ class TestRunCombined:
                 [seed], P_SYM, d, "sigma", (0.2, 0.3), grid.n, max_points=4
             )
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_rejects_probe_stride_below_one(self, stride):
+        # 0 divided by zero and -1 probed like 1
+        d = DomainSpec(2.0)
+        grid = make_grid(d, 48)
+        with pytest.raises(ParameterError, match="probe_stride"):
+            run_combined(
+                [homogeneous_profile(grid, P_SYM)], P_SYM, d, "sigma", (0.2, 0.3), grid.n,
+                max_points=4, probe_stride=stride,
+            )
+
 
 def test_trace_branch_walks_both_directions_from_interior_seed():
     d = DomainSpec(2.0)

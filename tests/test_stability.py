@@ -9,7 +9,7 @@ zero-growth locus and the growth rate, which do not use the onset cubic.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stericpnp.energy import g12_critical
@@ -22,7 +22,6 @@ from stericpnp.stability import (
     interaction_matrix,
     max_growth_rate,
     min_hessian_eigenvalue,
-    onset_polynomial_residual,
     sigma_zero_locus,
     verify_onset,
 )
@@ -79,15 +78,23 @@ class TestOnsetAsymmetric:
         assert abs(res["as_printed"]) > 1.0
 
 
-def test_polynomial_residual_consistent_at_onset():
-    onset = find_onset(P_SYM)
-    r = onset_polynomial_residual(onset.k_c, onset.sigma_c, P_SYM, variant="consistent")
-    assert abs(r) < 1e-10
-
-
 def test_onset_needs_enough_cross_repulsion():
     with pytest.raises(NoOnsetError):
         find_onset(make_params(1, -1, 2.0, 2.0, 2.8, 1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "g11, g22, g12",
+    [(3.0, 1.0, 2.8284271247461907), (2.5, 1.5, 2.9580398915498085),
+     (2.2, 1.8, 2.9933259094191533)],
+)
+def test_onset_one_ulp_above_threshold_is_no_onset(g11, g22, g12):
+    # g12 is one ulp above g12_crit, so D(cbar) < 0 is pure rounding and
+    # sigma_c would lie below it
+    p = make_params(1, -1, g11, g22, g12, 1, 1)
+    assert g12 > g12_critical(p)
+    with pytest.raises(NoOnsetError, match=r"D\(cbar\)"):
+        find_onset(p)
 
 
 def test_dispersion_zero_mode_is_neutral():
@@ -182,3 +189,32 @@ def test_onset_exists_and_is_marginal_over_random_couplings(z1, z2, g11, g22, cb
     res = dispersion(np.linspace(0.0, 3 * k_c, 400), p, sigma=sigma_c)
     assert res.rate.max() < 1e-10
     assert res.rate.max() > -1e-3
+
+
+@given(
+    z1=st.floats(0.5, 3.0),
+    z2=st.floats(-3.0, -0.5),
+    g11=st.floats(0.0, 4.0),
+    g22=st.floats(0.0, 4.0),
+    cbar1=st.floats(0.2, 3.0),
+    cbar2=st.floats(0.2, 3.0),
+    eps=st.floats(1e-3, 1.0),
+    stretch=st.floats(0.05, 10.0),
+)
+def test_sigma_zero_locus_is_the_marginal_sigma_off_onset(
+    z1, z2, g11, g22, cbar1, cbar2, eps, stretch
+):
+    g12 = g12_critical(make_params(z1, z2, g11, g22, 0.0, cbar1, cbar2)) * (1.0 + eps)
+    p = make_params(z1, z2, g11, g22, g12, cbar1, cbar2)
+    # sigma_0(k) > 0 exactly for k^2 > -w / D, where det B(k; 0) < 0
+    a1, a2 = 1.0 / cbar1 + g11, 1.0 / cbar2 + g22
+    w = a1 * z2**2 + a2 * z1**2 - 2.0 * g12 * z1 * z2
+    k = np.sqrt(-w / (a1 * a2 - g12**2)) * (1.0 + stretch)
+    assume(abs(k / find_onset(p).k_c - 1.0) > 1e-2)
+    s0 = sigma_zero_locus(k, p)
+    assert s0 > 0
+    scale = np.abs(growth_matrix(k, p, s0)).max()
+    assert abs(max_growth_rate(k, p, s0)) <= 1e-10 * scale
+    # the larger root: growing just below it, decaying just above it
+    assert max_growth_rate(k, p, s0 * (1.0 - 1e-6)) > 0
+    assert max_growth_rate(k, p, s0 * (1.0 + 1e-6)) < 0

@@ -224,6 +224,12 @@ class TestPeriodicOrbit:
         # it converges at the sampling rate, not the integration tolerance
         assert res["poisson"] < 1e-4
 
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_residual_needs_the_stencil_width(self, periodic):
+        sol = build_periodic(P_SYM, amplitude=0.3)
+        with pytest.raises(ParameterError, match="at least 5 samples"):
+            stationary_residual_fd(*sol.sample(n_per_period=4), P_SYM, periodic=periodic)
+
     def test_evaluate_is_periodic(self):
         sol = build_periodic(P_SYM, amplitude=0.3)
         xs = np.linspace(-0.7, 0.7, 23)

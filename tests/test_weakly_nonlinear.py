@@ -109,3 +109,11 @@ def test_criticality_map_mini():
     assert cm.tags.shape == (2, 3)
     assert cm.asymmetry.tolist() == [0.0, 1.6]
     assert cm.g12.tolist() == [2.6, 3.2, 3.6]
+
+
+def test_criticality_map_defers_to_find_onset_at_the_threshold():
+    # g11 = 3, g22 = 1: g12 one ulp above g12_crit = sqrt(8), where
+    # find_onset raises NoOnsetError because sigma_c lies below rounding
+    cm = criticality_map([1.0], [2.8284271247461907])
+    assert cm.tags.tolist() == [["no_onset"]]
+    assert np.isnan(cm.sigma_c[0, 0]) and np.isnan(cm.beta0_sq[0, 0])
