@@ -14,7 +14,7 @@ argument; a key the config leaves out is not passed on, so that argument
 keeps the library's own default. All randomness is seeded, so a run is
 reproducible from its manifest: same config and seed give bit identical
 CSV output. Numbers in CSV files carry 17 significant digits; JSON files
-are written with sorted keys.
+are strict JSON with sorted keys, a non-finite number written as null.
 
 Exit codes: 0 success, 2 configuration error (including a parameter value
 the model rejects, such as sigma < 0), 3 numerical failure,
@@ -109,7 +109,7 @@ def _one_of(*names: str):
 # to a default.
 _SCHEMA = {
     "model": dict.fromkeys(
-        ("z1", "z2", "g11", "g22", "g12", "cbar1", "cbar2", "rho0", "sigma"), float
+        ("z1", "z2", "g11", "g22", "g12", "cbar1", "cbar2", "sigma"), float
     ),
     "domain": dict.fromkeys(("l", "phi_left", "phi_right"), float),
     "grid": {"n": int},
@@ -196,15 +196,22 @@ def _domain_from(cfg) -> DomainSpec:
     return DomainSpec(opts.pop("l"), **opts)
 
 
-def _json_default(obj):
+def _jsonable(obj):
+    """obj with arrays as lists and each non-finite float as None (JSON null)."""
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(value) for value in obj]
     if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        return _jsonable(obj.tolist())
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
 
 
 def _write_json(outdir: Path, name: str, payload: dict) -> str:
     with open(outdir / name, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, default=_json_default)
+        json.dump(_jsonable(payload), fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return name
 
@@ -387,7 +394,7 @@ def _cmd_evolve(cfg, p, outdir: Path) -> tuple[list[str], dict]:
             prof.c2 -= amp * shape
         else:
             add_noise(prof, amp, seed)
-        prof = prof.require_positive(1e-10)
+        prof = prof.require_positive()
     res = evolve(p, prof, bc, **opts)
     outputs = [
         _write_csv(outdir, "timeseries.csv", ["t", "energy", "mass1", "mass2"],

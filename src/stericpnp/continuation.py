@@ -502,8 +502,8 @@ def trace_branch(
     grid: Grid,
     param_name: str,
     param_range: tuple[float, float],
-    ds0: float = 0.01,
-    max_points: int = 300,
+    ds0: float,
+    max_points: int,
     directions: tuple[int, ...] = (-1,),
     origin: str = "seed",
 ) -> Branch:
@@ -816,7 +816,7 @@ def save_branchset(bs: BranchSet, grid: Grid, out_dir: str | Path) -> Path:
             )
         index["branches"].append(entry)
     with open(out / "branches.json", "w") as fh:
-        json.dump(index, fh, indent=1, sort_keys=True)
+        json.dump(index, fh, indent=1, sort_keys=True, allow_nan=False)
     return out / "branches.json"
 
 

@@ -7,10 +7,11 @@ c1(x), c2(x) on a 1D interval, an electric potential phi(x) obeying
     phi_xx = -(z1 c1 + z2 c2 + rho0),
 
 and a symmetric steric-repulsion matrix G = [[g11, g12], [g12, g22]] with
-nonnegative entries. rho0 is a fixed background charge chosen so the
-reference bulk (cbar1, cbar2) is electroneutral:
+nonnegative entries. rho0 is a fixed background charge that makes the
+reference bulk (cbar1, cbar2) electroneutral, so it is not a parameter of
+its own but derived from the others:
 
-    z1 cbar1 + z2 cbar2 + rho0 = 0.
+    rho0 = -(z1 cbar1 + z2 cbar2).
 
 sigma >= 0 is the gradient-energy coefficient of the fourth-order
 (Cahn-Hilliard type) regularization; sigma = 0 recovers the bare steric
@@ -30,9 +31,8 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Electroneutrality is enforced to this absolute tolerance.
-NEUTRALITY_TOL = 1e-12
 _MIN_POINTS = 8  # make_grid, make_periodic_grid: fewest nodes accepted
+_POSITIVE_FLOOR = 1e-10  # Profile.require_positive: concentrations must exceed this
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,12 @@ class ModelParams:
     g12: float
     cbar1: float
     cbar2: float
-    rho0: float = 0.0
     sigma: float = 0.0
+
+    @property
+    def rho0(self) -> float:
+        """Background charge that makes the bulk electroneutral."""
+        return -(self.z1 * self.cbar1 + self.z2 * self.cbar2)
 
     @property
     def z(self) -> np.ndarray:
@@ -70,17 +74,10 @@ def make_params(
     g12: float,
     cbar1: float,
     cbar2: float,
-    rho0: float | None = None,
     sigma: float = 0.0,
 ) -> ModelParams:
-    """Build a validated ModelParams; rho0 defaults to the electroneutral value.
-
-    When rho0 is omitted it is derived from z1 cbar1 + z2 cbar2 + rho0 = 0.
-    When given, the identity is checked instead.
-    """
-    if rho0 is None:
-        rho0 = -(z1 * cbar1 + z2 * cbar2)
-    p = ModelParams(z1, z2, g11, g22, g12, cbar1, cbar2, rho0, sigma)
+    """Build a validated ModelParams."""
+    p = ModelParams(z1, z2, g11, g22, g12, cbar1, cbar2, sigma)
     validate_params(p)
     return p
 
@@ -100,14 +97,9 @@ def validate_params(p: ModelParams) -> ModelParams:
         )
     if p.sigma < 0:
         raise ParameterError(f"sigma must be >= 0, got {p.sigma}")
-    resid = p.z1 * p.cbar1 + p.z2 * p.cbar2 + p.rho0
-    if abs(resid) > NEUTRALITY_TOL:
-        raise ParameterError(
-            f"bulk electroneutrality violated: z1*cbar1 + z2*cbar2 + rho0 = {resid:.3e}"
-        )
     if not all(
         np.isfinite(getattr(p, name))
-        for name in ("z1", "z2", "g11", "g22", "g12", "cbar1", "cbar2", "rho0", "sigma")
+        for name in ("z1", "z2", "g11", "g22", "g12", "cbar1", "cbar2", "sigma")
     ):
         raise ParameterError("parameters must be finite")
     return p
@@ -205,7 +197,7 @@ class Profile:
 
     All fields must be finite, and c1, c2 nonnegative everywhere (segregated
     patterns contain exact zeros); contexts that need strict positivity call
-    require_positive().
+    require_positive(), which asks for every concentration above 1e-10.
     """
 
     grid: Grid
@@ -228,8 +220,8 @@ class Profile:
         if np.any(self.c1 < 0) or np.any(self.c2 < 0):
             raise ParameterError("concentrations must be nonnegative")
 
-    def require_positive(self, floor: float = 0.0) -> "Profile":
-        if self.c1.min() <= floor or self.c2.min() <= floor:
+    def require_positive(self) -> "Profile":
+        if self.c1.min() <= _POSITIVE_FLOOR or self.c2.min() <= _POSITIVE_FLOOR:
             raise ParameterError(
                 f"profile requires strictly positive concentrations "
                 f"(min c1={self.c1.min():.3e}, min c2={self.c2.min():.3e})"
@@ -241,12 +233,6 @@ class Profile:
         w = self.grid.weights
         tot = w.sum()
         return float(w @ self.c1 / tot), float(w @ self.c2 / tot)
-
-    def check_mass(self, p: ModelParams, tol: float = 1e-8) -> bool:
-        m1, m2 = self.mass_means()
-        return abs(m1 - p.cbar1) <= tol * (1 + p.cbar1) and abs(m2 - p.cbar2) <= tol * (
-            1 + p.cbar2
-        )
 
 
 def homogeneous_profile(grid: Grid, p: ModelParams) -> Profile:

@@ -149,36 +149,23 @@ def slope_bounds(c1_0: float, c2_0: float, p: ModelParams) -> tuple[float, float
     return m, M
 
 
-def phi_of_c(c1, c2, p: ModelParams, species: int = 1):
-    """Potential from the conserved chemical potential, bulk gauged to 0.
+def phi_of_c(c1, c2, p: ModelParams):
+    """Potential from the conserved chemical potential mu_1, bulk gauged to 0.
 
-    Along any stationary solution mu_i is the bulk value, which pins phi
-    algebraically to the concentrations. Both species give the same
-    answer on exact solutions; the redundancy is a useful consistency
-    check on numerics.
+    Along any stationary solution mu_1 is the bulk value, which pins phi
+    algebraically to the concentrations.
     """
-    if species == 1:
-        return (
-            np.log(p.cbar1 / np.asarray(c1))
-            + p.g11 * (p.cbar1 - c1)
-            + p.g12 * (p.cbar2 - c2)
-        ) / p.z1
-    if species == 2:
-        return (
-            np.log(p.cbar2 / np.asarray(c2))
-            + p.g22 * (p.cbar2 - c2)
-            + p.g12 * (p.cbar1 - c1)
-        ) / p.z2
-    raise ParameterError(f"species must be 1 or 2, got {species}")
+    return (
+        np.log(p.cbar1 / np.asarray(c1)) + p.g11 * (p.cbar1 - c1) + p.g12 * (p.cbar2 - c2)
+    ) / p.z1
 
 
 def _neutral_deviation(c1, c2, p: ModelParams):
     return p.z1 * (c1 - p.cbar1) + p.z2 * (c2 - p.cbar2)
 
 
-def _event(fn: Callable, terminal: bool, direction: float = 0.0) -> Callable:
+def _event(fn: Callable, terminal: bool) -> Callable:
     fn.terminal = terminal
-    fn.direction = direction
     return fn
 
 
@@ -249,7 +236,7 @@ def compute_trajectory(
     c1(c2) is the exact inverse of the orbit invariant (module docstring).
     The orbit ends early where c1 leaves [1e-12, 1e12]; those cutoffs are
     exact too, and c2_span in the result is the span that remains. Each
-    leg from the seed carries samples_per_leg geometric samples in c2.
+    leg from the seed carries samples_per_leg >= 2 geometric samples in c2.
     Crossings of the neutral line and of the degenerate curve are the
     sign changes of their functions on the samples, each polished by
     brentq to a relative 4 eps in c2.
@@ -261,6 +248,10 @@ def compute_trajectory(
     if not (0 < c2_min < c2_0 < c2_max):
         raise ParameterError(
             f"c2 range ({c2_min}, {c2_max}) must straddle the seed ordinate {c2_0}"
+        )
+    if samples_per_leg < 2:
+        raise ParameterError(
+            f"each leg needs at least 2 samples, its two ends; got {samples_per_leg}"
         )
     c1_of, c2_of = _orbit_maps(p, c1_0, c2_0)
     # c1 falls as c2 rises, so its upper cutoff bounds c2 from below
@@ -345,17 +336,11 @@ class FieldSolution:
         return self.sol(np.clip(x, lo, hi))
 
 
-def _field_rhs(p: ModelParams):
-    z1, z2 = p.z1, p.z2
-
-    def rhs(x, y):
-        c1, c2, E, _phi = y
-        br1, br2 = _brackets(c1, c2, p)
-        D = hessian_det(c1, c2, p)
-        r = E / D
-        return [-br1 * r, -br2 * r, -_neutral_deviation(c1, c2, p), E]
-
-    return rhs
+def _flow(c1, c2, E, p: ModelParams):
+    """The spatial system's right-hand sides (c1_x, c2_x, E_x, phi_x)."""
+    br1, br2 = _brackets(c1, c2, p)
+    r = E / hessian_det(c1, c2, p)
+    return -br1 * r, -br2 * r, -_neutral_deviation(c1, c2, p), E
 
 
 def integrate_field_ivp(
@@ -365,8 +350,6 @@ def integrate_field_ivp(
     x_span: tuple[float, float] = (0.0, 50.0),
     stop_at_neutral: bool = False,
     d_guard: float = 1e-8,
-    rtol: float = _RTOL,
-    atol: float = _ATOL,
 ) -> FieldSolution:
     """Integrate the spatial system from (c0, E0) across x_span.
 
@@ -392,12 +375,12 @@ def integrate_field_ivp(
     )
     ev_positive = _event(lambda x, y: min(y[0], y[1]) - 1e-12, True)
     sol = solve_ivp(
-        _field_rhs(p),
+        lambda x, y: _flow(*y[:3], p),
         x_span,
         [c1_0, c2_0, E0, phi0],
         method="RK45",
-        rtol=rtol,
-        atol=atol,
+        rtol=_RTOL,
+        atol=_ATOL,
         dense_output=True,
         events=[ev_neutral, ev_shell, ev_positive],
     )
@@ -719,22 +702,15 @@ def stationary_residual_fd(
     h = x[1] - x[0]
     if not np.allclose(np.diff(x), h, rtol=1e-9, atol=1e-12 * abs(h)):
         raise ParameterError("residual check needs a uniform sample grid")
-    br1, br2 = _brackets(c1, c2, p)
-    D = hessian_det(c1, c2, p)
-    r = E / D
-    rhs = {
-        "c1": -br1 * r,
-        "c2": -br2 * r,
-        "field": -_neutral_deviation(c1, c2, p) - (p.rho0 + p.z1 * p.cbar1 + p.z2 * p.cbar2),
-        "potential_gradient": E,
-    }
 
     def trim(a):
         return a if periodic else a[2:-2]
 
     out = {}
-    for key, arr in (("c1", c1), ("c2", c2), ("field", E), ("potential_gradient", phi)):
-        out[key] = float(np.max(np.abs(_fd4_first(arr, h, periodic) - trim(rhs[key]))))
+    for key, arr, rhs in zip(
+        ("c1", "c2", "field", "potential_gradient"), (c1, c2, E, phi), _flow(c1, c2, E, p)
+    ):
+        out[key] = float(np.max(np.abs(_fd4_first(arr, h, periodic) - trim(rhs))))
     poisson = _fd4_second(phi, h, periodic) + trim(p.z1 * c1 + p.z2 * c2 + p.rho0)
     out["poisson"] = float(np.max(np.abs(poisson)))
     return out

@@ -63,10 +63,10 @@ def test_missing_config_file(tmp_path):
         ("onset", "sigma = -1\n"),
         ("evolve", "\n[domain]\nl = 1.0\n[grid]\nn = 4\n[evolve]\nt_end = 1.0\n"),
         # a key left out takes the library default; NaN is not a stand-in
-        ("onset", "rho0 = nan\n"),
+        ("onset", "sigma = nan\n"),
         ("continue", "\n[domain]\nl = 2.0\n[continue]\nlo = 0.04\nhi = 0.06\nstart = nan\n"),
     ],
-    ids=["negative_sigma", "grid_under_8_nodes", "nan_rho0", "nan_start"],
+    ids=["negative_sigma", "grid_under_8_nodes", "nan_sigma", "nan_start"],
 )
 def test_bad_parameter_value_is_a_config_error(tmp_path, capsys, command, extra):
     cfg = _write(tmp_path, SYM_MODEL + extra)
@@ -111,16 +111,40 @@ def test_trajectory_products(tmp_path):
     assert header.split(",")[:3] == ["c2", "c1", "det_hessian"]
 
 
-def test_periodic_products_and_retired_keys(tmp_path, capsys):
+@pytest.mark.parametrize("samples", [0, 1])
+def test_trajectory_needs_two_samples_per_leg(tmp_path, capsys, samples):
+    # fewer samples than a leg's two ends left an empty or one-sided orbit
+    # that was classified "I"
+    body = SYM_MODEL + f"\n[trajectory]\nc1_0 = 2.0\nc2_0 = 2.01\nsamples_per_leg = {samples}\n"
+    assert main(["trajectory", _write(tmp_path, body), "--out", str(tmp_path / "o")]) == 2
+    assert "parameter error" in capsys.readouterr().err
+
+
+def test_json_products_are_strict_and_write_non_finite_as_null(tmp_path):
+    # on this narrow span the orbit never meets the neutral line, so the
+    # determinant there is NaN
+    body = (
+        SYM_MODEL.replace("g11 = 2.0", "g11 = 2.25").replace("g22 = 2.0", "g22 = 0.75")
+        .replace("g12 = 3.5", "g12 = 2.5")
+        + "\n[trajectory]\nc1_0 = 2.0\nc2_0 = 0.3\nc2_max = 0.5\n"
+    )
+    out = tmp_path / "o"
+    assert main(["trajectory", _write(tmp_path, body), "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    info = json.loads((out / "trajectory.json").read_text(), parse_constant=reject)
+    assert info["neutral_points"] == []
+    assert info["d_at_neutral"] is None
+
+
+def test_periodic_products(tmp_path):
     cfg = _write(tmp_path, SYM_MODEL + "\n[periodic]\namplitude = 0.3\n")
     out = tmp_path / "o"
     assert main(["periodic", cfg, "--out", str(out)]) == 0
     info = json.loads((out / "periodic.json").read_text())
     assert info["period"] == pytest.approx(3.0884630588032227, rel=1e-11)
-    # the periodic build integrates no ODE, so its shooting options are gone
-    for override in ("periodic.x_max=50", "periodic.match_tol=1e-10"):
-        assert main(["periodic", cfg, "--set", override, "--out", str(tmp_path / "p")]) == 2
-        assert override.split(".")[1].split("=")[0] in capsys.readouterr().err
 
 
 def test_csv_reruns_are_bit_identical(tmp_path):
@@ -239,20 +263,28 @@ def test_continue_products(tmp_path):
     assert man["outputs"] == ["branches/branches.json", "continue.json"]
 
 
-def test_continue_tol_scale_is_retired(tmp_path, capsys):
-    # every identity test uses StationaryState.same_as, so the key is gone
-    cfg = _write(tmp_path, SYM_MODEL + CONTINUE)
-    out = tmp_path / "o"
-    assert main(["continue", cfg, "--set", "continue.tol_scale=1e-3", "--out", str(out)]) == 2
-    assert "tol_scale" in capsys.readouterr().err
-
-
-def test_dispersion_sigma_is_retired(tmp_path, capsys):
-    # [model] sigma is the one sigma key of every command
-    cfg = _write(tmp_path, SYM_MODEL)
-    out = tmp_path / "o"
-    assert main(["dispersion", cfg, "--set", "dispersion.sigma=0.02", "--out", str(out)]) == 2
-    assert "unknown key(s) in [dispersion]: sigma" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        # the onset is a closed-form root, with no Newton polish to set
+        ("onset", "onset.newton_steps"),
+        # the periodic build integrates no ODE, so its shooting options are gone
+        ("periodic", "periodic.x_max"),
+        ("periodic", "periodic.match_tol"),
+        # every identity test uses StationaryState.same_as
+        ("continue", "continue.tol_scale"),
+        # [model] sigma is the one sigma key of every command
+        ("dispersion", "dispersion.sigma"),
+        # the background charge follows from bulk electroneutrality
+        ("onset", "model.rho0"),
+    ],
+)
+def test_retired_keys_are_config_errors(tmp_path, capsys, command, key):
+    cfg = _write(tmp_path, SYM_MODEL + "\n[periodic]\namplitude = 0.3\n" + CONTINUE)
+    assert main([command, cfg, "--set", f"{key}=0", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert key.split(".")[1] in err
 
 
 @pytest.mark.parametrize(

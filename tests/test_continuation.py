@@ -46,10 +46,12 @@ from stericpnp.model import (
     make_periodic_grid,
     with_sigma,
 )
+from stericpnp.stability import find_onset
 
 from _strategies import admissible_params
 
 P_SYM = make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0)
+P_FIG10 = make_params(1, -1, 3.6, 0.4, 2.65, 1.0, 1.0)
 SIGMA_C = 1.0 / 32.0
 K_C = 2.0 * np.sqrt(2.0)
 
@@ -207,7 +209,7 @@ def test_trace_branch_walks_both_directions_from_interior_seed():
     d = DomainSpec(2.0)
     grid = make_grid(d, 48)
     st = _hom_state(grid, sigma=0.25)
-    br = trace_branch(st, P_SYM, d, grid, "sigma", (0.2, 0.3), max_points=10,
+    br = trace_branch(st, P_SYM, d, grid, "sigma", (0.2, 0.3), ds0=0.01, max_points=10,
                       directions=(-1, 1))
     params = [pt.param for pt in br.points]
     assert min(params) < 0.25 < max(params)
@@ -383,3 +385,75 @@ def test_newton_states_are_fixed_points_of_evolve(data):
     rounding = 4.0 * np.finfo(float).eps * max(abs(state.lam1), abs(state.lam2))
     c_max = max(state.c1.max(), state.c2.max())
     assert np.max(np.abs(f)) <= 8.0 * c_max * (r_mu + rounding) / grid.dx**2
+
+
+def _stress_ptp(state, p, grid):
+    """ptp over the interior nodes of the stress first integral Q.
+
+    Q = E^2/2 - Pi + rho0 phi with Pi = c1 + c2 + c.Gc/2
+    - sigma sum_i c_i c_i,xx + (sigma/2) sum_i c_i,x^2 and E = phi_x is
+    constant on every exact stationary state: sum_i c_i mu_i,x = 0 is its
+    derivative. Derivatives are centred differences, so on Newton states
+    the ptp falls like dx^2.
+    """
+    h = grid.dx
+    c = np.array([state.c1, state.c2])
+    mid = c[:, 1:-1]
+    c_x = (c[:, 2:] - c[:, :-2]) / (2.0 * h)
+    c_xx = (c[:, 2:] - 2.0 * mid + c[:, :-2]) / h**2
+    E = (state.phi[2:] - state.phi[:-2]) / (2.0 * h)
+    pressure = (
+        mid.sum(0)
+        + 0.5 * np.einsum("in,ij,jn->n", mid, p.G, mid)
+        - p.sigma * (mid * c_xx).sum(0)
+        + 0.5 * p.sigma * (c_x**2).sum(0)
+    )
+    return np.ptp(0.5 * E**2 - pressure + p.rho0 * state.phi[1:-1])
+
+
+def _stress_ratios(state, p, d, grid, bc, param_name, param_value):
+    """ptp(Q) on a grid over ptp(Q) on one with twice the nodes, twice over.
+
+    Each finer state is Newton's from the coarser state interpolated onto
+    the finer grid, so it stays on the same branch.
+    """
+    ptps = [_stress_ptp(state, p, grid)]
+    for _ in range(2):
+        fine = make_grid(d, 2 * grid.n)
+        guess = Profile(
+            fine, np.interp(fine.x, grid.x, state.c1), np.interp(fine.x, grid.x, state.c2)
+        )
+        state = newton_solve(guess, p, fine, bc, param_name, param_value)
+        grid = fine
+        ptps.append(_stress_ptp(state, p, grid))
+    return [a / b for a, b in zip(ptps[:-1], ptps[1:])]
+
+
+def test_stress_first_integral_of_the_criterion_11_state_falls_like_dx2():
+    # criterion 11's setup; the cosine seed m = 1, a = 0.9, c2/c1 ratio -1
+    # of its census reaches the stable mirror-asymmetric state
+    p = with_sigma(P_FIG10, 0.003)
+    d = DomainSpec(3 * np.pi / (2 * find_onset(P_FIG10).k_c))
+    grid = make_grid(d, 96)
+    bc = electrode_bc()
+    wave = 0.9 * np.cos(np.pi * (grid.x + grid.L) / (2.0 * grid.L))
+    c1, c2 = np.exp(wave), np.exp(-wave)
+    c1 *= p.cbar1 * grid.length / (grid.weights @ c1)
+    c2 *= p.cbar2 * grid.length / (grid.weights @ c2)
+    state = newton_solve(Profile(grid, c1, c2), p, grid, bc, "sigma", 0.003)
+    assert state.distance(mirror_state(state)) > 1.0
+    for ratio in _stress_ratios(state, p, d, grid, bc, "sigma", 0.003):
+        assert 3.0 <= ratio <= 5.0
+
+
+def test_stress_first_integral_under_voltage_falls_like_dx2():
+    # walls at -/+ 1 V: boundary layers of width about sqrt(sigma) = 0.1
+    p = with_sigma(P_FIG10, 0.01)
+    d = DomainSpec(2.0, -1.0, 1.0)
+    grid = make_grid(d, 96)
+    bc = electrode_bc(-1.0, 1.0)
+    relaxed = evolve(p, homogeneous_profile(grid, p), bc, t_end=50.0)
+    state = newton_solve(relaxed.profile, p, grid, bc, "voltage", 1.0)
+    assert np.ptp(state.c1) > 1.0
+    for ratio in _stress_ratios(state, p, d, grid, bc, "voltage", 1.0):
+        assert 3.0 <= ratio <= 5.0

@@ -6,6 +6,7 @@ import pytest
 from stericpnp.errors import ParameterError
 from stericpnp.model import (
     DomainSpec,
+    ModelParams,
     Profile,
     homogeneous_profile,
     make_grid,
@@ -27,10 +28,10 @@ def test_default_background_charge_is_electroneutral():
     p = make_params(1, -1, 2.0, 2.0, 3.5, 1.3, 0.7)
     # rho0 balances z . cbar so the homogeneous state carries no net charge
     assert p.rho0 == pytest.approx(-(1.3 - 0.7), abs=0.0)
-    q = make_params(2, -1, 2.0, 2.0, 3.5, 1.0, 2.0, rho0=0.0)
-    assert q.rho0 == 0.0
-    with pytest.raises(ParameterError):
-        make_params(2, -1, 2.0, 2.0, 3.5, 1.0, 2.0, rho0=0.25)
+    # it is derived, so a ModelParams built without make_params has it too
+    raw = ModelParams(1, -1, 3.4, 0.6, 2.65, 2.0, 2.01)
+    assert raw.rho0 == make_params(1, -1, 3.4, 0.6, 2.65, 2.0, 2.01).rho0
+    assert raw.rho0 == 0.009999999999999787
 
 
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
@@ -91,7 +92,6 @@ def test_homogeneous_profile_masses_and_potential():
     m1, m2 = prof.mass_means()
     assert m1 == pytest.approx(1.0, abs=1e-14)
     assert m2 == pytest.approx(1.0, abs=1e-14)
-    prof.check_mass(p)
 
 
 def test_profile_positivity_guard():
@@ -105,7 +105,7 @@ def test_profile_positivity_guard():
     tiny[3] = 1e-14
     prof = Profile(g, tiny, np.ones(g.n))
     with pytest.raises(ParameterError):
-        prof.require_positive(1e-10)
+        prof.require_positive()
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0])

@@ -193,6 +193,29 @@ def test_crossing_ratio_approaches_sqrt_f():
     assert np.all(np.isfinite(cs.E))
 
 
+def _rk45_to_neutral(p, turning, x_max):
+    """(x, |E|) where RK45 from a turning point first meets z.(c - cbar) = 0.
+
+    The reference integrates the spatial system written out here, c_i,x =
+    -br_i E / D and E_x = -z.(c - cbar), from E = 0 at the turning point,
+    so it shares no code with the closed-form construction it checks.
+    """
+
+    def neutral(x, y):
+        return p.z1 * (y[0] - p.cbar1) + p.z2 * (y[1] - p.cbar2)
+
+    def rhs(x, y):
+        c1, c2, E = y
+        a1, a2 = 1.0 / c1 + p.g11, 1.0 / c2 + p.g22
+        r = E / (a1 * a2 - p.g12**2)
+        return [-(p.z1 * a2 - p.z2 * p.g12) * r, -(p.z2 * a1 - p.z1 * p.g12) * r, -neutral(x, y)]
+
+    neutral.terminal = True
+    sol = solve_ivp(rhs, (0.0, x_max), [*turning, 0.0], rtol=1e-12, atol=1e-14, events=neutral)
+    assert sol.status == 1 and sol.t_events[0].size == 1
+    return sol.t_events[0][0], abs(sol.y_events[0][0][2])
+
+
 class TestPeriodicOrbit:
     def test_frozen_period_and_amplitudes(self):
         sol = build_periodic(P_SYM, amplitude=0.3)
@@ -240,8 +263,10 @@ class TestPeriodicOrbit:
     def test_potential_recovered_from_conserved_multipliers(self):
         sol = build_periodic(P_SYM, amplitude=0.3)
         _, c1, c2, _, phi = sol.sample(n_per_period=1024)
-        p1 = phi_of_c(c1, c2, P_SYM, species=1)
-        p2 = phi_of_c(c1, c2, P_SYM, species=2)
+        p = P_SYM
+        p1 = phi_of_c(c1, c2, p)
+        # the same potential from the conserved mu_2, bulk gauged to 0
+        p2 = (np.log(p.cbar2 / c2) + p.g22 * (p.cbar2 - c2) + p.g12 * (p.cbar1 - c1)) / p.z2
         assert np.max(np.abs(p1 - p2)) < 1e-8
         shift = phi - p1
         assert np.ptp(shift) < 1e-10
@@ -254,7 +279,7 @@ class TestPeriodicOrbit:
         assert m1 == pytest.approx(bvp.cbar1, rel=1e-9)
         assert m2 == pytest.approx(bvp.cbar2, rel=1e-9)
         assert bvp.profile.phi is not None
-        bvp.profile.require_positive(1e-12)
+        bvp.profile.require_positive()
 
 
 @pytest.mark.parametrize("amplitude", [float("nan"), 0.0, -0.1])
@@ -282,12 +307,8 @@ def test_periodic_shrinks_the_side_outside_the_concave_window():
     assert sol.turning_b[1] == pytest.approx(sol.turning_a[0], rel=1e-14)
     assert sol.period == pytest.approx(2.883189554856995, rel=1e-9)
     for turning, length in ((sol.turning_a, sol.x_a), (sol.turning_b, sol.x_b)):
-        ref = integrate_field_ivp(
-            P_SYM, turning, x_span=(0.0, 2.0 * sol.period), stop_at_neutral=True,
-            rtol=1e-12, atol=1e-14,
-        )
-        assert ref.status == "neutral"
-        assert ref.x_end == pytest.approx(length, rel=1e-9)
+        x_end, _ = _rk45_to_neutral(P_SYM, turning, 2.0 * sol.period)
+        assert x_end == pytest.approx(length, rel=1e-9)
     # the upper turning point sits 0.021 from the window edge, where the
     # profile steepens: the fourth-order differences' truncation error falls
     # as h^4 (c1: 3.9e-6 at 2048 samples, 1.5e-8 at 8192, 9.7e-10 at 16384)
@@ -363,13 +384,9 @@ def test_periodic_orbit_keeps_the_first_integral_and_matches_rk45(
     # independent route: RK45 on the full spatial system from each turning
     # point to the bulk crossing
     for turning, length in ((sol.turning_a, sol.x_a), (sol.turning_b, sol.x_b)):
-        ref = integrate_field_ivp(
-            p, turning, x_span=(0.0, 2.0 * sol.period), stop_at_neutral=True,
-            rtol=1e-12, atol=1e-14,
-        )
-        assert ref.status == "neutral"
-        assert ref.x_end == pytest.approx(length, rel=1e-9)
-        assert abs(ref.at(ref.x_end)[2, 0]) == pytest.approx(sol.e_peak, rel=1e-9)
+        x_end, e_end = _rk45_to_neutral(p, turning, 2.0 * sol.period)
+        assert x_end == pytest.approx(length, rel=1e-9)
+        assert e_end == pytest.approx(sol.e_peak, rel=1e-9)
 
     # stress first integral: E^2 / 2 - (c1 + c2 + c.Gc / 2 - rho0 phi)
     x, c1, c2, E, phi = sol.sample(n_per_period=8192)
