@@ -199,8 +199,11 @@ def _assemble(
     Returns (r, ab, C, D): full residual (3n + 2), the core band in
     solve_banded storage (2*_BAND + 1, 3n), the dense multiplier columns
     C (3n, 2) and the mass rows D (2, 3n). The mass rows do not depend on
-    the multipliers, so the 2 x 2 corner of the Jacobian is zero.
+    the multipliers, so the 2 x 2 corner of the Jacobian is zero. The
+    walls are Dirichlet in phi, so a periodic grid raises ParameterError.
     """
+    if grid.periodic:
+        raise ParameterError("the stationary solver needs a wall-to-wall grid")
     n = grid.n
     dx2 = grid.dx**2
     c1, c2, phi, lam1, lam2 = _unpack(u)
@@ -825,7 +828,7 @@ def load_branchset(out_dir: str | Path) -> tuple[BranchSet, Grid]:
     out = Path(out_dir)
     with open(out / "branches.json") as fh:
         index = json.load(fh)
-    grid = make_grid(float(index["grid"]["L"]), int(index["grid"]["n"]))
+    grid = make_grid(DomainSpec(float(index["grid"]["L"])), int(index["grid"]["n"]))
     bs = BranchSet(param_name=index["param_name"])
     for bentry in index["branches"]:
         branch = Branch(origin=bentry["origin"], truncated=bentry["truncated"])

@@ -161,9 +161,8 @@ def chemical_potential(
     """
     mu1 = np.log(c1) + p.g11 * c1 + p.g12 * c2 + p.z1 * phi
     mu2 = np.log(c2) + p.g12 * c1 + p.g22 * c2 + p.z2 * phi
-    if p.sigma > 0.0:
-        mu1 = mu1 - p.sigma * second_derivative(c1, grid)
-        mu2 = mu2 - p.sigma * second_derivative(c2, grid)
+    mu1 -= p.sigma * second_derivative(c1, grid)
+    mu2 -= p.sigma * second_derivative(c2, grid)
     return mu1, mu2
 
 
@@ -207,9 +206,8 @@ def discrete_energy(
     rho = p.z1 * c1 + p.z2 * c2 + p.rho0
     total += trapz(rho * phi, grid)
     total += _face_energy(phi, grid, -0.5)
-    if p.sigma > 0.0:
-        total += _face_energy(c1, grid, 0.5 * p.sigma)
-        total += _face_energy(c2, grid, 0.5 * p.sigma)
+    total += _face_energy(c1, grid, 0.5 * p.sigma)
+    total += _face_energy(c2, grid, 0.5 * p.sigma)
     return float(total)
 
 

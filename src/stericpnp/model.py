@@ -169,23 +169,19 @@ class Grid:
         return 2.0 * self.L
 
 
-def make_grid(domain: DomainSpec | float, n: int) -> Grid:
+def make_grid(domain: DomainSpec, n: int) -> Grid:
     """Electrode grid with n nodes on [-L, L], endpoints included."""
-    L = domain.L if isinstance(domain, DomainSpec) else float(domain)
     if n < _MIN_POINTS:
         raise ParameterError(f"grid needs at least {_MIN_POINTS} nodes, got {n}")
-    if L <= 0:
-        raise ParameterError(f"half-length must be positive, got {L}")
-    x = np.linspace(-L, L, n)
-    return Grid(x=x, L=L, periodic=False)
+    x = np.linspace(-domain.L, domain.L, n)
+    return Grid(x=x, L=domain.L, periodic=False)
 
 
 def make_periodic_grid(L: float, n: int) -> Grid:
-    """Periodic grid on [-L, L): n nodes, right endpoint excluded."""
+    """Periodic grid on [-L, L): n nodes, right endpoint excluded; L as in DomainSpec."""
     if n < _MIN_POINTS:
         raise ParameterError(f"grid needs at least {_MIN_POINTS} nodes, got {n}")
-    if L <= 0:
-        raise ParameterError(f"half-length must be positive, got {L}")
+    L = DomainSpec(L).L
     dx = 2.0 * L / n
     x = -L + dx * np.arange(n)
     return Grid(x=x, L=L, periodic=True)
@@ -227,12 +223,6 @@ class Profile:
                 f"(min c1={self.c1.min():.3e}, min c2={self.c2.min():.3e})"
             )
         return self
-
-    def mass_means(self) -> tuple[float, float]:
-        """Domain-averaged concentrations (quadrature consistent with the grid)."""
-        w = self.grid.weights
-        tot = w.sum()
-        return float(w @ self.c1 / tot), float(w @ self.c2 / tot)
 
 
 def homogeneous_profile(grid: Grid, p: ModelParams) -> Profile:

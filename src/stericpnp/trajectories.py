@@ -73,7 +73,7 @@ from scipy.special import wrightomega
 
 from .energy import hessian_det
 from .errors import NumericsError, ParameterError, RegimeError
-from .model import DomainSpec, ModelParams, Profile, make_grid
+from .model import ModelParams
 
 __all__ = [
     "trajectory_slope",
@@ -91,14 +91,11 @@ __all__ = [
     "d_zero_c1",
     "CrossingSolution",
     "cross_d_zero",
-    "ExtractedBvp",
-    "extract_bvp",
 ]
 
 _RTOL = 1e-10  # field integrations (solve_ivp RK45)
 _ATOL = 1e-12
 _C1_MIN, _C1_MAX = 1e-12, 1e12  # compute_trajectory: orbits end where c1 leaves these
-_MEAN_SAMPLES = 4096  # uniform samples per period in mean_concentrations
 _CHEB_POINTS = (32, 64, 128, 256, 512, 1024)  # build_periodic: interpolation sizes tried
 _CHEB_TAIL = 1e-13  # a series is resolved when its last 3 coefficients fall below this share
 _NEWTON_MAX = 100  # Newton steps inverting x(s) at the Chebyshev points
@@ -294,14 +291,15 @@ def compute_trajectory(
 
 
 def classify_trajectory(res: TrajectoryResult) -> str:
-    """Orbit type: "I", "II" or "III" (see module docstring)."""
-    if res.d_zero_points.shape[0] == 0:
-        return "I"
-    if res.neutral_points.shape[0] == 0 or not np.isfinite(res.d_at_neutral):
+    """Orbit type "I", "II" or "III" (module docstring); NumericsError if
+    the span ends before the neutral line, where the type is decided."""
+    if res.neutral_points.shape[0] == 0:
         raise NumericsError(
             "orbit never met the neutral line within its span; "
             "widen c2_min/c2_max before classifying"
         )
+    if res.d_zero_points.shape[0] == 0:
+        return "I"
     if res.d_at_neutral < 0:
         return "III"
     return "II"
@@ -319,7 +317,7 @@ class FieldSolution:
     sol: object  # scipy dense-output interpolant
     x_start: float
     x_end: float
-    status: str  # "span" | "neutral" | "degenerate"
+    status: str  # "span" | "neutral" | "degenerate" | "positivity"
     blow_up: bool  # reached D ~ 0 while |E| stayed away from 0
     symmetric: bool  # launched from a turning point (E = 0)
 
@@ -349,7 +347,7 @@ def integrate_field_ivp(
     E0: float = 0.0,
     x_span: tuple[float, float] = (0.0, 50.0),
     stop_at_neutral: bool = False,
-    d_guard: float = 1e-8,
+    d_guard: float = 1e-6,
 ) -> FieldSolution:
     """Integrate the spatial system from (c0, E0) across x_span.
 
@@ -359,14 +357,22 @@ def integrate_field_ivp(
     The run always terminates when the orbit comes within d_guard of the
     degenerate curve (the flow is singular there); the result is flagged
     blow_up when the field was not simultaneously small, since that is
-    the gradient blow-up scenario rather than a regular crossing. With
-    stop_at_neutral the run also stops where z . (c - cbar) changes
-    sign, which is where |E| peaks.
+    the gradient blow-up scenario rather than a regular crossing. D^2
+    falls like the distance to a blow-up, so the guard lies about
+    d_guard^2 before it in x, which must be a step RK45 can take (1e-8
+    is not). A concentration falling to 1e-12 ends the run with status
+    "positivity"; the flow is NaN where one is <= 0, so RK45 rejects
+    that stage. With stop_at_neutral the run also stops where
+    z . (c - cbar) changes sign, which is where |E| peaks.
     """
     c1_0, c2_0 = c0
     if c1_0 <= 0 or c2_0 <= 0:
         raise ParameterError("initial concentrations must be positive")
     phi0 = float(phi_of_c(c1_0, c2_0, p))
+
+    def rhs(x, y):
+        return _flow(*y[:3], p) if min(y[0], y[1]) > 0.0 else (np.nan,) * 4
+
     ev_neutral = _event(
         lambda x, y: _neutral_deviation(y[0], y[1], p), stop_at_neutral
     )
@@ -375,7 +381,7 @@ def integrate_field_ivp(
     )
     ev_positive = _event(lambda x, y: min(y[0], y[1]) - 1e-12, True)
     sol = solve_ivp(
-        lambda x, y: _flow(*y[:3], p),
+        rhs,
         x_span,
         [c1_0, c2_0, E0, phi0],
         method="RK45",
@@ -392,6 +398,8 @@ def integrate_field_ivp(
         status = "degenerate"
         E_here = sol.y_events[1][0][2]
         blow_up = abs(E_here) > 1e-8
+    elif sol.t_events[2].size:
+        status = "positivity"
     elif stop_at_neutral and sol.t_events[0].size:
         status = "neutral"
     return FieldSolution(
@@ -583,10 +591,6 @@ class PeriodicSolution:
         x = np.linspace(0.0, periods * self.period, n, endpoint=False)
         c1, c2, E, phi = self.evaluate(x)
         return x, c1, c2, E, phi
-
-    def mean_concentrations(self) -> tuple[float, float]:
-        _, c1, c2, _, _ = self.sample(n_per_period=_MEAN_SAMPLES)
-        return float(c1.mean()), float(c2.mean())
 
 
 def build_periodic(p: ModelParams, amplitude: float) -> PeriodicSolution:
@@ -834,46 +838,3 @@ def cross_d_zero(p: ModelParams, c_star: tuple[float, float]) -> CrossingSolutio
         ratio_x=ratio_x,
         ratio=ratio,
     )
-
-
-# ---------------------------------------------------------------------------
-# packaging a finite window as boundary-value data
-
-
-@dataclass(frozen=True)
-class ExtractedBvp:
-    """A finite window of a stationary solution, ready for grid solvers."""
-
-    profile: Profile
-    domain: DomainSpec
-    cbar1: float
-    cbar2: float
-
-
-def extract_bvp(
-    source,
-    x_left: float,
-    x_right: float,
-    n: int,
-    p: ModelParams,
-) -> ExtractedBvp:
-    """Window [x_left, x_right] of a solution as a boundary-value profile.
-
-    source must expose evaluate(x) or at(x) returning rows (c1, c2, E,
-    phi). The window is recentered on [-L, L]; the realized means over
-    the window (generally different from the nominal bulk values) are
-    reported alongside.
-    """
-    if x_right <= x_left:
-        raise ParameterError("window must have positive width")
-    pull = getattr(source, "evaluate", None) or getattr(source, "at", None)
-    if pull is None:
-        raise ParameterError("source exposes neither evaluate(x) nor at(x)")
-    L = 0.5 * (x_right - x_left)
-    center = 0.5 * (x_left + x_right)
-    grid = make_grid(L, n)
-    c1, c2, _, phi = pull(grid.x + center)
-    domain = DomainSpec(L=L, phi_left=float(phi[0]), phi_right=float(phi[-1]))
-    profile = Profile(grid=grid, c1=c1, c2=c2, phi=phi)
-    m1, m2 = profile.mass_means()
-    return ExtractedBvp(profile=profile, domain=domain, cbar1=m1, cbar2=m2)

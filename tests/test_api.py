@@ -35,7 +35,7 @@ OPTIONS = {
     "trajectories.integrate_field_ivp:E0": "[ivp] e0",
     "trajectories.integrate_field_ivp:x_span": "[ivp] x_max",
     "trajectories.integrate_field_ivp:stop_at_neutral": "[ivp] stop_at_neutral",
-    "trajectories.integrate_field_ivp:d_guard": "cross_d_zero (1e-13; the CLI keeps 1e-8)",
+    "trajectories.integrate_field_ivp:d_guard": "cross_d_zero (1e-13; the CLI keeps 1e-6)",
     "trajectories.PeriodicSolution.sample:n_per_period": "[periodic] samples",
     "trajectories.PeriodicSolution.sample:periods": "[periodic] periods",
     "trajectories.stationary_residual_fd:periodic": "perfbench analysis",

@@ -4,9 +4,10 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stericpnp.cli import _SCHEMA, main
+from stericpnp.cli import _SCHEMA, _write_json, main
 
 SYM_MODEL = """\
 [model]
@@ -120,23 +121,29 @@ def test_trajectory_needs_two_samples_per_leg(tmp_path, capsys, samples):
     assert "parameter error" in capsys.readouterr().err
 
 
-def test_json_products_are_strict_and_write_non_finite_as_null(tmp_path):
-    # on this narrow span the orbit never meets the neutral line, so the
-    # determinant there is NaN
+def test_trajectory_that_misses_the_neutral_line_is_a_numerical_failure(tmp_path, capsys):
+    # type III on the default span; on this narrow one the orbit meets
+    # neither the neutral line nor D = 0, and was classified "I"
     body = (
         SYM_MODEL.replace("g11 = 2.0", "g11 = 2.25").replace("g22 = 2.0", "g22 = 0.75")
         .replace("g12 = 3.5", "g12 = 2.5")
         + "\n[trajectory]\nc1_0 = 2.0\nc2_0 = 0.3\nc2_max = 0.5\n"
     )
-    out = tmp_path / "o"
-    assert main(["trajectory", _write(tmp_path, body), "--out", str(out)]) == 0
+    assert main(["trajectory", _write(tmp_path, body), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "neutral line" in err
+
+
+def test_json_products_are_strict_and_write_non_finite_as_null(tmp_path):
+    payload = {"d_at_neutral": float("nan"), "points": np.array([[1.0, -np.inf]])}
+    name = _write_json(tmp_path, "product.json", payload)
 
     def reject(token):
         raise ValueError(f"not strict JSON: {token}")
 
-    info = json.loads((out / "trajectory.json").read_text(), parse_constant=reject)
-    assert info["neutral_points"] == []
+    info = json.loads((tmp_path / name).read_text(), parse_constant=reject)
     assert info["d_at_neutral"] is None
+    assert info["points"] == [[1.0, None]]
 
 
 def test_periodic_products(tmp_path):
@@ -350,6 +357,32 @@ def test_ivp_products(tmp_path):
     assert header == ["x", "c1", "c2", "E", "phi"]
     assert len(rows) == 11
     assert [float(v) for v in rows[0][:4]] == [0.0, 1.3, 1.25, 0.2]
+
+
+@pytest.mark.parametrize(
+    "model, launch, status, x_end",
+    [
+        (SYM_MODEL, "c1_0 = 1.3\nc2_0 = 1.3\ne0 = 1.0\n", "degenerate", 0.762),
+        (
+            SYM_MODEL.replace("g11 = 2.0", "g11 = 2.25").replace("g22 = 2.0", "g22 = 0.75")
+            .replace("g12 = 3.5", "g12 = 2.5"),
+            "c1_0 = 2.0\nc2_0 = 0.3\ne0 = -0.3\n",
+            "positivity",
+            2.900,
+        ),
+    ],
+    ids=["blow_up", "positivity"],
+)
+def test_ivp_stops_at_its_guards(tmp_path, model, launch, status, x_end):
+    # these exited 3 (RK45's step collapsed short of |D| = 1e-8) and 2 (an
+    # RK stage at c <= 0 was reported as a parameter error)
+    body = model + "\n[ivp]\n" + launch + "x_max = 20\nsamples = 11\n"
+    out = tmp_path / "o"
+    assert main(["ivp", _write(tmp_path, body), "--out", str(out)]) == 0
+    info = json.loads((out / "ivp.json").read_text())
+    assert info["status"] == status
+    assert info["blow_up"] is (status == "degenerate")
+    assert info["x_end"] == pytest.approx(x_end, abs=1e-3)
 
 
 def test_log_spaced_dispersion_products(tmp_path):

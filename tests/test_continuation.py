@@ -24,11 +24,13 @@ from stericpnp.continuation import (
     newton_solve,
     run_combined,
     save_branchset,
+    stability_probe,
     states_at,
     stationary_residual,
     trace_branch,
     weighted_norm,
 )
+from stericpnp import dynamics
 from stericpnp.dynamics import (
     electrode_bc,
     evolve,
@@ -216,6 +218,45 @@ def test_trace_branch_walks_both_directions_from_interior_seed():
     assert not br.truncated
     # plain tracing leaves stability to the combined loop
     assert {pt.stable for pt in br.points} == {None}
+
+
+def test_trace_branch_truncates_when_ds_falls_below_its_floor():
+    # the predictors below sigma = 0 leave the admissible set, and ds halves
+    # until it falls below 1e-6
+    d = DomainSpec(1.0)
+    grid = make_grid(d, 16)
+    st = _hom_state(grid, sigma=0.01)
+    br = trace_branch(st, P_SYM, d, grid, "sigma", (0.0, 0.01), ds0=0.01, max_points=50)
+    params = br.params()
+    assert br.truncated
+    assert len(params) == 29
+    assert np.all(np.diff(params) < 0)
+    assert params[-1] == pytest.approx(1.220703125e-8, rel=1e-9)
+
+
+def test_stability_probe_reports_an_abandoned_relaxation(monkeypatch):
+    # an energy that rises on every call makes evolve give up
+    calls = iter(range(1000))
+    monkeypatch.setattr(dynamics, "discrete_energy", lambda *args: float(next(calls)))
+    d = DomainSpec(2.0)
+    grid = make_grid(d, 24)
+    probe = stability_probe(_hom_state(grid), P_SYM, d, grid, "sigma")
+    assert (probe.stable, probe.target, probe.verdict) == (False, None, "Unstable")
+
+
+@pytest.mark.parametrize("bc", [electrode_bc(), periodic_bc()], ids=["electrode", "periodic"])
+def test_stationary_solver_rejects_periodic_grids(bc):
+    # its phi rows are Dirichlet walls; on a periodic grid Newton stalled
+    # and the failure read as a numerical one
+    p = with_sigma(P_SYM, 0.02)
+    grid = make_periodic_grid(np.pi / np.sqrt(2.0), 64)
+    wave = 0.05 * np.cos(np.sqrt(2.0) * grid.x)
+    prof = Profile(grid, 1.0 + wave, 1.0 - wave)
+    with pytest.raises(ParameterError, match="wall-to-wall"):
+        newton_solve(prof, p, grid, bc, "sigma", 0.02)
+    u = _pack(prof.c1, prof.c2, np.zeros(grid.n), 5.5, 5.5)
+    with pytest.raises(ParameterError, match="wall-to-wall"):
+        stationary_residual(u, p, grid, bc)
 
 
 def test_states_at_refines_to_requested_parameter():

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import trapezoid
 
+from stericpnp import dynamics
 from stericpnp.dynamics import (
     _ENERGY_TOL,
+    _MAX_HALVINGS,
     _rhs_and_band,
     chemical_potential,
     discrete_energy,
@@ -337,3 +339,17 @@ def test_rejected_attempts_leave_the_step_system_intact(kind):
     system = np.eye(u0.size) - dt * _dense_from_band(band, grid.periodic)
     expected = u0 + np.linalg.solve(system, dt * f0)
     assert np.max(np.abs(seen[1] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_evolve_gives_up_when_no_halving_lowers_the_energy(monkeypatch):
+    # an energy that rises on every call rejects every candidate step, so
+    # the first step is abandoned after _MAX_HALVINGS halvings
+    calls = iter(range(1000))
+    monkeypatch.setattr(dynamics, "discrete_energy", lambda *args: float(next(calls)))
+    g = make_grid(DomainSpec(2.0), 33)
+    bump = 0.1 * np.cos(np.pi * g.x / 2.0)
+    prof = Profile(g, 1.0 + bump, 1.0 - bump)
+    res = evolve(with_sigma(P_SYM, 0.05), prof, electrode_bc(), t_end=1.0)
+    assert res.verdict == "Unstable"
+    assert res.steps == 0 and res.rejects == _MAX_HALVINGS + 1
+    assert res.t == 0.0 and np.array_equal(res.profile.c1, prof.c1)

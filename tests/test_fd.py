@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solveh_banded
 
 from stericpnp._fd import _laplacian_columns, second_derivative, solve_poisson_dirichlet
-from stericpnp.model import make_grid, make_periodic_grid
+from stericpnp.model import DomainSpec, make_grid, make_periodic_grid
 
 
 def _reference(rhs, grid, left, right):
@@ -34,7 +34,7 @@ def test_dirichlet_poisson_matches_a_direct_banded_solve(sizes, half, seed):
     # the sizes alternate and repeat, so each size's factor is reused after
     # another size has been solved
     for n in sizes * 2:
-        grid = make_grid(half, n)
+        grid = make_grid(DomainSpec(half), n)
         rhs = rng.uniform(-10.0, 10.0, n)
         left, right = rng.uniform(-2.0, 2.0, 2)
         phi = solve_poisson_dirichlet(rhs, grid, left, right)
@@ -47,7 +47,7 @@ def test_dirichlet_poisson_matches_a_direct_banded_solve(sizes, half, seed):
 @pytest.mark.parametrize("n", [8, 9, 57])
 @pytest.mark.parametrize("periodic", [False, True], ids=["electrode", "periodic"])
 def test_laplacian_columns_rebuild_second_derivative(periodic, n):
-    grid = make_periodic_grid(1.5, n) if periodic else make_grid(1.5, n)
+    grid = make_periodic_grid(1.5, n) if periodic else make_grid(DomainSpec(1.5), n)
     cols = _laplacian_columns(grid)
     assert cols is _laplacian_columns(grid)
     with pytest.raises(ValueError):

@@ -67,17 +67,14 @@ def test_periodic_grid_drops_duplicate_endpoint():
 
 
 @pytest.mark.parametrize(
-    "grid", [make_grid(2.0, 9), make_periodic_grid(2.0, 8)], ids=["electrode", "periodic"]
+    "grid",
+    [make_grid(DomainSpec(2.0), 9), make_periodic_grid(2.0, 8)],
+    ids=["electrode", "periodic"],
 )
 def test_weights_are_built_once_and_read_only(grid):
     assert grid.weights is grid.weights
     with pytest.raises(ValueError):
         grid.weights[0] = 1.0
-
-
-def test_make_grid_accepts_bare_half_length():
-    g = make_grid(1.5, 16)
-    assert g.length == pytest.approx(3.0)
 
 
 def test_min_points_guard():
@@ -89,9 +86,10 @@ def test_homogeneous_profile_masses_and_potential():
     p = make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0)
     g = make_grid(DomainSpec(1.0), 41)
     prof = homogeneous_profile(g, p)
-    m1, m2 = prof.mass_means()
-    assert m1 == pytest.approx(1.0, abs=1e-14)
-    assert m2 == pytest.approx(1.0, abs=1e-14)
+    w = g.weights
+    assert w @ prof.c1 / g.length == pytest.approx(1.0, abs=1e-14)
+    assert w @ prof.c2 / g.length == pytest.approx(1.0, abs=1e-14)
+    assert np.all(prof.phi == 0.0)
 
 
 def test_profile_positivity_guard():
@@ -108,7 +106,14 @@ def test_profile_positivity_guard():
         prof.require_positive()
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_domain_half_length_must_be_positive(bad):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="half-length"):
         make_grid(DomainSpec(bad), 16)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_periodic_half_length_must_be_positive_and_finite(bad):
+    # a NaN or infinite L used to give a grid of NaN nodes
+    with pytest.raises(ParameterError, match="half-length"):
+        make_periodic_grid(bad, 16)

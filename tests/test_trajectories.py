@@ -16,7 +16,6 @@ from stericpnp.trajectories import (
     cross_d_zero,
     crossing_f,
     d_zero_c1,
-    extract_bvp,
     integrate_field_ivp,
     phi_of_c,
     slope_bounds,
@@ -230,7 +229,8 @@ class TestPeriodicOrbit:
 
     def test_orbit_mean_near_bulk(self):
         sol = build_periodic(P_SYM, amplitude=0.3)
-        m1, m2 = sol.mean_concentrations()
+        _, c1, c2, _, _ = sol.sample(n_per_period=4096)
+        m1, m2 = c1.mean(), c2.mean()
         assert m1 == pytest.approx(1.003288857567737, rel=1e-9)
         assert m1 == pytest.approx(m2, rel=1e-12)
         assert abs(m1 - 1.0) < 0.01
@@ -271,15 +271,6 @@ class TestPeriodicOrbit:
         shift = phi - p1
         assert np.ptp(shift) < 1e-10
 
-    def test_extract_bvp_one_period(self):
-        sol = build_periodic(P_SYM, amplitude=0.3)
-        bvp = extract_bvp(sol, -sol.period / 2, sol.period / 2, 129, P_SYM)
-        assert bvp.domain.L == pytest.approx(sol.period / 2, rel=1e-12)
-        m1, m2 = bvp.profile.mass_means()
-        assert m1 == pytest.approx(bvp.cbar1, rel=1e-9)
-        assert m2 == pytest.approx(bvp.cbar2, rel=1e-9)
-        assert bvp.profile.phi is not None
-        bvp.profile.require_positive()
 
 
 @pytest.mark.parametrize("amplitude", [float("nan"), 0.0, -0.1])
@@ -428,3 +419,24 @@ def test_field_ivp_answers_only_inside_its_span():
     for x in (-1.2, f.x_end + 0.5):
         with pytest.raises(ParameterError, match="outside the computed span"):
             f.at(x)
+
+
+def test_field_ivp_stops_at_every_guard_of_a_seeded_batch():
+    # near a blow-up D^2 falls like the distance to it, so with |D| = 1e-8
+    # as the guard 31 of these launches raised NumericsError (RK45's step
+    # collapsed first) and 19 raised ParameterError (a stage at c <= 0)
+    rng = np.random.default_rng(0)
+    statuses = []
+    for p in (P_SYM, P_FIG3):
+        for _ in range(40):
+            c0 = tuple(rng.uniform(0.2, 2.0, 2))
+            f = integrate_field_ivp(p, c0, E0=float(rng.uniform(-1.0, 1.0)), x_span=(0.0, 20.0))
+            c1, c2, _, _ = f.at(f.x_end)[:, 0]
+            if f.status == "degenerate":
+                assert abs(hessian_det(c1, c2, p)) == pytest.approx(1e-6, rel=0.05)
+            elif f.status == "positivity":
+                assert min(c1, c2) == pytest.approx(1e-12, rel=1e-9)
+            else:
+                assert f.status == "span" and f.x_end == 20.0
+            statuses.append(f.status)
+    assert statuses.count("degenerate") + statuses.count("positivity") == 54
