@@ -50,16 +50,28 @@ still rejected after twenty halvings abandons the run with verdict
 running out the horizon gives "Running".
 
 Work that does not change from step to step is done once: the grid's dx
-and quadrature weights once per grid, the table of 1/w rows the band
-needs once per grid, the Dirichlet Poisson factor once per interior size
-(_fd.solve_poisson_dirichlet), and the periodic sparse layout once per
-size. Finiteness is checked once per band, where _rhs_and_band returns
-F and J; the banded step solves, which only rescale those two, skip
-scipy's own check on every attempt.
+and quadrature weights once per grid, the per-node columns that F and
+the band need (w, the 1/w of the band rows and the Laplacian's wall
+columns, each repeated for both species) once per grid, the Dirichlet
+Poisson factor once per interior size (_fd.solve_poisson_dirichlet), and
+the periodic sparse layout once per size. Finiteness is checked once per
+band, where _rhs_and_band returns F and J; the banded step solves, which
+only rescale those two, skip scipy's own check on every attempt.
+
+At the sizes evolve runs (tens to hundreds of nodes) a step costs mostly
+numpy's overhead per call, not arithmetic, so the per-step writers keep
+their call count low without changing a single operation: mu is one
+(2, n) stack for both species, F and the band are built nodes first in
+u's interleaved order, where a shift by whole nodes is a contiguous
+slice, and discrete_energy takes the bulk density without a sign check
+(a negative concentration leaves its total NaN, and only then is the
+sign looked at). Each attempted step calls the module attribute
+solve_banded or splu once and reads the energy through discrete_energy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -76,7 +88,7 @@ from ._fd import (
     solve_poisson_periodic,
     trapz,
 )
-from .energy import free_energy_density
+from .energy import _density
 from .errors import ParameterError
 from .model import Grid, ModelParams, Profile
 
@@ -152,18 +164,23 @@ def chemical_potential(
     phi: np.ndarray,
     p: ModelParams,
     grid: Grid,
-) -> tuple[np.ndarray, np.ndarray]:
-    """mu_i = log c_i + (G c)_i + z_i phi - sigma c_i,xx.
+) -> np.ndarray:
+    """mu_i = log c_i + (G c)_i + z_i phi - sigma c_i,xx, as one (2, n) stack.
 
     The only place mu is written: the time stepper and the stationary
-    solver both take it from here. With the Neumann wall closure of
-    second_derivative, mu_i is exactly (1/w_j) dE/dc_ij of discrete_energy.
+    solver both take it from here (mu1, mu2 = chemical_potential(...)
+    unpacks the rows). With the Neumann wall closure of second_derivative,
+    mu_i is exactly (1/w_j) dE/dc_ij of discrete_energy.
     """
-    mu1 = np.log(c1) + p.g11 * c1 + p.g12 * c2 + p.z1 * phi
-    mu2 = np.log(c2) + p.g12 * c1 + p.g22 * c2 + p.z2 * phi
-    mu1 -= p.sigma * second_derivative(c1, grid)
-    mu2 -= p.sigma * second_derivative(c2, grid)
-    return mu1, mu2
+    c = np.array((c1, c2))
+    G = p.G
+    mu = np.log(c)
+    # (G c)_i term by term, c1 then c2: G @ c would sum in another order
+    mu += G[:, :1] * c1
+    mu += G[:, 1:] * c2
+    mu += p.z[:, None] * phi
+    mu -= p.sigma * second_derivative(c, grid)
+    return mu
 
 
 def time_derivatives(
@@ -173,9 +190,9 @@ def time_derivatives(
     p: ModelParams,
     grid: Grid,
 ) -> tuple[np.ndarray, np.ndarray]:
-    mu = np.array(chemical_potential(c1, c2, phi, p, grid))
-    f = _flux_divergence(np.array((c1, c2)), mu, grid)[0]
-    return f[0], f[1]
+    mu = chemical_potential(c1, c2, phi, p, grid)
+    f = _flux_divergence(np.column_stack((c1, c2)), mu.T, grid)[0]
+    return f[:, 0], f[:, 1]
 
 
 def discrete_energy(
@@ -202,13 +219,17 @@ def discrete_energy(
     For periodic runs the boundary term vanishes and it coincides with
     the free energy up to quadrature error.
     """
-    total = trapz(free_energy_density(c1, c2, p), grid)
+    total = trapz(_density(c1, c2, p), grid)
     rho = p.z1 * c1 + p.z2 * c2 + p.rho0
     total += trapz(rho * phi, grid)
     total += _face_energy(phi, grid, -0.5)
     total += _face_energy(c1, grid, 0.5 * p.sigma)
     total += _face_energy(c2, grid, 0.5 * p.sigma)
-    return float(total)
+    # a negative concentration makes the entropy, and so the total, NaN:
+    # only then is the sign check needed
+    if math.isnan(total) and (np.any(c1 < 0) or np.any(c2 < 0)):
+        raise ParameterError("discrete energy needs nonnegative concentrations")
+    return total
 
 
 def add_noise(profile: Profile, amplitude: float, seed: int) -> Profile:
@@ -229,7 +250,7 @@ def add_noise(profile: Profile, amplitude: float, seed: int) -> Profile:
 
 def _face_energy(arr: np.ndarray, grid: Grid, coeff: float) -> float:
     """coeff * sum over faces of (difference across the face)^2 / dx."""
-    d = np.diff(arr)
+    d = arr[1:] - arr[:-1]
     s = float(d @ d)
     if grid.periodic:
         s += float((arr[0] - arr[-1]) ** 2)
@@ -237,36 +258,47 @@ def _face_energy(arr: np.ndarray, grid: Grid, coeff: float) -> float:
 
 
 def _shift(x: np.ndarray, d: int) -> np.ndarray:
-    """x[..., k - d] along the last axis, wrapping."""
-    return np.concatenate((x[..., -d:], x[..., :-d]), axis=-1)
+    """x[k - d] along the first (node) axis, wrapping."""
+    return np.concatenate((x[-d:], x[:-d]))
 
 
 def _flux_divergence(
     c: np.ndarray, mu: np.ndarray, grid: Grid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(F, c_face, dmu) of both species, rows of (2, n) arrays.
+    """(F, c_face, dmu) of both species as (n, 2) arrays, nodes first.
 
     Face f joins nodes f and f + 1 (mod n); on electrode grids face n - 1
     is the closed wall and carries nothing. Its flux is c_face dmu / dx,
     with c_face = (c_f + c_f+1) / 2, dmu = mu_f+1 - mu_f, and F_j =
-    (flux_j - flux_j-1) / w_j.
+    (flux_j - flux_j-1) / w_j. Nodes first is u's interleaved order, in
+    which a shift by whole nodes is a contiguous slice.
     """
     c_face = 0.5 * (c + _shift(c, -1))
     dmu = _shift(mu, -1) - mu
     if not grid.periodic:
-        c_face[:, -1] = 0.0
-        dmu[:, -1] = 0.0
+        c_face[-1] = 0.0
+        dmu[-1] = 0.0
     flux = c_face * dmu / grid.dx
-    return (flux - _shift(flux, 1)) / grid.weights, c_face, dmu
+    return (flux - _shift(flux, 1)) / _node_columns(grid)[0], c_face, dmu
 
 
 @lru_cache(maxsize=16)
-def _inv_weight_rows(grid: Grid) -> np.ndarray:
-    """1 / w_{k+e} for the rows at nodes k + e, e = -2 ... 2; shape (5, 1, n)."""
+def _node_columns(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node constants at both species, nodes first: (w, iw, lap).
+
+    w is the quadrature weight, shape (n, 2); iw[2 + e] = 1 / w_{k+e} for
+    the band rows at nodes k + e, e = -2 ... 2, shape (5, n, 2); lap is
+    _fd._laplacian_columns, shape (2, n, 2). Repeating them for both
+    species keeps every product full size: numpy's inner loop would
+    otherwise run over the two species only. Per grid, read-only.
+    """
     inv_w = 1.0 / grid.weights
-    iw = np.stack([_shift(inv_w, -e) for e in range(-2, 3)])[:, None, :]
-    iw.setflags(write=False)
-    return iw
+    iw = np.stack([np.roll(inv_w, -e) for e in range(-2, 3)])
+    cols = (grid.weights, iw, _laplacian_columns(grid))
+    out = tuple(np.repeat(x[..., None], 2, axis=-1) for x in cols)
+    for x in out:
+        x.setflags(write=False)
+    return out
 
 
 def _rhs_and_band(
@@ -291,47 +323,51 @@ def _rhs_and_band(
     f = k - 3 ... k + 2, each over its row's weight: they telescope to
     zero against the weights.
 
+    Everything is built nodes first, (n, 2) like u.reshape(n, 2), so node
+    shifts are contiguous slices and F and the band come out interleaved.
+
     Raises ValueError if F or the band is not finite.
     """
     n = grid.n
     dx = grid.dx
-    c = u.reshape(n, 2).T
-    mu = np.array(chemical_potential(c[0], c[1], phi, p, grid))
-    f, c_face, dmu = _flux_divergence(c, mu, grid)
+    c = u.reshape(n, 2)
+    mu = chemical_potential(c[:, 0], c[:, 1], phi, p, grid)
+    f, c_face, dmu = _flux_divergence(c, np.ascontiguousarray(mu.T), grid)
+    _, iw, lap = _node_columns(grid)
 
     beta = -p.sigma / dx**2
-    up, down = beta * _laplacian_columns(grid)  # d mu_k-1 / d c_k, d mu_k+1 / d c_k
-    a = c_face / dx
-    a_prev = _shift(a, 1)
-    h = 0.5 * dmu / dx
-    diag = 1.0 / c + np.array([[p.g11], [p.g22]]) - 2.0 * beta
-    # d flux_f / d c_k of the same species, f = k - 3 ... k + 2
-    dflux = np.zeros((6, 2, n))
-    np.multiply(up, _shift(a_prev, 1), out=dflux[1])
-    np.add(_shift(h, 1), a_prev * (diag - up), out=dflux[2])
-    np.add(h, a * (down - diag), out=dflux[3])
-    np.multiply(-down, _shift(a, -1), out=dflux[4])
-    # d flux_f / d c_k of the other species, f = k - 2 ... k + 1
-    ga = p.g12 * a[::-1]
-    xflux = np.zeros((4, 2, n))
-    xflux[1] = _shift(ga, 1)
-    np.negative(ga, out=xflux[2])
-
-    iw = _inv_weight_rows(grid)
+    up, down = beta * lap  # d mu_k-1 / d c_k, d mu_k+1 / d c_k
+    # row k of a holds a_f at faces f = k - 2 ... k + 1 in its slices [:-3],
+    # [1:-2], [2:-1], [3:]; row k of h holds dmu_f / (2 dx) at faces
+    # k - 1, k in [:-1], [1:]
+    a = np.concatenate((c_face[-2:], c_face, c_face[:1])) / dx
+    h = 0.5 * np.concatenate((dmu[-1:], dmu)) / dx
+    diag = 1.0 / c + np.array([p.g11, p.g22]) - 2.0 * beta
+    # d flux_f / d c_k of the same species, f = k - 3 ... k + 2; the end
+    # faces do not see c_k and stay zero
+    dflux = np.zeros((6, n, 2))
+    np.multiply(up, a[:-3], out=dflux[1])
+    np.add(h[:-1], a[1:-2] * (diag - up), out=dflux[2])
+    np.add(h[1:], a[2:-1] * (down - diag), out=dflux[3])
+    np.multiply(-down, a[3:], out=dflux[4])
+    # d flux_f / d c_k of the other species is g12 a_f at f = k - 1 (+)
+    # and f = k (-), a_f of that species; so at column k of species s the
+    # rows at nodes k - 1, k, k + 1 are cross[:, k, 1 - s]
+    ga = p.g12 * a[1:-1]
+    cross = np.array((ga[:-1], -ga[1:] - ga[:-1], ga[1:]))
 
     # rows at nodes k - 2 ... k + 2 of the same species sit in band rows
     # 0, 2, ..., 8; rows at nodes k - 1 ... k + 1 of the other species in
     # band rows 1, 3, 5 for c2 columns and 3, 5, 7 for c1 columns
     band = np.zeros((2 * _BANDWIDTH + 1, n, 2))
-    by_species = band.transpose(0, 2, 1)
-    np.multiply(np.diff(dflux, axis=0), iw, out=by_species[0::2])
-    cross = np.diff(xflux, axis=0) * iw[1:4]
-    by_species[1:6:2, 1] = cross[:, 1]
-    by_species[3:8:2, 0] = cross[:, 0]
+    np.multiply(dflux[1:] - dflux[:-1], iw, out=band[0::2])
+    cross *= iw[1:4]
+    band[1:6:2, :, 1] = cross[:, :, 0]
+    band[3:8:2, :, 0] = cross[:, :, 1]
     # the one finiteness check per band: the step solves skip their own
     if not (np.isfinite(f).all() and np.isfinite(band).all()):
         raise ValueError("array must not contain infs or NaNs")
-    return f.T.reshape(2 * n), band.reshape(2 * _BANDWIDTH + 1, 2 * n)
+    return f.reshape(2 * n), band.reshape(2 * _BANDWIDTH + 1, 2 * n)
 
 
 @lru_cache(maxsize=16)
@@ -399,12 +435,16 @@ def evolve(
 
     Stops early with verdict "Steady" when max |c_t| drops below
     steady_tol. observer, if given, is evaluated as observer(t, c1, c2,
-    phi) after every accepted step and collected in the result.
+    phi) after every accepted step and collected in the result. t_end,
+    dt0, dt_max and steady_tol must be finite and positive
+    (ParameterError otherwise).
     """
     grid = profile0.grid
     _check_grid(grid, bc)
-    if t_end <= 0 or dt0 <= 0:
-        raise ParameterError("t_end and dt0 must be positive")
+    settings = {"t_end": t_end, "dt0": dt0, "dt_max": dt_max, "steady_tol": steady_tol}
+    for name, value in settings.items():
+        if not 0 < value < np.inf:  # NaN fails
+            raise ParameterError(f"{name} must be finite and positive, got {value}")
     n = grid.n
     c1, c2 = profile0.c1, profile0.c2
     if not (c1.min() > 0 and c2.min() > 0 and c1.max() + c2.max() < np.inf):  # NaN, inf fail
@@ -428,7 +468,7 @@ def evolve(
     obs_hist = [observer(0.0, c1, c2, phi)] if observer else None
 
     f0, jac = _rhs_and_band(u, phi, p, grid)
-    dcdt_norm = float(np.max(np.abs(f0)))
+    dcdt_norm = float(np.abs(f0).max())
     verdict, reason = "Running", "reached time horizon"
 
     if dcdt_norm < steady_tol:
@@ -454,12 +494,14 @@ def evolve(
                     check_finite=False,
                 )
             u_new = u + du
-            ok = np.all(np.isfinite(u_new)) and u_new.min() > _POSITIVITY_FLOOR
+            # a NaN makes the minimum NaN, so the two bounds admit only
+            # finite states above the floor
+            ok = u_new.min() > _POSITIVITY_FLOOR and u_new.max() < np.inf
             if ok:
                 c1n, c2n = u_new.reshape(n, 2).T
                 phi_new = solve_potential(c1n, c2n, p, grid, bc)
                 e_new = discrete_energy(c1n, c2n, phi_new, p, grid)
-                ok = np.isfinite(e_new) and (e_new <= e_cur + _ENERGY_TOL)
+                ok = math.isfinite(e_new) and e_new <= e_cur + _ENERGY_TOL
             if ok:
                 break
             rejects += 1
@@ -473,7 +515,7 @@ def evolve(
         u, phi, e_cur = u_new, phi_new, e_new
         c1, c2 = c1n, c2n
         f0, jac = _rhs_and_band(u, phi, p, grid)
-        dcdt_norm = float(np.max(np.abs(f0)))
+        dcdt_norm = float(np.abs(f0).max())
 
         times.append(t)
         energies.append(e_cur)

@@ -53,10 +53,19 @@ def free_energy_density(c1: _ArrayLike, c2: _ArrayLike, p: ModelParams) -> _Arra
     c2 = np.asarray(c2, dtype=float)
     if np.any(c1 < 0) or np.any(c2 < 0):
         raise ParameterError("free energy density needs nonnegative concentrations")
+    out = _density(c1, c2, p)
+    return float(out) if out.ndim == 0 else out
+
+
+def _density(c1: np.ndarray, c2: np.ndarray, p: ModelParams) -> np.ndarray:
+    """h(c) of float arrays, unchecked: a negative c_i gives NaN.
+
+    free_energy_density checks and wraps it; dynamics.discrete_energy
+    calls it once per attempted time step.
+    """
     ent = xlogy(c1, c1 / p.cbar1) - c1 + xlogy(c2, c2 / p.cbar2) - c2
     steric = 0.5 * (p.g11 * c1 * c1 + 2.0 * p.g12 * c1 * c2 + p.g22 * c2 * c2)
-    out = ent + steric
-    return float(out) if out.ndim == 0 else out
+    return ent + steric
 
 
 def hessian(c1: float, c2: float, p: ModelParams) -> np.ndarray:

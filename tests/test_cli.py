@@ -66,8 +66,9 @@ def test_missing_config_file(tmp_path):
         # a key left out takes the library default; NaN is not a stand-in
         ("onset", "sigma = nan\n"),
         ("continue", "\n[domain]\nl = 2.0\n[continue]\nlo = 0.04\nhi = 0.06\nstart = nan\n"),
+        ("evolve", "\n[domain]\nl = 1.0\n[evolve]\nt_end = 1.0\ndt_max = nan\n"),
     ],
-    ids=["negative_sigma", "grid_under_8_nodes", "nan_sigma", "nan_start"],
+    ids=["negative_sigma", "grid_under_8_nodes", "nan_sigma", "nan_start", "nan_dt_max"],
 )
 def test_bad_parameter_value_is_a_config_error(tmp_path, capsys, command, extra):
     cfg = _write(tmp_path, SYM_MODEL + extra)

@@ -69,6 +69,17 @@ def test_chemical_potential_constant_on_bulk():
     assert np.ptp(mu2) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("arg", ["t_end", "dt0", "dt_max", "steady_tol"])
+def test_evolve_takes_only_finite_positive_step_settings(arg, bad):
+    g = make_grid(DomainSpec(2.0), 33)
+    bump = 0.1 * np.cos(np.pi * g.x / 2.0)
+    prof = Profile(g, 1.0 + bump, 1.0 - bump)
+    kwargs = {"t_end": 1.0, arg: bad}
+    with pytest.raises(ParameterError, match=f"{arg} must be finite and positive"):
+        evolve(with_sigma(P_SYM, 0.05), prof, electrode_bc(), **kwargs)
+
+
 def _perturbed_periodic(p, sigma, n=64, amp=1e-3, modes=(1, 2)):
     kc = 2.0 * np.sqrt(2.0)
     L = 2.0 * np.pi / kc  # box holding two critical wavelengths
@@ -306,12 +317,9 @@ def test_evolve_rejects_non_finite_profiles(kind, bad):
         evolve(with_sigma(P_SYM, 0.02), prof, bc, t_end=1.0)
 
 
-@pytest.mark.parametrize("kind", ["electrode", "periodic"])
-def test_rejected_attempts_leave_the_step_system_intact(kind):
-    """A first step of dt = 2 from a rough profile is halved 11 times before
-    it is accepted. The accepted step must still be the linearly implicit
-    step (I - dt J0) du = dt F0 from the F0 and J0 of the initial state, so
-    no rejected attempt may have overwritten them."""
+def _rough_start(kind):
+    """A rough lognormal profile on n = 48: a first step of dt = 2 from it
+    is halved 11 times before it is accepted."""
     p = with_sigma(P_SYM, 0.02)
     n = 48
     if kind == "periodic":
@@ -320,6 +328,15 @@ def test_rejected_attempts_leave_the_step_system_intact(kind):
         grid, bc = make_grid(DomainSpec(3.0), n), electrode_bc(-0.5, 0.5)
     rng = np.random.default_rng(1)
     prof = Profile(grid, rng.lognormal(0.0, 0.8, n), rng.lognormal(0.0, 0.8, n))
+    return p, grid, bc, prof
+
+
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+def test_rejected_attempts_leave_the_step_system_intact(kind):
+    """The accepted first step must still be the linearly implicit step
+    (I - dt J0) du = dt F0 from the F0 and J0 of the initial state, so no
+    rejected attempt may have overwritten them."""
+    p, grid, bc, prof = _rough_start(kind)
     seen = []
 
     def observer(t, c1, c2, phi):
@@ -339,6 +356,41 @@ def test_rejected_attempts_leave_the_step_system_intact(kind):
     system = np.eye(u0.size) - dt * _dense_from_band(band, grid.periodic)
     expected = u0 + np.linalg.solve(system, dt * f0)
     assert np.max(np.abs(seen[1] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+def test_each_attempted_step_makes_one_solver_call(kind, monkeypatch):
+    """perfbench's tracer counts evolve's attempts as the calls it sees on
+    the module attributes dynamics.solve_banded and dynamics.splu, so every
+    attempt, accepted or rejected, looks one of them up exactly once."""
+    calls = {"solve_banded": 0, "splu": 0}
+    for name in calls:
+        def counting(*args, _name=name, _solver=getattr(dynamics, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counting)
+    p, grid, bc, prof = _rough_start(kind)
+    res = evolve(p, prof, bc, t_end=2.0, dt0=5.0, dt_max=5.0)
+    assert res.rejects > 0
+    used, unused = ("splu", "solve_banded") if grid.periodic else ("solve_banded", "splu")
+    assert calls[used] == res.steps + res.rejects
+    assert calls[unused] == 0
+
+
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+def test_monitored_energy_is_the_discrete_energy_of_each_accepted_state(kind):
+    p, grid, bc, prof = _rough_start(kind)
+    states = []
+
+    def observer(t, c1, c2, phi):
+        states.append((c1.copy(), c2.copy(), phi.copy()))
+        return 0.0
+
+    res = evolve(p, prof, bc, t_end=2.0, dt0=5.0, dt_max=5.0, observer=observer)
+    assert res.rejects > 0 and len(states) == res.steps + 1 == len(res.energy)
+    for e, (c1, c2, phi) in zip(res.energy, states):
+        assert e == discrete_energy(c1, c2, phi, p, grid)
 
 
 def test_evolve_gives_up_when_no_halving_lowers_the_energy(monkeypatch):

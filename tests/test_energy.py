@@ -21,8 +21,8 @@ from stericpnp.energy import (
     segregated_comparison,
     segregated_pattern,
 )
-from stericpnp.errors import RegimeError
-from stericpnp.model import DomainSpec, make_grid, make_params
+from stericpnp.errors import ParameterError, RegimeError
+from stericpnp.model import DomainSpec, make_grid, make_params, make_periodic_grid
 
 P_SYM = make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0)
 P_FIG10 = make_params(1, -1, 3.6, 0.4, 2.65, 1.0, 1.0)
@@ -158,3 +158,24 @@ def test_free_energy_density_matches_quadrature():
     by_parts = c1 * (np.log(c1) - 1) + c2 * (np.log(c2) - 1)
     by_parts += 0.5 * (2.0 * c1**2 + 2 * 3.5 * c1 * c2 + 2.0 * c2**2)
     assert direct == pytest.approx(trapezoid(by_parts, g.x), rel=1e-12)
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["electrode", "periodic"])
+def test_energies_take_exact_zeros_and_reject_negative_concentrations(periodic):
+    g = make_periodic_grid(1.0, 16) if periodic else make_grid(DomainSpec(1.0), 16)
+    c1 = np.linspace(0.5, 1.5, 16)
+    c2 = c1[::-1].copy()
+    c1[::4] = 0.0
+    c2[5] = 0.0
+    phi = np.sin(np.pi * g.x)
+    # the xlogy limit: c ln c -> 0 at c = 0
+    assert free_energy_density(0.0, 0.0, P_SYM) == 0.0
+    assert np.all(np.isfinite(free_energy_density(c1, c2, P_SYM)))
+    assert np.isfinite(discrete_energy(c1, c2, phi, P_SYM, g))
+    for arr in (c1, c2):
+        arr[7] = -1e-300
+        with pytest.raises(ParameterError, match="nonnegative"):
+            free_energy_density(c1, c2, P_SYM)
+        with pytest.raises(ParameterError, match="nonnegative"):
+            discrete_energy(c1, c2, phi, P_SYM, g)
+        arr[7] = 0.0

@@ -63,3 +63,11 @@ def test_laplacian_columns_rebuild_second_derivative(periodic, n):
         v = rng.uniform(-1.0, 1.0, n)
         expected = second_derivative(v, grid)
         assert np.max(np.abs(L @ v - expected)) <= 1e-13 * np.max(np.abs(v)) / grid.dx**2
+    # a stacked (2, n) input, C or Fortran ordered: each row is the 1-D
+    # call, bit for bit
+    stacked = rng.uniform(-1.0, 1.0, (2, n))
+    for arr in (stacked, np.asfortranarray(stacked)):
+        rows = second_derivative(arr, grid)
+        assert rows.shape == (2, n)
+        for row, v in zip(rows, stacked):
+            assert row.tobytes() == second_derivative(v, grid).tobytes()
