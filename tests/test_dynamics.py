@@ -1,6 +1,10 @@
 """Dissipative time stepping: mass conservation, energy decay, steady detection,
 and the exact Jacobian of the linearly implicit step."""
 
+import importlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import trapezoid
 
+import stericpnp
 from stericpnp import dynamics
 from stericpnp.dynamics import (
     _ENERGY_TOL,
     _MAX_HALVINGS,
     _rhs_and_band,
+    _solve_step,
     chemical_potential,
     discrete_energy,
     electrode_bc,
@@ -358,24 +364,73 @@ def test_rejected_attempts_leave_the_step_system_intact(kind):
     assert np.max(np.abs(seen[1] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("kind", ["electrode", "periodic"])
-def test_each_attempted_step_makes_one_solver_call(kind, monkeypatch):
-    """perfbench's tracer counts evolve's attempts as the calls it sees on
-    the module attributes dynamics.solve_banded and dynamics.splu, so every
-    attempt, accepted or rejected, looks one of them up exactly once."""
-    calls = {"solve_banded": 0, "splu": 0}
-    for name in calls:
-        def counting(*args, _name=name, _solver=getattr(dynamics, name), **kwargs):
-            calls[_name] += 1
-            return _solver(*args, **kwargs)
+def _perfbench_tracer():
+    """perfbench's Tracer, loaded from its file: perfbench is a script
+    directory, not a package. Every module it measures is imported first,
+    as install looks each one up on the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for name in module.MEASURED:
+        importlib.import_module(f"stericpnp.{name}")
+    return module.Tracer()
 
-        monkeypatch.setattr(dynamics, name, counting)
-    p, grid, bc, prof = _rough_start(kind)
-    res = evolve(p, prof, bc, t_end=2.0, dt0=5.0, dt_max=5.0)
+
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+def test_each_attempted_step_makes_one_solver_call(kind):
+    """perfbench cross-checks solve_banded + splu calls == steps + rejects,
+    counting the calls at the module attributes dynamics.solve_banded and
+    dynamics.splu: every attempt of either kind, accepted or rejected,
+    makes its one dgbsv call through solve_banded, and splu is never
+    called."""
+    tracer = _perfbench_tracer()
+    tracer.install(stericpnp)
+    try:
+        p, grid, bc, prof = _rough_start(kind)
+        res = dynamics.evolve(p, prof, bc, t_end=2.0, dt0=5.0, dt_max=5.0)
+        metrics = tracer.aggregate(tracer.take())
+    finally:
+        tracer.uninstall()
     assert res.rejects > 0
-    used, unused = ("splu", "solve_banded") if grid.periodic else ("solve_banded", "splu")
-    assert calls[used] == res.steps + res.rejects
-    assert calls[unused] == 0
+    assert metrics["dynamics.evolve.steps"] == res.steps
+    assert metrics["dynamics.evolve.rejects"] == res.rejects
+    assert metrics["dynamics.solve_banded.calls"] == res.steps + res.rejects
+    assert metrics["dynamics.splu.calls"] == 0
+
+
+@pytest.mark.parametrize("sigma_term", [False, True], ids=["sigma0", "sigma"])
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_step_solve_matches_a_dense_solve(kind, sigma_term, data):
+    """One dgbsv step solve, through the folded band on periodic grids
+    (n >= 8, so N >= 16 and the fold never overlaps itself), solves
+    (I - dt J) du = dt F: its residual is at roundoff, and it is the dense
+    solution to 1e-12 relative, or to 10 eps cond where the system is that
+    ill-conditioned (small dx, large dt and sigma reach cond ~ 1e6)."""
+    p, grid, bc, c1, c2 = data.draw(_linearization_case(kind, sigma_term))
+    dt = data.draw(st.floats(1e-3, 5.0))
+    phi = solve_potential(c1, c2, p, grid, bc)
+    f, band = _rhs_and_band(_interleaved(c1, c2), phi, p, grid)
+    system = np.eye(f.size) - dt * _dense_from_band(band, grid.periodic)
+    du = _solve_step(band, dt, f, grid.periodic)
+    scale = np.max(np.abs(system).sum(axis=1)) * np.max(np.abs(du)) + dt * np.max(np.abs(f))
+    assert np.max(np.abs(system @ du - dt * f)) <= 1e-14 * scale
+    expected = np.linalg.solve(system, dt * f)
+    tol = max(1e-12, 10.0 * np.finfo(float).eps * np.linalg.cond(system))
+    assert np.max(np.abs(du - expected)) <= tol * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["electrode", "periodic"])
+def test_singular_step_system_raises(periodic):
+    """J = I / dt makes I - dt J exactly zero: dgbsv reports the zero pivot
+    through info, and the step solve raises instead of returning garbage."""
+    dt, size = 0.5, 48
+    band = np.zeros((9, size))
+    band[4] = 1.0 / dt
+    with pytest.raises(np.linalg.LinAlgError, match="dgbsv"):
+        _solve_step(band, dt, np.ones(size), periodic)
 
 
 @pytest.mark.parametrize("kind", ["electrode", "periodic"])
