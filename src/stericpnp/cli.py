@@ -407,6 +407,7 @@ def _cmd_evolve(cfg, p, outdir: Path) -> tuple[list[str], dict]:
             "t": res.t,
             "steps": res.steps,
             "rejects": res.rejects,
+            "factorizations": res.factorizations,
             "dcdt_norm": res.dcdt_norm,
             "energy_first": float(res.energy[0]),
             "energy_last": float(res.energy[-1]),

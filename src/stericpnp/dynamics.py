@@ -20,30 +20,40 @@ face uses the arithmetic mean of the neighboring concentrations times the
 chemical-potential difference across the face, and wall faces carry zero
 flux. With trapezoid quadrature weights this telescopes exactly, so the
 discrete masses are conserved to roundoff by construction. Only
-_flux_divergence writes F; time_derivatives and _rhs_and_band call it.
+_flux_divergence writes F; _rhs calls it for time_derivatives and the
+stepper.
 
-Time stepping is linearly implicit (one Newton-like solve per step; the
-Rosenbrock-Euler step of Hairer & Wanner, Solving ODEs II, IV.7):
+Time stepping is linearly implicit (one linear solve per step; the
+W-method form of the Rosenbrock-Euler step, Steihaug & Wolfbrandt, Math.
+Comp. 33, 1979; Hairer & Wanner, Solving ODEs II, IV.7):
 
     (I - dt J) dc = dt F(c_n),
 
-where J is the exact Jacobian of F at c_n with the potential frozen.
+where J is the exact Jacobian of F, with the potential frozen, at the
+state of the last refresh. J is refreshed at the current state, and
+I - dt J factored anew, only when dt changes: on the first attempt, on
+each 1.3x growth, on each halving after a rejected attempt and on the
+shortened last step to t_end. An accepted step at an unchanged dt
+reuses the factors and evaluates F alone. The lag moves only the
+time-discretization error: a stationary state is still a fixed point
+(F = 0 gives dc = 0), and the steady test still reads the exact F.
 Freezing phi keeps J banded (bandwidth 4 in the interleaved species
-ordering), and its nine diagonals are written out from the flux formula
-at the cost of one chemical-potential evaluation, walls included
-through _fd._laplacian_columns. Every column of J sums to zero against
-the quadrature weights, so the linear step conserves mass to roundoff,
-as F does. The long-range coupling through the Poisson solve is
-explicit, which is harmless for stability since it is a compact
-perturbation, not a stiff term.
+ordering), and its nine diagonals are written out from the face data of
+the F evaluation at the refreshed state, walls included through
+_fd._laplacian_columns. Every column of J sums to zero against the
+quadrature weights, so the linear step conserves mass to roundoff, as F
+does, whatever state J was taken at. The long-range coupling through the
+Poisson solve is explicit, which is harmless for stability since it is
+a compact perturbation, not a stiff term.
 
 A step controller enforces the physics the scheme is meant to have: a
 candidate step is rejected, and dt halved, whenever a concentration
 leaves the positive cone or the discrete energy increases by more
 than 1e-10. Because the monitored energy is the exact Lyapunov
-functional of the semi-discrete system, a rejected step always succeeds
-after enough halvings (the semi-discrete slope is -sum_f c_f |dmu|^2/dx
-<= 0, so the energy rise is pure time-integration error, O(dt^2)). After
+functional of the semi-discrete system, and every retry refreshes J at
+the current state, a rejected step always succeeds after enough
+halvings (the semi-discrete slope is -sum_f c_f |dmu|^2/dx <= 0, so the
+energy rise is pure time-integration error, O(dt^2)). After
 five consecutive accepted steps dt grows by 1.3x up to dt_max. A step
 still rejected after twenty halvings abandons the run with verdict
 "Unstable"; reaching the steady tolerance on max |c_t| gives "Steady";
@@ -53,12 +63,13 @@ Work that does not change from step to step is done once: the grid's dx
 and quadrature weights once per grid, the per-node columns that F and
 the band need (w, the 1/w of the band rows and the Laplacian's wall
 columns, each repeated for both species) once per grid, the Dirichlet
-Poisson factor once per interior size (_fd.solve_poisson_dirichlet), and
-the periodic band's folded layout once per size (_folded_layout).
-Finiteness is checked once per band, where _rhs_and_band returns F and
-J; the step solve, which only rescales those two, writes -dt J straight
-into LAPACK's band storage and calls dgbsv with no check or copy of its
-own (_solve_step).
+Poisson factor once per interior size (_fd.solve_poisson_dirichlet), the
+periodic band's folded layout once per size (_folded_layout), and the
+band and its LU factors once per refresh (_band, _factor_step).
+Finiteness is checked once per band, where _band returns J; the
+factorisation writes -dt J straight into LAPACK's band storage and calls
+dgbtrf with no check or copy of its own, and each attempt solves on those
+factors with one dgbtrs call (_solve_factored).
 
 At the sizes evolve runs (tens to hundreds of nodes) a step costs mostly
 numpy's overhead per call, not arithmetic, so the per-step writers keep
@@ -68,9 +79,10 @@ u's interleaved order, where a shift by whole nodes is a contiguous
 slice, and discrete_energy takes the bulk density without a sign check
 (a negative concentration leaves its total NaN, and only then is the
 sign looked at). Each attempted step, for either boundary kind, makes
-one dgbsv call through the module attribute solve_banded (periodic runs
-fold their circular band into an ordinary one) and reads the energy
-through discrete_energy.
+one dgbtrs solve through the module attribute solve_banded (periodic
+runs fold their circular band into an ordinary one) and reads the energy
+through discrete_energy; the dgbtrf factorisations, one per refresh, are
+called under their own name and counted in EvolveResult.factorizations.
 """
 
 from __future__ import annotations
@@ -78,11 +90,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-# dgbsv itself, under the name at which perfbench's tracer counts step solves
-from scipy.linalg.lapack import dgbsv as solve_banded
+from scipy.linalg.lapack import dgbtrf
+# dgbtrs itself, under the name at which perfbench's tracer counts step solves
+from scipy.linalg.lapack import dgbtrs as solve_banded
 from scipy.sparse.linalg import splu  # noqa: F401  never called; perfbench's tracer wraps it
 
 from ._fd import (
@@ -194,9 +207,8 @@ def time_derivatives(
     p: ModelParams,
     grid: Grid,
 ) -> tuple[np.ndarray, np.ndarray]:
-    mu = chemical_potential(c1, c2, phi, p, grid)
-    f = _flux_divergence(np.column_stack((c1, c2)), mu.T, grid)[0]
-    return f[:, 0], f[:, 1]
+    f = _rhs(np.column_stack((c1, c2)).ravel(), phi, p, grid)[0]
+    return f[0::2], f[1::2]
 
 
 def discrete_energy(
@@ -305,18 +317,34 @@ def _node_columns(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _rhs_and_band(
+def _rhs(
     u: np.ndarray,
     phi: np.ndarray,
     p: ModelParams,
     grid: Grid,
-) -> tuple[np.ndarray, np.ndarray]:
-    """F = (c mu_x)_x at frozen phi and its exact Jacobian, interleaved.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, c_face, dmu): F = (c mu_x)_x at frozen phi, interleaved like u,
+    and the face data of _flux_divergence, from which _band builds J."""
+    c = u.reshape(grid.n, 2)
+    mu = chemical_potential(c[:, 0], c[:, 1], phi, p, grid)
+    f, c_face, dmu = _flux_divergence(c, np.ascontiguousarray(mu.T), grid)
+    return f.reshape(-1), c_face, dmu
+
+
+def _band(
+    u: np.ndarray,
+    c_face: np.ndarray,
+    dmu: np.ndarray,
+    p: ModelParams,
+    grid: Grid,
+) -> np.ndarray:
+    """The exact Jacobian J of F at frozen phi, interleaved, from the face
+    data (c_face, dmu) that _rhs returned for the same u.
 
     u and F interleave (c1_k, c2_k). The band holds band[4 - o, col] =
     J[col - o, col], indices mod 2n: scipy's solve_banded storage for
     electrode runs, whose wrapped corners are exactly zero, and circular
-    band storage for periodic runs, which _solve_step folds into an
+    band storage for periodic runs, which _factor_step folds into an
     ordinary band.
 
     The flux of face f (_flux_divergence), a_f dmu_f with a_f = c_face /
@@ -329,15 +357,14 @@ def _rhs_and_band(
     zero against the weights.
 
     Everything is built nodes first, (n, 2) like u.reshape(n, 2), so node
-    shifts are contiguous slices and F and the band come out interleaved.
+    shifts are contiguous slices and the band comes out interleaved.
 
-    Raises ValueError if F or the band is not finite.
+    Raises ValueError if the band is not finite; a non-finite c_face or
+    dmu, the only way F can fail to be finite, reaches it too.
     """
     n = grid.n
     dx = grid.dx
     c = u.reshape(n, 2)
-    mu = chemical_potential(c[:, 0], c[:, 1], phi, p, grid)
-    f, c_face, dmu = _flux_divergence(c, np.ascontiguousarray(mu.T), grid)
     _, iw, lap = _node_columns(grid)
 
     beta = -p.sigma / dx**2
@@ -369,10 +396,10 @@ def _rhs_and_band(
     cross *= iw[1:4]
     band[1:6:2, :, 1] = cross[:, :, 0]
     band[3:8:2, :, 0] = cross[:, :, 1]
-    # the one finiteness check per band: the step solves skip their own
-    if not (np.isfinite(f).all() and np.isfinite(band).all()):
+    # the one finiteness check per band: the factorisation skips its own
+    if not np.isfinite(band).all():
         raise ValueError("array must not contain infs or NaNs")
-    return f.reshape(2 * n), band.reshape(2 * _BANDWIDTH + 1, 2 * n)
+    return band.reshape(2 * _BANDWIDTH + 1, 2 * n)
 
 
 @lru_cache(maxsize=16)
@@ -383,8 +410,8 @@ def _folded_layout(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     circular band of half-width 4 is an ordinary band of half-width 8
     (N >= 16, so it never overlaps itself). fold[p] is the unknown at
     position p and unfold its inverse; dest maps the raveled circular
-    storage (9, N) of _rhs_and_band onto the raveled (N, 3 * 8 + 1) array
-    whose transpose is dgbsv's storage for kl = ku = 8.
+    storage (9, N) of _band onto the raveled (N, 3 * 8 + 1) array
+    whose transpose is dgbtrf's storage for kl = ku = 8.
     """
     b = _BANDWIDTH
     kl = 2 * b
@@ -401,35 +428,56 @@ def _folded_layout(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fold, unfold, dest.ravel()
 
 
-def _solve_step(jac: np.ndarray, dt: float, f: np.ndarray, periodic: bool) -> np.ndarray:
-    """du from (I - dt J) du = dt f in one LAPACK dgbsv call.
+class _StepFactors(NamedTuple):
+    """LAPACK's LU factors of I - dt J in band storage, with the dt they
+    were made for."""
 
-    J is in _rhs_and_band's storage. -dt J goes straight into dgbsv's
+    lu: np.ndarray
+    piv: np.ndarray
+    dt: float
+    periodic: bool
+
+
+def _factor_step(jac: np.ndarray, dt: float, periodic: bool) -> _StepFactors:
+    """Factor I - dt J in one LAPACK dgbtrf call.
+
+    J is in _band's storage. -dt J goes straight into dgbtrf's
     column-major storage, the transpose of a (N, 3 kl + 1) array holding
-    A[i, j] at [j, 2 kl + i - j]; its first kl rows are dgbsv's workspace
-    and need no zeroing. Electrode bands go in as they are (kl = 4), the
-    same arithmetic as scipy's solve_banded, bit for bit; periodic bands
-    are folded (kl = 8, _folded_layout) and the solution unfolded.
+    A[i, j] at [j, 2 kl + i - j]; its first kl rows are dgbtrf's workspace
+    and need no zeroing. Electrode bands go in as they are (kl = 4);
+    periodic bands are folded (kl = 8, _folded_layout). Raises LinAlgError
+    when I - dt J is singular.
     """
-    size = f.size
+    size = jac.shape[1]
     if periodic:
         kl = 2 * _BANDWIDTH
-        fold, unfold, dest = _folded_layout(size)
         store = np.zeros((size, 3 * kl + 1))
-        store.reshape(-1)[dest] = -dt * jac.ravel()
-        rhs = dt * f[fold]
+        store.reshape(-1)[_folded_layout(size)[2]] = -dt * jac.ravel()
     else:
         kl = _BANDWIDTH
         store = np.empty((size, 3 * kl + 1))
         np.multiply(jac.T, -dt, out=store[:, kl:])
-        rhs = dt * f
     ab = store.T
     ab[2 * kl] += 1.0
-    # both operands are fresh, and _rhs_and_band checked J and f finite
-    _, _, du, info = solve_banded(kl, kl, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    # ab is fresh, and _band checked J finite
+    lu, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=True)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dgbsv failed with info={info}")
-    return du[unfold] if periodic else du
+        raise np.linalg.LinAlgError(f"dgbtrf failed with info={info}")
+    return _StepFactors(lu, piv, dt, periodic)
+
+
+def _solve_factored(factors: _StepFactors, f: np.ndarray) -> np.ndarray:
+    """du from (I - dt J) du = dt f on factors of _factor_step, in one
+    LAPACK dgbtrs call; periodic right-hand sides are folded and the
+    solution unfolded."""
+    lu, piv, dt, periodic = factors
+    kl = (lu.shape[0] - 1) // 3
+    if periodic:
+        fold, unfold, _ = _folded_layout(f.size)
+        du, _ = solve_banded(lu, kl, kl, dt * f[fold], piv, overwrite_b=True)
+        return du[unfold]
+    du, _ = solve_banded(lu, kl, kl, dt * f, piv, overwrite_b=True)
+    return du
 
 
 @dataclass(eq=False)
@@ -442,6 +490,7 @@ class EvolveResult:
     reason: str
     steps: int
     rejects: int
+    factorizations: int  # LU factorisations of I - dt J, one per refresh
     dcdt_norm: float
     times: np.ndarray
     energy: np.ndarray
@@ -462,11 +511,14 @@ def evolve(
 ) -> EvolveResult:
     """Relax a profile under the dissipative dynamics until t_end.
 
-    Stops early with verdict "Steady" when max |c_t| drops below
-    steady_tol. observer, if given, is evaluated as observer(t, c1, c2,
-    phi) after every accepted step and collected in the result. t_end,
-    dt0, dt_max and steady_tol must be finite and positive
-    (ParameterError otherwise).
+    Each step solves (I - dt J) dc = dt F(c_n) with J the exact band
+    Jacobian at the state of the last change of dt, so LU factors are
+    made only when dt changes or an attempt is rejected, and counted in
+    the result's factorizations. Stops early with verdict "Steady" when
+    max |c_t| drops below steady_tol. observer, if given, is evaluated
+    as observer(t, c1, c2, phi) after every accepted step and collected
+    in the result. t_end, dt0, dt_max and steady_tol must be finite and
+    positive (ParameterError otherwise).
     """
     grid = profile0.grid
     _check_grid(grid, bc)
@@ -489,6 +541,7 @@ def evolve(
     dt = min(dt0, t_end)
     steps = 0
     rejects = 0
+    factorizations = 0
     accepted_streak = 0
     times = [0.0]
     energies = [e_cur]
@@ -496,7 +549,8 @@ def evolve(
     m2_hist = [float(w @ c2)]
     obs_hist = [observer(0.0, c1, c2, phi)] if observer else None
 
-    f0, jac = _rhs_and_band(u, phi, p, grid)
+    f0, c_face, dmu = _rhs(u, phi, p, grid)
+    factors = None  # of I - dt J at the last refresh, kept while dt holds
     dcdt_norm = float(np.abs(f0).max())
     verdict, reason = "Running", "reached time horizon"
 
@@ -507,8 +561,10 @@ def evolve(
     while t < t_end:
         dt_try = min(dt, t_end - t)
         for halvings in range(_MAX_HALVINGS + 1):
-            du = _solve_step(jac, dt_try, f0, grid.periodic)
-            u_new = u + du
+            if factors is None or dt_try != factors.dt:
+                factors = _factor_step(_band(u, c_face, dmu, p, grid), dt_try, grid.periodic)
+                factorizations += 1
+            u_new = u + _solve_factored(factors, f0)
             # a NaN makes the minimum NaN, so the two bounds admit only
             # finite states above the floor
             ok = u_new.min() > _POSITIVITY_FLOOR and u_new.max() < np.inf
@@ -529,7 +585,7 @@ def evolve(
         steps += 1
         u, phi, e_cur = u_new, phi_new, e_new
         c1, c2 = c1n, c2n
-        f0, jac = _rhs_and_band(u, phi, p, grid)
+        f0, c_face, dmu = _rhs(u, phi, p, grid)
         dcdt_norm = float(np.abs(f0).max())
 
         times.append(t)
@@ -560,6 +616,7 @@ def evolve(
         reason=reason,
         steps=steps,
         rejects=rejects,
+        factorizations=factorizations,
         dcdt_norm=dcdt_norm,
         times=np.array(times),
         energy=np.array(energies),

@@ -177,6 +177,8 @@ def test_evolve_seed_lands_in_manifest(tmp_path):
     assert man["perturb_seed"] == 9
     info = json.loads((out / "evolve.json").read_text())
     assert info["verdict"] in {"Steady", "Running"}
+    # LU factors are made at the first attempt and reused while dt holds
+    assert 1 <= info["factorizations"] < info["steps"] + info["rejects"]
     rows = (out / "timeseries.csv").read_text().splitlines()
     assert rows[0].split(",") == ["t", "energy", "mass1", "mass2"]
     assert len(rows) >= 3

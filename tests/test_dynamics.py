@@ -17,8 +17,10 @@ from stericpnp import dynamics
 from stericpnp.dynamics import (
     _ENERGY_TOL,
     _MAX_HALVINGS,
-    _rhs_and_band,
-    _solve_step,
+    _band,
+    _factor_step,
+    _rhs,
+    _solve_factored,
     chemical_potential,
     discrete_energy,
     electrode_bc,
@@ -225,6 +227,12 @@ def _interleaved(a, b):
     return u
 
 
+def _f_and_band(u, phi, p, grid):
+    """F and the band J of the state u, as evolve builds them at a refresh."""
+    f, c_face, dmu = _rhs(u, phi, p, grid)
+    return f, _band(u, c_face, dmu, p, grid)
+
+
 def _dense_from_band(band, periodic):
     """J[(col - o) mod N, col] = band[4 - o, col]; off-matrix slots must be 0."""
     size = band.shape[1]
@@ -250,7 +258,7 @@ def test_exact_band_is_the_jacobian_of_the_rhs(kind, sigma_term, data):
         return _interleaved(*time_derivatives(u[0::2], u[1::2], phi, p, grid))
 
     u = _interleaved(c1, c2)
-    f, band = _rhs_and_band(u, phi, p, grid)
+    f, band = _f_and_band(u, phi, p, grid)
     np.testing.assert_array_equal(f, rhs(u))
     J = _dense_from_band(band, grid.periodic)
 
@@ -357,11 +365,92 @@ def test_rejected_attempts_leave_the_step_system_intact(kind):
 
     u0 = _interleaved(prof.c1, prof.c2)
     phi0 = solve_potential(prof.c1, prof.c2, p, grid, bc)
-    f0, band = _rhs_and_band(u0, phi0, p, grid)
+    f0, band = _f_and_band(u0, phi0, p, grid)
     dt = res.times[1]
     system = np.eye(u0.size) - dt * _dense_from_band(band, grid.periodic)
     expected = u0 + np.linalg.solve(system, dt * f0)
     assert np.max(np.abs(seen[1] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _smooth_start(kind):
+    """P_SYM at sigma = 0.05, where the bulk is stable, on n = 48 with a
+    1 % cosine perturbation: no attempt from it is rejected at step sizes
+    up to 0.25."""
+    p = with_sigma(P_SYM, 0.05)
+    n = 48
+    if kind == "periodic":
+        grid, bc = make_periodic_grid(3.0, n), periodic_bc()
+    else:
+        grid, bc = make_grid(DomainSpec(3.0), n), electrode_bc()
+    bump = 0.01 * np.cos(np.pi * grid.x / 3.0)
+    return p, grid, bc, Profile(grid, 1.0 + bump, 1.0 - bump)
+
+
+def _step_size_changes(res):
+    """How often the step size changes along a run; the sizes are compared
+    at a relative 1e-9, since the times are cumulative sums."""
+    h = np.diff(res.times)
+    return np.count_nonzero(~np.isclose(h[1:], h[:-1], rtol=1e-9, atol=0.0))
+
+
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+def test_a_run_at_constant_step_size_factors_once(kind):
+    p, grid, bc, prof = _smooth_start(kind)
+    res = evolve(p, prof, bc, t_end=4.0, dt0=0.25, dt_max=0.25)
+    assert res.steps == 16 and res.rejects == 0
+    assert res.factorizations == 1
+
+
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+def test_each_step_size_change_refactors(kind):
+    """On a ramp from dt0 = 1e-3 with no rejects, the first attempt and
+    every change of the step size (each 1.3x growth, the cap at dt_max and
+    the shortened last step) factor I - dt J, and nothing else does."""
+    p, grid, bc, prof = _smooth_start(kind)
+    res = evolve(p, prof, bc, t_end=6.0, dt0=1e-3, dt_max=0.25)
+    assert res.rejects == 0 and res.t == pytest.approx(6.0)
+    changes = _step_size_changes(res)
+    assert changes > 20
+    assert res.factorizations == 1 + changes
+
+
+@pytest.mark.parametrize("start", ["rough", "ramp"])
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+def test_each_step_solves_with_the_jacobian_of_the_last_step_size_change(kind, start):
+    """Every accepted step k is the linearly implicit Euler step with a
+    lagged Jacobian, u_k+1 = u_k + (I - h_k J(u_r))^-1 h_k F(u_k): u_r is
+    u_k itself on the first step and whenever the step size h_k differs
+    from h_k-1 (a step after rejected attempts always does), and otherwise
+    the u_r of step k - 1. The rough start has rejects; the ramp grows dt
+    from 1e-3 to 0.25."""
+    if start == "rough":
+        p, grid, bc, prof = _rough_start(kind)
+        opts = {"t_end": 2.0, "dt0": 5.0, "dt_max": 5.0}
+    else:
+        p, grid, bc, prof = _smooth_start(kind)
+        opts = {"t_end": 6.0, "dt0": 1e-3, "dt_max": 0.25}
+    states = []
+
+    def observer(t, c1, c2, phi):
+        states.append((_interleaved(c1, c2), phi.copy()))
+        return 0.0
+
+    res = evolve(p, prof, bc, observer=observer, **opts)
+    assert (res.rejects > 0) == (start == "rough")
+    h = np.diff(res.times)
+    reused = 0
+    for k in range(res.steps):
+        u, phi = states[k]
+        if k == 0 or not np.isclose(h[k], h[k - 1], rtol=1e-9, atol=0.0):
+            ref = states[k]
+        else:
+            reused += 1
+        f, _ = _f_and_band(u, phi, p, grid)
+        band = _f_and_band(*ref, p, grid)[1]
+        system = np.eye(u.size) - h[k] * _dense_from_band(band, grid.periodic)
+        expected = u + np.linalg.solve(system, h[k] * f)
+        assert np.max(np.abs(states[k + 1][0] - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert reused > res.steps // 2
 
 
 def _perfbench_tracer():
@@ -382,8 +471,8 @@ def test_each_attempted_step_makes_one_solver_call(kind):
     """perfbench cross-checks solve_banded + splu calls == steps + rejects,
     counting the calls at the module attributes dynamics.solve_banded and
     dynamics.splu: every attempt of either kind, accepted or rejected,
-    makes its one dgbsv call through solve_banded, and splu is never
-    called."""
+    makes its one dgbtrs solve through solve_banded (the dgbtrf
+    factorisations are not counted there), and splu is never called."""
     tracer = _perfbench_tracer()
     tracer.install(stericpnp)
     try:
@@ -404,7 +493,7 @@ def test_each_attempted_step_makes_one_solver_call(kind):
 @settings(max_examples=25)
 @given(data=st.data())
 def test_step_solve_matches_a_dense_solve(kind, sigma_term, data):
-    """One dgbsv step solve, through the folded band on periodic grids
+    """One dgbtrf/dgbtrs step solve, through the folded band on periodic grids
     (n >= 8, so N >= 16 and the fold never overlaps itself), solves
     (I - dt J) du = dt F: its residual is at roundoff, and it is the dense
     solution to 1e-12 relative, or to 10 eps cond where the system is that
@@ -412,9 +501,9 @@ def test_step_solve_matches_a_dense_solve(kind, sigma_term, data):
     p, grid, bc, c1, c2 = data.draw(_linearization_case(kind, sigma_term))
     dt = data.draw(st.floats(1e-3, 5.0))
     phi = solve_potential(c1, c2, p, grid, bc)
-    f, band = _rhs_and_band(_interleaved(c1, c2), phi, p, grid)
+    f, band = _f_and_band(_interleaved(c1, c2), phi, p, grid)
     system = np.eye(f.size) - dt * _dense_from_band(band, grid.periodic)
-    du = _solve_step(band, dt, f, grid.periodic)
+    du = _solve_factored(_factor_step(band, dt, grid.periodic), f)
     scale = np.max(np.abs(system).sum(axis=1)) * np.max(np.abs(du)) + dt * np.max(np.abs(f))
     assert np.max(np.abs(system @ du - dt * f)) <= 1e-14 * scale
     expected = np.linalg.solve(system, dt * f)
@@ -424,13 +513,13 @@ def test_step_solve_matches_a_dense_solve(kind, sigma_term, data):
 
 @pytest.mark.parametrize("periodic", [False, True], ids=["electrode", "periodic"])
 def test_singular_step_system_raises(periodic):
-    """J = I / dt makes I - dt J exactly zero: dgbsv reports the zero pivot
-    through info, and the step solve raises instead of returning garbage."""
+    """J = I / dt makes I - dt J exactly zero: dgbtrf reports the zero pivot
+    through info, and the factorisation raises instead of returning garbage."""
     dt, size = 0.5, 48
     band = np.zeros((9, size))
     band[4] = 1.0 / dt
-    with pytest.raises(np.linalg.LinAlgError, match="dgbsv"):
-        _solve_step(band, dt, np.ones(size), periodic)
+    with pytest.raises(np.linalg.LinAlgError, match="dgbtrf"):
+        _factor_step(band, dt, periodic)
 
 
 @pytest.mark.parametrize("kind", ["electrode", "periodic"])
