@@ -3,8 +3,9 @@
 Shared by the energy diagnostics, the time integrator, and the stationary
 solver so that every module differentiates and integrates the same way.
 Electrode grids include both endpoints; periodic grids wrap.
-The Laplacian's Neumann wall closure lives here only: second_derivative
-applies it, and _laplacian_columns gives it to the exact Jacobians.
+The Laplacian's Neumann wall closure lives here only: _face_difference
+closes the wall face, second_derivative is the _face_divergence of those
+differences, and _laplacian_columns gives it to the exact Jacobians.
 """
 
 from __future__ import annotations
@@ -22,28 +23,46 @@ def gradient(arr: np.ndarray, grid: Grid) -> np.ndarray:
     return np.gradient(arr, grid.dx, edge_order=2)
 
 
+def _face_difference(arr: np.ndarray, grid: Grid) -> np.ndarray:
+    """arr[f + 1] - arr[f] across each face f, along the first (node) axis.
+
+    Face n - 1 joins the last node to the first: on periodic grids it wraps,
+    on electrode grids it is the closed wall and its difference is 0.
+    """
+    d = np.empty(arr.shape)
+    np.subtract(arr[1:], arr[:-1], out=d[:-1])
+    if grid.periodic:
+        np.subtract(arr[:1], arr[-1:], out=d[-1:])
+    else:
+        d[-1] = 0.0
+    return d
+
+
+def _face_divergence(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(q[j] - q[j - 1]) / w[j] along the first axis, q[-1] on node 0's left.
+
+    The net outflow of node j's cell, of width w[j], for face values q laid
+    out as _face_difference's; a closed wall face carries q = 0.
+    """
+    out = np.empty(q.shape)
+    np.subtract(q[1:], q[:-1], out=out[1:])
+    np.subtract(q[:1], q[-1:], out=out[:1])
+    out /= w
+    return out
+
+
 def second_derivative(arr: np.ndarray, grid: Grid) -> np.ndarray:
     """Three-point second derivative along the last axis.
 
-    Electrode grids reflect evenly at the walls (ghost = a1), the discrete
-    form of a homogeneous Neumann condition a_x = 0 and the variational
-    closure of the face-difference gradient energy. Each row of a stacked
-    (m, n) input gets the arithmetic of a 1-D call, bit for bit.
+    The _face_divergence of _face_difference / dx over the quadrature cells.
+    At an electrode wall the closed face makes it 2 (a1 - a0) / dx^2, an even
+    reflection (ghost = a1): the discrete form of a homogeneous Neumann
+    condition a_x = 0 and the variational closure of the face-difference
+    gradient energy. Each row of a stacked (m, n) input gets the arithmetic
+    of a 1-D call, bit for bit.
     """
-    dx2 = grid.dx**2
-    out = np.empty(arr.shape)
-    # the interior stencil over all rows at once, as one flat run; the
-    # entries where it straddles two rows are the row ends, set below
-    a, flat = arr.reshape(-1), out.reshape(-1)
-    flat[1:-1] = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / dx2
-    a, b = arr.T, out.T  # a[0], b[0]: the first node of every row
-    if grid.periodic:
-        b[0] = (a[1] - 2.0 * a[0] + a[-1]) / dx2
-        b[-1] = (a[0] - 2.0 * a[-1] + a[-2]) / dx2
-    else:
-        b[0] = 2.0 * (a[1] - a[0]) / dx2
-        b[-1] = 2.0 * (a[-2] - a[-1]) / dx2
-    return out
+    w = grid.weights if arr.ndim == 1 else grid.weights[:, None]
+    return _face_divergence(_face_difference(arr.T, grid) / grid.dx, w).T
 
 
 @lru_cache(maxsize=16)

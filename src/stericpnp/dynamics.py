@@ -20,8 +20,9 @@ face uses the arithmetic mean of the neighboring concentrations times the
 chemical-potential difference across the face, and wall faces carry zero
 flux. With trapezoid quadrature weights this telescopes exactly, so the
 discrete masses are conserved to roundoff by construction. Only
-_flux_divergence writes F; _rhs calls it for time_derivatives and the
-stepper.
+_flux_divergence writes F, and only _mu_and_energy writes mu and the
+discrete energy; time_derivatives (through _rhs), chemical_potential,
+discrete_energy and the stepper all call them.
 
 Time stepping is linearly implicit (one linear solve per step; the
 W-method form of the Rosenbrock-Euler step, Steihaug & Wolfbrandt, Math.
@@ -64,25 +65,31 @@ and quadrature weights once per grid, the per-node columns that F and
 the band need (w, the 1/w of the band rows and the Laplacian's wall
 columns, each repeated for both species) once per grid, the Dirichlet
 Poisson factor once per interior size (_fd.solve_poisson_dirichlet), the
-periodic band's folded layout once per size (_folded_layout), and the
-band and its LU factors once per refresh (_band, _factor_step).
-Finiteness is checked once per band, where _band returns J; the
-factorisation writes -dt J straight into LAPACK's band storage and calls
-dgbtrf with no check or copy of its own, and each attempt solves on those
-factors with one dgbtrs call (_solve_factored).
+periodic band's folded layout once per size (_folded_layout), the
+parameter arrays z, cbar and G once per ModelParams, and the band and its
+LU factors once per refresh (_band, _factor_step). Finiteness is checked
+once per band, where _band returns J; the factorisation writes -dt J
+straight into LAPACK's band storage and calls dgbtrf with no check or
+copy of its own, and each attempt solves on those factors with one
+dgbtrs call (_solve_factored).
 
 At the sizes evolve runs (tens to hundreds of nodes) a step costs mostly
-numpy's overhead per call, not arithmetic, so the per-step writers keep
-their call count low without changing a single operation: mu is one
-(2, n) stack for both species, F and the band are built nodes first in
-u's interleaved order, where a shift by whole nodes is a contiguous
-slice, and discrete_energy takes the bulk density without a sign check
-(a negative concentration leaves its total NaN, and only then is the
-sign looked at). Each attempted step, for either boundary kind, makes
-one dgbtrs solve through the module attribute solve_banded (periodic
-runs fold their circular band into an ordinary one) and reads the energy
-through discrete_energy; the dgbtrf factorisations, one per refresh, are
-called under their own name and counted in EvolveResult.factorizations.
+numpy's overhead per call, not arithmetic, so each state is evaluated
+once, nodes first in u's interleaved (n, 2) layout, where a shift by
+whole nodes is a contiguous slice. Each attempt makes, in order: one
+dgbtrs solve through the module attribute solve_banded (periodic runs
+fold their circular band into an ordinary one), the positivity and
+finiteness test, one Poisson solve on the candidate's charge density
+(_potential), and one _mu_and_energy call, which takes log c, G c and the
+face differences of c once and returns mu and the discrete energy
+together. The energy test then accepts or rejects the attempt. An
+accepted step evaluates F once, by _flux_divergence from that mu, and
+that F, with its face data c_face and dmu, is both the steady test's
+max |c_t| and the next step's right-hand side and band input; a rejected
+attempt evaluates no F. The energy is read without a sign check (a
+negative concentration leaves it NaN, and only then is the sign looked
+at). The dgbtrf factorisations, one per refresh, are called under their
+own name and counted in EvolveResult.factorizations.
 """
 
 from __future__ import annotations
@@ -99,13 +106,13 @@ from scipy.linalg.lapack import dgbtrs as solve_banded
 from scipy.sparse.linalg import splu  # noqa: F401  never called; perfbench's tracer wraps it
 
 from ._fd import (
+    _face_difference,
+    _face_divergence,
     _laplacian_columns,
-    second_derivative,
     solve_poisson_dirichlet,
     solve_poisson_periodic,
     trapz,
 )
-from .energy import _density
 from .errors import ParameterError
 from .model import Grid, ModelParams, Profile
 
@@ -169,10 +176,14 @@ def solve_potential(
     bc: BoundaryConditions,
 ) -> np.ndarray:
     """Potential from the Poisson equation phi_xx = -(z . c + rho0)."""
-    rhs = p.z1 * c1 + p.z2 * c2 + p.rho0
+    return _potential(_charge(np.column_stack((c1, c2)), p), grid, bc)
+
+
+def _potential(rho: np.ndarray, grid: Grid, bc: BoundaryConditions) -> np.ndarray:
+    """phi from phi_xx = -rho; rho is not modified (evolve reuses it)."""
     if bc.kind == "periodic":
-        return solve_poisson_periodic(rhs, grid)
-    return solve_poisson_dirichlet(rhs, grid, bc.phi_left, bc.phi_right)
+        return solve_poisson_periodic(rho, grid)
+    return solve_poisson_dirichlet(rho, grid, bc.phi_left, bc.phi_right)
 
 
 def chemical_potential(
@@ -184,20 +195,14 @@ def chemical_potential(
 ) -> np.ndarray:
     """mu_i = log c_i + (G c)_i + z_i phi - sigma c_i,xx, as one (2, n) stack.
 
-    The only place mu is written: the time stepper and the stationary
-    solver both take it from here (mu1, mu2 = chemical_potential(...)
-    unpacks the rows). With the Neumann wall closure of second_derivative,
-    mu_i is exactly (1/w_j) dE/dc_ij of discrete_energy.
+    The rows of _mu_and_energy's mu, the only place mu is written: the time
+    stepper and the stationary solver both take it from there (mu1, mu2 =
+    chemical_potential(...) unpacks the rows). With the Neumann wall
+    closure of _fd.second_derivative, mu_i is exactly (1/w_j) dE/dc_ij of
+    discrete_energy.
     """
-    c = np.array((c1, c2))
-    G = p.G
-    mu = np.log(c)
-    # (G c)_i term by term, c1 then c2: G @ c would sum in another order
-    mu += G[:, :1] * c1
-    mu += G[:, 1:] * c2
-    mu += p.z[:, None] * phi
-    mu -= p.sigma * second_derivative(c, grid)
-    return mu
+    c = np.column_stack((c1, c2))
+    return _mu_and_energy(c, _charge(c, p), phi, p, grid)[0].T
 
 
 def time_derivatives(
@@ -234,18 +239,67 @@ def discrete_energy(
     layer charges; this functional is the one the dynamics runs downhill.
     For periodic runs the boundary term vanishes and it coincides with
     the free energy up to quadrature error.
+
+    The energy of _mu_and_energy, which writes it. Exact zeros are taken
+    with the limit c log c -> 0; a negative concentration raises
+    ParameterError.
     """
-    total = trapz(_density(c1, c2, p), grid)
-    rho = p.z1 * c1 + p.z2 * c2 + p.rho0
-    total += trapz(rho * phi, grid)
-    total += _face_energy(phi, grid, -0.5)
-    total += _face_energy(c1, grid, 0.5 * p.sigma)
-    total += _face_energy(c2, grid, 0.5 * p.sigma)
-    # a negative concentration makes the entropy, and so the total, NaN:
-    # only then is the sign check needed
-    if math.isnan(total) and (np.any(c1 < 0) or np.any(c2 < 0)):
-        raise ParameterError("discrete energy needs nonnegative concentrations")
-    return total
+    c = np.column_stack((c1, c2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _mu_and_energy(c, _charge(c, p), phi, p, grid)[1]
+
+
+def _charge(c: np.ndarray, p: ModelParams) -> np.ndarray:
+    """rho = z . c + rho0 of an (n, 2) state, nodes first."""
+    rho = np.dot(c, p.z)
+    rho += p.rho0
+    return rho
+
+
+def _mu_and_energy(
+    c: np.ndarray,
+    rho: np.ndarray,
+    phi: np.ndarray,
+    p: ModelParams,
+    grid: Grid,
+) -> tuple[np.ndarray, float]:
+    """(mu, E) of the state c, shape (n, 2) nodes first, with charge rho.
+
+    The one writer of the chemical potential and of the discrete energy
+    (see chemical_potential and discrete_energy): log c, G c and the face
+    differences dc are computed once and shared. The Laplacian in mu is
+    _fd._face_divergence of dc / dx, the Neumann closure of
+    _fd.second_derivative. The bulk density is h = sum_i c_i (log(c_i /
+    cbar_i) - 1 + (G c)_i / 2), with h_i = 0 at c_i = 0 (0 log 0 -> 0);
+    a negative concentration, which leaves it NaN, raises ParameterError.
+    """
+    w, _, _ = _node_columns(grid)
+    log_c = np.log(c)
+    gc = np.dot(c, p.G)  # (G c)_i at every node; G is symmetric
+    dc = _face_difference(c, grid)
+    mu = log_c + gc
+    mu += np.dot(phi[:, None], p.z[None])  # z_i phi_j, one outer product
+    mu -= (p.sigma / grid.dx) * _face_divergence(dc, w)
+
+    gc *= 0.5
+    gc += log_c
+    gc -= 1.0 + np.log(p.cbar)
+    dens = np.multiply(c, gc, out=gc)
+    bulk = float(np.vdot(w, dens))
+    if math.isnan(bulk):
+        # 0 log 0 and a negative concentration both leave the entropy NaN:
+        # only then is the sign looked at
+        if (c < 0).any():
+            raise ParameterError("concentrations must be nonnegative")
+        dens[c == 0] = 0.0
+        bulk = float(np.vdot(w, dens))
+    dphi = _face_difference(phi, grid)
+    energy = (
+        bulk
+        + float(grid.weights @ (rho * phi))
+        + (0.5 * p.sigma * float(np.vdot(dc, dc)) - 0.5 * float(dphi @ dphi)) / grid.dx
+    )
+    return mu, energy
 
 
 def add_noise(profile: Profile, amplitude: float, seed: int) -> Profile:
@@ -264,38 +318,29 @@ def add_noise(profile: Profile, amplitude: float, seed: int) -> Profile:
     return profile
 
 
-def _face_energy(arr: np.ndarray, grid: Grid, coeff: float) -> float:
-    """coeff * sum over faces of (difference across the face)^2 / dx."""
-    d = arr[1:] - arr[:-1]
-    s = float(d @ d)
-    if grid.periodic:
-        s += float((arr[0] - arr[-1]) ** 2)
-    return coeff * s / grid.dx
-
-
-def _shift(x: np.ndarray, d: int) -> np.ndarray:
-    """x[k - d] along the first (node) axis, wrapping."""
-    return np.concatenate((x[-d:], x[:-d]))
-
-
 def _flux_divergence(
     c: np.ndarray, mu: np.ndarray, grid: Grid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(F, c_face, dmu) of both species as (n, 2) arrays, nodes first.
+    """(F, c_face, dmu): F interleaved like u, the face data as (n, 2)
+    arrays, nodes first.
 
     Face f joins nodes f and f + 1 (mod n); on electrode grids face n - 1
     is the closed wall and carries nothing. Its flux is c_face dmu / dx,
-    with c_face = (c_f + c_f+1) / 2, dmu = mu_f+1 - mu_f, and F_j =
-    (flux_j - flux_j-1) / w_j. Nodes first is u's interleaved order, in
-    which a shift by whole nodes is a contiguous slice.
+    with c_face = (c_f + c_f+1) / 2, dmu = mu_f+1 - mu_f
+    (_fd._face_difference), and F_j = (flux_j - flux_j-1) / w_j
+    (_fd._face_divergence). Nodes first is u's interleaved order, in which a
+    shift by whole nodes is a contiguous slice.
     """
-    c_face = 0.5 * (c + _shift(c, -1))
-    dmu = _shift(mu, -1) - mu
+    c_face = np.empty(c.shape)
+    np.add(c[1:], c[:-1], out=c_face[:-1])
+    np.add(c[:1], c[-1:], out=c_face[-1:])
+    c_face *= 0.5
     if not grid.periodic:
         c_face[-1] = 0.0
-        dmu[-1] = 0.0
-    flux = c_face * dmu / grid.dx
-    return (flux - _shift(flux, 1)) / _node_columns(grid)[0], c_face, dmu
+    dmu = _face_difference(mu, grid)
+    flux = c_face * dmu
+    flux /= grid.dx
+    return _face_divergence(flux, _node_columns(grid)[0]).reshape(-1), c_face, dmu
 
 
 @lru_cache(maxsize=16)
@@ -326,9 +371,8 @@ def _rhs(
     """(F, c_face, dmu): F = (c mu_x)_x at frozen phi, interleaved like u,
     and the face data of _flux_divergence, from which _band builds J."""
     c = u.reshape(grid.n, 2)
-    mu = chemical_potential(c[:, 0], c[:, 1], phi, p, grid)
-    f, c_face, dmu = _flux_divergence(c, np.ascontiguousarray(mu.T), grid)
-    return f.reshape(-1), c_face, dmu
+    mu = _mu_and_energy(c, _charge(c, p), phi, p, grid)[0]
+    return _flux_divergence(c, mu, grid)
 
 
 def _band(
@@ -530,12 +574,13 @@ def evolve(
     c1, c2 = profile0.c1, profile0.c2
     if not (c1.min() > 0 and c2.min() > 0 and c1.max() + c2.max() < np.inf):  # NaN, inf fail
         raise ParameterError("initial concentrations must be finite and strictly positive")
-    # u interleaves (c1_j, c2_j); after the first step c1, c2 are the
-    # columns of its (n, 2) view
+    # u interleaves (c1_j, c2_j); c is its (n, 2) view, and c1, c2 are the
+    # columns of c
     u = np.column_stack((c1, c2)).ravel()
-
-    phi = solve_potential(c1, c2, p, grid, bc)
-    e_cur = discrete_energy(c1, c2, phi, p, grid)
+    c = u.reshape(n, 2)
+    rho = _charge(c, p)
+    phi = _potential(rho, grid, bc)
+    mu, e_cur = _mu_and_energy(c, rho, phi, p, grid)
     w = grid.weights
     t = 0.0
     dt = min(dt0, t_end)
@@ -545,13 +590,12 @@ def evolve(
     accepted_streak = 0
     times = [0.0]
     energies = [e_cur]
-    m1_hist = [float(w @ c1)]
-    m2_hist = [float(w @ c2)]
+    masses = [w @ c]
     obs_hist = [observer(0.0, c1, c2, phi)] if observer else None
 
-    f0, c_face, dmu = _rhs(u, phi, p, grid)
+    f, c_face, dmu = _flux_divergence(c, mu, grid)
     factors = None  # of I - dt J at the last refresh, kept while dt holds
-    dcdt_norm = float(np.abs(f0).max())
+    dcdt_norm = float(np.abs(f).max())
     verdict, reason = "Running", "reached time horizon"
 
     if dcdt_norm < steady_tol:
@@ -564,14 +608,15 @@ def evolve(
             if factors is None or dt_try != factors.dt:
                 factors = _factor_step(_band(u, c_face, dmu, p, grid), dt_try, grid.periodic)
                 factorizations += 1
-            u_new = u + _solve_factored(factors, f0)
+            u_new = u + _solve_factored(factors, f)
             # a NaN makes the minimum NaN, so the two bounds admit only
             # finite states above the floor
             ok = u_new.min() > _POSITIVITY_FLOOR and u_new.max() < np.inf
             if ok:
-                c1n, c2n = u_new.reshape(n, 2).T
-                phi_new = solve_potential(c1n, c2n, p, grid, bc)
-                e_new = discrete_energy(c1n, c2n, phi_new, p, grid)
+                c_new = u_new.reshape(n, 2)
+                rho = _charge(c_new, p)
+                phi_new = _potential(rho, grid, bc)
+                mu, e_new = _mu_and_energy(c_new, rho, phi_new, p, grid)
                 ok = math.isfinite(e_new) and e_new <= e_cur + _ENERGY_TOL
             if ok:
                 break
@@ -583,15 +628,15 @@ def evolve(
 
         t += dt_try
         steps += 1
-        u, phi, e_cur = u_new, phi_new, e_new
-        c1, c2 = c1n, c2n
-        f0, c_face, dmu = _rhs(u, phi, p, grid)
-        dcdt_norm = float(np.abs(f0).max())
+        u, c, phi, e_cur = u_new, c_new, phi_new, e_new
+        c1, c2 = c.T
+        # F of the accepted state, from the mu its energy test computed
+        f, c_face, dmu = _flux_divergence(c, mu, grid)
+        dcdt_norm = float(np.abs(f).max())
 
         times.append(t)
         energies.append(e_cur)
-        m1_hist.append(float(w @ c1))
-        m2_hist.append(float(w @ c2))
+        masses.append(w @ c)
         if observer:
             obs_hist.append(observer(t, c1, c2, phi))
 
@@ -608,6 +653,7 @@ def evolve(
             verdict, reason = "Steady", f"max |c_t| fell below {steady_tol:g}"
             break
 
+    mass1, mass2 = np.array(masses).T
     prof = Profile(grid=grid, c1=c1.copy(), c2=c2.copy(), phi=phi.copy())
     return EvolveResult(
         profile=prof,
@@ -620,7 +666,7 @@ def evolve(
         dcdt_norm=dcdt_norm,
         times=np.array(times),
         energy=np.array(energies),
-        mass1=np.array(m1_hist),
-        mass2=np.array(m2_hist),
+        mass1=mass1,
+        mass2=mass2,
         observables=np.array(obs_hist) if obs_hist is not None else None,
     )

@@ -48,24 +48,19 @@ _SEGREGATED_NODES = 2001  # segregated_comparison's quadrature grid on [-1, 1]
 
 
 def free_energy_density(c1: _ArrayLike, c2: _ArrayLike, p: ModelParams) -> _ArrayLike:
-    """Bulk density h(c); accepts scalars or arrays, c_i >= 0."""
+    """Bulk density h(c); accepts scalars or arrays, c_i >= 0.
+
+    dynamics.discrete_energy integrates the same h, written there from the
+    log c and G c that its chemical potential shares.
+    """
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
     if np.any(c1 < 0) or np.any(c2 < 0):
         raise ParameterError("free energy density needs nonnegative concentrations")
-    out = _density(c1, c2, p)
-    return float(out) if out.ndim == 0 else out
-
-
-def _density(c1: np.ndarray, c2: np.ndarray, p: ModelParams) -> np.ndarray:
-    """h(c) of float arrays, unchecked: a negative c_i gives NaN.
-
-    free_energy_density checks and wraps it; dynamics.discrete_energy
-    calls it once per attempted time step.
-    """
     ent = xlogy(c1, c1 / p.cbar1) - c1 + xlogy(c2, c2 / p.cbar2) - c2
     steric = 0.5 * (p.g11 * c1 * c1 + 2.0 * p.g12 * c1 * c2 + p.g22 * c2 * c2)
-    return ent + steric
+    out = ent + steric
+    return float(out) if out.ndim == 0 else out
 
 
 def hessian(c1: float, c2: float, p: ModelParams) -> np.ndarray:

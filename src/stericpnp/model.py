@@ -53,17 +53,27 @@ class ModelParams:
         """Background charge that makes the bulk electroneutral."""
         return -(self.z1 * self.cbar1 + self.z2 * self.cbar2)
 
-    @property
+    # z, cbar and G are built once per instance and read-only, like
+    # Grid.weights (the time stepper reads them on every attempt); a copy
+    # from with_sigma builds its own
+
+    @cached_property
     def z(self) -> np.ndarray:
-        return np.array([self.z1, self.z2])
+        return _read_only([self.z1, self.z2])
 
-    @property
+    @cached_property
     def cbar(self) -> np.ndarray:
-        return np.array([self.cbar1, self.cbar2])
+        return _read_only([self.cbar1, self.cbar2])
 
-    @property
+    @cached_property
     def G(self) -> np.ndarray:
-        return np.array([[self.g11, self.g12], [self.g12, self.g22]])
+        return _read_only([[self.g11, self.g12], [self.g12, self.g22]])
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 def make_params(

@@ -564,7 +564,22 @@ def test_acceptance_12_applied_voltage_bulk_structure(capsys):
         if not stab:
             continue
         reps.append(min(stab, key=lambda q: abs(q.param - 0.001)))
-    counts = sorted({_structure_count(pt.state, grid.x) for pt in reps})
+    coarse = [_structure_count(pt.state, grid.x) for pt in reps]
+    counts = sorted(set(coarse))
+    # the counts do not depend on the grid: each representative,
+    # interpolated to n = 800 and Newton-solved there, keeps its count
+    fine = make_grid(d, 800)
+    refined = []
+    for pt in reps:
+        guess = Profile(fine, *(np.interp(fine.x, grid.x, a)
+                                for a in (pt.state.c1, pt.state.c2, pt.state.phi)))
+        try:
+            state = newton_solve(guess, with_sigma(P_FIG10, pt.param), fine, bc,
+                                 "sigma", pt.param)
+        except NumericsError:
+            refined.append(None)
+            continue
+        refined.append(_structure_count(state, fine.x))
     # boundary layers: outer 10% of the domain on each side
     lay = np.abs(grid.x) >= 0.9 * d.L
     worst_layer = 0.0
@@ -575,18 +590,19 @@ def test_acceptance_12_applied_voltage_bulk_structure(capsys):
             den = max(float(np.max(np.abs(a.c1))), float(np.max(np.abs(b.c1))))
             worst_layer = max(worst_layer, num / den)
     elapsed = time.perf_counter() - t0
-    ok = len(reps) >= 3 and len(counts) >= 3 and worst_layer < 0.05
+    ok = len(reps) >= 3 and len(counts) >= 3 and worst_layer < 0.05 and refined == coarse
     _report(
         capsys,
         12,
         ok,
         f"applied-voltage bulk structure ({len(reps)} stable branches, "
-        f"interior structure counts {counts}, worst layer gap "
+        f"interior structure counts {counts}, {refined} at n = 800, worst layer gap "
         f"{100 * worst_layer:.1f}%, {elapsed:.0f} s)",
     )
     assert len(reps) >= 3, f"only {len(reps)} stable branch representatives"
     assert len(counts) >= 3, f"interior structure counts not distinct: {counts}"
     assert worst_layer < 0.05
+    assert refined == coarse, f"counts {coarse} at n = 400 but {refined} at n = 800"
 
 
 def test_acceptance_13_segregated_energy(capsys):

@@ -235,9 +235,13 @@ def test_trace_branch_truncates_when_ds_falls_below_its_floor():
 
 
 def test_stability_probe_reports_an_abandoned_relaxation(monkeypatch):
-    # an energy that rises on every call makes evolve give up
+    # an energy that rises on every evaluation makes evolve give up
+    # (evolve takes mu and the energy from one _mu_and_energy call)
     calls = iter(range(1000))
-    monkeypatch.setattr(dynamics, "discrete_energy", lambda *args: float(next(calls)))
+    real = dynamics._mu_and_energy
+    monkeypatch.setattr(
+        dynamics, "_mu_and_energy", lambda *args: (real(*args)[0], float(next(calls)))
+    )
     d = DomainSpec(2.0)
     grid = make_grid(d, 24)
     probe = stability_probe(_hom_state(grid), P_SYM, d, grid, "sigma")

@@ -311,6 +311,21 @@ def test_relaxation_conserves_mass_and_dissipates_energy(kind, sigma_term, data)
     assert res.energy[-1] == pytest.approx(recomputed, rel=1e-12)
 
 
+@pytest.mark.parametrize("sigma_term", [False, True], ids=["sigma0", "sigma"])
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_evolve_steps_with_the_public_time_derivatives(kind, sigma_term, data):
+    """The F that evolve steps with and tests for steadiness is
+    time_derivatives' F, bit for bit: a second writer of mu or F in the
+    stepper would show here as a rounding difference."""
+    p, grid, bc, prof = data.draw(_relaxation_case(kind, sigma_term))
+    res = evolve(p, prof, bc, t_end=2.0)
+    final = res.profile
+    f = time_derivatives(final.c1, final.c2, final.phi, p, grid)
+    assert res.dcdt_norm == np.abs(f).max()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("kind", ["electrode", "periodic"])
 def test_evolve_rejects_non_finite_profiles(kind, bad):
@@ -538,10 +553,14 @@ def test_monitored_energy_is_the_discrete_energy_of_each_accepted_state(kind):
 
 
 def test_evolve_gives_up_when_no_halving_lowers_the_energy(monkeypatch):
-    # an energy that rises on every call rejects every candidate step, so
+    # an energy that rises on every evaluation rejects every candidate step, so
     # the first step is abandoned after _MAX_HALVINGS halvings
+    # (evolve takes mu and the energy from one _mu_and_energy call)
     calls = iter(range(1000))
-    monkeypatch.setattr(dynamics, "discrete_energy", lambda *args: float(next(calls)))
+    real = dynamics._mu_and_energy
+    monkeypatch.setattr(
+        dynamics, "_mu_and_energy", lambda *args: (real(*args)[0], float(next(calls)))
+    )
     g = make_grid(DomainSpec(2.0), 33)
     bump = 0.1 * np.cos(np.pi * g.x / 2.0)
     prof = Profile(g, 1.0 + bump, 1.0 - bump)

@@ -161,6 +161,20 @@ def test_free_energy_density_matches_quadrature():
 
 
 @pytest.mark.parametrize("periodic", [False, True], ids=["electrode", "periodic"])
+def test_discrete_energy_without_field_or_gradient_is_the_quadrature_of_the_density(periodic):
+    # phi = 0 and sigma = 0 leave only the bulk term, which dynamics writes
+    # from its own log c and G c; exact zeros take the xlogy limit there too
+    g = make_periodic_grid(1.0, 16) if periodic else make_grid(DomainSpec(1.0), 16)
+    c1 = np.linspace(0.5, 1.5, 16)
+    c2 = 2.0 - c1**2 / 2.0
+    c1[3] = 0.0
+    p = make_params(1, -2, 3.4, 0.6, 2.65, 2.0, 0.7)
+    expected = float(g.weights @ free_energy_density(c1, c2, p))
+    got = discrete_energy(c1, c2, np.zeros(16), p, g)
+    assert got == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["electrode", "periodic"])
 def test_energies_take_exact_zeros_and_reject_negative_concentrations(periodic):
     g = make_periodic_grid(1.0, 16) if periodic else make_grid(DomainSpec(1.0), 16)
     c1 = np.linspace(0.5, 1.5, 16)

@@ -48,6 +48,20 @@ def test_with_sigma_does_not_mutate():
     assert q.G is not p.G or np.array_equal(q.G, p.G)
 
 
+def test_parameter_arrays_are_built_once_and_read_only():
+    p = make_params(1, -1, 2.25, 0.75, 2.5, 1.0, 1.0)
+    q = with_sigma(p, 0.05)
+    for name in ("z", "cbar", "G"):
+        arr = getattr(p, name)
+        assert getattr(p, name) is arr
+        with pytest.raises(ValueError):
+            arr.flat[0] = 7.0
+        # a copy from with_sigma builds its own, equal arrays
+        assert getattr(q, name) is not arr
+        assert np.array_equal(getattr(q, name), arr)
+    assert p.G[0, 0] == 2.25
+
+
 def test_electrode_grid_covers_closed_interval():
     g = make_grid(DomainSpec(2.0), 9)
     assert g.n == 9

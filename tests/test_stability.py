@@ -5,16 +5,20 @@ The onset numbers for the symmetric parameter set have closed forms
 to rounding; the asymmetric set is pinned by a 40-digit double-root solve
 of det B = 0 (mpmath), and random parameters are checked through the
 zero-growth locus and the growth rate, which do not use the onset cubic.
+On a periodic grid the same relation holds exactly for the uniform state's
+discrete Jacobian, with k^2 replaced by the finite-difference symbol.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
-from stericpnp.energy import g12_critical
+from stericpnp.dynamics import _band, _rhs, periodic_bc, solve_potential
+from stericpnp.energy import g12_critical, hessian_det
 from stericpnp.errors import NoOnsetError
-from stericpnp.model import make_params
+from stericpnp.model import homogeneous_profile, make_params, make_periodic_grid, with_sigma
 from stericpnp.stability import (
     dispersion,
     find_onset,
@@ -26,8 +30,11 @@ from stericpnp.stability import (
     verify_onset,
 )
 
+from _strategies import admissible_params
+
 P_SYM = make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0)
 P_FIG10 = make_params(1, -1, 3.6, 0.4, 2.65, 1.0, 1.0)
+P_FIG6 = make_params(1, -1, 3.4, 0.6, 2.65, 2.0, 2.01)
 
 
 class TestOnsetSymmetric:
@@ -162,6 +169,83 @@ def test_min_hessian_eigenvalue_frozen():
     from stericpnp.energy import convexity_class
 
     assert got == pytest.approx(convexity_class(p).eig_min + 1.0, abs=1e-9)
+
+
+
+def _uniform_state_jacobian(p, n, half):
+    """Dense Jacobian of evolve's right-hand side at the uniform state on an
+    n-node periodic grid, unknowns interleaved (c1_j, c2_j), and the grid.
+
+    _band is the Jacobian at frozen phi. The potential adds c_i z_i
+    d(phi)_xx = -cbar_i z_i (z . dc - its mean), node-local apart from the
+    mean, which the periodic Poisson solve drops.
+    """
+    grid = make_periodic_grid(half, n)
+    prof = homogeneous_profile(grid, p)
+    phi = solve_potential(prof.c1, prof.c2, p, grid, periodic_bc())
+    u = np.column_stack((prof.c1, prof.c2)).ravel()
+    _, c_face, dmu = _rhs(u, phi, p, grid)
+    band = _band(u, c_face, dmu, p, grid)
+    size = 2 * n
+    J = np.zeros((size, size))
+    cols = np.arange(size)
+    for o in range(-4, 5):
+        J[(cols - o) % size, cols] += band[4 - o]
+    J += np.kron(np.eye(n) - 1.0 / n, -np.outer(p.cbar * p.z, p.z))
+    return J, grid
+
+
+def _top_rate(p, n, half):
+    return np.linalg.eigvals(_uniform_state_jacobian(p, n, half)[0]).real.max()
+
+
+@pytest.mark.parametrize("sigma_term", [False, True], ids=["sigma0", "sigma"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_discrete_dispersion_relation_is_the_continuum_one_at_the_fd_symbol(sigma_term, data):
+    """Mode m = 1 ... n - 1 (k_m = pi m / L) of the discrete Jacobian has
+    the rates of growth_matrix(sqrt(s_m)), s_m = (4 / dx^2) sin^2(k_m dx / 2),
+    the symbol of the three-point Laplacian; mode 0 has two zero rates."""
+    p = data.draw(admissible_params(sigma_term))
+    n = data.draw(st.integers(16, 64))
+    J, grid = _uniform_state_jacobian(p, n, data.draw(st.floats(0.5, 3.0)))
+    rates = np.linalg.eigvals(J)
+    s = (4.0 / grid.dx**2) * np.sin(np.pi * np.arange(1, n) / n) ** 2
+    expected = np.concatenate(
+        [np.zeros(2)] + [np.linalg.eigvals(growth_matrix(np.sqrt(x), p, p.sigma)) for x in s]
+    )
+    scale = np.abs(rates).max()
+    assert np.abs(rates.imag).max() <= 1e-10 * scale
+    assert np.abs(np.sort(rates.real) - np.sort(expected.real)).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("p", [P_SYM, P_FIG6], ids=["sym", "fig6"])
+def test_discrete_top_rate_grows_as_one_over_dx2_at_sigma_zero_and_is_bounded_above_it(p):
+    """The paper's contrast on the grid. In a concave bulk at sigma = 0 the
+    top rate is about s_max lambda + a with s_max = 4 / dx^2, so each
+    doubling of n multiplies it by 4 - 3 a / (s_max lambda + a): 4.19 from
+    16 to 32 nodes on P_FIG6, within 2 % of 4 from 32 nodes on. At sigma > 0
+    every grid's top rate is a sample of the continuum relation, so none
+    exceeds its supremum."""
+    half = 2.0
+    assert hessian_det(p.cbar1, p.cbar2, p) < 0
+    tops = [_top_rate(p, n, half) for n in (32, 64, 128)]
+    for coarse, fine in zip(tops, tops[1:]):
+        assert fine / coarse == pytest.approx(4.0, rel=0.02)
+
+    q = with_sigma(p, 0.01)
+    k = np.linspace(0.0, 2.0 * 128 / (2.0 * half), 4001)
+    rate = dispersion(k, q, q.sigma).rate
+    i = int(np.argmax(rate))
+    best = minimize_scalar(
+        lambda x: -max_growth_rate(x, q, q.sigma),
+        bounds=(k[max(i - 1, 0)], k[i + 1]),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    sup = max(rate[i], -best.fun)
+    tops = [_top_rate(q, n, half) for n in (16, 32, 64, 128)]
+    assert all(0.0 < top <= sup * (1.0 + 1e-9) for top in tops)
 
 
 @given(
