@@ -5,7 +5,8 @@ solver so that every module differentiates and integrates the same way.
 Electrode grids include both endpoints; periodic grids wrap.
 The Laplacian's Neumann wall closure lives here only: _face_difference
 closes the wall face, second_derivative is the _face_divergence of those
-differences, and _laplacian_columns gives it to the exact Jacobians.
+differences, and _laplacian_columns gives its matrix columns to
+dynamics._dmu_dc, the d mu / d c behind both exact Jacobians.
 """
 
 from __future__ import annotations

@@ -14,9 +14,10 @@ unknown vector on an n-node wall-to-wall grid is
 
 with Dirichlet rows phi_0 - phi_left and phi_{n-1} - phi_right replacing
 the wall Poisson rows, plus two mass rows sum_j w_j c_{i,j} - 2 L cbar_i.
-The c_xx stencil uses the same Neumann wall closure as the dynamics, so
-converged states are exact fixed points of evolve (both Jacobians read
-it from _fd._laplacian_columns).
+The residual's mu rows are the dynamics' own chemical potential
+(dynamics._mu_and_energy), Neumann wall closure included, so converged
+states are exact fixed points of evolve; the Jacobian's mu rows are
+dynamics._dmu_dc, the d mu / d c that evolve's band reads too.
 
 The Jacobian is banded (l = u = 3 in the node-interleaved ordering)
 bordered by dense columns for the multipliers and dense mass rows; each
@@ -63,9 +64,12 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import solve_banded
 
-from ._fd import _laplacian_columns, gradient, second_derivative, trapz
+from ._fd import gradient, second_derivative, trapz
 from .dynamics import (
     BoundaryConditions,
+    _charge,
+    _dmu_dc,
+    _mu_and_energy,
     add_noise,
     chemical_potential,
     electrode_bc,
@@ -209,56 +213,37 @@ def _assemble(
     c1, c2, phi, lam1, lam2 = _unpack(u)
     if np.any(c1 <= 0.0) or np.any(c2 <= 0.0):
         raise ParameterError("stationary residual needs positive concentrations")
+    c = np.column_stack((c1, c2))
+    rho = _charge(c, p)
+    w = grid.weights
 
-    sig = p.sigma
-    mu1, mu2 = chemical_potential(c1, c2, phi, p, grid)
-
+    # residual nodes first: node j's rows mu1 - lam1, mu2 - lam2, Poisson
     m = 3 * n
     r = np.empty(m + 2)
-    r[0:m:3] = mu1 - lam1
-    r[1:m:3] = mu2 - lam2
-    pois = np.empty(n)
-    pois[1:-1] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dx2 + (
-        p.z1 * c1[1:-1] + p.z2 * c2[1:-1] + p.rho0
-    )
-    pois[0] = phi[0] - bc.phi_left
-    pois[-1] = phi[-1] - bc.phi_right
-    r[2:m:3] = pois
-    w = grid.weights
-    r[m] = float(w @ c1) - 2.0 * grid.L * p.cbar1
-    r[m + 1] = float(w @ c2) - 2.0 * grid.L * p.cbar2
+    res = r[:m].reshape(n, 3)
+    np.subtract(_mu_and_energy(c, rho, phi, p, grid)[0], (lam1, lam2), out=res[:, :2])
+    res[1:-1, 2] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dx2 + rho[1:-1]
+    res[0, 2] = phi[0] - bc.phi_left
+    res[-1, 2] = phi[-1] - bc.phi_right
+    r[m:] = w @ c - 2.0 * grid.L * p.cbar
 
-    # Core band, ab[_BAND + row - col, col] = J[row, col].
+    # Core band, ab[_BAND + row - col, col] = J[row, col], nodes first:
+    # jac[o + _BAND, j, s] = J[3 j + s + o, 3 j + s], column s of node j
+    # (c1, c2, phi) at row offset o
     ab = np.zeros((2 * _BAND + 1, m))
-    b = _BAND
-    rows1 = np.arange(0, m, 3)
-    rows2 = rows1 + 1
-    rows3 = rows1 + 2
+    jac = ab.reshape(2 * _BAND + 1, n, 3)
+    # mu_i rows at nodes j, j - 1, j + 1 by c_i,j: _dmu_dc's diag, up, down
+    jac[3, :, :2], jac[0, :, :2], jac[6, :, :2] = _dmu_dc(c, p, grid)
+    jac[2, :, 1] = jac[4, :, 0] = p.g12  # mu1 by c2, mu2 by c1
+    jac[1:3, :, 2] = p.z[:, None]  # mu1, mu2 by phi
 
-    # mu1 rows: d/dc1_j, d/dc2_j (+1), d/dphi_j (+2), d/dc1_{j+-1} (+-3)
-    diag_sig = np.full(n, 2.0 * sig / dx2)
-    up, down = (-sig / dx2) * _laplacian_columns(grid)
-    ab[b, rows1] = 1.0 / c1 + p.g11 + diag_sig
-    ab[b - 1, rows1 + 1] = p.g12
-    ab[b - 2, rows1 + 2] = p.z1
-    ab[b - 3, rows1] = up  # row = col - 3 (mu1_{j-1})
-    ab[b + 3, rows1] = down  # row = col + 3 (mu1_{j+1})
-
-    # mu2 rows: d/dc1_j (-1), d/dc2_j, d/dphi_j (+1), d/dc2_{j+-1} (+-3)
-    ab[b + 1, rows2 - 1] = p.g12
-    ab[b, rows2] = 1.0 / c2 + p.g22 + diag_sig
-    ab[b - 1, rows2 + 1] = p.z2
-    ab[b - 3, rows2] = up
-    ab[b + 3, rows2] = down
-
-    # Poisson rows: d/dc1_j (-2), d/dc2_j (-1), d/dphi_j, d/dphi_{j+-1}
-    ab[b + 2, rows3[1:-1] - 2] = p.z1
-    ab[b + 1, rows3[1:-1] - 1] = p.z2
-    ab[b, rows3[1:-1]] = -2.0 / dx2
-    ab[b - 3, rows3[1:-1] + 3] = 1.0 / dx2
-    ab[b + 3, rows3[1:-1] - 3] = 1.0 / dx2
-    ab[b, rows3[0]] = 1.0  # Dirichlet walls
-    ab[b, rows3[-1]] = 1.0
+    # Poisson rows at interior nodes j by c1_j, c2_j, phi_j, phi_j+-1;
+    # Dirichlet rows at the walls
+    jac[5, 1:-1, 0] = p.z1
+    jac[4, 1:-1, 1] = p.z2
+    jac[3, 1:-1, 2] = -2.0 / dx2
+    jac[0, 2:, 2] = jac[6, :-2, 2] = 1.0 / dx2
+    jac[3, [0, -1], 2] = 1.0
 
     C = np.zeros((m, 2))
     C[0:m:3, 0] = -1.0
@@ -399,8 +384,7 @@ def _dresidual_dparam(
     out = np.zeros(m + 2)
     if param_name == "sigma":
         c1, c2, _, _, _ = _unpack(u)
-        out[0:m:3] = -second_derivative(c1, grid)
-        out[1:m:3] = -second_derivative(c2, grid)
+        out[0:m:3], out[1:m:3] = -second_derivative(np.array((c1, c2)), grid)
     elif param_name == "voltage":
         # Dirichlet rows phi_0 - (-V) and phi_{n-1} - V
         out[2] = 1.0

@@ -40,12 +40,13 @@ time-discretization error: a stationary state is still a fixed point
 (F = 0 gives dc = 0), and the steady test still reads the exact F.
 Freezing phi keeps J banded (bandwidth 4 in the interleaved species
 ordering), and its nine diagonals are written out from the face data of
-the F evaluation at the refreshed state, walls included through
-_fd._laplacian_columns. Every column of J sums to zero against the
-quadrature weights, so the linear step conserves mass to roundoff, as F
-does, whatever state J was taken at. The long-range coupling through the
-Poisson solve is explicit, which is harmless for stability since it is
-a compact perturbation, not a stiff term.
+the F evaluation at the refreshed state and from d mu / d c, walls
+included, of _dmu_dc, which the stationary solver's Jacobian reads too.
+Every column of J sums to zero against the quadrature weights, so the
+linear step conserves mass to roundoff, as F does, whatever state J was
+taken at. The long-range coupling through the Poisson solve is explicit,
+which is harmless for stability since it is a compact perturbation, not
+a stiff term.
 
 A step controller enforces the physics the scheme is meant to have: a
 candidate step is rejected, and dt halved, whenever a concentration
@@ -302,6 +303,24 @@ def _mu_and_energy(
     return mu, energy
 
 
+def _dmu_dc(
+    c: np.ndarray, p: ModelParams, grid: Grid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(diag, up, down) of d mu / d c at the (n, 2) state c, nodes first.
+
+    The one writer of mu's Jacobian, read by both exact Jacobians (_band
+    and continuation._assemble). At column k of species i, diag = d
+    mu_i,k / d c_i,k = 1/c + g_ii + 2 sigma/dx^2, and up, down = d
+    mu_i,k-1 / d c_i,k, d mu_i,k+1 / d c_i,k are -sigma/dx^2 times
+    _fd._laplacian_columns, the Neumann wall closure. The species couple
+    only through g12, at the same node, which the callers add.
+    """
+    beta = -p.sigma / grid.dx**2
+    up, down = beta * _node_columns(grid)[2]
+    diag = 1.0 / c + np.array([p.g11, p.g22]) - 2.0 * beta
+    return diag, up, down
+
+
 def add_noise(profile: Profile, amplitude: float, seed: int) -> Profile:
     """Add seeded Gaussian noise of the given amplitude to c1, then c2.
 
@@ -392,9 +411,8 @@ def _band(
     ordinary band.
 
     The flux of face f (_flux_divergence), a_f dmu_f with a_f = c_face /
-    dx, depends on the same species at nodes f - 1 ... f + 2, through mu's
-    diagonal 1/c + g_ii + 2 sigma/dx^2 and the sigma-Laplacian's
-    off-diagonals -sigma/dx^2 _fd._laplacian_columns, and on the other
+    dx, depends on the same species at nodes f - 1 ... f + 2, through the
+    diagonal and off-diagonals of d mu / d c (_dmu_dc), and on the other
     species at nodes f, f + 1 through g12. F_j = (flux_j - flux_j-1) / w_j, so
     column k of J holds the differences of d flux_f / d c_k over the faces
     f = k - 3 ... k + 2, each over its row's weight: they telescope to
@@ -408,17 +426,14 @@ def _band(
     """
     n = grid.n
     dx = grid.dx
-    c = u.reshape(n, 2)
-    _, iw, lap = _node_columns(grid)
+    iw = _node_columns(grid)[1]
 
-    beta = -p.sigma / dx**2
-    up, down = beta * lap  # d mu_k-1 / d c_k, d mu_k+1 / d c_k
+    diag, up, down = _dmu_dc(u.reshape(n, 2), p, grid)
     # row k of a holds a_f at faces f = k - 2 ... k + 1 in its slices [:-3],
     # [1:-2], [2:-1], [3:]; row k of h holds dmu_f / (2 dx) at faces
     # k - 1, k in [:-1], [1:]
     a = np.concatenate((c_face[-2:], c_face, c_face[:1])) / dx
     h = 0.5 * np.concatenate((dmu[-1:], dmu)) / dx
-    diag = 1.0 / c + np.array([p.g11, p.g22]) - 2.0 * beta
     # d flux_f / d c_k of the same species, f = k - 3 ... k + 2; the end
     # faces do not see c_k and stay zero
     dflux = np.zeros((6, n, 2))

@@ -385,6 +385,53 @@ def test_assembled_jacobian_is_the_derivative_of_the_residual(sigma_term, data):
         assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
+@pytest.mark.parametrize("walls", ["grounded", "biased"])
+@pytest.mark.parametrize("sigma_term", [False, True], ids=["sigma0", "sigma"])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_weighted_stationary_jacobian_is_symmetric(sigma_term, walls, data):
+    """w_j times node j's mu rows is dE/dc_j of discrete_energy, and w_j times
+    its interior Poisson row is dE/dphi_j, so the band with each node's three
+    rows scaled by w_j is a Hessian once the Dirichlet phi rows and columns
+    are dropped."""
+    p, d, grid, u = data.draw(_stationary_case(sigma_term))
+    bc = electrode_bc() if walls == "grounded" else electrode_bc(d.phi_left, d.phi_right)
+    _, ab, C, D = _assemble(u, p, grid, bc)
+    m = 3 * grid.n
+    K = np.repeat(grid.weights, 3)[:, None] * _dense_jacobian(ab, C, D)[:m, :m]
+    inner = np.delete(np.arange(m), [2, m - 1])
+    K = K[np.ix_(inner, inner)]
+    assert np.max(np.abs(K - K.T)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(K))
+
+
+@pytest.mark.parametrize("sigma_term", [False, True], ids=["sigma0", "sigma"])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_evolve_band_is_the_flux_operator_on_the_assembled_mu_block(sigma_term, data):
+    """With the drift term dropped (dmu = 0), evolve's band is -W^-1 Dl^T A Dl M:
+    M is the mu-row, c-column block of _assemble at the same state, Dl the
+    face difference of each species (zero across the wall face), A =
+    c_face / dx, and F_j = (flux_j - flux_j-1) / w_j."""
+    p, d, grid, u = data.draw(_stationary_case(sigma_term))
+    n = grid.n
+    _, ab, C, D = _assemble(u, p, grid, electrode_bc(d.phi_left, d.phi_right))
+    # (c1_j, c2_j) interleaved, evolve's order
+    conc = np.arange(3 * n).reshape(n, 3)[:, :2].ravel()
+    M = _dense_jacobian(ab, C, D)[np.ix_(conc, conc)]
+
+    _, c_face, dmu = dynamics._rhs(u[conc], u[2 : 3 * n : 3], p, grid)
+    band = dynamics._band(u[conc], c_face, 0.0 * dmu, p, grid)
+    size = 2 * n
+    J = sum(np.diag(band[4 - o, max(o, 0) : size + min(o, 0)], o) for o in range(-4, 5))
+
+    face_diff = np.eye(n, k=1) - np.eye(n)
+    face_diff[-1] = 0.0
+    Dl = np.kron(face_diff, np.eye(2))
+    A = c_face.ravel() / grid.dx
+    J_ref = -(Dl.T @ (A[:, None] * (Dl @ M))) / np.repeat(grid.weights, 2)[:, None]
+    assert np.max(np.abs(J - J_ref)) <= 1e-13 * np.max(np.abs(J_ref))
+
+
 @pytest.mark.parametrize("sigma_term", [False, True], ids=["sigma0", "sigma"])
 @settings(max_examples=25)
 @given(data=st.data())
