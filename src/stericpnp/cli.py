@@ -88,11 +88,15 @@ def _int_list(raw: str) -> list[int]:
     return [int(tok) for tok in raw.split(",") if tok.strip()]
 
 
-def _count(raw: str) -> int:
+def _count(raw: str, lo: int = 1) -> int:
     value = int(raw)
-    if value < 1:
-        raise ValueError(f"must be at least 1, got {value}")
+    if value < lo:
+        raise ValueError(f"must be at least {lo}, got {value}")
     return value
+
+
+def _seed(raw: str) -> int:
+    return _count(raw, lo=0)  # numpy's default_rng takes no negative seed
 
 
 def _one_of(*names: str):
@@ -122,15 +126,15 @@ _SCHEMA = {
             "stop_at_neutral": _flag, "samples": _count},
     "dispersion": {"k_min": float, "k_max": float, "count": _count, "log_spaced": _flag},
     "onset": {},
-    "wnl": {"map": _flag, "asym_min": float, "asym_max": float, "asym_steps": int,
-            "g12_min": float, "g12_max": float, "g12_steps": int, "g_sum": float,
+    "wnl": {"map": _flag, "asym_min": float, "asym_max": float, "asym_steps": _count,
+            "g12_min": float, "g12_max": float, "g12_steps": _count, "g_sum": float,
             "cbar": float},
     "evolve": {"t_end": float, "dt0": float, "dt_max": float, "steady_tol": float,
                "bc": _one_of("electrode", "periodic"), "perturb_amp": float,
-               "perturb_mode": int, "perturb_seed": int},
+               "perturb_mode": int, "perturb_seed": _seed},
     "continue": {"param": _one_of("sigma", "voltage"), "lo": float, "hi": float,
                  "start": float, "ds0": float, "max_points": int, "max_branches": int,
-                 "probe_stride": _count, "probe_t_end": float, "probe_seed": int},
+                 "probe_stride": _count, "probe_t_end": float, "probe_seed": _seed},
 }
 
 

@@ -32,10 +32,10 @@ Comp. 33, 1979; Hairer & Wanner, Solving ODEs II, IV.7):
 
 where J is the exact Jacobian of F, with the potential frozen, at the
 state of the last refresh. J is refreshed at the current state, and
-I - dt J factored anew, only when dt changes: on the first attempt, on
-each 1.3x growth, on each halving after a rejected attempt and on the
-shortened last step to t_end. An accepted step at an unchanged dt
-reuses the factors and evaluates F alone. The lag moves only the
+I - dt J factored anew, only when dt changes: on the first attempt,
+after each accepted step below dt_max, on each halving after a rejected
+attempt and on the shortened last step to t_end. A step that repeats
+dt_max reuses the factors and evaluates F alone. The lag moves only the
 time-discretization error: a stationary state is still a fixed point
 (F = 0 gives dc = 0), and the steady test still reads the exact F.
 Freezing phi keeps J banded (bandwidth 4 in the interleaved species
@@ -55,9 +55,9 @@ than 1e-10. Because the monitored energy is the exact Lyapunov
 functional of the semi-discrete system, and every retry refreshes J at
 the current state, a rejected step always succeeds after enough
 halvings (the semi-discrete slope is -sum_f c_f |dmu|^2/dx <= 0, so the
-energy rise is pure time-integration error, O(dt^2)). After
-five consecutive accepted steps dt grows by 1.3x up to dt_max. A step
-still rejected after twenty halvings abandons the run with verdict
+energy rise is pure time-integration error, O(dt^2)). After every
+accepted step dt becomes 1.3 times its size, up to dt_max. A step still
+rejected after twenty halvings abandons the run with verdict
 "Unstable"; reaching the steady tolerance on max |c_t| gives "Steady";
 running out the horizon gives "Running".
 
@@ -571,13 +571,14 @@ def evolve(
     """Relax a profile under the dissipative dynamics until t_end.
 
     Each step solves (I - dt J) dc = dt F(c_n) with J the exact band
-    Jacobian at the state of the last change of dt, so LU factors are
-    made only when dt changes or an attempt is rejected, and counted in
-    the result's factorizations. Stops early with verdict "Steady" when
-    max |c_t| drops below steady_tol. observer, if given, is evaluated
-    as observer(t, c1, c2, phi) after every accepted step and collected
-    in the result. t_end, dt0, dt_max and steady_tol must be finite and
-    positive (ParameterError otherwise).
+    Jacobian at the state of the last change of dt, when LU factors are
+    made (counted in the result's factorizations). A rejected attempt
+    halves dt; an accepted step sets dt = min(1.3 * its size, dt_max).
+    Stops early with verdict "Steady" when max |c_t| drops below
+    steady_tol. observer, if given, is evaluated as observer(t, c1, c2,
+    phi) after every accepted step and collected in the result. t_end,
+    dt0, dt_max and steady_tol must be finite and positive
+    (ParameterError otherwise).
     """
     grid = profile0.grid
     _check_grid(grid, bc)
@@ -602,7 +603,6 @@ def evolve(
     steps = 0
     rejects = 0
     factorizations = 0
-    accepted_streak = 0
     times = [0.0]
     energies = [e_cur]
     masses = [w @ c]
@@ -619,7 +619,7 @@ def evolve(
 
     while t < t_end:
         dt_try = min(dt, t_end - t)
-        for halvings in range(_MAX_HALVINGS + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             if factors is None or dt_try != factors.dt:
                 factors = _factor_step(_band(u, c_face, dmu, p, grid), dt_try, grid.periodic)
                 factorizations += 1
@@ -655,14 +655,7 @@ def evolve(
         if observer:
             obs_hist.append(observer(t, c1, c2, phi))
 
-        if halvings:
-            dt = dt_try
-            accepted_streak = 0
-        else:
-            accepted_streak += 1
-            if accepted_streak >= 5:
-                dt = min(dt * 1.3, dt_max)
-                accepted_streak = 0
+        dt = min(1.3 * dt_try, dt_max)
 
         if dcdt_norm < steady_tol:
             verdict, reason = "Steady", f"max |c_t| fell below {steady_tol:g}"

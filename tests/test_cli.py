@@ -59,21 +59,28 @@ def test_missing_config_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, extra",
+    "command, extra, kind",
     [
-        ("onset", "sigma = -1\n"),
-        ("evolve", "\n[domain]\nl = 1.0\n[grid]\nn = 4\n[evolve]\nt_end = 1.0\n"),
+        ("onset", "sigma = -1\n", "parameter"),
+        ("evolve", "\n[domain]\nl = 1.0\n[grid]\nn = 4\n[evolve]\nt_end = 1.0\n", "parameter"),
         # a key left out takes the library default; NaN is not a stand-in
-        ("onset", "sigma = nan\n"),
-        ("continue", "\n[domain]\nl = 2.0\n[continue]\nlo = 0.04\nhi = 0.06\nstart = nan\n"),
-        ("evolve", "\n[domain]\nl = 1.0\n[evolve]\nt_end = 1.0\ndt_max = nan\n"),
+        ("onset", "sigma = nan\n", "parameter"),
+        ("continue", "\n[domain]\nl = 2.0\n[continue]\nlo = 0.04\nhi = 0.06\nstart = nan\n",
+         "parameter"),
+        ("evolve", "\n[domain]\nl = 1.0\n[evolve]\nt_end = 1.0\ndt_max = nan\n", "parameter"),
+        # numpy's default_rng rejects a negative seed; the schema does first
+        ("evolve", "\n[domain]\nl = 1.0\n[evolve]\nt_end = 1.0\nperturb_amp = 0.01\n"
+         "perturb_seed = -1\n", "config"),
+        ("continue", "\n[domain]\nl = 2.0\n[continue]\nlo = 0.04\nhi = 0.06\nprobe_seed = -1\n",
+         "config"),
     ],
-    ids=["negative_sigma", "grid_under_8_nodes", "nan_sigma", "nan_start", "nan_dt_max"],
+    ids=["negative_sigma", "grid_under_8_nodes", "nan_sigma", "nan_start", "nan_dt_max",
+         "negative_perturb_seed", "negative_probe_seed"],
 )
-def test_bad_parameter_value_is_a_config_error(tmp_path, capsys, command, extra):
+def test_bad_parameter_value_is_a_config_error(tmp_path, capsys, command, extra, kind):
     cfg = _write(tmp_path, SYM_MODEL + extra)
     assert main([command, cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "parameter error" in capsys.readouterr().err
+    assert f"{kind} error" in capsys.readouterr().err
 
 
 def test_no_onset_maps_to_regime_exit(tmp_path):
@@ -305,10 +312,13 @@ def test_retired_keys_are_config_errors(tmp_path, capsys, command, key):
         ("periodic", "periodic.periods=0"),
         ("ivp", "ivp.samples=0"),
         ("continue", "continue.probe_stride=0"),
+        ("wnl", "wnl.asym_steps=-1"),
+        ("wnl", "wnl.g12_steps=0"),
     ],
 )
 def test_count_below_one_is_a_config_error(tmp_path, capsys, command, override):
-    body = SYM_MODEL + "\n[periodic]\namplitude = 0.3\n[ivp]\nc1_0 = 1.3\nc2_0 = 1.3\n" + CONTINUE
+    body = (SYM_MODEL + "\n[periodic]\namplitude = 0.3\n[ivp]\nc1_0 = 1.3\nc2_0 = 1.3\n"
+            "[wnl]\nmap = true\n" + CONTINUE)
     cfg = _write(tmp_path, body)
     assert main([command, cfg, "--set", override, "--out", str(tmp_path / "o")]) == 2
     assert "must be at least 1" in capsys.readouterr().err

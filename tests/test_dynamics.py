@@ -408,6 +408,38 @@ def _step_size_changes(res):
     return np.count_nonzero(~np.isclose(h[1:], h[:-1], rtol=1e-9, atol=0.0))
 
 
+def _halvings(res, dt0, dt_max, t_end):
+    """The m of each accepted size h_k = min(H_k, t_end - t_k) / 2**m_k,
+    where H_0 = dt0 and H_k = min(1.3 h_k-1, dt_max) after it; an m that
+    is not an integer (at a relative 1e-9) fails the test."""
+    h = np.diff(res.times)
+    grown = np.minimum(1.3 * h[:-1], dt_max)
+    nominal = np.minimum(np.concatenate(([dt0], grown)), t_end - res.times[:-1])
+    m = np.log2(nominal / h)
+    whole = np.round(m)
+    assert np.allclose(2.0**m, 2.0**whole, rtol=1e-9, atol=0.0), m
+    return whole.astype(int)
+
+
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+def test_each_accepted_step_grows_the_next_by_1_3_up_to_dt_max(kind):
+    """After every accepted step, rejected attempts or not, the next step
+    size is 1.3 times the accepted one, capped at dt_max; halvings divide
+    it by powers of two, one per reject, and only the last step is cut
+    short to land on t_end."""
+    p, grid, bc, prof = _smooth_start(kind)
+    res = evolve(p, prof, bc, t_end=6.0, dt0=1e-3, dt_max=0.25)
+    assert res.rejects == 0 and res.t == pytest.approx(6.0)
+    assert np.all(_halvings(res, 1e-3, 0.25, 6.0) == 0)
+    assert np.diff(res.times).max() == pytest.approx(0.25)
+
+    p, grid, bc, prof = _rough_start(kind)
+    res = evolve(p, prof, bc, t_end=2.0, dt0=5.0, dt_max=5.0)
+    m = _halvings(res, 5.0, 5.0, 2.0)
+    assert res.rejects > 0 and m[0] > 0
+    assert np.all(m >= 0) and m.sum() == res.rejects
+
+
 @pytest.mark.parametrize("kind", ["electrode", "periodic"])
 def test_a_run_at_constant_step_size_factors_once(kind):
     p, grid, bc, prof = _smooth_start(kind)
@@ -437,13 +469,14 @@ def test_each_step_solves_with_the_jacobian_of_the_last_step_size_change(kind, s
     u_k itself on the first step and whenever the step size h_k differs
     from h_k-1 (a step after rejected attempts always does), and otherwise
     the u_r of step k - 1. The rough start has rejects; the ramp grows dt
-    from 1e-3 to 0.25."""
+    from 1e-3. Both cap dt at 0.05, so that most steps run at dt_max and
+    reuse their factors: dt grows after every step below the cap."""
     if start == "rough":
         p, grid, bc, prof = _rough_start(kind)
-        opts = {"t_end": 2.0, "dt0": 5.0, "dt_max": 5.0}
+        opts = {"t_end": 2.0, "dt0": 5.0, "dt_max": 0.05}
     else:
         p, grid, bc, prof = _smooth_start(kind)
-        opts = {"t_end": 6.0, "dt0": 1e-3, "dt_max": 0.25}
+        opts = {"t_end": 6.0, "dt0": 1e-3, "dt_max": 0.05}
     states = []
 
     def observer(t, c1, c2, phi):
