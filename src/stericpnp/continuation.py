@@ -28,9 +28,12 @@ loop, _damped_newton, serves newton_solve and the arclength corrector.
 Branches in a model parameter (sigma, or the applied voltage amplitude)
 are traced by pseudo-arclength continuation: secant tangent, predictor
 w + ds * t, corrector Newton on the residual augmented with the
-orthogonality row <t, w - w_pred> = 0. The inner product weighs the
-state block by 1/dim and the parameter by 1/scale^2, so ds is measured
-in fractions of the parameter range and folds are turned smoothly.
+orthogonality row <t, w - w_pred> = 0. The inner product is
+sum_i weights_i a_i b_i with one weight vector, built once per
+trace_branch call: 1/(3n + 2) for each state and multiplier entry and
+1/scale^2 for the parameter, scale the width of the parameter range. So
+ds is measured in fractions of that range, folds are turned smoothly,
+and the corrector's orthogonality row is the tangent times the weights.
 
 One rule says when two states are the same: StationaryState.same_as,
 max-norm concentration distance below _SAME_TOL * (1 + max(|c1|, |c2|))
@@ -332,8 +335,7 @@ def _damped_newton(w: np.ndarray, system, max_iter: int) -> tuple[np.ndarray, in
             if np.all(w_try[0:m:3] > 0.0) and np.all(w_try[1:m:3] > 0.0):
                 r_try, *blocks_try = system(w_try)
                 rn_try = float(np.max(np.abs(r_try)))
-                if not np.isfinite(rn_try):
-                    rn_try = np.inf
+                # a NaN residual fails both tests, so its step is halved
                 if rn_try < rnorm * (1.0 - 0.25 * t) or rn_try < _NEWTON_TOL:
                     w, r, blocks = w_try, r_try, blocks_try
                     rnorm = rn_try
@@ -431,32 +433,18 @@ class ProbeResult:
     verdict: str
 
 
-class _Arclength:
-    """Weighted inner-product geometry for the extended vector (u, s)."""
-
-    def __init__(self, dim: int, pscale: float):
-        self.dim = dim
-        self.pscale = pscale
-
-    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(a[:-1] @ b[:-1]) / self.dim + (
-            a[-1] * b[-1] / self.pscale**2
-        )
-
-    def normalize(self, a: np.ndarray) -> np.ndarray:
-        return a / np.sqrt(self.dot(a, a))
-
-
 def _corrector(
     w_pred: np.ndarray,
-    tangent: np.ndarray,
-    geom: _Arclength,
+    row: np.ndarray,
     p0: ModelParams,
     d: DomainSpec,
     grid: Grid,
     param_name: str,
 ) -> tuple[np.ndarray, int]:
-    """Newton on [stationary residual; <t, w - w_pred> = 0]. Returns (w, iters)."""
+    """Newton on [stationary residual; row @ (w - w_pred) = 0]. Returns (w, iters).
+
+    row is the weighted tangent, so the last equation is <t, w - w_pred> = 0.
+    """
     m = 3 * grid.n
 
     def system(w):
@@ -467,10 +455,10 @@ def _corrector(
         # mass rows depend on neither the multipliers nor the parameter,
         # so only the arclength row of the corner is nonzero.
         C = np.column_stack([C2, dps[:m]])
-        D = np.vstack([D2, tangent[:m] / geom.dim])
+        D = np.vstack([D2, row[:m]])
         E = np.zeros((3, 3))
-        E[2] = tangent[m:] / [geom.dim, geom.dim, geom.pscale**2]
-        return np.append(r, geom.dot(tangent, w - w_pred)), ab, C, D, E
+        E[2] = row[m:]
+        return np.append(r, row @ (w - w_pred)), ab, C, D, E
 
     return _damped_newton(w_pred, system, _CORRECTOR_MAX_ITER)
 
@@ -492,39 +480,45 @@ def trace_branch(
     ds0: float,
     max_points: int,
     directions: tuple[int, ...] = (-1,),
-    origin: str = "seed",
 ) -> Branch:
     """Pseudo-arclength trace of the branch through seed.
 
-    Each direction starts with the parameter-direction tangent (Jacobian
-    solve against dr/dparam), then switches to secants. ds doubles after
-    correctors that need <= 3 iterations and halves after >= 8 or on
-    failure, with a 1e-6 floor; a floor breach truncates the branch
-    rather than aborting the run. Tracing stops when the parameter
-    leaves param_range (the boundary-crossing point is kept, so later
-    slicing at a range endpoint still brackets) or after max_points.
+    One Jacobian solve against dr/dparam at the seed gives the
+    parameter-direction tangent, whose parameter entry is positive; each
+    direction starts along it times the direction, then switches to
+    secants. ds0 must be finite and positive (ParameterError otherwise).
+    ds doubles after correctors that need <= 3 iterations and halves
+    after >= 8 or on failure, with a 1e-6 floor; a floor breach truncates
+    the branch rather than aborting the run. Tracing stops when the
+    parameter leaves param_range (the boundary-crossing point is kept, so
+    later slicing at a range endpoint still brackets) or after max_points.
     """
+    if not 0 < ds0 < np.inf:  # NaN fails
+        raise ParameterError(f"ds0 must be finite and positive, got {ds0}")
     lo, hi = min(param_range), max(param_range)
-    geom = _Arclength(dim=3 * grid.n + 2, pscale=hi - lo if hi > lo else 1.0)
+    m = 3 * grid.n
+    weights = np.full(m + 3, 1.0 / (m + 2))
+    weights[-1] = 1.0 / (hi - lo if hi > lo else 1.0) ** 2
+
+    def unit(a):
+        return a / np.sqrt((a * weights) @ a)
+
+    w0 = np.concatenate([seed.pack(), [seed.param_value]])
+    p, bc = _apply_param(p0, d, param_name, seed.param_value)
+    _, *blocks = _assemble(w0[:-1], p, grid, bc)
+    dps = _dresidual_dparam(w0[:-1], p, grid, param_name)
+    t0 = unit(np.append(_solve_bordered(-dps[:m], -dps[m:], *blocks), 1.0))
     legs: list[list[BranchPoint]] = []
     truncated = False
     for direction in directions:
-        w0 = np.concatenate([seed.pack(), [seed.param_value]])
-        # Parameter-direction tangent at the seed.
-        p, bc = _apply_param(p0, d, param_name, seed.param_value)
-        _, *blocks = _assemble(w0[:-1], p, grid, bc)
-        dps = _dresidual_dparam(w0[:-1], p, grid, param_name)
-        du = _solve_bordered(-dps[: 3 * grid.n], -dps[3 * grid.n :], *blocks)
-        tangent = geom.normalize(np.concatenate([du, [1.0]]))
-        if np.sign(tangent[-1]) != direction:
-            tangent = -tangent
+        tangent = direction * t0
         leg = [_make_point(w0, grid, param_name)]
         ds = ds0
         w = w0
         while len(leg) < max_points:
             try:
                 w_new, iters = _corrector(
-                    w + ds * tangent, tangent, geom, p0, d, grid, param_name
+                    w + ds * tangent, tangent * weights, p0, d, grid, param_name
                 )
             except (NumericsError, ParameterError):
                 # ParameterError: predictor left the parameter's admissible
@@ -534,7 +528,7 @@ def trace_branch(
                     truncated = True
                     break
                 continue
-            tangent = geom.normalize(w_new - w)
+            tangent = unit(w_new - w)
             w = w_new
             leg.append(_make_point(w, grid, param_name))
             if iters <= 3:
@@ -549,7 +543,7 @@ def trace_branch(
         points = legs[0]
     else:
         points = list(reversed(legs[1]))[:-1] + legs[0]
-    return Branch(points=points, origin=origin, truncated=truncated)
+    return Branch(points=points, truncated=truncated)
 
 
 def stability_probe(
@@ -734,8 +728,8 @@ def run_combined(
             ds0=ds0,
             max_points=max_points,
             directions=dirs,
-            origin=origin,
         )
+        branch.origin = origin
         bs.branches.append(branch)
         ps = branch.params()
         _log.info(

@@ -55,11 +55,12 @@ than 1e-10. Because the monitored energy is the exact Lyapunov
 functional of the semi-discrete system, and every retry refreshes J at
 the current state, a rejected step always succeeds after enough
 halvings (the semi-discrete slope is -sum_f c_f |dmu|^2/dx <= 0, so the
-energy rise is pure time-integration error, O(dt^2)). After every
-accepted step dt becomes 1.3 times its size, up to dt_max. A step still
-rejected after twenty halvings abandons the run with verdict
-"Unstable"; reaching the steady tolerance on max |c_t| gives "Steady";
-running out the horizon gives "Running".
+energy rise is pure time-integration error, O(dt^2)). The first attempt
+takes dt0, capped at dt_max; after every accepted step dt becomes 1.3
+times its size, up to dt_max. A step still rejected after twenty
+halvings abandons the run with verdict "Unstable"; reaching the steady
+tolerance on max |c_t| gives "Steady"; running out the horizon gives
+"Running".
 
 Work that does not change from step to step is done once: the grid's dx
 and quadrature weights once per grid, the per-node columns that F and
@@ -572,8 +573,9 @@ def evolve(
 
     Each step solves (I - dt J) dc = dt F(c_n) with J the exact band
     Jacobian at the state of the last change of dt, when LU factors are
-    made (counted in the result's factorizations). A rejected attempt
-    halves dt; an accepted step sets dt = min(1.3 * its size, dt_max).
+    made (counted in the result's factorizations). The first attempt
+    takes min(dt0, dt_max); a rejected attempt halves dt; an accepted
+    step sets dt = min(1.3 * its size, dt_max).
     Stops early with verdict "Steady" when max |c_t| drops below
     steady_tol. observer, if given, is evaluated as observer(t, c1, c2,
     phi) after every accepted step and collected in the result. t_end,
@@ -599,7 +601,7 @@ def evolve(
     mu, e_cur = _mu_and_energy(c, rho, phi, p, grid)
     w = grid.weights
     t = 0.0
-    dt = min(dt0, t_end)
+    dt = min(dt0, dt_max)
     steps = 0
     rejects = 0
     factorizations = 0

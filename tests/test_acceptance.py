@@ -53,7 +53,11 @@ from stericpnp.trajectories import (
     slope_bounds,
     stationary_residual_fd,
 )
-from stericpnp.weakly_nonlinear import amplitude_coefficients, criticality_map
+from stericpnp.weakly_nonlinear import (
+    amplitude_coefficients,
+    criticality_map,
+    predicted_amplitude,
+)
 
 P_SYM = make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0)
 P_FIG10 = make_params(1, -1, 3.6, 0.4, 2.65, 1.0, 1.0)
@@ -314,7 +318,8 @@ def test_acceptance_09_amplitude_law(capsys):
             float(2.0 * np.abs(np.mean((res.profile.c1 - np.mean(res.profile.c1)) * ph)))
         )
     amps = np.array(amps)
-    predicted = np.sqrt(eps_values * coeffs.beta0_sq)
+    # predicted_amplitude also requires the onset to be supercritical
+    predicted = np.array([predicted_amplitude(SIGMA_C_SYM - eps, coeffs) for eps in eps_values])
     rel = np.max(np.abs(amps - predicted) / predicted)
     exponent = float(np.polyfit(np.log(eps_values), np.log(amps), 1)[0])
     ok = rel < 0.10 and abs(exponent - 0.5) < 0.05

@@ -12,7 +12,6 @@ import stericpnp
 # pins.
 OPTIONS = {
     "continuation.trace_branch:directions": "run_combined, per queued seed",
-    "continuation.trace_branch:origin": "run_combined, per queued seed",
     "continuation.stability_probe:t_end": "run_combined(probe_t_end)",
     "continuation.stability_probe:seed": "perfbench census; run_combined(probe_seed)",
     "continuation.run_combined:param_start": "[continue] start",

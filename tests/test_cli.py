@@ -68,6 +68,9 @@ def test_missing_config_file(tmp_path):
         ("continue", "\n[domain]\nl = 2.0\n[continue]\nlo = 0.04\nhi = 0.06\nstart = nan\n",
          "parameter"),
         ("evolve", "\n[domain]\nl = 1.0\n[evolve]\nt_end = 1.0\ndt_max = nan\n", "parameter"),
+        # a NaN step would halve forever without reaching trace_branch's floor
+        ("continue", "\n[domain]\nl = 2.0\n[continue]\nlo = 0.04\nhi = 0.06\nds0 = nan\n",
+         "parameter"),
         # numpy's default_rng rejects a negative seed; the schema does first
         ("evolve", "\n[domain]\nl = 1.0\n[evolve]\nt_end = 1.0\nperturb_amp = 0.01\n"
          "perturb_seed = -1\n", "config"),
@@ -75,7 +78,7 @@ def test_missing_config_file(tmp_path):
          "config"),
     ],
     ids=["negative_sigma", "grid_under_8_nodes", "nan_sigma", "nan_start", "nan_dt_max",
-         "negative_perturb_seed", "negative_probe_seed"],
+         "nan_ds0", "negative_perturb_seed", "negative_probe_seed"],
 )
 def test_bad_parameter_value_is_a_config_error(tmp_path, capsys, command, extra, kind):
     cfg = _write(tmp_path, SYM_MODEL + extra)

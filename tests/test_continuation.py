@@ -206,18 +206,55 @@ class TestRunCombined:
                 max_points=4, probe_stride=stride,
             )
 
+    @pytest.mark.parametrize("ds0", [0.0, -0.01, np.nan, np.inf])
+    def test_trace_branch_rejects_ds0_outside_zero_to_inf(self, ds0):
+        # a NaN or infinite ds never falls below its floor, 0 makes a NaN
+        # tangent, and a negative one walks against the directions
+        d = DomainSpec(2.0)
+        grid = make_grid(d, 48)
+        with pytest.raises(ParameterError, match="ds0"):
+            trace_branch(_hom_state(grid), P_SYM, d, grid, "sigma", (0.2, 0.3), ds0=ds0,
+                         max_points=4, directions=(-1, 1))
+
+
+def _fig10_asymmetric_state(grid):
+    """Criterion 11's stable mirror-asymmetric state at sigma = 0.003, from
+    the cosine seed m = 1, a = 0.9, c2/c1 ratio -1 of its census."""
+    wave = 0.9 * np.cos(np.pi * (grid.x + grid.L) / (2.0 * grid.L))
+    c1, c2 = np.exp(wave), np.exp(-wave)
+    c1 *= P_FIG10.cbar1 * grid.length / (grid.weights @ c1)
+    c2 *= P_FIG10.cbar2 * grid.length / (grid.weights @ c2)
+    p = with_sigma(P_FIG10, 0.003)
+    return newton_solve(Profile(grid, c1, c2), p, grid, electrode_bc(), "sigma", 0.003)
+
 
 def test_trace_branch_walks_both_directions_from_interior_seed():
-    d = DomainSpec(2.0)
-    grid = make_grid(d, 48)
-    st = _hom_state(grid, sigma=0.25)
-    br = trace_branch(st, P_SYM, d, grid, "sigma", (0.2, 0.3), ds0=0.01, max_points=10,
-                      directions=(-1, 1))
-    params = [pt.param for pt in br.points]
-    assert min(params) < 0.25 < max(params)
-    assert not br.truncated
-    # plain tracing leaves stability to the combined loop
-    assert {pt.stable for pt in br.points} == {None}
+    """A two-way trace is the reversed (1,) trace, less its seed, followed
+    by the (-1,) trace, bit for bit: each direction starts from the same
+    seed tangent, signed by the direction. Checked on a homogeneous state
+    and on criterion 11's asymmetric one."""
+    d_sym = DomainSpec(2.0)
+    d_fig10 = DomainSpec(3 * np.pi / (2 * find_onset(P_FIG10).k_c))
+    grid_sym, grid_fig10 = make_grid(d_sym, 48), make_grid(d_fig10, 96)
+    cases = [
+        (_hom_state(grid_sym, sigma=0.25), P_SYM, d_sym, grid_sym, (0.2, 0.3)),
+        (_fig10_asymmetric_state(grid_fig10), P_FIG10, d_fig10, grid_fig10, (0.0005, 0.0055)),
+    ]
+    for st, p, d, grid, param_range in cases:
+        args = (st, p, d, grid, "sigma", param_range)
+        br = trace_branch(*args, ds0=0.01, max_points=10, directions=(-1, 1))
+        down = trace_branch(*args, ds0=0.01, max_points=10, directions=(-1,))
+        up = trace_branch(*args, ds0=0.01, max_points=10, directions=(1,))
+        joined = up.points[:0:-1] + down.points
+        assert len(br.points) == len(joined)
+        for pt, ref in zip(br.points, joined):
+            assert pt.param == ref.param
+            assert np.array_equal(pt.state.pack(), ref.state.pack())
+        params = br.params()
+        assert min(params) < st.param_value < max(params)
+        assert not br.truncated
+        # plain tracing leaves stability to the combined loop
+        assert {pt.stable for pt in br.points} == {None}
 
 
 def test_trace_branch_truncates_when_ds_falls_below_its_floor():
@@ -522,17 +559,11 @@ def _stress_ratios(state, p, d, grid, bc, param_name, param_value):
 
 
 def test_stress_first_integral_of_the_criterion_11_state_falls_like_dx2():
-    # criterion 11's setup; the cosine seed m = 1, a = 0.9, c2/c1 ratio -1
-    # of its census reaches the stable mirror-asymmetric state
     p = with_sigma(P_FIG10, 0.003)
     d = DomainSpec(3 * np.pi / (2 * find_onset(P_FIG10).k_c))
     grid = make_grid(d, 96)
     bc = electrode_bc()
-    wave = 0.9 * np.cos(np.pi * (grid.x + grid.L) / (2.0 * grid.L))
-    c1, c2 = np.exp(wave), np.exp(-wave)
-    c1 *= p.cbar1 * grid.length / (grid.weights @ c1)
-    c2 *= p.cbar2 * grid.length / (grid.weights @ c2)
-    state = newton_solve(Profile(grid, c1, c2), p, grid, bc, "sigma", 0.003)
+    state = _fig10_asymmetric_state(grid)
     assert state.distance(mirror_state(state)) > 1.0
     for ratio in _stress_ratios(state, p, d, grid, bc, "sigma", 0.003):
         assert 3.0 <= ratio <= 5.0

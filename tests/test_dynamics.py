@@ -410,11 +410,11 @@ def _step_size_changes(res):
 
 def _halvings(res, dt0, dt_max, t_end):
     """The m of each accepted size h_k = min(H_k, t_end - t_k) / 2**m_k,
-    where H_0 = dt0 and H_k = min(1.3 h_k-1, dt_max) after it; an m that
-    is not an integer (at a relative 1e-9) fails the test."""
+    where H_0 = min(dt0, dt_max) and H_k = min(1.3 h_k-1, dt_max) after
+    it; an m that is not an integer (at a relative 1e-9) fails the test."""
     h = np.diff(res.times)
     grown = np.minimum(1.3 * h[:-1], dt_max)
-    nominal = np.minimum(np.concatenate(([dt0], grown)), t_end - res.times[:-1])
+    nominal = np.minimum(np.concatenate(([min(dt0, dt_max)], grown)), t_end - res.times[:-1])
     m = np.log2(nominal / h)
     whole = np.round(m)
     assert np.allclose(2.0**m, 2.0**whole, rtol=1e-9, atol=0.0), m
@@ -438,6 +438,19 @@ def test_each_accepted_step_grows_the_next_by_1_3_up_to_dt_max(kind):
     m = _halvings(res, 5.0, 5.0, 2.0)
     assert res.rejects > 0 and m[0] > 0
     assert np.all(m >= 0) and m.sum() == res.rejects
+
+
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+def test_the_first_step_is_capped_at_dt_max(kind):
+    """dt0 above dt_max starts at dt_max: the first accepted step equals
+    it, and no step exceeds it (the sizes are differences of cumulative
+    times, so compared at a relative 1e-9)."""
+    p, grid, bc, prof = _smooth_start(kind)
+    res = evolve(p, prof, bc, t_end=2.0, dt0=5.0, dt_max=0.05)
+    h = np.diff(res.times)
+    assert h[0] == 0.05
+    assert np.all(h <= 0.05 * (1.0 + 1e-9))
+    assert np.all(_halvings(res, 5.0, 0.05, 2.0) == 0)
 
 
 @pytest.mark.parametrize("kind", ["electrode", "periodic"])
