@@ -105,8 +105,8 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf
 # dgbtrs itself, under the name at which perfbench's tracer counts step solves
 from scipy.linalg.lapack import dgbtrs as solve_banded
-from scipy.sparse.linalg import splu  # noqa: F401  never called; perfbench's tracer wraps it
 
+from ._deferred import Deferred
 from ._fd import (
     _face_difference,
     _face_divergence,
@@ -117,6 +117,10 @@ from ._fd import (
 )
 from .errors import ParameterError
 from .model import Grid, ModelParams, Profile
+
+# Never called: perfbench's tracer wraps dynamics.splu by name. As a
+# Deferred (imported on first call) it keeps scipy.sparse.linalg unloaded.
+splu = Deferred("scipy.sparse.linalg", "splu")
 
 __all__ = [
     "BoundaryConditions",

@@ -37,11 +37,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import _fd
+from ._deferred import Deferred
 from .errors import ParameterError, RegimeError
 from .model import Grid, ModelParams, Profile
+
+# Imported on first call (_deferred): only free_energy_density and
+# segregated_comparison call it, so the time stepper and Newton never load
+# scipy.special.
+xlogy = Deferred("scipy.special", "xlogy")
 
 _ArrayLike = float | np.ndarray
 _SEGREGATED_NODES = 2001  # segregated_comparison's quadrature grid on [-1, 1]

@@ -30,9 +30,11 @@ cubic
     c(t) = 2|z|^2 t^3 + (|z|^2 S + 3w) t^2 + 2wS t + wD = 0.
 
 Its coefficient signs are +, +, +, - when D < 0, so by Descartes' rule it
-has exactly one positive root, bracketed by [0, -D/(2S)]. That root is the
-only critical point of the zero-growth locus sigma(k), which vanishes at
-both ends, so it is the global maximum: sigma_c = t / q, k_c = sqrt(q).
+has exactly one positive root, which lies below -D/(2S), where c > 0. It is
+found by Newton from -D/(2S), monotone because c is increasing and convex
+on t >= 0. That root is the only critical point of the zero-growth locus
+sigma(k), which vanishes at both ends, so it is the global maximum:
+sigma_c = t / q, k_c = sqrt(q).
 
 sigma is always an explicit argument here; p.sigma is never read, so one
 parameter set serves every sigma of a dispersion scan. B is written only
@@ -45,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .energy import _eig2, g12_critical, hessian
 from .errors import NoOnsetError
@@ -140,17 +141,16 @@ def _rate_slope(k: float, p: ModelParams, sigma: float) -> float:
     return (max_growth_rate(k + h, p, sigma) - max_growth_rate(k - h, p, sigma)) / (2.0 * h)
 
 
-def find_onset(p: ModelParams) -> OnsetResult:
-    """Locate (sigma_c, k_c): lambda = 0, dlambda/dk = 0, lambda < 0 elsewhere.
+def _onset_root(p: ModelParams, gcrit: float) -> tuple[float, float, float]:
+    """The onset cubic's positive root t = sigma_c k_c^2, with S and w.
 
-    Solves the onset cubic c(t) of the module docstring for its one
-    positive root t = sigma_c k_c^2 by a bracketed root solve on
-    [0, -D/(2S)] (c(0) = wD < 0, c(-D/(2S)) > 0), then reads off
-    k_c^2 = w / (t (2t + S)) and sigma_c = t / k_c^2. Raises NoOnsetError
-    when g12 <= g12_crit, and when D(cbar) < 0 is so small that c(-D/(2S))
-    rounds to a nonpositive value (then sigma_c lies below rounding).
+    Newton from -D/(2S), monotone because c is increasing and convex on
+    t >= 0: the iterates fall to the root, and the first one that does not
+    fall is the root to rounding. The float returned is the one at which
+    the computed c changes sign. Raises NoOnsetError when g12 <= g12_crit,
+    and when D(cbar) < 0 is so small that c(-D/(2S)) rounds to a
+    nonpositive value (then sigma_c lies below rounding).
     """
-    gcrit = g12_critical(p)
     a1 = 1.0 / p.cbar1 + p.g11
     a2 = 1.0 / p.cbar2 + p.g22
     S = a1 + a2
@@ -166,13 +166,37 @@ def find_onset(p: ModelParams) -> OnsetResult:
     def cubic(t: float) -> float:
         return ((c3 * t + c2) * t + c1) * t + c0
 
-    t_hi = -D / (2.0 * S)
-    if cubic(t_hi) <= 0.0:
+    def slope(t: float) -> float:
+        return (3.0 * c3 * t + 2.0 * c2) * t + c1
+
+    t = -D / (2.0 * S)
+    if cubic(t) <= 0.0:
         raise NoOnsetError(
             f"no resolvable onset: D(cbar) = {D:.3e} is so close to 0 that "
             "sigma_c lies below rounding"
         )
-    t = brentq(cubic, 0.0, t_hi, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps)
+    while (t_next := t - cubic(t) / slope(t)) < t:
+        t = t_next
+    # rounding in c can leave the last iterate an ulp or two off the sign change
+    while cubic(t) < 0.0:
+        t = np.nextafter(t, np.inf)
+    while cubic(below := np.nextafter(t, 0.0)) >= 0.0:
+        t = below
+    return float(t), S, w
+
+
+def find_onset(p: ModelParams) -> OnsetResult:
+    """Locate (sigma_c, k_c): lambda = 0, dlambda/dk = 0, lambda < 0 elsewhere.
+
+    Solves the onset cubic c(t) of the module docstring for its one
+    positive root t = sigma_c k_c^2 by Newton from -D/(2S), monotone
+    because c is increasing and convex on t >= 0 (_onset_root), then reads
+    off k_c^2 = w / (t (2t + S)) and sigma_c = t / k_c^2. Raises
+    NoOnsetError when g12 <= g12_crit, and when D(cbar) < 0 is so small
+    that sigma_c lies below rounding.
+    """
+    gcrit = g12_critical(p)
+    t, S, w = _onset_root(p, gcrit)
     q = w / (t * (2.0 * t + S))
     k_c = float(np.sqrt(q))
     sigma_c = t / q

@@ -67,10 +67,8 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Chebyshev
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
-from scipy.special import wrightomega
 
+from ._deferred import Deferred
 from .energy import hessian_det
 from .errors import NumericsError, ParameterError, RegimeError
 from .model import ModelParams
@@ -92,6 +90,12 @@ __all__ = [
     "CrossingSolution",
     "cross_d_zero",
 ]
+
+# Imported on first call (_deferred), so that commands which never reach the
+# phase plane never load scipy.integrate, scipy.optimize or scipy.special.
+solve_ivp = Deferred("scipy.integrate", "solve_ivp")
+brentq = Deferred("scipy.optimize", "brentq")
+wrightomega = Deferred("scipy.special", "wrightomega")
 
 _RTOL = 1e-10  # field integrations (solve_ivp RK45)
 _ATOL = 1e-12

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoOnsetError, NumericsError, RegimeError
+from .errors import NoOnsetError, NumericsError, ParameterError, RegimeError
 from .model import ModelParams, make_params
 from .stability import OnsetResult, find_onset, growth_matrix, interaction_matrix
 
@@ -182,10 +182,16 @@ def criticality_map(
     """Classify the onset over a grid with g11 + g22 = g_sum held fixed.
 
     Valences z = (1, -1) and equal bulk concentrations cbar throughout. A
-    cell is "no_onset" exactly when find_onset raises NoOnsetError.
+    cell is "no_onset" exactly when find_onset raises NoOnsetError. Raises
+    ParameterError unless both axes are 1-D.
     """
     asym = np.asarray(asym_values, dtype=float)
     g12s = np.asarray(g12_values, dtype=float)
+    for name, axis in (("asym_values", asym), ("g12_values", g12s)):
+        if axis.ndim != 1:
+            raise ParameterError(
+                f"criticality_map: {name} must be a 1-D axis, got shape {axis.shape}"
+            )
     shape = (asym.size, g12s.size)
     tags = np.full(shape, NO_ONSET, dtype="<U13")
     sig = np.full(shape, np.nan)

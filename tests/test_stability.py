@@ -2,9 +2,10 @@
 
 The onset numbers for the symmetric parameter set have closed forms
 (sigma_c = 1/32, k_c = 2 sqrt(2), g12 threshold 3) that the solver must hit
-to rounding; the asymmetric set is pinned by a 40-digit double-root solve
-of det B = 0 (mpmath), and random parameters are checked through the
-zero-growth locus and the growth rate, which do not use the onset cubic.
+to rounding (sigma_c exactly); the asymmetric set is pinned by a 40-digit
+double-root solve of det B = 0 (mpmath), and random parameters are checked
+through the zero-growth locus and the growth rate, which do not use the
+onset cubic, and by the cubic's sign change at the root.
 On a periodic grid the same relation holds exactly for the uniform state's
 discrete Jacobian, with k^2 replaced by the finite-difference symbol.
 """
@@ -20,6 +21,7 @@ from stericpnp.energy import g12_critical, hessian_det
 from stericpnp.errors import NoOnsetError
 from stericpnp.model import homogeneous_profile, make_params, make_periodic_grid, with_sigma
 from stericpnp.stability import (
+    _onset_root,
     dispersion,
     find_onset,
     growth_matrix,
@@ -40,7 +42,7 @@ P_FIG6 = make_params(1, -1, 3.4, 0.6, 2.65, 2.0, 2.01)
 class TestOnsetSymmetric:
     def test_closed_forms(self):
         onset = find_onset(P_SYM)
-        assert onset.sigma_c == pytest.approx(1.0 / 32.0, rel=1e-13)
+        assert onset.sigma_c == 1.0 / 32.0
         assert onset.k_c == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-13)
         assert onset.g12_crit == pytest.approx(3.0, rel=1e-10)
 
@@ -273,6 +275,13 @@ def test_onset_exists_and_is_marginal_over_random_couplings(z1, z2, g11, g22, cb
     res = dispersion(np.linspace(0.0, 3 * k_c, 400), p, sigma=sigma_c)
     assert res.rate.max() < 1e-10
     assert res.rate.max() > -1e-3
+    # the root is the float at which the onset cubic changes sign
+    t, S, w = _onset_root(p, g12_critical(p))
+    a1, a2 = 1.0 / cbar1 + g11, 1.0 / cbar2 + g22
+    zz = z1**2 + z2**2
+    coeffs = (2.0 * zz, zz * S + 3.0 * w, 2.0 * w * S, w * (a1 * a2 - g12**2))
+    signs = [np.sign(np.polyval(coeffs, x)) for x in (np.nextafter(t, 0.0), t, np.nextafter(t, 1.0))]
+    assert signs[1] == 0 or signs[0] != signs[1] or signs[2] != signs[1]
 
 
 @given(

@@ -9,7 +9,7 @@ means a saturating (supercritical) branch.
 import numpy as np
 import pytest
 
-from stericpnp.errors import RegimeError
+from stericpnp.errors import ParameterError, RegimeError
 from stericpnp.model import make_params
 from stericpnp.stability import find_onset
 from stericpnp.weakly_nonlinear import (
@@ -109,6 +109,17 @@ def test_criticality_map_mini():
     assert cm.tags.shape == (2, 3)
     assert cm.asymmetry.tolist() == [0.0, 1.6]
     assert cm.g12.tolist() == [2.6, 3.2, 3.6]
+
+
+@pytest.mark.parametrize(
+    "asym, g12s, name",
+    [(0.5, [3.0, 3.5], "asym_values"), ([0.0, 0.5], [[3.0, 3.5]], "g12_values")],
+    ids=["scalar", "2d"],
+)
+def test_criticality_map_rejects_an_axis_that_is_not_1d(asym, g12s, name):
+    # a scalar axis used to fail on iterating a 0-d array, a 2-D one inside make_params
+    with pytest.raises(ParameterError, match=name):
+        criticality_map(asym, g12s)
 
 
 def test_criticality_map_defers_to_find_onset_at_the_threshold():
