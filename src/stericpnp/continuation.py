@@ -1,29 +1,10 @@
 """Stationary states on a finite interval and bifurcation-branch mapping.
 
-Stationary states of the transport dynamics have spatially constant
-chemical potentials. With the potential slaved to the charge through
-Poisson and the total masses pinned to the bulk averages, the discrete
-unknown vector on an n-node wall-to-wall grid is
-
-    u = [c1_0, c2_0, phi_0, ..., c1_{n-1}, c2_{n-1}, phi_{n-1}, lam1, lam2]
-
-(3n + 2 entries), and the residual stacks, per node,
-
-    log c_i + (G c)_i + z_i phi - sigma c_i,xx - lam_i = 0   (i = 1, 2)
-    (phi_{j-1} - 2 phi_j + phi_{j+1})/dx^2 + z . c_j + rho0 = 0
-
-with Dirichlet rows phi_0 - phi_left and phi_{n-1} - phi_right replacing
-the wall Poisson rows, plus two mass rows sum_j w_j c_{i,j} - 2 L cbar_i.
-The residual's mu rows are the dynamics' own chemical potential
-(dynamics._mu_and_energy), Neumann wall closure included, so converged
-states are exact fixed points of evolve; the Jacobian's mu rows are
-dynamics._dmu_dc, the d mu / d c that evolve's band reads too.
-
-The Jacobian is banded (l = u = 3 in the node-interleaved ordering)
-bordered by dense columns for the multipliers and dense mass rows; each
-Newton system is solved by block elimination: one banded factorization
-with a handful of right-hand sides and a small Schur complement. One
-loop, _damped_newton, serves newton_solve and the arclength corrector.
+The stationary system, its unknown layout and its bordered banded
+Jacobian are _fd's (_fd._pack, _fd._assemble). Each Newton system is
+solved by block elimination: one banded factorization with a handful of
+right-hand sides and a small Schur complement. One loop, _damped_newton,
+serves newton_solve and the arclength corrector.
 
 Branches in a model parameter (sigma, or the applied voltage amplitude)
 are traced by pseudo-arclength continuation: secant tangent, predictor
@@ -67,18 +48,19 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import solve_banded
 
-from ._fd import gradient, second_derivative, trapz
-from .dynamics import (
+from ._fd import (
     BoundaryConditions,
-    _charge,
-    _dmu_dc,
-    _mu_and_energy,
-    add_noise,
+    _assemble,
+    _dresidual_dparam,
+    _pack,
+    _unpack,
     chemical_potential,
     electrode_bc,
-    evolve,
+    gradient,
     solve_potential,
+    trapz,
 )
+from .dynamics import add_noise, evolve
 from .errors import NumericsError, ParameterError
 from .model import DomainSpec, Grid, ModelParams, Profile, make_grid, with_sigma
 
@@ -101,7 +83,6 @@ __all__ = [
     "load_branchset",
 ]
 
-_BAND = 3  # sub/super-diagonals of the core Jacobian in interleaved order
 _NEWTON_TOL = 1e-10  # max-norm residual of a converged state
 _NEWTON_MAX_ITER = 40
 _CORRECTOR_MAX_ITER = 12
@@ -164,24 +145,6 @@ class StationaryState:
         return self.distance(other) < _SAME_TOL * (1.0 + size)
 
 
-def _pack(
-    c1: np.ndarray, c2: np.ndarray, phi: np.ndarray, lam1: float, lam2: float
-) -> np.ndarray:
-    m = 3 * c1.size
-    u = np.empty(m + 2)
-    u[0:m:3] = c1
-    u[1:m:3] = c2
-    u[2:m:3] = phi
-    u[-2] = lam1
-    u[-1] = lam2
-    return u
-
-
-def _unpack(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    m = u.size - 2
-    return u[0:m:3], u[1:m:3], u[2:m:3], float(u[-2]), float(u[-1])
-
-
 def _apply_param(
     p: ModelParams, d: DomainSpec, name: str, value: float
 ) -> tuple[ModelParams, BoundaryConditions]:
@@ -198,65 +161,6 @@ def _apply_param(
     raise ParameterError(f"unknown continuation parameter {name!r}")
 
 
-def _assemble(
-    u: np.ndarray, p: ModelParams, grid: Grid, bc: BoundaryConditions
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Residual and Jacobian blocks at u.
-
-    Returns (r, ab, C, D): full residual (3n + 2), the core band in
-    solve_banded storage (2*_BAND + 1, 3n), the dense multiplier columns
-    C (3n, 2) and the mass rows D (2, 3n). The mass rows do not depend on
-    the multipliers, so the 2 x 2 corner of the Jacobian is zero. The
-    walls are Dirichlet in phi, so a periodic grid raises ParameterError.
-    """
-    if grid.periodic:
-        raise ParameterError("the stationary solver needs a wall-to-wall grid")
-    n = grid.n
-    dx2 = grid.dx**2
-    c1, c2, phi, lam1, lam2 = _unpack(u)
-    if np.any(c1 <= 0.0) or np.any(c2 <= 0.0):
-        raise ParameterError("stationary residual needs positive concentrations")
-    c = np.column_stack((c1, c2))
-    rho = _charge(c, p)
-    w = grid.weights
-
-    # residual nodes first: node j's rows mu1 - lam1, mu2 - lam2, Poisson
-    m = 3 * n
-    r = np.empty(m + 2)
-    res = r[:m].reshape(n, 3)
-    np.subtract(_mu_and_energy(c, rho, phi, p, grid)[0], (lam1, lam2), out=res[:, :2])
-    res[1:-1, 2] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dx2 + rho[1:-1]
-    res[0, 2] = phi[0] - bc.phi_left
-    res[-1, 2] = phi[-1] - bc.phi_right
-    r[m:] = w @ c - 2.0 * grid.L * p.cbar
-
-    # Core band, ab[_BAND + row - col, col] = J[row, col], nodes first:
-    # jac[o + _BAND, j, s] = J[3 j + s + o, 3 j + s], column s of node j
-    # (c1, c2, phi) at row offset o
-    ab = np.zeros((2 * _BAND + 1, m))
-    jac = ab.reshape(2 * _BAND + 1, n, 3)
-    # mu_i rows at nodes j, j - 1, j + 1 by c_i,j: _dmu_dc's diag, up, down
-    jac[3, :, :2], jac[0, :, :2], jac[6, :, :2] = _dmu_dc(c, p, grid)
-    jac[2, :, 1] = jac[4, :, 0] = p.g12  # mu1 by c2, mu2 by c1
-    jac[1:3, :, 2] = p.z[:, None]  # mu1, mu2 by phi
-
-    # Poisson rows at interior nodes j by c1_j, c2_j, phi_j, phi_j+-1;
-    # Dirichlet rows at the walls
-    jac[5, 1:-1, 0] = p.z1
-    jac[4, 1:-1, 1] = p.z2
-    jac[3, 1:-1, 2] = -2.0 / dx2
-    jac[0, 2:, 2] = jac[6, :-2, 2] = 1.0 / dx2
-    jac[3, [0, -1], 2] = 1.0
-
-    C = np.zeros((m, 2))
-    C[0:m:3, 0] = -1.0
-    C[1:m:3, 1] = -1.0
-    D = np.zeros((2, m))
-    D[0, 0:m:3] = w
-    D[1, 1:m:3] = w
-    return r, ab, C, D
-
-
 def _solve_bordered(
     f: np.ndarray,
     g: np.ndarray,
@@ -268,10 +172,11 @@ def _solve_bordered(
     """Solve [[B, C], [D, E]] [x; y] = [f; g] with B banded, E zero if None.
 
     One banded factorization over k+1 right-hand sides, then a k x k
-    Schur complement for the border unknowns.
+    Schur complement for the border unknowns; B is ab in solve_banded storage.
     """
+    b = (ab.shape[0] - 1) // 2
     rhs = np.column_stack([f, C])
-    X = solve_banded((_BAND, _BAND), ab, rhs)
+    X = solve_banded((b, b), ab, rhs)
     xf = X[:, 0]
     XC = X[:, 1:]
     S = -(D @ XC) if E is None else E - D @ XC
@@ -375,25 +280,6 @@ def newton_solve(
     return StationaryState(
         c1.copy(), c2.copy(), phi.copy(), lam1, lam2, param_name, param_value
     )
-
-
-def _dresidual_dparam(
-    u: np.ndarray, p: ModelParams, grid: Grid, param_name: str
-) -> np.ndarray:
-    """Analytic derivative of the residual with respect to the parameter."""
-    n = grid.n
-    m = 3 * n
-    out = np.zeros(m + 2)
-    if param_name == "sigma":
-        c1, c2, _, _, _ = _unpack(u)
-        out[0:m:3], out[1:m:3] = -second_derivative(np.array((c1, c2)), grid)
-    elif param_name == "voltage":
-        # Dirichlet rows phi_0 - (-V) and phi_{n-1} - V
-        out[2] = 1.0
-        out[m - 1] = -1.0
-    else:
-        raise ParameterError(f"unknown continuation parameter {param_name!r}")
-    return out
 
 
 @dataclass

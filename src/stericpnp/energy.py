@@ -24,7 +24,7 @@ and, when sigma > 0, a gradient penalty:
 
     E[c] = int h(c) + 1/2 |phi_x|^2 + sigma/2 (|c1_x|^2 + |c2_x|^2) dx.
 
-Its one discretisation is dynamics.discrete_energy, the Lyapunov functional
+Its one discretisation is _fd.discrete_energy, the Lyapunov functional
 that the time stepper, Newton and continuation share. This module holds the
 bulk density h, its Hessian and convexity, and the segregated-pattern
 energy contest, which keeps its own convention (see SegregatedComparison).
@@ -55,7 +55,7 @@ _SEGREGATED_NODES = 2001  # segregated_comparison's quadrature grid on [-1, 1]
 def free_energy_density(c1: _ArrayLike, c2: _ArrayLike, p: ModelParams) -> _ArrayLike:
     """Bulk density h(c); accepts scalars or arrays, c_i >= 0.
 
-    dynamics.discrete_energy integrates the same h, written there from the
+    _fd.discrete_energy integrates the same h, written there from the
     log c and G c that its chemical potential shares.
     """
     c1 = np.asarray(c1, dtype=float)
@@ -180,7 +180,7 @@ class SegregatedComparison:
     - field: 1/2 int phi_x^2 dx, phi_x from second-order centred
       differences (one-sided at the walls).
 
-    This is not dynamics.discrete_energy, which halves the steric term
+    This is not _fd.discrete_energy, which halves the steric term
     and writes the field part over faces in its rho-phi form.
     """
 
@@ -203,7 +203,7 @@ class SegregatedComparison:
 def segregated_comparison(n_freq: int, cbar: float, g12: float) -> SegregatedComparison:
     """Quadrature both sides of the segregation energy contest on [-1, 1].
 
-    In SegregatedComparison's convention, not dynamics.discrete_energy's.
+    In SegregatedComparison's convention, not _fd.discrete_energy's.
     """
     from .model import DomainSpec, make_grid
 

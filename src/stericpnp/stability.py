@@ -62,7 +62,6 @@ __all__ = [
     "sigma_zero_locus",
     "find_onset",
     "verify_onset",
-    "min_hessian_eigenvalue",
 ]
 
 
@@ -250,9 +249,3 @@ def verify_onset(onset: OnsetResult, p: ModelParams) -> dict[str, float]:
         "consistent": float(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]),
         "as_printed": float(common + tail),
     }
-
-
-def min_hessian_eigenvalue(p: ModelParams) -> float:
-    """Smaller eigenvalue of Hess h(cbar); negative iff D(cbar) < 0."""
-    H = hessian(p.cbar1, p.cbar2, p)
-    return float(_eig2(H[0, 0] + H[1, 1], H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0])[0])

@@ -74,7 +74,6 @@ from .errors import NumericsError, ParameterError, RegimeError
 from .model import ModelParams
 
 __all__ = [
-    "trajectory_slope",
     "slope_bounds",
     "phi_of_c",
     "TrajectoryResult",
@@ -122,12 +121,6 @@ def _brackets(c1, c2, p: ModelParams):
     br1 = p.z1 * a2 - p.z2 * p.g12
     br2 = p.z2 * a1 - p.z1 * p.g12
     return br1, br2
-
-
-def trajectory_slope(c1, c2, p: ModelParams):
-    """dc1/dc2 along an orbit; finite and negative for c1, c2 > 0."""
-    br1, br2 = _brackets(c1, c2, p)
-    return br1 / br2
 
 
 def slope_bounds(c1_0: float, c2_0: float, p: ModelParams) -> tuple[float, float]:

@@ -57,7 +57,6 @@ __all__ = [
     "amplitude_coefficients",
     "criticality_map",
     "predicted_amplitude",
-    "symmetric_beta0_sq",
 ]
 
 SUPERCRITICAL = "supercritical"
@@ -142,15 +141,6 @@ def amplitude_coefficients(onset: OnsetResult, p: ModelParams) -> WnlCoefficient
         beta0_sq=float(beta0_sq),
         criticality=tag,
     )
-
-
-def symmetric_beta0_sq(g: float, g12: float, cbar: float) -> float:
-    """Closed-form saturated amplitude coefficient, symmetric case."""
-    gcrit = g + 1.0 / cbar
-    delta = g12 - gcrit
-    if delta <= 0:
-        raise RegimeError("symmetric closed form needs g12 > g + 1/cbar")
-    return 32.0 * cbar**3 / delta * (3.0 * g12 - gcrit) / (3.0 * delta + 3.0 * g12 + g)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""The library's keyword options, pinned with the caller that sets each one."""
+"""The library's keyword options, pinned with the caller that sets each one,
+and the module boundary around the discrete model."""
 
 import ast
 from pathlib import Path
@@ -21,8 +22,8 @@ OPTIONS = {
     "continuation.run_combined:probe_stride": "[continue] probe_stride; perfbench census",
     "continuation.run_combined:probe_t_end": "[continue] probe_t_end",
     "continuation.run_combined:probe_seed": "[continue] probe_seed; perfbench census",
-    "dynamics.electrode_bc:phi_left": "[domain] phi_left",
-    "dynamics.electrode_bc:phi_right": "[domain] phi_right",
+    "_fd.electrode_bc:phi_left": "[domain] phi_left",
+    "_fd.electrode_bc:phi_right": "[domain] phi_right",
     "dynamics.evolve:dt0": "[evolve] dt0",
     "dynamics.evolve:dt_max": "[evolve] dt_max",
     "dynamics.evolve:steady_tol": "[evolve] steady_tol",
@@ -72,3 +73,23 @@ def test_keyword_options_are_the_listed_ones():
     ]
     assert len(scanned) == len(set(scanned))
     assert sorted(scanned) == sorted(OPTIONS)
+
+
+def test_no_module_imports_a_private_name_of_the_stepper_or_the_solver():
+    """The discrete model is _fd's: what dynamics and continuation keep
+    private stays theirs, so no package module imports an underscore name
+    from either."""
+    package = Path(stericpnp.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            home = node.module.rpartition(".")[2]
+            if home in ("dynamics", "continuation"):
+                found += [
+                    f"{path.name}: {home}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert found == []

@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from stericpnp import _fd, dynamics
+from stericpnp._fd import _assemble, _dresidual_dparam, _pack
 from stericpnp.continuation import (
     _SAME_TOL,
     _apply_param,
-    _assemble,
-    _dresidual_dparam,
-    _pack,
     l2_norm,
     load_branchset,
     mirror_state,
@@ -30,7 +29,6 @@ from stericpnp.continuation import (
     trace_branch,
     weighted_norm,
 )
-from stericpnp import dynamics
 from stericpnp.dynamics import (
     electrode_bc,
     evolve,
@@ -427,10 +425,11 @@ def test_assembled_jacobian_is_the_derivative_of_the_residual(sigma_term, data):
 @settings(max_examples=20)
 @given(data=st.data())
 def test_weighted_stationary_jacobian_is_symmetric(sigma_term, walls, data):
-    """w_j times node j's mu rows is dE/dc_j of discrete_energy, and w_j times
-    its interior Poisson row is dE/dphi_j, so the band with each node's three
-    rows scaled by w_j is a Hessian once the Dirichlet phi rows and columns
-    are dropped."""
+    """w_j times node j's mu rows is dE/dc_j of discrete_energy plus w_j
+    (log cbar - lam), constant in c and phi, and w_j times its interior
+    Poisson row is dE/dphi_j, so the band with each node's three rows scaled
+    by w_j is a Hessian once the Dirichlet phi rows and columns are
+    dropped."""
     p, d, grid, u = data.draw(_stationary_case(sigma_term))
     bc = electrode_bc() if walls == "grounded" else electrode_bc(d.phi_left, d.phi_right)
     _, ab, C, D = _assemble(u, p, grid, bc)
@@ -456,8 +455,8 @@ def test_evolve_band_is_the_flux_operator_on_the_assembled_mu_block(sigma_term, 
     conc = np.arange(3 * n).reshape(n, 3)[:, :2].ravel()
     M = _dense_jacobian(ab, C, D)[np.ix_(conc, conc)]
 
-    _, c_face, dmu = dynamics._rhs(u[conc], u[2 : 3 * n : 3], p, grid)
-    band = dynamics._band(u[conc], c_face, 0.0 * dmu, p, grid)
+    _, c_face, dmu = _fd._rhs(u[conc], u[2 : 3 * n : 3], p, grid)
+    band = _fd._band(u[conc], c_face, 0.0 * dmu, p, grid)
     size = 2 * n
     J = sum(np.diag(band[4 - o, max(o, 0) : size + min(o, 0)], o) for o in range(-4, 5))
 

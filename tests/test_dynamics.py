@@ -14,12 +14,11 @@ from scipy.integrate import trapezoid
 
 import stericpnp
 from stericpnp import dynamics
+from stericpnp._fd import _band, _rhs
 from stericpnp.dynamics import (
     _ENERGY_TOL,
     _MAX_HALVINGS,
-    _band,
     _factor_step,
-    _rhs,
     _solve_factored,
     chemical_potential,
     discrete_energy,
@@ -86,6 +85,13 @@ def test_evolve_takes_only_finite_positive_step_settings(arg, bad):
     kwargs = {"t_end": 1.0, arg: bad}
     with pytest.raises(ParameterError, match=f"{arg} must be finite and positive"):
         evolve(with_sigma(P_SYM, 0.05), prof, electrode_bc(), **kwargs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("wall", ["phi_left", "phi_right"])
+def test_non_finite_wall_potentials_are_parameter_errors(wall, bad):
+    with pytest.raises(ParameterError, match="electrode potentials must be finite"):
+        electrode_bc(**{wall: bad})
 
 
 def _perturbed_periodic(p, sigma, n=64, amp=1e-3, modes=(1, 2)):
@@ -218,6 +224,29 @@ def test_time_derivatives_match_a_per_face_loop(kind, sigma_term, data):
     for c, m, f in zip((c1, c2), mu, time_derivatives(c1, c2, phi, p, grid)):
         ref = _face_loop_divergence(c, m, grid)
         assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("sigma_term", [False, True], ids=["sigma0", "sigma"])
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_mu_is_the_energy_gradient_up_to_log_cbar(kind, sigma_term, data):
+    """(1/w_j) dE/dc_ij of discrete_energy at fixed phi is mu_ij - log cbar_i,
+    by central differences: the constant comes from the bulk density's
+    log(c_i / cbar_i), and the mass multipliers absorb it."""
+    p, grid, bc, c1, c2 = data.draw(_linearization_case(kind, sigma_term))
+    phi = solve_potential(c1, c2, p, grid, bc)
+    expected = chemical_potential(c1, c2, phi, p, grid) - np.log(p.cbar)[:, None]
+    c = np.array((c1, c2))
+    grad = np.empty_like(c)
+    for i, j in np.ndindex(c.shape):
+        h = 3e-4 * c[i, j]
+        up, um = c.copy(), c.copy()
+        up[i, j] += h
+        um[i, j] -= h
+        diff = discrete_energy(*up, phi, p, grid) - discrete_energy(*um, phi, p, grid)
+        grad[i, j] = diff / (2.0 * h * grid.weights[j])
+    assert np.max(np.abs(grad - expected)) <= 1e-6 * (1.0 + np.max(np.abs(expected)))
 
 
 def _interleaved(a, b):

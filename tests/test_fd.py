@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solveh_banded
 
-from stericpnp._fd import _laplacian_columns, second_derivative, solve_poisson_dirichlet
+from stericpnp._fd import _node_columns, second_derivative, solve_poisson_dirichlet
 from stericpnp.model import DomainSpec, make_grid, make_periodic_grid
 
 
@@ -48,10 +48,13 @@ def test_dirichlet_poisson_matches_a_direct_banded_solve(sizes, half, seed):
 @pytest.mark.parametrize("periodic", [False, True], ids=["electrode", "periodic"])
 def test_laplacian_columns_rebuild_second_derivative(periodic, n):
     grid = make_periodic_grid(1.5, n) if periodic else make_grid(DomainSpec(1.5), n)
-    cols = _laplacian_columns(grid)
-    assert cols is _laplacian_columns(grid)
+    lap = _node_columns(grid)[2]
+    assert lap is _node_columns(grid)[2]
     with pytest.raises(ValueError):
-        cols[0, 0] = 1.0
+        lap[0, 0, 0] = 1.0
+    # the same columns for both species
+    assert np.array_equal(lap[..., 0], lap[..., 1])
+    cols = lap[..., 0]
     # L[k - 1, k] and L[k + 1, k], wrapped; the walls' entries are zero
     L = np.diag(np.full(n, -2.0))
     for k in range(n):

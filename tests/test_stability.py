@@ -16,7 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from stericpnp.dynamics import _band, _rhs, periodic_bc, solve_potential
+from stericpnp._fd import _band, _rhs
+from stericpnp.dynamics import periodic_bc, solve_potential
 from stericpnp.energy import g12_critical, hessian_det
 from stericpnp.errors import NoOnsetError
 from stericpnp.model import homogeneous_profile, make_params, make_periodic_grid, with_sigma
@@ -27,7 +28,6 @@ from stericpnp.stability import (
     growth_matrix,
     interaction_matrix,
     max_growth_rate,
-    min_hessian_eigenvalue,
     sigma_zero_locus,
     verify_onset,
 )
@@ -161,17 +161,6 @@ def test_interaction_matrix_singular_at_onset():
     onset = find_onset(P_FIG10)
     M = interaction_matrix(onset.k_c, P_FIG10, sigma=onset.sigma_c)
     assert abs(np.linalg.det(M)) < 1e-8
-
-
-def test_min_hessian_eigenvalue_frozen():
-    p = make_params(1, -1, 3.4, 0.6, 2.65, 1.0, 1.0)
-    got = min_hessian_eigenvalue(p)
-    assert got == pytest.approx(0.002918085870858622, rel=1e-9)
-    # at cbar = 1 the homogeneous Hessian is G + I, an exact unit shift
-    from stericpnp.energy import convexity_class
-
-    assert got == pytest.approx(convexity_class(p).eig_min + 1.0, abs=1e-9)
-
 
 
 def _uniform_state_jacobian(p, n, half):

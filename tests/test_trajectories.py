@@ -8,8 +8,9 @@ from scipy.integrate import solve_ivp
 
 from stericpnp.energy import hessian_det
 from stericpnp.errors import NumericsError, ParameterError
-from stericpnp.model import make_params
+from stericpnp.model import ModelParams, make_params
 from stericpnp.trajectories import (
+    _brackets,
     build_periodic,
     classify_trajectory,
     compute_trajectory,
@@ -20,12 +21,17 @@ from stericpnp.trajectories import (
     phi_of_c,
     slope_bounds,
     stationary_residual_fd,
-    trajectory_slope,
 )
 
 P_SYM = make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0)
 # binary mixture with unequal diagonal repulsion, the classification workhorse
 P_FIG3 = make_params(1, -1, 2.25, 0.75, 2.5, 1.0, 1.0)
+
+
+def trajectory_slope(c1, c2, p: ModelParams):
+    """dc1/dc2 along an orbit; finite and negative for c1, c2 > 0."""
+    br1, br2 = _brackets(c1, c2, p)
+    return br1 / br2
 
 
 @pytest.mark.parametrize(

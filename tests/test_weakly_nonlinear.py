@@ -17,11 +17,19 @@ from stericpnp.weakly_nonlinear import (
     criticality_map,
     predicted_amplitude,
     second_harmonic,
-    symmetric_beta0_sq,
 )
 
 P_SYM = make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0)
 P_FIG10 = make_params(1, -1, 3.6, 0.4, 2.65, 1.0, 1.0)
+
+
+def symmetric_beta0_sq(g: float, g12: float, cbar: float) -> float:
+    """Closed-form saturated amplitude coefficient, symmetric case."""
+    gcrit = g + 1.0 / cbar
+    delta = g12 - gcrit
+    if delta <= 0:
+        raise RegimeError("symmetric closed form needs g12 > g + 1/cbar")
+    return 32.0 * cbar**3 / delta * (3.0 * g12 - gcrit) / (3.0 * delta + 3.0 * g12 + g)
 
 
 @pytest.fixture(scope="module")
