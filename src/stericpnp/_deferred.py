@@ -1,11 +1,14 @@
 """Library functions that are imported on their first call.
 
-SciPy's optimisers, integrators and special functions cost about a third of
-a second and 20 MB to import. Only the sigma = 0 phase-plane layer and two
-entropy diagnostics call them, so a module binds each such function to a
+The package imports only NumPy when it is loaded. Its SciPy routines are
+LAPACK's band and tridiagonal solvers (scipy.linalg, about 0.2 s and 28 MB
+to import), which the time stepper, Newton and the Dirichlet Poisson solve
+call, and solve_ivp (scipy.integrate), which the field integrations call.
+The onset, the weakly nonlinear map, the orbits, the periodic profiles and
+the free-energy density need none of them. So a module binds each such routine to a
 ``Deferred`` under the name it calls it by. The first call imports the
-function; every call passes its arguments straight through and returns
-what the function returns.
+routine; every call passes its arguments straight through and returns
+what the routine returns.
 
 A ``Deferred`` is an instance, not a plain function, so that a tracer that
 wraps a module's own functions by type leaves it alone and can wrap it by
@@ -14,20 +17,25 @@ name instead.
 
 from __future__ import annotations
 
+import functools
 import importlib
 
 
-class Deferred:
-    """Stands for ``module.name`` and imports it on the first call."""
+class Deferred(functools.partial):
+    """Stands for ``module.name`` and imports it on the first call.
 
-    __slots__ = ("_module", "_name", "_fn")
+    A partial with no bound arguments whose target starts as a loader: the
+    first call imports ``module.name`` and makes it the target, through
+    the partial's own ``__setstate__``. Every later call then goes through
+    the partial's C call straight to the function, with no Python frame in
+    between; the band solves of a time step make several such calls.
+    """
 
-    def __init__(self, module: str, name: str):
-        self._module = module
-        self._name = name
-        self._fn = None
+    def __new__(cls, module: str, name: str):
+        def load(*args, **kwargs):
+            fn = getattr(importlib.import_module(module), name)
+            self.__setstate__((fn, (), {}, None))
+            return fn(*args, **kwargs)
 
-    def __call__(self, *args, **kwargs):
-        if self._fn is None:
-            self._fn = getattr(importlib.import_module(self._module), self._name)
-        return self._fn(*args, **kwargs)
+        self = super().__new__(cls, load)
+        return self

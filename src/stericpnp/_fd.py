@@ -66,10 +66,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._deferred import Deferred
 from .errors import ParameterError
 from .model import Grid, ModelParams
+
+# LAPACK's tridiagonal LDL^T, imported at the first Dirichlet Poisson solve
+# (_deferred), so that importing the package loads no SciPy
+dpttrf = Deferred("scipy.linalg.lapack", "dpttrf")
+dpttrs = Deferred("scipy.linalg.lapack", "dpttrs")
 
 _STEP_BAND = 4  # _band, interleaved (c1_j, c2_j): node offset 2, sigma reach 2 nodes
 _STATIONARY_BAND = 3  # _assemble, interleaved (c1_j, c2_j, phi_j)
@@ -140,9 +145,10 @@ def solve_poisson_dirichlet(
 
     The interior matrix tridiag(-1, 2, -1) is symmetric positive definite
     and depends only on the size, so it is factored once per size (LAPACK
-    pttrf) and each call runs only the triangular solves (pttrs). That is
-    the same arithmetic as solveh_banded's ptsv, bit for bit. rhs is not
-    checked for finiteness: a non-finite rhs gives a non-finite phi.
+    pttrf, which loads scipy.linalg at the first solve) and each call runs
+    only the triangular solves (pttrs). That is the same arithmetic as
+    solveh_banded's ptsv, bit for bit. rhs is not checked for finiteness:
+    a non-finite rhs gives a non-finite phi.
     """
     n = grid.n
     m = n - 2

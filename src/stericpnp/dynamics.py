@@ -72,7 +72,9 @@ max |c_t| and the next step's right-hand side and band input; a rejected
 attempt evaluates no F. The energy is read without a sign check (a
 negative concentration leaves it NaN, and only then is the sign looked
 at). The dgbtrf factorisations, one per refresh, are called under their
-own name and counted in EvolveResult.factorizations.
+own name and counted in EvolveResult.factorizations. Both LAPACK routines
+are _deferred names: scipy.linalg is imported at the first factorisation,
+not with this module.
 """
 
 from __future__ import annotations
@@ -83,9 +85,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf
-# dgbtrs itself, under the name at which perfbench's tracer counts step solves
-from scipy.linalg.lapack import dgbtrs as solve_banded
 
 from ._deferred import Deferred
 from ._fd import (
@@ -106,6 +105,11 @@ from ._fd import (
 )
 from .errors import ParameterError
 from .model import ModelParams, Profile
+
+# LAPACK's band LU, imported at the first step (_deferred); dgbtrs goes under
+# the name at which perfbench's tracer counts step solves
+dgbtrf = Deferred("scipy.linalg.lapack", "dgbtrf")
+solve_banded = Deferred("scipy.linalg.lapack", "dgbtrs")
 
 # Never called: perfbench's tracer wraps dynamics.splu by name. As a
 # Deferred (imported on first call) it keeps scipy.sparse.linalg unloaded.

@@ -28,7 +28,7 @@ Its one discretisation is _fd.discrete_energy, the Lyapunov functional
 that the time stepper, Newton and continuation share. This module holds the
 bulk density h, its Hessian and convexity, and the segregated-pattern
 energy contest, which keeps its own convention (see SegregatedComparison).
-Entropy terms are evaluated with the xlogy limit c ln c -> 0 at c = 0, so
+Entropy terms c ln(c / cbar) take their limit 0 at c = 0 (_entropy), so
 fully segregated profiles (exact zeros) have finite energy.
 """
 
@@ -39,17 +39,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fd
-from ._deferred import Deferred
 from .errors import ParameterError, RegimeError
 from .model import Grid, ModelParams, Profile
 
-# Imported on first call (_deferred): only free_energy_density and
-# segregated_comparison call it, so the time stepper and Newton never load
-# scipy.special.
-xlogy = Deferred("scipy.special", "xlogy")
-
 _ArrayLike = float | np.ndarray
 _SEGREGATED_NODES = 2001  # segregated_comparison's quadrature grid on [-1, 1]
+
+
+def _entropy(c: np.ndarray, cbar: float) -> np.ndarray:
+    """c ln(c / cbar) for c >= 0, and its limit 0 at c = 0 without a warning."""
+    return c * np.log(np.where(c > 0, c / cbar, 1.0))
 
 
 def free_energy_density(c1: _ArrayLike, c2: _ArrayLike, p: ModelParams) -> _ArrayLike:
@@ -62,7 +61,7 @@ def free_energy_density(c1: _ArrayLike, c2: _ArrayLike, p: ModelParams) -> _Arra
     c2 = np.asarray(c2, dtype=float)
     if np.any(c1 < 0) or np.any(c2 < 0):
         raise ParameterError("free energy density needs nonnegative concentrations")
-    ent = xlogy(c1, c1 / p.cbar1) - c1 + xlogy(c2, c2 / p.cbar2) - c2
+    ent = _entropy(c1, p.cbar1) - c1 + _entropy(c2, p.cbar2) - c2
     steric = 0.5 * (p.g11 * c1 * c1 + 2.0 * p.g12 * c1 * c2 + p.g22 * c2 * c2)
     out = ent + steric
     return float(out) if out.ndim == 0 else out
@@ -175,7 +174,7 @@ class SegregatedComparison:
     Its own convention, with g11 = g22 = 0, each term a trapezoid integral
     over [-1, 1]:
 
-    - entropy: sum_i c_i ln(c_i / cbar) - c_i, with xlogy's 0 ln 0 = 0;
+    - entropy: sum_i c_i ln(c_i / cbar) - c_i, with 0 ln 0 = 0;
     - steric: int c.G c dx with no 1/2, i.e. 2 g12 int c1 c2 dx;
     - field: 1/2 int phi_x^2 dx, phi_x from second-order centred
       differences (one-sided at the walls).
@@ -210,7 +209,7 @@ def segregated_comparison(n_freq: int, cbar: float, g12: float) -> SegregatedCom
     grid = make_grid(DomainSpec(L=1.0), _SEGREGATED_NODES)
     prof = segregated_pattern(n_freq, cbar, grid)
     ent_seg = _fd.trapz(
-        xlogy(prof.c1, prof.c1 / cbar) - prof.c1 + xlogy(prof.c2, prof.c2 / cbar) - prof.c2,
+        _entropy(prof.c1, cbar) - prof.c1 + _entropy(prof.c2, cbar) - prof.c2,
         grid,
     )
     steric_seg = _fd.trapz(2.0 * g12 * prof.c1 * prof.c2, grid)

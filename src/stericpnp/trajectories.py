@@ -90,21 +90,20 @@ __all__ = [
     "cross_d_zero",
 ]
 
-# Imported on first call (_deferred), so that commands which never reach the
-# phase plane never load scipy.integrate, scipy.optimize or scipy.special.
+# Imported on first call (_deferred): only integrate_field_ivp and
+# cross_d_zero load scipy.integrate.
 solve_ivp = Deferred("scipy.integrate", "solve_ivp")
-brentq = Deferred("scipy.optimize", "brentq")
-wrightomega = Deferred("scipy.special", "wrightomega")
 
 _RTOL = 1e-10  # field integrations (solve_ivp RK45)
 _ATOL = 1e-12
 _C1_MIN, _C1_MAX = 1e-12, 1e12  # compute_trajectory: orbits end where c1 leaves these
 _CHEB_POINTS = (32, 64, 128, 256, 512, 1024)  # build_periodic: interpolation sizes tried
 _CHEB_TAIL = 1e-13  # a series is resolved when its last 3 coefficients fall below this share
-_NEWTON_MAX = 100  # Newton steps inverting x(s) at the Chebyshev points
+_NEWTON_MAX = 100  # Newton steps polishing orbit crossings, and inverting x(s)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)  # _field_sq's rule on [0, 1]
 _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
-_BRENT_RTOL = 4 * np.finfo(float).eps  # build_periodic's bracketed roots
+# build_periodic's bracketed roots (_brentq): tolerance xtol + rtol |x|, step cap
+_BRENT_XTOL, _BRENT_RTOL, _BRENT_MAX = 1e-15, 4 * np.finfo(float).eps, 100
 _CROSS_X_MAX = 0.5  # cross_d_zero: reach on each side of the crossing
 _CROSS_H = 1e-6  # cross_d_zero: Taylor step off the degenerate curve
 _CROSS_N_SIDE = 400  # cross_d_zero: geometric samples per side
@@ -163,6 +162,46 @@ def _event(fn: Callable, terminal: bool) -> Callable:
     return fn
 
 
+def _wrightomega(x):
+    """Wright omega of real x, the w with w + log w = x.
+
+    The real branch of SciPy's wright.cc (Lawrence, Corless & Jeffrey,
+    ACM TOMS 38(3), Algorithm 917, 2012) in NumPy: exp(x) below -50, x
+    above 1e20, and between them a starting guess refined by one
+    Fritsch-Shafer-Crowley step, and by a second where wright.cc's bound
+    on the first step's error asks for it. Every element takes the same
+    operations, its x clipped into [-50, 1e20] where a branch does not
+    use it, so no element warns and a call costs the same for every x.
+    nan stays nan; -inf gives 0 and inf gives inf.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.minimum(np.maximum(x, -50.0), 1e20)
+    big = np.maximum(y, 1.0)
+    log_big = np.log(big)
+    # exp(y) below -2, exp(2 (y - 1) / 3) below 1, and two terms of the
+    # series at infinity from 1 on
+    w = np.where(
+        y < 1.0,
+        np.exp(np.where(y < -2.0, y, 2.0 * (np.minimum(y, 1.0) - 1.0) / 3.0)),
+        big - log_big + log_big / big,
+    )
+
+    def fsc(w):
+        r = y - w - np.log(w)
+        wp1 = w + 1.0
+        t = 2.0 * wp1 * (wp1 + 2.0 / 3.0 * r)
+        return w * (1.0 + r / wp1 * (t - r) / (t - 2.0 * r)), r, wp1
+
+    w, r, wp1 = fsc(w)
+    # products rather than pow, which costs more than the rest of the call
+    r2, wp1_2 = r * r, wp1 * wp1
+    again = np.abs((2.0 * w * w - 8.0 * w - 1.0) * (r2 * r2)) >= (
+        72.0 * np.finfo(float).eps * (wp1_2 * wp1_2 * wp1_2)
+    )
+    w = np.where(again, fsc(w)[0], w)
+    return np.where(x < -50.0, np.exp(np.minimum(x, -50.0)), np.where(x > 1e20, x, w))[()]
+
+
 def _psi(c, a: float, b: float):
     return a * np.log(c) + b * c
 
@@ -176,15 +215,21 @@ def _psi_inverse(y, a: float, b: float):
     s = b / a
     if s == 0.0:
         return np.exp(y / a)
-    w = wrightomega(y / a + np.log(s))
+    w = _wrightomega(y / a + np.log(s))
     return np.where(w < 1.0, np.exp(y / a - w), w / s)
+
+
+def _invariant(p: ModelParams, c1_0: float, c2_0: float):
+    """(a, b) of psi_1 and of psi_2, psi = a log c + b c (module docstring),
+    and the level psi_1(c1_0) + psi_2(c2_0) of the orbit through (c1_0, c2_0)."""
+    t1 = (p.z2, p.z2 * p.g11 - p.z1 * p.g12)
+    t2 = (-p.z1, p.z2 * p.g12 - p.z1 * p.g22)
+    return t1, t2, _psi(c1_0, *t1) + _psi(c2_0, *t2)
 
 
 def _orbit_maps(p: ModelParams, c1_0: float, c2_0: float):
     """c1(c2) and c2(c1) on the level set of psi_1 + psi_2 through (c1_0, c2_0)."""
-    t1 = (p.z2, p.z2 * p.g11 - p.z1 * p.g12)
-    t2 = (-p.z1, p.z2 * p.g12 - p.z1 * p.g22)
-    level = _psi(c1_0, *t1) + _psi(c2_0, *t2)
+    t1, t2, level = _invariant(p, c1_0, c2_0)
 
     def c1_of(c2):
         return _psi_inverse(level - _psi(c2, *t2), *t1)
@@ -217,6 +262,51 @@ class TrajectoryResult:
         return hessian_det(self.c1, self.c2, self.p)
 
 
+def _crossings(p: ModelParams, seed: tuple[float, float], c1, c2):
+    """Rows (c1, c2) where the orbit through seed, sampled as (c1, c2),
+    crosses the neutral line, then rows where it crosses D = 0.
+
+    A crossing lies between two samples at which its function H (the
+    neutral deviation, or D) changes sign; a zero sample counts as
+    positive, so a crossing on it is found once. All crossings start
+    together from the secant point of H between their two samples and
+    take Newton steps on the pair (G, H), G = psi_1(c1) + psi_2(c2) -
+    level the orbit invariant, with psi' = a/c + b and H's gradient in
+    closed form. Each iterate is clipped into the box of its two samples,
+    in which the orbit lies. Columns are crossings and rows species, so
+    that each step costs a fixed few numpy calls however many there are.
+    """
+    t1, t2, level = _invariant(p, *seed)
+    log_coef, lin_coef = np.array([t1, t2]).T[:, :, None]  # psi_i's a and b, as columns
+    g_ii, z = np.array([[p.g11], [p.g22]]), np.array([[p.z1], [p.z2]])
+    vals = np.stack([_neutral_deviation(c1, c2, p), hessian_det(c1, c2, p)])
+    kind, i = np.nonzero((vals[:, :-1] >= 0) != (vals[:, 1:] >= 0))
+    left, right = np.stack([c1[i], c2[i]]), np.stack([c1[i + 1], c2[i + 1]])
+    lo, hi = np.minimum(left, right), np.maximum(left, right)
+    x = left + vals[kind, i] / (vals[kind, i] - vals[kind, i + 1]) * (right - left)
+    degenerate = kind == 1
+    last = i.size == 0
+    for _ in range(_NEWTON_MAX):
+        psi = log_coef * np.log(x) + lin_coef * x
+        g, dg = psi[0] + psi[1] - level, log_coef / x + lin_coef
+        # D = a1 a2 - g12^2 with a_i = 1/c_i + g_ii, so dD/dc1 = -a2/c1^2
+        a_i = 1.0 / x + g_ii
+        h = np.where(
+            degenerate, a_i[0] * a_i[1] - p.g12 * p.g12, _neutral_deviation(x[0], x[1], p)
+        )
+        dh = np.where(degenerate, -a_i[::-1] / (x * x), z)
+        # Cramer's rule on [dg; dh] step = -[g; h]
+        step = (dg[::-1] * h - dh[::-1] * g) / (dg[0] * dh[1] - dg[1] * dh[0])
+        step[1] = -step[1]
+        x = np.minimum(np.maximum(x + step, lo), hi)
+        if last:
+            return x[:, ~degenerate].T, x[:, degenerate].T
+        # the convergence is quadratic: after a step below 1e-9 relative
+        # the error is of order 1e-18, and one more step reaches rounding
+        last = np.abs(step / x).max() < 1e-9
+    raise NumericsError("polishing the orbit's crossings did not converge")
+
+
 def compute_trajectory(
     p: ModelParams,
     c1_0: float,
@@ -232,8 +322,10 @@ def compute_trajectory(
     exact too, and c2_span in the result is the span that remains. Each
     leg from the seed carries samples_per_leg >= 2 geometric samples in c2.
     Crossings of the neutral line and of the degenerate curve are the
-    sign changes of their functions on the samples, each polished by
-    brentq to a relative 4 eps in c2.
+    sign changes of their functions on the samples, all polished at once
+    by Newton on the orbit invariant and the crossing function
+    (_crossings) until a step moves them by less than 1e-9 relative,
+    and then by one more step, which takes them to rounding.
     """
     if not (_C1_MIN < c1_0 < _C1_MAX and c2_0 > 0):
         raise ParameterError(
@@ -249,27 +341,12 @@ def compute_trajectory(
         )
     c1_of, c2_of = _orbit_maps(p, c1_0, c2_0)
     # c1 falls as c2 rises, so its upper cutoff bounds c2 from below
-    c2_lo, c2_hi = max(c2_min, float(c2_of(_C1_MAX))), min(c2_max, float(c2_of(_C1_MIN)))
+    c2_cut = c2_of(np.array([_C1_MAX, _C1_MIN]))
+    c2_lo, c2_hi = max(c2_min, float(c2_cut[0])), min(c2_max, float(c2_cut[1]))
     down = np.geomspace(c2_lo, c2_0, samples_per_leg)
     c2 = np.concatenate([down[:-1], np.geomspace(c2_0, c2_hi, samples_per_leg)])
     c1 = c1_of(c2)
-
-    def crossings(fn, values):
-        """Rows (c1, c2) at the sign changes of fn, sampled as values.
-
-        A zero sample counts as positive, so a crossing on it is found once.
-        """
-        idx = np.flatnonzero((values[:-1] >= 0) != (values[1:] >= 0))
-        fl = np.finfo(float)
-        roots = np.array(
-            [brentq(fn, c2[i], c2[i + 1], xtol=fl.tiny, rtol=4 * fl.eps) for i in idx]
-        )
-        return np.column_stack((c1_of(roots), roots))
-
-    neutral = crossings(
-        lambda x: _neutral_deviation(c1_of(x), x, p), _neutral_deviation(c1, c2, p)
-    )
-    dzero = crossings(lambda x: hessian_det(c1_of(x), x, p), hessian_det(c1, c2, p))
+    neutral, dzero = _crossings(p, (c1_0, c2_0), c1, c2)
     d_at_neutral = (
         float(hessian_det(neutral[0, 0], neutral[0, 1], p))
         if neutral.shape[0]
@@ -590,6 +667,54 @@ class PeriodicSolution:
         return x, c1, c2, E, phi
 
 
+def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
+    """A root of f between xa and xb, where f changes sign, to 1e-15 + 4 eps |x|.
+
+    Brent's method (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4), step for step as SciPy's brentq.c, so it returns the
+    float that scipy.optimize.brentq returns with the same tolerances: a
+    secant or inverse quadratic step while it shrinks the bracket fast
+    enough, else bisection, for at most 100 steps.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NumericsError(f"no sign change of the function between {xa} and {xb}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAX):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise NumericsError(f"Brent's method did not converge in {_BRENT_MAX} steps")
+
+
 def build_periodic(p: ModelParams, amplitude: float) -> PeriodicSolution:
     """Construct a periodic stationary profile around the bulk point.
 
@@ -624,7 +749,7 @@ def build_periodic(p: ModelParams, amplitude: float) -> PeriodicSolution:
         if d_at(side * amplitude) < 0:
             return amplitude
         _require_concave(d_at(0.0), p.cbar2)
-        return brentq(lambda a: d_at(side * a), 0.0, amplitude, xtol=1e-15, rtol=_BRENT_RTOL)
+        return _brentq(lambda a: d_at(side * a), 0.0, amplitude)
 
     far = {side: reach(side) for side in (1.0, -1.0)}
     top, bottom = peak_sq(far[1.0]), peak_sq(-far[-1.0])
@@ -633,13 +758,7 @@ def build_periodic(p: ModelParams, amplitude: float) -> PeriodicSolution:
     side = 1.0 if top > bottom else -1.0
     _require_concave(d_at(-side * amplitude), p.cbar2 - side * amplitude)
     kept = _half_orbit(p, c1_of, p.cbar2 - side * amplitude)
-    a_match = brentq(
-        lambda a: peak_sq(side * a) - min(top, bottom),
-        0.0,
-        far[side],
-        xtol=1e-15,
-        rtol=_BRENT_RTOL,
-    )
+    a_match = _brentq(lambda a: peak_sq(side * a) - min(top, bottom), 0.0, far[side])
     shrunk = _half_orbit(p, c1_of, p.cbar2 + side * a_match)
     half_a, half_b = (shrunk, kept) if side > 0 else (kept, shrunk)
     amp_a, amp_b = (a_match, amplitude) if side > 0 else (amplitude, a_match)

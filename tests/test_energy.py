@@ -163,7 +163,7 @@ def test_free_energy_density_matches_quadrature():
 @pytest.mark.parametrize("periodic", [False, True], ids=["electrode", "periodic"])
 def test_discrete_energy_without_field_or_gradient_is_the_quadrature_of_the_density(periodic):
     # phi = 0 and sigma = 0 leave only the bulk term, which dynamics writes
-    # from its own log c and G c; exact zeros take the xlogy limit there too
+    # from its own log c and G c; exact zeros take the limit 0 log 0 = 0 there too
     g = make_periodic_grid(1.0, 16) if periodic else make_grid(DomainSpec(1.0), 16)
     c1 = np.linspace(0.5, 1.5, 16)
     c2 = 2.0 - c1**2 / 2.0
@@ -182,7 +182,7 @@ def test_energies_take_exact_zeros_and_reject_negative_concentrations(periodic):
     c1[::4] = 0.0
     c2[5] = 0.0
     phi = np.sin(np.pi * g.x)
-    # the xlogy limit: c ln c -> 0 at c = 0
+    # the limit c ln c -> 0 at c = 0
     assert free_energy_density(0.0, 0.0, P_SYM) == 0.0
     assert np.all(np.isfinite(free_energy_density(c1, c2, P_SYM)))
     assert np.isfinite(discrete_energy(c1, c2, phi, P_SYM, g))

@@ -1,9 +1,12 @@
 """What the package loads, and the names it imports on first call.
 
-The time stepper, Newton and the onset need only numpy and scipy.linalg.
-SciPy's optimisers, integrators, special functions and sparse solvers are
-bound to names that import them on their first call (stericpnp._deferred),
-so commands that never reach the phase plane never load them.
+Importing the package loads no SciPy. The onset, the weakly nonlinear map,
+the orbits, the periodic profiles and the free-energy density run on numpy
+alone. Each SciPy routine the package calls is bound to a name that
+imports it at its first call (stericpnp._deferred): LAPACK's band and
+tridiagonal solvers, which load scipy.linalg at the first step of evolve
+or the first Newton solve; solve_ivp, which loads scipy.integrate; and
+splu, which nothing calls.
 """
 
 import json
@@ -17,9 +20,7 @@ from pathlib import Path
 import pytest
 
 import stericpnp
-from stericpnp import dynamics, trajectories
-
-DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.sparse.linalg")
+from stericpnp import continuation, dynamics, trajectories
 
 
 def _run_fresh(script: str):
@@ -32,94 +33,150 @@ def _run_fresh(script: str):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def test_cli_evolve_newton_and_onset_load_no_deferred_scipy_module():
-    # the baseline is what scipy.linalg itself loads in the same interpreter:
-    # older SciPy pulls more in through it
+def test_analysis_layer_loads_no_scipy_module():
     loaded = _run_fresh(
-        f"""
+        """
         import json, sys
-        import scipy.linalg
-        baseline = set(sys.modules)
 
         import stericpnp.cli
-        from stericpnp import DomainSpec, homogeneous_profile, make_grid, make_params
-        from stericpnp import make_periodic_grid
-        from stericpnp.continuation import newton_solve
-        from stericpnp.dynamics import add_noise, electrode_bc, evolve, periodic_bc
+        from stericpnp import make_params
+        from stericpnp.energy import free_energy_density
         from stericpnp.stability import find_onset
+        from stericpnp.trajectories import build_periodic, classify_trajectory, compute_trajectory
+        from stericpnp.weakly_nonlinear import amplitude_coefficients, criticality_map
 
-        p = make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0, sigma=0.02)
-        grid = make_periodic_grid(2.0, 32)
-        evolve(p, add_noise(homogeneous_profile(grid, p), 1e-3, 1), periodic_bc(), 1.0)
-        grid = make_grid(DomainSpec(2.0), 48)
-        newton_solve(homogeneous_profile(grid, p), p, grid, electrode_bc(), "sigma", 0.02)
-        find_onset(p)
+        p = make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0)
+        onset = find_onset(p)
+        amplitude_coefficients(onset, p)
+        criticality_map([0.0, 0.4], [2.2, 3.8], g_sum=4.0, cbar=1.0)
+        classify_trajectory(compute_trajectory(make_params(1, -1, 2.25, 0.75, 2.5, 1.0, 1.0), 0.6, 1.4))
+        build_periodic(p, 0.3)
+        free_energy_density([0.0, 1.0], [2.0, 0.5], p)
 
-        deferred = {DEFERRED!r}
-        print(json.dumps(sorted(
-            m for m in set(sys.modules) - baseline
-            if any(m == d or m.startswith(d + ".") for d in deferred)
-        )))
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
         """
     )
     assert loaded == []
 
 
+# (set-up, first solve) of each solver, run in a fresh interpreter
+_SOLVES = {
+    "evolve": (
+        """
+        from stericpnp import homogeneous_profile, make_params, make_periodic_grid
+        from stericpnp.dynamics import add_noise, evolve, periodic_bc
+
+        p = make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0, sigma=0.02)
+        grid = make_periodic_grid(2.0, 32)
+        state = add_noise(homogeneous_profile(grid, p), 1e-3, 1)
+        """,
+        "evolve(p, state, periodic_bc(), 1.0)",
+    ),
+    "newton_solve": (
+        """
+        from stericpnp import DomainSpec, homogeneous_profile, make_grid, make_params
+        from stericpnp.continuation import newton_solve
+        from stericpnp.dynamics import add_noise, electrode_bc
+
+        p = make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0, sigma=0.02)
+        grid = make_grid(DomainSpec(2.0), 48)
+        state = add_noise(homogeneous_profile(grid, p), 1e-3, 1)
+        """,
+        'newton_solve(state, p, grid, electrode_bc(), "sigma", 0.02)',
+    ),
+}
+_SCIPY_LOADED = 'sorted(m for m in sys.modules if m.startswith("scipy"))'
+
+
+def test_evolve_and_newton_load_scipy_linalg_at_their_first_solve():
+    # what scipy.linalg itself loads: older SciPy pulls more in through it
+    linalg = _run_fresh(f"import json, sys, scipy.linalg\nprint(json.dumps({_SCIPY_LOADED}))")
+    for name, (setup, solve) in _SOLVES.items():
+        before, after = _run_fresh(
+            "import json, sys\nimport stericpnp.cli\n"
+            + textwrap.dedent(setup)
+            + f"before = {_SCIPY_LOADED}\n{solve}\nafter = {_SCIPY_LOADED}\n"
+            + "print(json.dumps([before, after]))\n"
+        )
+        assert before == [], name
+        assert after == linalg, name
+
+
 def test_first_call_of_each_deferred_name_returns_what_scipy_returns():
     same = _run_fresh(
         """
-        import json, sys
+        import json
         import numpy as np
         from scipy.sparse import csc_matrix
-        from stericpnp import dynamics, energy, trajectories
-
-        def cubic(x):
-            return x**3 - 2.0
+        from stericpnp import _fd, continuation, dynamics, trajectories
 
         def rhs(t, y):
             return -y
 
-        c = np.array([0.0, 0.5, 2.0])
+        # a symmetric positive definite tridiagonal system and a 5 x 5 band
+        # with one sub- and one superdiagonal, in solve_banded's storage and
+        # in dgbtrf's, whose first row is workspace
+        d, e, b = np.array([4.0, 5.0, 6.0]), np.array([1.0, -2.0]), np.array([1.0, 2.0, 3.0])
+        ab = np.array([
+            [0.0, 1.0, -0.5, 2.0, 0.25],
+            [4.0, 5.0, 6.0, 7.0, 8.0],
+            [1.5, -1.0, 0.5, 3.0, 0.0],
+        ])
+        rhs_band = np.array([1.0, -2.0, 3.0, 0.5, 4.0])
+        lu_in = np.vstack([np.zeros((1, 5)), ab])
         A = csc_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
-        ours = {
-            "solve_ivp": trajectories.solve_ivp(rhs, (0.0, 1.0), [1.0, 2.0], rtol=1e-9),
-            "brentq": trajectories.brentq(cubic, 0.0, 2.0),
-            "wrightomega": trajectories.wrightomega(c),
-            "xlogy": energy.xlogy(c, c + 1.0),
-            "splu": dynamics.splu(A).solve(np.array([1.0, 2.0])),
-        }
+
+        def lapack(trf, trs, gbtrf, gbtrs, banded):
+            df, ef, _ = trf(d, e)
+            lu, piv, _ = gbtrf(lu_in.copy(), 1, 1)
+            return {
+                "dpttrf": np.concatenate([df, ef]),
+                "dpttrs": trs(df, ef, b.copy())[0],
+                "dgbtrf": np.concatenate([lu.ravel(), piv]),
+                "dgbtrs": gbtrs(lu, 1, 1, rhs_band.copy(), piv)[0],
+                "solve_banded": banded((1, 1), ab, rhs_band),
+            }
+
+        ours = lapack(_fd.dpttrf, _fd.dpttrs, dynamics.dgbtrf, dynamics.solve_banded,
+                      continuation.solve_banded)
+        ours["solve_ivp"] = trajectories.solve_ivp(rhs, (0.0, 1.0), [1.0, 2.0], rtol=1e-9)
+        ours["splu"] = dynamics.splu(A).solve(np.array([1.0, 2.0]))
 
         from scipy.integrate import solve_ivp
-        from scipy.optimize import brentq
+        from scipy.linalg import solve_banded
+        from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
         from scipy.sparse.linalg import splu
-        from scipy.special import wrightomega, xlogy
 
-        ref = solve_ivp(rhs, (0.0, 1.0), [1.0, 2.0], rtol=1e-9)
-        same = {
-            "solve_ivp": bool(
-                np.array_equal(ours["solve_ivp"].t, ref.t)
-                and np.array_equal(ours["solve_ivp"].y, ref.y)
-                and ours["solve_ivp"].nfev == ref.nfev
-            ),
-            "brentq": ours["brentq"] == brentq(cubic, 0.0, 2.0),
-            "wrightomega": bool(np.array_equal(ours["wrightomega"], wrightomega(c))),
-            "xlogy": bool(np.array_equal(ours["xlogy"], xlogy(c, c + 1.0))),
-            "splu": bool(np.array_equal(
-                ours["splu"], splu(A).solve(np.array([1.0, 2.0]))
-            )),
-        }
+        ref = lapack(dpttrf, dpttrs, dgbtrf, dgbtrs, solve_banded)
+        same = {name: bool(np.array_equal(ours[name], ref[name])) for name in ref}
+        ivp = solve_ivp(rhs, (0.0, 1.0), [1.0, 2.0], rtol=1e-9)
+        same["solve_ivp"] = bool(
+            np.array_equal(ours["solve_ivp"].t, ivp.t)
+            and np.array_equal(ours["solve_ivp"].y, ivp.y)
+            and ours["solve_ivp"].nfev == ivp.nfev
+        )
+        same["splu"] = bool(np.array_equal(ours["splu"], splu(A).solve(np.array([1.0, 2.0]))))
         print(json.dumps(same))
         """
     )
-    assert same == dict.fromkeys(("solve_ivp", "brentq", "wrightomega", "xlogy", "splu"), True)
+    names = ("dpttrf", "dpttrs", "dgbtrf", "dgbtrs", "solve_banded", "solve_ivp", "splu")
+    assert same == dict.fromkeys(names, True)
 
 
-@pytest.mark.parametrize("name", ["trajectories.solve_ivp", "dynamics.splu"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "trajectories.solve_ivp",
+        "dynamics.splu",
+        "dynamics.solve_banded",
+        "continuation.solve_banded",
+    ],
+)
 def test_deferred_names_are_not_plain_functions(name):
     # perfbench's tracer wraps the package's own functions by type and these
-    # two by name; a plain function here would be wrapped twice
+    # by name; a plain function here would be wrapped twice
     module, attr = name.split(".")
-    obj = getattr({"trajectories": trajectories, "dynamics": dynamics}[module], attr)
+    modules = {"trajectories": trajectories, "dynamics": dynamics, "continuation": continuation}
+    obj = getattr(modules[module], attr)
     assert callable(obj)
     assert not isinstance(obj, types.FunctionType)
-

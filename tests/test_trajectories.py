@@ -11,6 +11,9 @@ from stericpnp.errors import NumericsError, ParameterError
 from stericpnp.model import ModelParams, make_params
 from stericpnp.trajectories import (
     _brackets,
+    _brentq,
+    _orbit_maps,
+    _wrightomega,
     build_periodic,
     classify_trajectory,
     compute_trajectory,
@@ -147,6 +150,93 @@ def test_orbit_matches_the_invariant_and_an_rk45_reference(
         assert abs(z1 * (c1n - cbar1) + z2 * (c2n - cbar2)) <= 1e-14 * size
     for c1d, c2d in res.d_zero_points:
         assert c1d == pytest.approx(d_zero_c1(c2d, p), rel=1e-12)
+
+
+def test_crossings_agree_with_a_brentq_polish():
+    # the polish the Newton pair replaced: brentq on the crossing function
+    # along the exact orbit, between the same two samples
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(7)
+    fl = np.finfo(float)
+    found = {"neutral": 0, "degenerate": 0}
+    for _ in range(100):
+        g11, g22, g12 = (0.0 if rng.random() < 0.2 else rng.uniform(0.0, 4.0) for _ in range(3))
+        p = make_params(
+            rng.uniform(0.5, 3.0), rng.uniform(-3.0, -0.5), g11, g22, g12,
+            rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0),
+        )
+        c1_0, c2_0 = rng.uniform(0.05, 2.5, 2)
+        res = compute_trajectory(p, c1_0, c2_0)
+        c1_of = _orbit_maps(p, c1_0, c2_0)[0]
+
+        def neutral(c1, c2):
+            return p.z1 * (c1 - p.cbar1) + p.z2 * (c2 - p.cbar2)
+
+        for kind, rows, fn in (
+            ("neutral", res.neutral_points, neutral),
+            ("degenerate", res.d_zero_points, lambda c1, c2: hessian_det(c1, c2, p)),
+        ):
+            vals = fn(res.c1, res.c2)
+            idx = np.flatnonzero((vals[:-1] >= 0) != (vals[1:] >= 0))
+            assert len(rows) == idx.size
+            for i, row in zip(idx, rows):
+                root = brentq(
+                    lambda x: fn(c1_of(x), x), res.c2[i], res.c2[i + 1],
+                    xtol=fl.tiny, rtol=4 * fl.eps,
+                )
+                ref = np.array([c1_of(root), root])
+                assert np.all(np.abs(row - ref) <= 1e-13 * ref)
+            found[kind] += idx.size
+    # every orbit meets the neutral line once; 70 of the crossings are of D = 0
+    assert found == {"neutral": 100, "degenerate": 70}
+
+
+def test_wrightomega_matches_scipy_and_never_warns():
+    from scipy.special import wrightomega
+
+    x = np.concatenate([
+        np.linspace(-800.0, 800.0, 64001),
+        -np.geomspace(1e-300, 800.0, 4001),
+        np.geomspace(1e-300, 1e25, 4001),
+        [-745.2, -50.0, -2.0, 1.0, 1e20, -0.0, 0.0],
+    ])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        ours = _wrightomega(x)
+    assert np.all(np.isfinite(ours))
+    # wright.cc's own arithmetic, up to numpy's exp and log against libm's
+    ref = wrightomega(x)
+    assert np.all(np.abs(ours - ref) <= 2e-15 * np.maximum(np.abs(ref), np.finfo(float).tiny))
+    special = np.array([-np.inf, np.inf, np.nan])
+    np.testing.assert_array_equal(_wrightomega(special), wrightomega(special))
+
+
+_BRENT_BATTERY = [
+    (lambda x: x**3 - 2.0, 0.0, 2.0),
+    (lambda x: np.cos(x) - x, 0.0, 1.0),
+    (lambda x: np.exp(x) - 5.0, 0.0, 3.0),
+    (lambda x: np.tanh(50.0 * (x - 0.3)), 0.0, 1.0),
+    (lambda x: x - 1e-9, -1.0, 1.0),
+    (lambda x: np.log(x), 0.1, 10.0),
+    (lambda x: 1.0 - x * x, 0.0, 3.0),
+    (lambda x: x, 0.0, 1.0),
+    (lambda x: (x - 0.5) ** 5 + 1e-3 * (x - 0.5), 0.0, 2.0),
+    (lambda x: 1e-300 * (x - 0.7), 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("fn, lo, hi", _BRENT_BATTERY)
+def test_brentq_helper_is_scipy_brentq_bit_for_bit(fn, lo, hi):
+    from scipy.optimize import brentq
+
+    # build_periodic's tolerances: xtol 1e-15, rtol 4 eps
+    ref = brentq(fn, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    assert _brentq(fn, lo, hi) == ref
+
+
+def test_brentq_helper_needs_a_sign_change():
+    with pytest.raises(NumericsError, match="no sign change"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 def test_seed_on_the_neutral_line_is_its_one_crossing():
