@@ -506,8 +506,6 @@ def states_at(
     found: list[StationaryState] = []
     for branch in branches:
         pts = branch.points
-        if not pts:
-            continue
         starts: list[StationaryState] = []
         if len(pts) == 1:
             starts.append(pts[0].state)

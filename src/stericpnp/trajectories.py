@@ -102,8 +102,6 @@ _CHEB_TAIL = 1e-13  # a series is resolved when its last 3 coefficients fall bel
 _NEWTON_MAX = 100  # Newton steps polishing orbit crossings, and inverting x(s)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)  # _field_sq's rule on [0, 1]
 _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
-# build_periodic's bracketed roots (_brentq): tolerance xtol + rtol |x|, step cap
-_BRENT_XTOL, _BRENT_RTOL, _BRENT_MAX = 1e-15, 4 * np.finfo(float).eps, 100
 _CROSS_X_MAX = 0.5  # cross_d_zero: reach on each side of the crossing
 _CROSS_H = 1e-6  # cross_d_zero: Taylor step off the degenerate curve
 _CROSS_N_SIDE = 400  # cross_d_zero: geometric samples per side
@@ -210,11 +208,13 @@ def _psi_inverse(y, a: float, b: float):
     """The c > 0 with a log c + b c = y, for a < 0 and b <= 0.
 
     w = s c with s = b/a solves w + log w = y/a + log s. c = w/s loses
-    nothing for w >= 1, c = exp(y/a - w) nothing as w underflows.
+    nothing for w >= 1, c = exp(y/a - w) nothing as w underflows. With
+    b = 0, a c beyond the largest float comes out as inf, silently.
     """
     s = b / a
     if s == 0.0:
-        return np.exp(y / a)
+        with np.errstate(over="ignore"):
+            return np.exp(y / a)
     w = _wrightomega(y / a + np.log(s))
     return np.where(w < 1.0, np.exp(y / a - w), w / s)
 
@@ -491,11 +491,15 @@ def integrate_field_ivp(
 # periodic profiles
 
 
-def _require_concave(d, c2_turn: float) -> None:
-    if np.any(d >= 0):
+def _require_concave(d, c2_turn) -> None:
+    """NumericsError if D >= 0 at any sample d between a turning point and
+    the bulk; c2_turn, broadcast against d, holds each sample's turning point."""
+    outside = d >= 0
+    if np.any(outside):
+        turn = np.broadcast_to(c2_turn, np.shape(d))[outside][0]
         raise NumericsError(
             f"the orbit leaves the concavity region D < 0 between the turning point "
-            f"c2 = {c2_turn:.6g} and the bulk (max D = {np.max(d):.3g}); "
+            f"c2 = {turn:.6g} and the bulk (max D = {np.max(d):.3g}); "
             "no periodic profile at this amplitude"
         )
 
@@ -520,12 +524,27 @@ def _chebfun(fn: Callable, lo: float, hi: float, tol: float) -> Chebyshev:
         if np.max(mag[-3:]) <= tol * np.max(mag):
             return Chebyshev(coef, domain=(lo, hi))
     raise NumericsError(
-        f"the half-orbit is not resolved by {_CHEB_POINTS[-1]} Chebyshev points; "
-        "its turning point lies too close to D = 0"
+        f"a series on [{lo:.6g}, {hi:.6g}] is not resolved by {_CHEB_POINTS[-1]} "
+        "Chebyshev points; a turning point lies too close to D = 0"
     )
 
 
-def _field_sq(p: ModelParams, c1_of: Callable, c2_turn: float, s):
+def _first_root(fn: Callable, hi: float, tol: float) -> float:
+    """The smallest root of fn on [0, hi], NumericsError if it has none.
+
+    The roots are the real eigenvalues of the colleague matrix of fn's
+    Chebyshev series (_chebfun to tol; Boyd, SIAM J. Numer. Anal. 40,
+    2002). A simple real root stays real under rounding, since the
+    matrix is real.
+    """
+    roots = _chebfun(fn, 0.0, hi, tol).roots()
+    real = roots.real[(roots.imag == 0) & (roots.real >= 0) & (roots.real <= hi)]
+    if real.size == 0:
+        raise NumericsError(f"no root on [0, {hi:.6g}]")
+    return float(real.min())
+
+
+def _field_sq(p: ModelParams, c1_of: Callable, c2_turn, s):
     """E^2 / s^2 at c2 = c2_turn + (cbar2 - c2_turn) s^2 on the orbit.
 
     E vanishes at the turning point c2_turn, and dE^2/dc2 =
@@ -533,15 +552,29 @@ def _field_sq(p: ModelParams, c1_of: Callable, c2_turn: float, s):
     delta int_0^1 (dE^2/dc2)(c2_turn + delta s^2 v) dv with
     delta = cbar2 - c2_turn, by Gauss-Legendre in v. This is the stress
     first integral E^2 = 2 [ptilde(c) - ptilde(c_t)] without the
-    cancellation of the ptilde difference near the turning point.
+    cancellation of the ptilde difference near the turning point. An
+    array of turning points with a scalar s, or an array of s with one
+    turning point, gives one value each.
     """
+    c2_turn = np.asarray(c2_turn)[..., None]
     delta = p.cbar2 - c2_turn
     c2 = c2_turn + delta * np.multiply.outer(s * s, _GL_NODES)
     c1 = c1_of(c2)
     d = hessian_det(c1, c2, p)
     _require_concave(d, c2_turn)
     slope = 2.0 * _neutral_deviation(c1, c2, p) * d / _brackets(c1, c2, p)[1]
-    return delta * (slope @ _GL_WEIGHTS)
+    return delta[..., 0] * (slope @ _GL_WEIGHTS)
+
+
+def _resolution(p: ModelParams, c1_of: Callable, c2_turn: float) -> float:
+    """The tolerance to which series on the half-orbit from c2_turn resolve.
+
+    z.(c - cbar) carries an absolute rounding error of about
+    eps (|z1| cbar1 + |z2| cbar2); relative to its size at the turning
+    point, that bounds how far any series built on it can be resolved.
+    """
+    rounding = np.finfo(float).eps * (abs(p.z1) * p.cbar1 + abs(p.z2) * p.cbar2)
+    return max(_CHEB_TAIL, rounding / abs(_neutral_deviation(c1_of(c2_turn), c2_turn, p)))
 
 
 @dataclass(frozen=True)
@@ -571,11 +604,7 @@ def _half_orbit(p: ModelParams, c1_of: Callable, c2_turn: float) -> _HalfOrbit:
     at the Chebyshev points in x.
     """
     delta = p.cbar2 - c2_turn
-    # z.(c - cbar) carries an absolute rounding error of about
-    # eps (|z1| cbar1 + |z2| cbar2); relative to its size at the turning
-    # point, that bounds how far any series here can be resolved
-    rounding = np.finfo(float).eps * (abs(p.z1) * p.cbar1 + abs(p.z2) * p.cbar2)
-    tol = max(_CHEB_TAIL, rounding / abs(_neutral_deviation(c1_of(c2_turn), c2_turn, p)))
+    tol = _resolution(p, c1_of, c2_turn)
 
     def q_of(s):
         q = _field_sq(p, c1_of, c2_turn, s)
@@ -667,54 +696,6 @@ class PeriodicSolution:
         return x, c1, c2, E, phi
 
 
-def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
-    """A root of f between xa and xb, where f changes sign, to 1e-15 + 4 eps |x|.
-
-    Brent's method (Brent, Algorithms for Minimization without Derivatives,
-    1973, ch. 4), step for step as SciPy's brentq.c, so it returns the
-    float that scipy.optimize.brentq returns with the same tolerances: a
-    secant or inverse quadratic step while it shrinks the bracket fast
-    enough, else bisection, for at most 100 steps.
-    """
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise NumericsError(f"no sign change of the function between {xa} and {xb}")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAX):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise NumericsError(f"Brent's method did not converge in {_BRENT_MAX} steps")
-
-
 def build_periodic(p: ModelParams, amplitude: float) -> PeriodicSolution:
     """Construct a periodic stationary profile around the bulk point.
 
@@ -723,8 +704,9 @@ def build_periodic(p: ModelParams, amplitude: float) -> PeriodicSolution:
     first integral fixes the field peak at the bulk crossing from either
     side, E^2 = 2 [ptilde(cbar) - ptilde(c_t)], as one quadrature along
     the orbit (_field_sq). The side that builds the larger peak is shrunk
-    by a bracketed root until the two agree, and each half-length is a
-    quadrature too (_half_orbit), so no ODE is integrated. Closed
+    until the two agree, at a root of the peak's Chebyshev series in the
+    amplitude (_first_root), and each half-length is a quadrature too
+    (_half_orbit), so no ODE is integrated. Closed
     excursions exist only where D < 0: the side kept must lie there, and
     a side that starts outside must be the one shrunk, its peak taken at
     the window edge D = 0. Raises NumericsError if the orbit leaves D < 0
@@ -742,14 +724,14 @@ def build_periodic(p: ModelParams, amplitude: float) -> PeriodicSolution:
         return hessian_det(c1_of(p.cbar2 + a), p.cbar2 + a, p)
 
     def peak_sq(a):
-        return float(_field_sq(p, c1_of, p.cbar2 + a, 1.0))
+        return _field_sq(p, c1_of, p.cbar2 + a, 1.0)
 
     def reach(side):
         """How far from the bulk towards cbar2 + side * amplitude D stays < 0."""
         if d_at(side * amplitude) < 0:
             return amplitude
         _require_concave(d_at(0.0), p.cbar2)
-        return _brentq(lambda a: d_at(side * a), 0.0, amplitude)
+        return _first_root(lambda a: d_at(side * a), amplitude, _CHEB_TAIL)
 
     far = {side: reach(side) for side in (1.0, -1.0)}
     top, bottom = peak_sq(far[1.0]), peak_sq(-far[-1.0])
@@ -758,7 +740,11 @@ def build_periodic(p: ModelParams, amplitude: float) -> PeriodicSolution:
     side = 1.0 if top > bottom else -1.0
     _require_concave(d_at(-side * amplitude), p.cbar2 - side * amplitude)
     kept = _half_orbit(p, c1_of, p.cbar2 - side * amplitude)
-    a_match = _brentq(lambda a: peak_sq(side * a) - min(top, bottom), 0.0, far[side])
+    a_match = _first_root(
+        lambda a: peak_sq(side * a) - min(top, bottom),
+        far[side],
+        _resolution(p, c1_of, p.cbar2 + side * far[side]),
+    )
     shrunk = _half_orbit(p, c1_of, p.cbar2 + side * a_match)
     half_a, half_b = (shrunk, kept) if side > 0 else (kept, shrunk)
     amp_a, amp_b = (a_match, amplitude) if side > 0 else (amplitude, a_match)

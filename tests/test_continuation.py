@@ -16,6 +16,8 @@ from stericpnp import _fd, dynamics
 from stericpnp._fd import _assemble, _dresidual_dparam, _pack
 from stericpnp.continuation import (
     _SAME_TOL,
+    Branch,
+    BranchPoint,
     _apply_param,
     l2_norm,
     load_branchset,
@@ -310,6 +312,24 @@ def test_states_at_refines_to_requested_parameter():
     assert len(got) == 1
     assert got[0].param_value == pytest.approx(0.27, abs=0.0)
     assert np.ptp(got[0].c1) < 1e-10
+
+
+def test_states_at_skips_an_empty_branch():
+    d = DomainSpec(2.0)
+    grid = make_grid(d, 24)
+    assert states_at([Branch()], 0.25, P_SYM, d, grid, "sigma") == []
+
+
+def test_states_at_starts_a_one_point_branch_from_its_point():
+    # one point brackets no interval, so it is the only start there is
+    d = DomainSpec(2.0)
+    grid = make_grid(d, 24)
+    state = _hom_state(grid)
+    one = Branch([BranchPoint(state, l2=0.0, wnorm=0.0)])  # the norms play no part
+    got = states_at([Branch(), one], 0.25, P_SYM, d, grid, "sigma")
+    assert len(got) == 1
+    assert got[0].param_value == 0.25
+    assert got[0].same_as(state)
 
 
 @pytest.mark.parametrize("factor, same", [(0.5, True), (2.0, False)])

@@ -11,7 +11,7 @@ from stericpnp.errors import NumericsError, ParameterError
 from stericpnp.model import ModelParams, make_params
 from stericpnp.trajectories import (
     _brackets,
-    _brentq,
+    _first_root,
     _orbit_maps,
     _wrightomega,
     build_periodic,
@@ -211,32 +211,25 @@ def test_wrightomega_matches_scipy_and_never_warns():
     np.testing.assert_array_equal(_wrightomega(special), wrightomega(special))
 
 
-_BRENT_BATTERY = [
-    (lambda x: x**3 - 2.0, 0.0, 2.0),
-    (lambda x: np.cos(x) - x, 0.0, 1.0),
-    (lambda x: np.exp(x) - 5.0, 0.0, 3.0),
-    (lambda x: np.tanh(50.0 * (x - 0.3)), 0.0, 1.0),
-    (lambda x: x - 1e-9, -1.0, 1.0),
-    (lambda x: np.log(x), 0.1, 10.0),
-    (lambda x: 1.0 - x * x, 0.0, 3.0),
-    (lambda x: x, 0.0, 1.0),
-    (lambda x: (x - 0.5) ** 5 + 1e-3 * (x - 0.5), 0.0, 2.0),
-    (lambda x: 1e-300 * (x - 0.7), 0.0, 1.0),
-]
+def test_first_root_is_the_smallest_in_range():
+    # cos has three roots on [0, 10]; the first is pi / 2
+    assert _first_root(np.cos, 10.0, 1e-13) == pytest.approx(np.pi / 2, rel=1e-13)
 
 
-@pytest.mark.parametrize("fn, lo, hi", _BRENT_BATTERY)
-def test_brentq_helper_is_scipy_brentq_bit_for_bit(fn, lo, hi):
-    from scipy.optimize import brentq
+@pytest.mark.parametrize(
+    "fn", [lambda x: x * x + 1.0, lambda x: x - 2.0], ids=["complex", "beyond"]
+)
+def test_first_root_needs_a_root_in_range(fn):
+    with pytest.raises(NumericsError, match="no root"):
+        _first_root(fn, 1.0, 1e-13)
 
-    # build_periodic's tolerances: xtol 1e-15, rtol 4 eps
-    ref = brentq(fn, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
-    assert _brentq(fn, lo, hi) == ref
 
-
-def test_brentq_helper_needs_a_sign_change():
-    with pytest.raises(NumericsError, match="no sign change"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+def test_orbit_cutoff_beyond_the_float_range_does_not_warn():
+    # with g12 = g22 = 0, c2(c1) = exp(.) at the cutoff c1 = 1e-12 exceeds
+    # the largest float; the suite turns the overflow warning into an error
+    res = compute_trajectory(make_params(1, -1, 8.03, 0, 0, 1, 1), 118.3, 20.7)
+    assert res.c2_span == (1e-6, 1e6)
+    assert classify_trajectory(res) == "I"
 
 
 def test_seed_on_the_neutral_line_is_its_one_crossing():
@@ -342,6 +335,16 @@ class TestPeriodicOrbit:
         # second-order Poisson residual is a discretization diagnostic only;
         # it converges at the sampling rate, not the integration tolerance
         assert res["poisson"] < 1e-4
+
+    def test_residual_between_walls_trims_the_stencil_ends(self):
+        # 1.3 periods do not tile, so only the wall form, which drops two
+        # samples at each end, sees a stationary profile
+        sol = build_periodic(P_SYM, amplitude=0.3)
+        x = np.linspace(0.0, 1.3 * sol.period, 2001)
+        samples = sol.evaluate(x)
+        res = stationary_residual_fd(x, *samples, P_SYM, periodic=False)
+        assert max(res.values()) < 1e-8
+        assert stationary_residual_fd(x, *samples, P_SYM, periodic=True)["c1"] > 1.0
 
     @pytest.mark.parametrize("periodic", [True, False])
     def test_residual_needs_the_stencil_width(self, periodic):
