@@ -31,11 +31,11 @@ discrete masses are conserved to roundoff by construction. Only
 _flux_divergence writes F, and only _mu_and_energy writes mu and the
 discrete energy; time_derivatives (through _rhs), chemical_potential,
 discrete_energy, the stepper and the stationary residual all call them.
-The Laplacian's Neumann wall closure lives here only: _face_difference
-closes the wall face, second_derivative is the _face_divergence of those
-differences, and _node_columns holds its matrix columns for _dmu_dc, the
-d mu / d c behind both exact Jacobians: _band, the time stepper's, and
-_assemble, the stationary solver's.
+The closing face lives here only: _faces pads each face array with it (0
+at an electrode wall, the wrap on a periodic grid), and second_derivative,
+mu, the energy and F all difference those arrays. _node_columns holds the
+Laplacian's matrix columns for _dmu_dc, the d mu / d c behind both exact
+Jacobians: _band, the time stepper's, and _assemble, the stationary solver's.
 
 Stationary states have spatially constant chemical potentials. With the
 potential slaved to the charge through Poisson and the total masses
@@ -85,38 +85,28 @@ def gradient(arr: np.ndarray, grid: Grid) -> np.ndarray:
     return np.gradient(arr, grid.dx, edge_order=2)
 
 
-def _face_difference(arr: np.ndarray, grid: Grid) -> np.ndarray:
-    """arr[f + 1] - arr[f] across each face f, along the first (node) axis.
+def _faces(arr: np.ndarray, grid: Grid, op=np.subtract) -> np.ndarray:
+    """op(arr[f + 1], arr[f]) at each face f along the first (node) axis,
+    padded to n + 1 rows, row f + 1 for face f.
 
-    Face n - 1 joins the last node to the first: on periodic grids it wraps,
-    on electrode grids it is the closed wall and its difference is 0.
+    Rows 0 and n both hold the closing face n - 1, from the last node to the
+    first: op(arr[0], arr[-1]) on a periodic grid, 0 at an electrode wall.
+    The outflow of the cells, of widths w, is then (q[1:] - q[:-1]) / w.
     """
-    d = np.empty(arr.shape)
-    np.subtract(arr[1:], arr[:-1], out=d[:-1])
+    q = np.empty((arr.shape[0] + 1,) + arr.shape[1:])
+    op(arr[1:], arr[:-1], out=q[1:-1])
     if grid.periodic:
-        np.subtract(arr[:1], arr[-1:], out=d[-1:])
+        op(arr[:1], arr[-1:], out=q[-1:])
     else:
-        d[-1] = 0.0
-    return d
-
-
-def _face_divergence(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(q[j] - q[j - 1]) / w[j] along the first axis, q[-1] on node 0's left.
-
-    The net outflow of node j's cell, of width w[j], for face values q laid
-    out as _face_difference's; a closed wall face carries q = 0.
-    """
-    out = np.empty(q.shape)
-    np.subtract(q[1:], q[:-1], out=out[1:])
-    np.subtract(q[:1], q[-1:], out=out[:1])
-    out /= w
-    return out
+        q[-1] = 0.0
+    q[0] = q[-1]
+    return q
 
 
 def second_derivative(arr: np.ndarray, grid: Grid) -> np.ndarray:
     """Three-point second derivative along the last axis.
 
-    The _face_divergence of _face_difference / dx over the quadrature cells.
+    The divergence of the _faces differences / dx over the quadrature cells.
     At an electrode wall the closed face makes it 2 (a1 - a0) / dx^2, an even
     reflection (ghost = a1): the discrete form of a homogeneous Neumann
     condition a_x = 0 and the variational closure of the face-difference
@@ -124,7 +114,8 @@ def second_derivative(arr: np.ndarray, grid: Grid) -> np.ndarray:
     of a 1-D call, bit for bit.
     """
     w = grid.weights if arr.ndim == 1 else grid.weights[:, None]
-    return _face_divergence(_face_difference(arr.T, grid) / grid.dx, w).T
+    d = _faces(arr.T, grid) / grid.dx
+    return ((d[1:] - d[:-1]) / w).T
 
 
 @lru_cache(maxsize=16)
@@ -167,22 +158,27 @@ def solve_poisson_dirichlet(
     return phi
 
 
+@lru_cache(maxsize=16)
+def _periodic_symbol(n: int, dx: float) -> np.ndarray:
+    """-(three-point Laplacian) on the rfft modes, 1 at the gauge's mode 0."""
+    modes = np.arange(n // 2 + 1)
+    sym = (2.0 - 2.0 * np.cos(2.0 * np.pi * modes / n)) / dx**2
+    sym[0] = 1.0
+    sym.setflags(write=False)
+    return sym
+
+
 def solve_poisson_periodic(rhs: np.ndarray, grid: Grid) -> np.ndarray:
     """Solve phi_xx = -rhs on a periodic grid, zero-mean gauge.
 
     Uses the FFT diagonalization of the three-point Laplacian, so the answer
-    is exact for the same discrete operator used elsewhere. The mean of rhs
-    must vanish (net charge on a periodic cell); it is projected out to
+    is exact for the same discrete operator used elsewhere; its symbol is
+    built once per grid size and spacing (_periodic_symbol). The mean of
+    rhs must vanish (net charge on a periodic cell); it is projected out to
     roundoff before solving.
     """
     n = grid.n
-    dx2 = grid.dx**2
-    f = rhs - rhs.mean()
-    fh = np.fft.rfft(f)
-    modes = np.arange(fh.size)
-    sym = (2.0 - 2.0 * np.cos(2.0 * np.pi * modes / n)) / dx2
-    sym[0] = 1.0  # zero mode handled by the gauge
-    ph = fh / sym
+    ph = np.fft.rfft(rhs - rhs.mean()) / _periodic_symbol(n, grid.dx)
     ph[0] = 0.0
     return np.fft.irfft(ph, n=n)
 
@@ -326,8 +322,8 @@ def _mu_and_energy(
 
     The one writer of the chemical potential and of the discrete energy
     (see chemical_potential and discrete_energy): log c, G c and the face
-    differences dc are computed once and shared. The Laplacian in mu is
-    _face_divergence of dc / dx, the Neumann closure of
+    differences dc (_faces) are computed once and shared. The Laplacian
+    in mu is the divergence of dc / dx, the Neumann closure of
     second_derivative. The bulk density is h = sum_i c_i (log(c_i /
     cbar_i) - 1 + (G c)_i / 2), with h_i = 0 at c_i = 0 (0 log 0 -> 0);
     a negative concentration, which leaves it NaN, raises ParameterError.
@@ -335,10 +331,10 @@ def _mu_and_energy(
     w, _, _ = _node_columns(grid)
     log_c = np.log(c)
     gc = np.dot(c, p.G)  # (G c)_i at every node; G is symmetric
-    dc = _face_difference(c, grid)
+    dc = _faces(c, grid)
     mu = log_c + gc
     mu += np.dot(phi[:, None], p.z[None])  # z_i phi_j, one outer product
-    mu -= (p.sigma / grid.dx) * _face_divergence(dc, w)
+    mu -= (p.sigma / grid.dx) * ((dc[1:] - dc[:-1]) / w)
 
     gc *= 0.5
     gc += log_c
@@ -352,7 +348,7 @@ def _mu_and_energy(
             raise ParameterError("concentrations must be nonnegative")
         dens[c == 0] = 0.0
         bulk = float(np.vdot(w, dens))
-    dphi = _face_difference(phi, grid)
+    dc, dphi = dc[1:], _faces(phi, grid)[1:]  # the closing face once
     energy = (
         bulk
         + float(grid.weights @ (rho * phi))
@@ -383,25 +379,21 @@ def _flux_divergence(
     c: np.ndarray, mu: np.ndarray, grid: Grid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(F, c_face, dmu): F interleaved like u, the face data as (n, 2)
-    arrays, nodes first.
+    arrays, nodes first, face f at row f.
 
     Face f joins nodes f and f + 1 (mod n); on electrode grids face n - 1
     is the closed wall and carries nothing. Its flux is c_face dmu / dx,
-    with c_face = (c_f + c_f+1) / 2, dmu = mu_f+1 - mu_f
-    (_face_difference), and F_j = (flux_j - flux_j-1) / w_j
-    (_face_divergence). Nodes first is u's interleaved order, in which a
-    shift by whole nodes is a contiguous slice.
+    with c_face = (c_f + c_f+1) / 2 and dmu = mu_f+1 - mu_f from _faces,
+    and F_j = (flux_j - flux_j-1) / w_j. Nodes first is u's interleaved
+    order, in which a shift by whole nodes is a contiguous slice.
     """
-    c_face = np.empty(c.shape)
-    np.add(c[1:], c[:-1], out=c_face[:-1])
-    np.add(c[:1], c[-1:], out=c_face[-1:])
+    c_face = _faces(c, grid, np.add)
     c_face *= 0.5
-    if not grid.periodic:
-        c_face[-1] = 0.0
-    dmu = _face_difference(mu, grid)
+    dmu = _faces(mu, grid)
     flux = c_face * dmu
     flux /= grid.dx
-    return _face_divergence(flux, _node_columns(grid)[0]).reshape(-1), c_face, dmu
+    f = (flux[1:] - flux[:-1]) / _node_columns(grid)[0]
+    return f.reshape(-1), c_face[1:], dmu[1:]
 
 
 @lru_cache(maxsize=16)
@@ -411,8 +403,8 @@ def _node_columns(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w is the quadrature weight, shape (n, 2); iw[2 + e] = 1 / w_{k+e} for
     the band rows at nodes k + e, e = -2 ... 2, shape (5, n, 2). lap holds
     L[k - 1, k] and L[k + 1, k] of second_derivative's matrix L, times
-    dx^2, shape (2, n, 2): 1 inside, 2 next to a wall (the mirror counts
-    the neighbour twice), 0 beyond a wall, 1 everywhere on periodic grids.
+    dx^2, shape (2, n, 2): 1 inside, 2 next to a wall (the _faces closure
+    counts the neighbour twice), 0 beyond a wall, 1 on periodic grids.
     Repeating them for both species keeps every product full size: numpy's
     inner loop would otherwise run over the two species only. Per grid,
     read-only.

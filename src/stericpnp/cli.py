@@ -151,10 +151,12 @@ def _load_config(path: str, overrides: list[str]) -> configparser.ConfigParser:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override {item!r} is not section.key=value")
         target, value = item.split("=", 1)
-        section, key = target.split(".", 1)
+        section, key = (part.strip() for part in target.split(".", 1))
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown config section [{section}]")
         if not cfg.has_section(section):
             cfg.add_section(section)
-        cfg.set(section.strip(), key.strip().lower(), value.strip())
+        cfg.set(section, key.lower(), value.strip())
     for section in cfg.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")

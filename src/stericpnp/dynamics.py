@@ -47,14 +47,14 @@ and quadrature weights once per grid, the per-node columns that F and
 the band need (w, the 1/w of the band rows and the Laplacian's wall
 columns, each repeated for both species) once per grid
 (_fd._node_columns), the Dirichlet Poisson factor once per interior size
-(_fd.solve_poisson_dirichlet), the periodic band's folded layout once
-per size (_folded_layout), the parameter arrays z, cbar and G once per
-ModelParams, and the band and its LU factors once per refresh
-(_fd._band, _factor_step). Finiteness is checked once per band, where
-_fd._band returns J; the factorisation writes -dt J
-straight into LAPACK's band storage and calls dgbtrf with no check or
-copy of its own, and each attempt solves on those factors with one
-dgbtrs call (_solve_factored).
+(_fd.solve_poisson_dirichlet), the periodic Poisson symbol and band
+layout once per size (_fd._periodic_symbol, _folded_layout), the
+parameter arrays z, cbar and G once per ModelParams, and the band and
+its LU factors once per refresh (_fd._band, _factor_step). Finiteness is
+checked once per band, where _fd._band returns J; the factorisation
+writes -dt J straight into LAPACK's band storage and calls dgbtrf with
+no check or copy of its own, and each attempt solves on those factors
+with one dgbtrs call (_solve_factored).
 
 At the sizes evolve runs (tens to hundreds of nodes) a step costs mostly
 numpy's overhead per call, not arithmetic, so each state is evaluated
@@ -63,18 +63,19 @@ whole nodes is a contiguous slice. Each attempt makes, in order: one
 dgbtrs solve through the module attribute solve_banded (periodic runs
 fold their circular band into an ordinary one), the positivity and
 finiteness test, one Poisson solve on the candidate's charge density
-(_fd._potential), and one _fd._mu_and_energy call, which takes log c, G c
-and the face differences of c once and returns mu and the discrete
-energy together. The energy test then accepts or rejects the attempt. An
-accepted step evaluates F once, by _fd._flux_divergence from that mu, and
-that F, with its face data c_face and dmu, is both the steady test's
-max |c_t| and the next step's right-hand side and band input; a rejected
-attempt evaluates no F. The energy is read without a sign check (a
-negative concentration leaves it NaN, and only then is the sign looked
-at). The dgbtrf factorisations, one per refresh, are called under their
-own name and counted in EvolveResult.factorizations. Both LAPACK routines
-are _deferred names: scipy.linalg is imported at the first factorisation,
-not with this module.
+(_fd._potential), and one _fd._mu_and_energy call, which takes log c,
+G c and the padded face differences of c and phi (_fd._faces) once and
+returns mu and the discrete energy together. The energy test then
+accepts or rejects the attempt. An accepted step evaluates F once, by
+_fd._flux_divergence from that mu, and that F, with its face data c_face
+and dmu, is both the steady test's max |c_t| and the next step's
+right-hand side and band input; a rejected attempt evaluates no F. The
+energy is read without a sign check (a negative concentration leaves it
+NaN, and only then is the sign looked at). The dgbtrf factorisations,
+one per refresh, are called under their own name and counted in
+EvolveResult.factorizations. Both LAPACK routines are _deferred names:
+scipy.linalg is imported at the first factorisation, not with this
+module.
 """
 
 from __future__ import annotations

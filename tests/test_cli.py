@@ -111,6 +111,21 @@ def test_set_override_recorded_and_applied(tmp_path):
     assert man["overrides"] == ["model.g12=3.2"]
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("onset .x=1", "unknown key(s) in [onset]: x"),
+        ("DEFAULT.x=1", "unknown config section [DEFAULT]"),
+    ],
+)
+def test_override_section_is_stripped_and_checked(tmp_path, capsys, override, message):
+    """A --set target's section is read stripped, and one that no command
+    takes is a config error before configparser sees it: exit 2, no traceback."""
+    cfg = _write(tmp_path, SYM_MODEL)
+    assert main(["onset", cfg, "--set", override, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_trajectory_products(tmp_path):
     body = SYM_MODEL + "\n[trajectory]\nc1_0 = 2.0\nc2_0 = 2.01\n"
     cfg = _write(tmp_path, body)

@@ -1,5 +1,5 @@
-"""The Dirichlet Poisson solve, checked against a direct banded solve, and
-the Laplacian's column stencil, checked against its apply form."""
+"""The Dirichlet and periodic Poisson solves, checked against direct solves,
+and the Laplacian's column stencil, checked against its apply form."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solveh_banded
 
-from stericpnp._fd import _node_columns, second_derivative, solve_poisson_dirichlet
+from stericpnp._fd import (
+    _node_columns,
+    _periodic_symbol,
+    second_derivative,
+    solve_poisson_dirichlet,
+    solve_poisson_periodic,
+)
 from stericpnp.model import DomainSpec, make_grid, make_periodic_grid
 
 
@@ -42,6 +48,29 @@ def test_dirichlet_poisson_matches_a_direct_banded_solve(sizes, half, seed):
         assert phi[0] == left and phi[-1] == right
         stencil = (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) / grid.dx**2
         assert np.max(np.abs(stencil + rhs[1:-1])) <= 1e-10 * np.max(np.abs(rhs))
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 101])
+def test_periodic_poisson_matches_a_dense_circulant_solve(n):
+    """phi_xx = -rhs with the circulant three-point Laplacian, in the
+    zero-mean gauge: the dense solve of L phi + lam = -rhs, sum phi = 0."""
+    grid = make_periodic_grid(1.7, n)
+    rng = np.random.default_rng(n)
+    rhs = rng.uniform(-10.0, 10.0, n)
+    rhs -= rhs.mean()
+    eye = np.eye(n)
+    bordered = np.ones((n + 1, n + 1))
+    bordered[:n, :n] = (np.roll(eye, 1, axis=0) - 2.0 * eye + np.roll(eye, -1, axis=0)) / grid.dx**2
+    bordered[n, n] = 0.0
+    expected = np.linalg.solve(bordered, np.append(-rhs, 0.0))[:n]
+    phi = solve_poisson_periodic(rhs, grid)
+    assert np.max(np.abs(phi - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert abs(phi.mean()) <= 1e-15 * np.max(np.abs(phi))
+    # the symbol is built once per size and spacing, read-only, and a
+    # second solve returns the same bytes
+    sym = _periodic_symbol(n, grid.dx)
+    assert sym is _periodic_symbol(n, grid.dx) and not sym.flags.writeable
+    assert solve_poisson_periodic(rhs, grid).tobytes() == phi.tobytes()
 
 
 @pytest.mark.parametrize("n", [8, 9, 57])
