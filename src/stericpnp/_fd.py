@@ -29,8 +29,8 @@ chemical-potential difference across the face, and wall faces carry zero
 flux. With trapezoid quadrature weights this telescopes exactly, so the
 discrete masses are conserved to roundoff by construction. Only
 _flux_divergence writes F, and only _mu_and_energy writes mu and the
-discrete energy; time_derivatives (through _rhs), chemical_potential,
-discrete_energy, the stepper and the stationary residual all call them.
+discrete energy; time_derivatives, chemical_potential, discrete_energy,
+the stepper and the stationary residual all call them.
 The closing face lives here only: _faces pads each face array with it (0
 at an electrode wall, the wrap on a periodic grid), and second_derivative,
 mu, the energy and F all difference those arrays. _node_columns holds the
@@ -265,7 +265,9 @@ def time_derivatives(
     p: ModelParams,
     grid: Grid,
 ) -> tuple[np.ndarray, np.ndarray]:
-    f = _rhs(np.column_stack((c1, c2)).ravel(), phi, p, grid)[0]
+    c = np.column_stack((c1, c2))
+    mu = _mu_and_energy(c, _charge(c, p), phi, p, grid)[0]
+    f = _flux_divergence(c, mu, grid)[0]
     return f[0::2], f[1::2]
 
 
@@ -421,19 +423,6 @@ def _node_columns(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _rhs(
-    u: np.ndarray,
-    phi: np.ndarray,
-    p: ModelParams,
-    grid: Grid,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(F, c_face, dmu): F = (c mu_x)_x at frozen phi, interleaved like u,
-    and the face data of _flux_divergence, from which _band builds J."""
-    c = u.reshape(grid.n, 2)
-    mu = _mu_and_energy(c, _charge(c, p), phi, p, grid)[0]
-    return _flux_divergence(c, mu, grid)
-
-
 def _band(
     u: np.ndarray,
     c_face: np.ndarray,
@@ -442,7 +431,7 @@ def _band(
     grid: Grid,
 ) -> np.ndarray:
     """The exact Jacobian J of F at frozen phi, interleaved, from the face
-    data (c_face, dmu) that _rhs returned for the same u.
+    data (c_face, dmu) that _flux_divergence returned for the same u.
 
     u and F interleave (c1_k, c2_k). The band holds band[4 - o, col] =
     J[col - o, col], indices mod 2n: scipy's solve_banded storage for

@@ -53,8 +53,8 @@ parameter arrays z, cbar and G once per ModelParams, and the band and
 its LU factors once per refresh (_fd._band, _factor_step). Finiteness is
 checked once per band, where _fd._band returns J; the factorisation
 writes -dt J straight into LAPACK's band storage and calls dgbtrf with
-no check or copy of its own, and each attempt solves on those factors
-with one dgbtrs call (_solve_factored).
+no check or copy of its own, and returns the solve on those factors,
+which evolve keeps with the dt they were made for.
 
 At the sizes evolve runs (tens to hundreds of nodes) a step costs mostly
 numpy's overhead per call, not arithmetic, so each state is evaluated
@@ -66,9 +66,10 @@ finiteness test, one Poisson solve on the candidate's charge density
 (_fd._potential), and one _fd._mu_and_energy call, which takes log c,
 G c and the padded face differences of c and phi (_fd._faces) once and
 returns mu and the discrete energy together. The energy test then
-accepts or rejects the attempt. An accepted step evaluates F once, by
-_fd._flux_divergence from that mu, and that F, with its face data c_face
-and dmu, is both the steady test's max |c_t| and the next step's
+accepts or rejects the attempt. Each pass of the step loop evaluates F
+once, by _fd._flux_divergence from the mu of the current state (the
+accepted step's, or the initial state's), and that F, with its face data
+c_face and dmu, is both the one steady test's max |c_t| and the step's
 right-hand side and band input; a rejected attempt evaluates no F. The
 energy is read without a sign check (a negative concentration leaves it
 NaN, and only then is the sign looked at). The dgbtrf factorisations,
@@ -83,7 +84,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -179,32 +180,26 @@ def _folded_layout(size: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return fold, unfold, dest.ravel()
 
 
-class _StepFactors(NamedTuple):
-    """LAPACK's LU factors of I - dt J in band storage, with the dt they
-    were made for."""
-
-    lu: np.ndarray
-    piv: np.ndarray
-    dt: float
-    periodic: bool
-
-
-def _factor_step(jac: np.ndarray, dt: float, periodic: bool) -> _StepFactors:
-    """Factor I - dt J in one LAPACK dgbtrf call.
+def _factor_step(jac: np.ndarray, dt: float, periodic: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor I - dt J in one LAPACK dgbtrf call; return the solve
+    f -> du of (I - dt J) du = dt f on those factors.
 
     J is in _fd._band's storage. -dt J goes straight into dgbtrf's
     column-major storage, the transpose of a (N, 3 kl + 1) array holding
     A[i, j] at [j, 2 kl + i - j]; its first kl rows are dgbtrf's workspace
     and need no zeroing. Electrode bands go in as they are (kl = 4, J's
-    half-width); periodic bands are folded (kl = 8, _folded_layout).
+    half-width); periodic bands are folded (kl = 8, _folded_layout), and
+    so are their right-hand sides, the solution unfolded. Each solve is
+    one dgbtrs call through the module attribute solve_banded.
     Raises LinAlgError when I - dt J is singular.
     """
     b = (jac.shape[0] - 1) // 2
     size = jac.shape[1]
     if periodic:
         kl = 2 * b
+        fold, unfold, dest = _folded_layout(size, b)
         store = np.zeros((size, 3 * kl + 1))
-        store.reshape(-1)[_folded_layout(size, b)[2]] = -dt * jac.ravel()
+        store.reshape(-1)[dest] = -dt * jac.ravel()
     else:
         kl = b
         store = np.empty((size, 3 * kl + 1))
@@ -215,21 +210,13 @@ def _factor_step(jac: np.ndarray, dt: float, periodic: bool) -> _StepFactors:
     lu, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgbtrf failed with info={info}")
-    return _StepFactors(lu, piv, dt, periodic)
 
+    def solve(f: np.ndarray) -> np.ndarray:
+        rhs = dt * f[fold] if periodic else dt * f
+        du, _ = solve_banded(lu, kl, kl, rhs, piv, overwrite_b=True)
+        return du[unfold] if periodic else du
 
-def _solve_factored(factors: _StepFactors, f: np.ndarray) -> np.ndarray:
-    """du from (I - dt J) du = dt f on factors of _factor_step, in one
-    LAPACK dgbtrs call; periodic right-hand sides are folded and the
-    solution unfolded."""
-    lu, piv, dt, periodic = factors
-    kl = (lu.shape[0] - 1) // 3
-    if periodic:
-        fold, unfold, _ = _folded_layout(f.size, kl // 2)
-        du, _ = solve_banded(lu, kl, kl, dt * f[fold], piv, overwrite_b=True)
-        return du[unfold]
-    du, _ = solve_banded(lu, kl, kl, dt * f, piv, overwrite_b=True)
-    return du
+    return solve
 
 
 @dataclass(eq=False)
@@ -269,7 +256,8 @@ def evolve(
     takes min(dt0, dt_max); a rejected attempt halves dt; an accepted
     step sets dt = min(1.3 * its size, dt_max).
     Stops early with verdict "Steady" when max |c_t| drops below
-    steady_tol. observer, if given, is evaluated as observer(t, c1, c2,
+    steady_tol; that test comes before the horizon's, so a state that
+    reaches it at t_end is Steady, not "Running". observer, if given, is evaluated as observer(t, c1, c2,
     phi) after every accepted step and collected in the result. t_end,
     dt0, dt_max and steady_tol must be finite and positive
     (ParameterError otherwise).
@@ -301,23 +289,28 @@ def evolve(
     energies = [e_cur]
     masses = [w @ c]
     obs_hist = [observer(0.0, c1, c2, phi)] if observer else None
+    dt_solve = 0.0  # the dt of solve's factors; 0 until the first refresh
 
-    f, c_face, dmu = _flux_divergence(c, mu, grid)
-    factors = None  # of I - dt J at the last refresh, kept while dt holds
-    dcdt_norm = float(np.abs(f).max())
-    verdict, reason = "Running", "reached time horizon"
+    while True:
+        # F of the current state, from the mu its energy test computed
+        f, c_face, dmu = _flux_divergence(c, mu, grid)
+        dcdt_norm = float(np.abs(f).max())
+        if dcdt_norm < steady_tol:
+            verdict, reason = "Steady", "initial state already stationary"
+            if steps:
+                reason = f"max |c_t| fell below {steady_tol:g}"
+            break
+        if t >= t_end:
+            verdict, reason = "Running", "reached time horizon"
+            break
 
-    if dcdt_norm < steady_tol:
-        verdict, reason = "Steady", "initial state already stationary"
-        t_end = 0.0
-
-    while t < t_end:
         dt_try = min(dt, t_end - t)
         for _ in range(_MAX_HALVINGS + 1):
-            if factors is None or dt_try != factors.dt:
-                factors = _factor_step(_band(u, c_face, dmu, p, grid), dt_try, grid.periodic)
+            if dt_try != dt_solve:
+                solve = _factor_step(_band(u, c_face, dmu, p, grid), dt_try, grid.periodic)
+                dt_solve = dt_try
                 factorizations += 1
-            u_new = u + _solve_factored(factors, f)
+            u_new = u + solve(f)
             # a NaN makes the minimum NaN, so the two bounds admit only
             # finite states above the floor
             ok = u_new.min() > _POSITIVITY_FLOOR and u_new.max() < np.inf
@@ -339,21 +332,12 @@ def evolve(
         steps += 1
         u, c, phi, e_cur = u_new, c_new, phi_new, e_new
         c1, c2 = c.T
-        # F of the accepted state, from the mu its energy test computed
-        f, c_face, dmu = _flux_divergence(c, mu, grid)
-        dcdt_norm = float(np.abs(f).max())
-
         times.append(t)
         energies.append(e_cur)
         masses.append(w @ c)
         if observer:
             obs_hist.append(observer(t, c1, c2, phi))
-
         dt = min(1.3 * dt_try, dt_max)
-
-        if dcdt_norm < steady_tol:
-            verdict, reason = "Steady", f"max |c_t| fell below {steady_tol:g}"
-            break
 
     mass1, mass2 = np.array(masses).T
     prof = Profile(grid=grid, c1=c1.copy(), c2=c2.copy(), phi=phi.copy())

@@ -59,7 +59,7 @@ def free_energy_density(c1: _ArrayLike, c2: _ArrayLike, p: ModelParams) -> _Arra
     """
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
-    if np.any(c1 < 0) or np.any(c2 < 0):
+    if not (np.all(c1 >= 0) and np.all(c2 >= 0)):  # NaN fails
         raise ParameterError("free energy density needs nonnegative concentrations")
     ent = _entropy(c1, p.cbar1) - c1 + _entropy(c2, p.cbar2) - c2
     steric = 0.5 * (p.g11 * c1 * c1 + 2.0 * p.g12 * c1 * c2 + p.g22 * c2 * c2)
@@ -69,7 +69,7 @@ def free_energy_density(c1: _ArrayLike, c2: _ArrayLike, p: ModelParams) -> _Arra
 
 def hessian(c1: float, c2: float, p: ModelParams) -> np.ndarray:
     """Hessian of h at a strictly positive point."""
-    if c1 <= 0 or c2 <= 0:
+    if not (c1 > 0 and c2 > 0):  # NaN fails
         raise ParameterError("Hessian needs strictly positive concentrations")
     return np.array(
         [[1.0 / c1 + p.g11, p.g12], [p.g12, 1.0 / c2 + p.g22]]
@@ -85,7 +85,7 @@ def hessian_det(c1: _ArrayLike, c2: _ArrayLike, p: ModelParams) -> _ArrayLike:
     """
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
-    if np.any(c1 <= 0) or np.any(c2 <= 0):
+    if not (np.all(c1 > 0) and np.all(c2 > 0)):  # NaN fails
         raise ParameterError("D(c) needs strictly positive concentrations")
     det_g = p.g11 * p.g22 - p.g12**2
     out = 1.0 / (c1 * c2) + p.g22 / c1 + p.g11 / c2 + det_g

@@ -437,11 +437,15 @@ def integrate_field_ivp(
     is not). A concentration falling to 1e-12 ends the run with status
     "positivity"; the flow is NaN where one is <= 0, so RK45 rejects
     that stage. With stop_at_neutral the run also stops where
-    z . (c - cbar) changes sign, which is where |E| peaks.
+    z . (c - cbar) changes sign, which is where |E| peaks. c0 must be
+    finite and positive, and E0 and x_span finite (ParameterError
+    otherwise): a non-finite span never ends RK45's run.
     """
     c1_0, c2_0 = c0
-    if c1_0 <= 0 or c2_0 <= 0:
-        raise ParameterError("initial concentrations must be positive")
+    if not (0 < c1_0 < np.inf and 0 < c2_0 < np.inf):  # NaN fails
+        raise ParameterError("initial concentrations must be finite and positive")
+    if not np.isfinite((E0, *x_span)).all():
+        raise ParameterError("E0 and the ends of x_span must be finite")
     phi0 = float(phi_of_c(c1_0, c2_0, p))
 
     def rhs(x, y):

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from stericpnp.cli import _SCHEMA, _write_json, main
+from stericpnp.continuation import load_branchset, stationary_residual
+from stericpnp.dynamics import electrode_bc
+from stericpnp.model import make_params
 
 SYM_MODEL = """\
 [model]
@@ -298,6 +301,28 @@ def test_continue_products(tmp_path):
     assert man["outputs"] == ["branches/branches.json", "continue.json"]
 
 
+def test_continue_in_voltage_traces_stationary_states_between_biased_walls(tmp_path):
+    # P_FIG10 on the census domain's half-length; the map is known to miss
+    # the stable sheet above the fold, so no branch count or flag is pinned
+    model = (SYM_MODEL.replace("g11 = 2.0", "g11 = 3.6").replace("g22 = 2.0", "g22 = 0.4")
+             .replace("g12 = 3.5", "g12 = 2.65") + "sigma = 0.003\n")
+    body = model + (
+        "\n[domain]\nl = 0.7563\n[grid]\nn = 48\n[continue]\nparam = voltage\nlo = 0\n"
+        "hi = 0.2\nmax_points = 20\nprobe_stride = 5\nprobe_t_end = 20\n"
+    )
+    out = tmp_path / "o"
+    assert main(["continue", _write(tmp_path, body), "--out", str(out)]) == 0
+    bs, grid = load_branchset(out / "branches")
+    assert bs.param_name == "voltage"
+    points = [pt for branch in bs.branches for pt in branch.points]
+    assert points
+    p = make_params(1, -1, 3.6, 0.4, 2.65, 1.0, 1.0, sigma=0.003)
+    for pt in points:
+        V = pt.param
+        bc = electrode_bc(-V, V)
+        assert np.max(np.abs(stationary_residual(pt.state, p, grid, bc))) < 1e-8
+
+
 @pytest.mark.parametrize(
     "command, key",
     [
@@ -414,6 +439,28 @@ def test_ivp_stops_at_its_guards(tmp_path, model, launch, status, x_end):
     assert info["status"] == status
     assert info["blow_up"] is (status == "degenerate")
     assert info["x_end"] == pytest.approx(x_end, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        # RK45 never reaches a non-finite end of its span, so these ran on
+        ("ivp", "ivp.x_max=nan"),
+        ("ivp", "ivp.x_max=inf"),
+        # SciPy's ValueError on a non-finite y0 was a traceback and exit 1
+        ("ivp", "ivp.e0=nan"),
+        ("ivp", "ivp.c1_0=inf"),
+        # NaN passed the sign checks, and energy.json held nulls
+        ("energy", "energy.c1=nan"),
+    ],
+)
+def test_non_finite_launch_data_is_a_parameter_error(tmp_path, capsys, command, override):
+    cfg = _write(tmp_path, SYM_MODEL + "\n[ivp]\nc1_0 = 1.3\nc2_0 = 1.3\n")
+    assert main([command, cfg, "--set", override, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "parameter error" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_log_spaced_dispersion_products(tmp_path):

@@ -475,7 +475,9 @@ def test_evolve_band_is_the_flux_operator_on_the_assembled_mu_block(sigma_term, 
     conc = np.arange(3 * n).reshape(n, 3)[:, :2].ravel()
     M = _dense_jacobian(ab, C, D)[np.ix_(conc, conc)]
 
-    _, c_face, dmu = _fd._rhs(u[conc], u[2 : 3 * n : 3], p, grid)
+    c = u[conc].reshape(n, 2)
+    mu = _fd.chemical_potential(*c.T, u[2 : 3 * n : 3], p, grid).T
+    _, c_face, dmu = _fd._flux_divergence(c, mu, grid)
     band = _fd._band(u[conc], c_face, 0.0 * dmu, p, grid)
     size = 2 * n
     J = sum(np.diag(band[4 - o, max(o, 0) : size + min(o, 0)], o) for o in range(-4, 5))

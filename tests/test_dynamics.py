@@ -14,12 +14,11 @@ from scipy.integrate import trapezoid
 
 import stericpnp
 from stericpnp import dynamics
-from stericpnp._fd import _band, _rhs
+from stericpnp._fd import _band, _flux_divergence
 from stericpnp.dynamics import (
     _ENERGY_TOL,
     _MAX_HALVINGS,
     _factor_step,
-    _solve_factored,
     chemical_potential,
     discrete_energy,
     electrode_bc,
@@ -52,6 +51,9 @@ def test_homogeneous_state_is_a_fixed_point():
     assert res.t == 0.0
     assert res.steps == 0
     assert res.reason == "initial state already stationary"
+    # a steady start factors nothing and records only the start
+    assert res.factorizations == 0
+    assert len(res.times) == len(res.energy) == len(res.mass1) == len(res.mass2) == 1
 
 
 def test_discrete_energy_closed_form_on_homogeneous_state():
@@ -135,6 +137,8 @@ def test_supercritical_sigma_relaxes_back():
     p, g, prof = _perturbed_periodic(P_SYM, 0.06)
     res = evolve(p, prof, periodic_bc(), t_end=400.0, steady_tol=1e-9)
     assert res.verdict == "Steady"
+    assert res.reason == "max |c_t| fell below 1e-09"
+    assert 0 < res.t < 400.0
     assert np.max(np.abs(res.profile.c1 - 1.0)) < 1e-5
     assert res.dcdt_norm < 1e-9
 
@@ -148,6 +152,21 @@ def test_running_verdict_at_short_horizon():
     assert res.times[0] == 0.0
     assert res.times[-1] == pytest.approx(res.t)
     assert len(res.times) == len(res.energy) == len(res.mass1)
+
+
+def test_steady_test_takes_precedence_over_the_horizon():
+    """A state that meets steady_tol exactly at t_end is Steady, not Running."""
+    p, g, prof = _perturbed_periodic(P_SYM, 0.06)
+    dt0 = 1e-3
+    first = evolve(p, prof, periodic_bc(), t_end=dt0, dt0=dt0)
+    assert (first.verdict, first.steps, first.rejects) == ("Running", 1, 0)
+    tol = float(np.nextafter(first.dcdt_norm, np.inf))
+    res = evolve(p, prof, periodic_bc(), t_end=dt0, dt0=dt0, steady_tol=tol)
+    assert res.verdict == "Steady"
+    assert res.reason == f"max |c_t| fell below {tol:g}"
+    assert res.steps == 1
+    assert res.t == dt0
+    assert res.dcdt_norm == first.dcdt_norm
 
 
 def test_electrode_walls_with_bias_still_dissipate():
@@ -294,7 +313,8 @@ def _interleaved(a, b):
 
 def _f_and_band(u, phi, p, grid):
     """F and the band J of the state u, as evolve builds them at a refresh."""
-    f, c_face, dmu = _rhs(u, phi, p, grid)
+    c = u.reshape(grid.n, 2)
+    f, c_face, dmu = _flux_divergence(c, chemical_potential(*c.T, phi, p, grid).T, grid)
     return f, _band(u, c_face, dmu, p, grid)
 
 
@@ -629,7 +649,7 @@ def test_step_solve_matches_a_dense_solve(kind, sigma_term, data):
     phi = solve_potential(c1, c2, p, grid, bc)
     f, band = _f_and_band(_interleaved(c1, c2), phi, p, grid)
     system = np.eye(f.size) - dt * _dense_from_band(band, grid.periodic)
-    du = _solve_factored(_factor_step(band, dt, grid.periodic), f)
+    du = _factor_step(band, dt, grid.periodic)(f)
     scale = np.max(np.abs(system).sum(axis=1)) * np.max(np.abs(du)) + dt * np.max(np.abs(f))
     assert np.max(np.abs(system @ du - dt * f)) <= 1e-14 * scale
     expected = np.linalg.solve(system, dt * f)

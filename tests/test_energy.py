@@ -70,6 +70,24 @@ def test_hessian_det_broadcasts():
     assert d[0] == pytest.approx(hessian_det(c[0], c[-1], P_SYM))
 
 
+@pytest.mark.parametrize("point", [(np.nan, 1.0), (1.0, np.nan)], ids=["c1", "c2"])
+def test_hessian_rejects_nan_concentrations(point):
+    with pytest.raises(ParameterError, match="strictly positive"):
+        hessian(*point, P_SYM)
+
+
+@pytest.mark.parametrize("point", [(np.nan, 1.0), (1.0, [0.5, np.nan])], ids=["c1", "c2"])
+def test_hessian_det_rejects_nan_concentrations(point):
+    with pytest.raises(ParameterError, match="strictly positive"):
+        hessian_det(*point, P_SYM)
+
+
+@pytest.mark.parametrize("point", [(np.nan, 1.0), (1.0, [0.5, np.nan])], ids=["c1", "c2"])
+def test_free_energy_density_rejects_nan_concentrations(point):
+    with pytest.raises(ParameterError, match="nonnegative"):
+        free_energy_density(*point, P_SYM)
+
+
 def test_convexity_class_symmetric():
     cc = convexity_class(P_SYM)
     assert not cc.is_convex

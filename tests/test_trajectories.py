@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from stericpnp import trajectories
 from stericpnp.energy import hessian_det
 from stericpnp.errors import NumericsError, ParameterError
 from stericpnp.model import ModelParams, make_params
@@ -518,6 +519,30 @@ def test_field_ivp_answers_only_inside_its_span():
     for x in (-1.2, f.x_end + 0.5):
         with pytest.raises(ParameterError, match="outside the computed span"):
             f.at(x)
+
+
+@pytest.mark.parametrize(
+    "c0, E0, x_span",
+    [
+        ((np.nan, 1.3), 0.0, (0.0, 5.0)),
+        ((1.3, np.inf), 0.0, (0.0, 5.0)),
+        ((1.3, 1.3), np.nan, (0.0, 5.0)),
+        ((1.3, 1.3), -np.inf, (0.0, 5.0)),
+        ((1.3, 1.3), 0.0, (0.0, np.nan)),
+        ((1.3, 1.3), 0.0, (0.0, np.inf)),
+        ((1.3, 1.3), 0.0, (-np.inf, 5.0)),
+    ],
+    ids=["nan_c1", "inf_c2", "nan_E0", "inf_E0", "nan_end", "inf_end", "inf_start"],
+)
+def test_field_ivp_rejects_non_finite_launch_data(monkeypatch, c0, E0, x_span):
+    # a non-finite span never ends RK45's run, and SciPy itself rejects a
+    # non-finite y0 with a ValueError: both are caught before solve_ivp
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve_ivp was called")
+
+    monkeypatch.setattr(trajectories, "solve_ivp", unreachable)
+    with pytest.raises(ParameterError, match="finite"):
+        integrate_field_ivp(P_SYM, c0, E0=E0, x_span=x_span)
 
 
 def test_field_ivp_stops_at_every_guard_of_a_seeded_batch():
