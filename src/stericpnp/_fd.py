@@ -27,10 +27,14 @@ Space is discretized with finite volumes: the flux through each interior
 face uses the arithmetic mean of the neighboring concentrations times the
 chemical-potential difference across the face, and wall faces carry zero
 flux. With trapezoid quadrature weights this telescopes exactly, so the
-discrete masses are conserved to roundoff by construction. Only
-_flux_divergence writes F, and only _mu_and_energy writes mu and the
-discrete energy; time_derivatives, chemical_potential, discrete_energy,
-the stepper and the stationary residual all call them.
+discrete masses are conserved to roundoff by construction. _Kernel, the
+model at one (p, grid, bc), is the one writer of each quantity: charge
+and potential write rho and phi (potential runs the Dirichlet solve of
+solve_poisson_dirichlet or the periodic one of solve_poisson_periodic),
+mu_and_energy writes mu and the discrete energy, and flux_divergence
+writes F with the face data that _band reads. solve_potential,
+time_derivatives, chemical_potential, discrete_energy and the stationary
+residual each build a kernel per call, and the time stepper one per run.
 The closing face lives here only: _faces pads each face array with it (0
 at an electrode wall, the wrap on a periodic grid), and second_derivative,
 mu, the energy and F all difference those arrays. _node_columns holds the
@@ -51,10 +55,10 @@ wall-to-wall grid is (_pack, _unpack)
 
 with Dirichlet rows phi_0 - phi_left and phi_{n-1} - phi_right replacing
 the wall Poisson rows, plus two mass rows sum_j w_j c_{i,j} - 2 L cbar_i.
-Its mu rows are _mu_and_energy's mu, so converged states are exact fixed
-points of the time stepper. _assemble writes the residual and its
-Jacobian: banded (l = u = 3 in the node-interleaved ordering), bordered
-by dense columns for the multipliers and dense mass rows.
+Its mu rows are _Kernel.mu_and_energy's mu, so converged states are
+exact fixed points of the time stepper. _assemble writes the residual
+and its Jacobian: banded (l = u = 3 in the node-interleaved ordering),
+bordered by dense columns for the multipliers and dense mass rows.
 _dresidual_dparam is the residual's derivative in the continuation
 parameter.
 """
@@ -85,21 +89,23 @@ def gradient(arr: np.ndarray, grid: Grid) -> np.ndarray:
     return np.gradient(arr, grid.dx, edge_order=2)
 
 
-def _faces(arr: np.ndarray, grid: Grid, op=np.subtract) -> np.ndarray:
+def _faces(
+    arr: np.ndarray, grid: Grid, op=np.subtract, out: np.ndarray | None = None
+) -> np.ndarray:
     """op(arr[f + 1], arr[f]) at each face f along the first (node) axis,
     padded to n + 1 rows, row f + 1 for face f.
 
     Rows 0 and n both hold the closing face n - 1, from the last node to the
     first: op(arr[0], arr[-1]) on a periodic grid, 0 at an electrode wall.
     The outflow of the cells, of widths w, is then (q[1:] - q[:-1]) / w.
+    out, if given, receives the faces; on an electrode grid its rows 0 and
+    n must already hold 0 (a _Kernel buffer, zeroed once when made).
     """
-    q = np.empty((arr.shape[0] + 1,) + arr.shape[1:])
+    q = np.zeros((arr.shape[0] + 1,) + arr.shape[1:]) if out is None else out
     op(arr[1:], arr[:-1], out=q[1:-1])
     if grid.periodic:
         op(arr[:1], arr[-1:], out=q[-1:])
-    else:
-        q[-1] = 0.0
-    q[0] = q[-1]
+        q[0] = q[-1]
     return q
 
 
@@ -121,6 +127,8 @@ def second_derivative(arr: np.ndarray, grid: Grid) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _dirichlet_factor(m: int) -> tuple[np.ndarray, np.ndarray]:
     """LDL^T factor (d, e) of the m x m interior matrix tridiag(-1, 2, -1)."""
+    if m <= 0:
+        raise ValueError("grid too small for a Poisson solve")
     d, e, info = dpttrf(np.full(m, 2.0), np.full(m - 1, -1.0))
     if info != 0:
         raise np.linalg.LinAlgError(f"dpttrf failed with info={info}")
@@ -141,20 +149,28 @@ def solve_poisson_dirichlet(
     solveh_banded's ptsv, bit for bit. rhs is not checked for finiteness:
     a non-finite rhs gives a non-finite phi.
     """
-    n = grid.n
-    m = n - 2
-    if m <= 0:
-        raise ValueError("grid too small for a Poisson solve")
-    # -phi_{j-1} + 2 phi_j - phi_{j+1} = dx^2 rhs_j, interior rows only
-    b = grid.dx**2 * rhs[1:-1]
-    b[0] += left
-    b[-1] += right
-    d, e = _dirichlet_factor(m)
-    phi = np.empty(n)
+    return _solve_dirichlet(rhs, grid.dx**2, _dirichlet_factor(grid.n - 2), left, right)
+
+
+def _solve_dirichlet(
+    rhs: np.ndarray,
+    dx2: float,
+    factor: tuple[np.ndarray, np.ndarray],
+    left: float,
+    right: float,
+) -> np.ndarray:
+    """The Dirichlet solve, in place: the interior of the fresh phi takes
+    the right-hand side, and pttrs overwrites it with the solution."""
+    phi = np.empty(rhs.size)
     phi[0] = left
     phi[-1] = right
-    # pttrs reports only illegal arguments, which the shapes here rule out
-    phi[1:-1] = dpttrs(d, e, b, overwrite_b=True)[0]
+    # -phi_{j-1} + 2 phi_j - phi_{j+1} = dx^2 rhs_j, interior rows only
+    b = np.multiply(rhs[1:-1], dx2, out=phi[1:-1])
+    b[0] += left
+    b[-1] += right
+    # b is a contiguous float64 view, so pttrs solves in it; it reports only
+    # illegal arguments, which the shapes here rule out
+    dpttrs(*factor, b, overwrite_b=True)
     return phi
 
 
@@ -177,10 +193,13 @@ def solve_poisson_periodic(rhs: np.ndarray, grid: Grid) -> np.ndarray:
     rhs must vanish (net charge on a periodic cell); it is projected out to
     roundoff before solving.
     """
-    n = grid.n
-    ph = np.fft.rfft(rhs - rhs.mean()) / _periodic_symbol(n, grid.dx)
+    return _solve_periodic(rhs, _periodic_symbol(grid.n, grid.dx))
+
+
+def _solve_periodic(rhs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    ph = np.fft.rfft(rhs - rhs.mean()) / symbol
     ph[0] = 0.0
-    return np.fft.irfft(ph, n=n)
+    return np.fft.irfft(ph, n=rhs.size)
 
 
 def trapz(arr: np.ndarray, grid: Grid) -> float:
@@ -228,14 +247,8 @@ def solve_potential(
     bc: BoundaryConditions,
 ) -> np.ndarray:
     """Potential from the Poisson equation phi_xx = -(z . c + rho0)."""
-    return _potential(_charge(np.column_stack((c1, c2)), p), grid, bc)
-
-
-def _potential(rho: np.ndarray, grid: Grid, bc: BoundaryConditions) -> np.ndarray:
-    """phi from phi_xx = -rho; rho is not modified (evolve reuses it)."""
-    if bc.kind == "periodic":
-        return solve_poisson_periodic(rho, grid)
-    return solve_poisson_dirichlet(rho, grid, bc.phi_left, bc.phi_right)
+    kernel = _Kernel(p, grid, bc)
+    return kernel.potential(kernel.charge(np.column_stack((c1, c2))))
 
 
 def chemical_potential(
@@ -247,15 +260,15 @@ def chemical_potential(
 ) -> np.ndarray:
     """mu_i = log c_i + (G c)_i + z_i phi - sigma c_i,xx, as one (2, n) stack.
 
-    The rows of _mu_and_energy's mu, the only place mu is written: the time
-    stepper and the stationary solver both take it from there (mu1, mu2 =
-    chemical_potential(...) unpacks the rows). With the Neumann wall
-    closure of second_derivative, mu_i - log cbar_i is exactly (1/w_j)
+    The rows of _Kernel.mu_and_energy's mu, the only place mu is written:
+    the time stepper and the stationary solver both take it from there
+    (mu1, mu2 = chemical_potential(...) unpacks the rows). With the Neumann
+    wall closure of second_derivative, mu_i - log cbar_i is exactly (1/w_j)
     dE/dc_ij of discrete_energy; the constant log cbar_i is absorbed by
     the mass multipliers and reaches no flux or Hessian.
     """
-    c = np.column_stack((c1, c2))
-    return _mu_and_energy(c, _charge(c, p), phi, p, grid)[0].T
+    kernel, c = _Kernel(p, grid), np.column_stack((c1, c2))
+    return kernel.mu_and_energy(c, kernel.charge(c), phi)[0].T
 
 
 def time_derivatives(
@@ -265,9 +278,8 @@ def time_derivatives(
     p: ModelParams,
     grid: Grid,
 ) -> tuple[np.ndarray, np.ndarray]:
-    c = np.column_stack((c1, c2))
-    mu = _mu_and_energy(c, _charge(c, p), phi, p, grid)[0]
-    f = _flux_divergence(c, mu, grid)[0]
+    kernel, c = _Kernel(p, grid), np.column_stack((c1, c2))
+    f = kernel.flux_divergence(c, kernel.mu_and_energy(c, kernel.charge(c), phi)[0])
     return f[0::2], f[1::2]
 
 
@@ -297,66 +309,150 @@ def discrete_energy(
     For periodic runs the boundary term vanishes and it coincides with
     the free energy up to quadrature error.
 
-    The energy of _mu_and_energy, which writes it. Exact zeros are taken
-    with the limit c log c -> 0; a negative concentration raises
+    The energy of _Kernel.mu_and_energy, which writes it. Exact zeros are
+    taken with the limit c log c -> 0; a negative concentration raises
     ParameterError.
     """
-    c = np.column_stack((c1, c2))
+    kernel, c = _Kernel(p, grid), np.column_stack((c1, c2))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _mu_and_energy(c, _charge(c, p), phi, p, grid)[1]
+        return kernel.mu_and_energy(c, kernel.charge(c), phi)[1]
 
 
-def _charge(c: np.ndarray, p: ModelParams) -> np.ndarray:
-    """rho = z . c + rho0 of an (n, 2) state, nodes first."""
-    rho = np.dot(c, p.z)
-    rho += p.rho0
-    return rho
+class _Kernel:
+    """The discrete model at one (p, grid, bc): the one writer of the charge
+    density and the potential (charge, potential), of mu and the discrete
+    energy (mu_and_energy) and of F = (c mu_x)_x with its face data
+    (flux_divergence).
 
+    evolve builds one per run; the public functions above and _assemble
+    build one per call. It holds what no state changes: z, G, rho0, sigma
+    / dx, 1 + log cbar, the quadrature weights, and, when bc is given, the
+    Dirichlet factor and wall potentials or the periodic symbol. It also
+    holds a work buffer for every intermediate, each face buffer with its
+    electrode closing rows zeroed once (_faces), so that an evaluation
+    allocates nothing but the fresh phi that potential returns.
 
-def _mu_and_energy(
-    c: np.ndarray,
-    rho: np.ndarray,
-    phi: np.ndarray,
-    p: ModelParams,
-    grid: Grid,
-) -> tuple[np.ndarray, float]:
-    """(mu, E) of the state c, shape (n, 2) nodes first, with charge rho.
-
-    The one writer of the chemical potential and of the discrete energy
-    (see chemical_potential and discrete_energy): log c, G c and the face
-    differences dc (_faces) are computed once and shared. The Laplacian
-    in mu is the divergence of dc / dx, the Neumann closure of
-    second_derivative. The bulk density is h = sum_i c_i (log(c_i /
-    cbar_i) - 1 + (G c)_i / 2), with h_i = 0 at c_i = 0 (0 log 0 -> 0);
-    a negative concentration, which leaves it NaN, raises ParameterError.
+    A result held in a buffer (rho, mu, F and the face data c_face and
+    dmu) stands until the next call of the method that wrote it. mu and
+    the energy's face differences are separate from F's face data, so
+    evaluating a candidate state leaves F, c_face and dmu of the current
+    state, which a retried step solves again and builds _band from.
     """
-    w, _, _ = _node_columns(grid)
-    log_c = np.log(c)
-    gc = np.dot(c, p.G)  # (G c)_i at every node; G is symmetric
-    dc = _faces(c, grid)
-    mu = log_c + gc
-    mu += np.dot(phi[:, None], p.z[None])  # z_i phi_j, one outer product
-    mu -= (p.sigma / grid.dx) * ((dc[1:] - dc[:-1]) / w)
 
-    gc *= 0.5
-    gc += log_c
-    gc -= 1.0 + np.log(p.cbar)
-    dens = np.multiply(c, gc, out=gc)
-    bulk = float(np.vdot(w, dens))
-    if math.isnan(bulk):
-        # 0 log 0 and a negative concentration both leave the entropy NaN:
-        # only then is the sign looked at
-        if (c < 0).any():
-            raise ParameterError("concentrations must be nonnegative")
-        dens[c == 0] = 0.0
+    def __init__(self, p: ModelParams, grid: Grid, bc: BoundaryConditions | None = None):
+        n = grid.n
+        self.grid = grid
+        self.dx = grid.dx
+        self.weights = grid.weights
+        self.w = _node_columns(grid)[0]
+        self.z = p.z
+        self.G = p.G
+        self.rho0 = p.rho0
+        self.half_sigma = 0.5 * p.sigma
+        self.sigma_dx = p.sigma / grid.dx
+        self.log_cbar1 = 1.0 + np.log(p.cbar)
+        self.symbol = self.dirichlet = None
+        if bc is not None and bc.kind == "periodic":
+            self.symbol = _periodic_symbol(n, grid.dx)
+        elif bc is not None:
+            self.dirichlet = (grid.dx**2, _dirichlet_factor(n - 2), bc.phi_left, bc.phi_right)
+
+        self.rho = np.empty(n)
+        self._rho_phi = np.empty(n)
+        self._log_c, self._gc, self.mu, self._zphi, self._lap = np.empty((5, n, 2))
+        self._dc = np.zeros((n + 1, 2))
+        self._dphi = np.zeros(n + 1)
+        # c_face row k holds face k - 2 mod n, the layout _band reads; its
+        # rows 1 ... n + 1 are the _faces padding of the sums
+        self.c_face = np.zeros((n + 3, 2))
+        self._c_sum = self.c_face[1:-1]
+        self.dmu = np.zeros((n + 1, 2))
+        self._flux = np.empty((n + 1, 2))
+        self._f = np.empty((n, 2))
+        self._f_flat = self._f.reshape(-1)
+
+    def charge(self, c: np.ndarray) -> np.ndarray:
+        """rho = z . c + rho0 of an (n, 2) state, nodes first."""
+        rho = np.dot(c, self.z, out=self.rho)
+        rho += self.rho0
+        return rho
+
+    def potential(self, rho: np.ndarray) -> np.ndarray:
+        """A fresh phi from phi_xx = -rho; rho is not modified."""
+        if self.symbol is not None:
+            return _solve_periodic(rho, self.symbol)
+        return _solve_dirichlet(rho, *self.dirichlet)
+
+    def mu_and_energy(
+        self, c: np.ndarray, rho: np.ndarray, phi: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        """(mu, E) of the state c, shape (n, 2) nodes first, with charge rho.
+
+        The one writer of the chemical potential and of the discrete energy
+        (see chemical_potential and discrete_energy): log c, G c and the
+        face differences dc (_faces) are computed once and shared. The
+        Laplacian in mu is the divergence of dc / dx, the Neumann closure of
+        second_derivative. The bulk density is h = sum_i c_i (log(c_i /
+        cbar_i) - 1 + (G c)_i / 2), with h_i = 0 at c_i = 0 (0 log 0 -> 0);
+        a negative concentration, which leaves it NaN, raises
+        ParameterError.
+        """
+        w = self.w
+        log_c = np.log(c, out=self._log_c)
+        gc = np.dot(c, self.G, out=self._gc)  # (G c)_i at every node; G is symmetric
+        dc = _faces(c, self.grid, out=self._dc)
+        mu = np.add(log_c, gc, out=self.mu)
+        mu += np.dot(phi[:, None], self.z[None], out=self._zphi)  # z_i phi_j, one outer product
+        lap = np.subtract(dc[1:], dc[:-1], out=self._lap)
+        lap /= w
+        lap *= self.sigma_dx
+        mu -= lap
+
+        gc *= 0.5
+        gc += log_c
+        gc -= self.log_cbar1
+        dens = np.multiply(c, gc, out=gc)
         bulk = float(np.vdot(w, dens))
-    dc, dphi = dc[1:], _faces(phi, grid)[1:]  # the closing face once
-    energy = (
-        bulk
-        + float(grid.weights @ (rho * phi))
-        + (0.5 * p.sigma * float(np.vdot(dc, dc)) - 0.5 * float(dphi @ dphi)) / grid.dx
-    )
-    return mu, energy
+        if math.isnan(bulk):
+            # 0 log 0 and a negative concentration both leave the entropy NaN:
+            # only then is the sign looked at
+            if (c < 0).any():
+                raise ParameterError("concentrations must be nonnegative")
+            dens[c == 0] = 0.0
+            bulk = float(np.vdot(w, dens))
+        dc, dphi = dc[1:], _faces(phi, self.grid, out=self._dphi)[1:]  # the closing face once
+        energy = (
+            bulk
+            + float(self.weights @ np.multiply(rho, phi, out=self._rho_phi))
+            + (self.half_sigma * float(np.vdot(dc, dc)) - 0.5 * float(dphi @ dphi)) / self.dx
+        )
+        return mu, energy
+
+    def flux_divergence(self, c: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """F of the state c with chemical potential mu, both (n, 2) nodes
+        first; F comes interleaved like u.
+
+        Face f joins nodes f and f + 1 (mod n); on electrode grids face n - 1
+        is the closed wall and carries nothing. Its flux is c_face dmu / dx,
+        with c_face = (c_f + c_f+1) / 2 and dmu = mu_f+1 - mu_f from _faces,
+        and F_j = (flux_j - flux_j-1) / w_j. Nodes first is u's interleaved
+        order, in which a shift by whole nodes is a contiguous slice.
+
+        Leaves the face data that _band reads in the kernel: c_face, shape
+        (n + 3, 2), holds face k - 2 mod n at row k, and dmu, shape (n + 1,
+        2), face k - 1 mod n at row k (_faces' padding).
+        """
+        q = _faces(c, self.grid, np.add, out=self._c_sum)
+        q *= 0.5
+        c_face = self.c_face
+        c_face[0] = c_face[-3]
+        c_face[-1] = c_face[2]
+        dmu = _faces(mu, self.grid, out=self.dmu)
+        flux = np.multiply(q, dmu, out=self._flux)
+        flux /= self.dx
+        f = np.subtract(flux[1:], flux[:-1], out=self._f)
+        f /= self.w
+        return self._f_flat
 
 
 def _dmu_dc(
@@ -375,27 +471,6 @@ def _dmu_dc(
     up, down = beta * _node_columns(grid)[2]
     diag = 1.0 / c + np.array([p.g11, p.g22]) - 2.0 * beta
     return diag, up, down
-
-
-def _flux_divergence(
-    c: np.ndarray, mu: np.ndarray, grid: Grid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(F, c_face, dmu): F interleaved like u, the face data as (n, 2)
-    arrays, nodes first, face f at row f.
-
-    Face f joins nodes f and f + 1 (mod n); on electrode grids face n - 1
-    is the closed wall and carries nothing. Its flux is c_face dmu / dx,
-    with c_face = (c_f + c_f+1) / 2 and dmu = mu_f+1 - mu_f from _faces,
-    and F_j = (flux_j - flux_j-1) / w_j. Nodes first is u's interleaved
-    order, in which a shift by whole nodes is a contiguous slice.
-    """
-    c_face = _faces(c, grid, np.add)
-    c_face *= 0.5
-    dmu = _faces(mu, grid)
-    flux = c_face * dmu
-    flux /= grid.dx
-    f = (flux[1:] - flux[:-1]) / _node_columns(grid)[0]
-    return f.reshape(-1), c_face[1:], dmu[1:]
 
 
 @lru_cache(maxsize=16)
@@ -431,7 +506,9 @@ def _band(
     grid: Grid,
 ) -> np.ndarray:
     """The exact Jacobian J of F at frozen phi, interleaved, from the face
-    data (c_face, dmu) that _flux_divergence returned for the same u.
+    data (c_face, dmu) that _Kernel.flux_divergence left for the same u,
+    in its layout: row k of c_face holds face k - 2 mod n, row k of dmu
+    face k - 1 mod n.
 
     u and F interleave (c1_k, c2_k). The band holds band[4 - o, col] =
     J[col - o, col], indices mod 2n: scipy's solve_banded storage for
@@ -439,7 +516,7 @@ def _band(
     band storage for periodic runs, which dynamics._factor_step folds
     into an ordinary band.
 
-    The flux of face f (_flux_divergence), a_f dmu_f with a_f = c_face /
+    The flux of face f (_Kernel.flux_divergence), a_f dmu_f with a_f = c_face /
     dx, depends on the same species at nodes f - 1 ... f + 2, through the
     diagonal and off-diagonals of d mu / d c (_dmu_dc), and on the other
     species at nodes f, f + 1 through g12. F_j = (flux_j - flux_j-1) / w_j, so
@@ -461,8 +538,8 @@ def _band(
     # row k of a holds a_f at faces f = k - 2 ... k + 1 in its slices [:-3],
     # [1:-2], [2:-1], [3:]; row k of h holds dmu_f / (2 dx) at faces
     # k - 1, k in [:-1], [1:]
-    a = np.concatenate((c_face[-2:], c_face, c_face[:1])) / dx
-    h = 0.5 * np.concatenate((dmu[-1:], dmu)) / dx
+    a = c_face / dx
+    h = 0.5 * dmu / dx
     # d flux_f / d c_k of the same species, f = k - 3 ... k + 2; the end
     # faces do not see c_k and stay zero
     dflux = np.zeros((6, n, 2))
@@ -528,14 +605,15 @@ def _assemble(
     if np.any(c1 <= 0.0) or np.any(c2 <= 0.0):
         raise ParameterError("stationary residual needs positive concentrations")
     c = np.column_stack((c1, c2))
-    rho = _charge(c, p)
+    kernel = _Kernel(p, grid)
+    rho = kernel.charge(c)
     w = grid.weights
 
     # residual nodes first: node j's rows mu1 - lam1, mu2 - lam2, Poisson
     m = 3 * n
     r = np.empty(m + 2)
     res = r[:m].reshape(n, 3)
-    np.subtract(_mu_and_energy(c, rho, phi, p, grid)[0], (lam1, lam2), out=res[:, :2])
+    np.subtract(kernel.mu_and_energy(c, rho, phi)[0], (lam1, lam2), out=res[:, :2])
     res[1:-1, 2] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dx2 + rho[1:-1]
     res[0, 2] = phi[0] - bc.phi_left
     res[-1, 2] = phi[-1] - bc.phi_right

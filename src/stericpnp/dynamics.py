@@ -42,41 +42,51 @@ halvings abandons the run with verdict "Unstable"; reaching the steady
 tolerance on max |c_t| gives "Steady"; running out the horizon gives
 "Running".
 
-Work that does not change from step to step is done once: the grid's dx
-and quadrature weights once per grid, the per-node columns that F and
-the band need (w, the 1/w of the band rows and the Laplacian's wall
-columns, each repeated for both species) once per grid
-(_fd._node_columns), the Dirichlet Poisson factor once per interior size
-(_fd.solve_poisson_dirichlet), the periodic Poisson symbol and band
-layout once per size (_fd._periodic_symbol, _folded_layout), the
-parameter arrays z, cbar and G once per ModelParams, and the band and
-its LU factors once per refresh (_fd._band, _factor_step). Finiteness is
-checked once per band, where _fd._band returns J; the factorisation
-writes -dt J straight into LAPACK's band storage and calls dgbtrf with
-no check or copy of its own, and returns the solve on those factors,
-which evolve keeps with the dt they were made for.
+Work that does not change from step to step is done once: per grid, the
+grid's dx and quadrature weights and the per-node columns that F and the
+band need (w, the 1/w of the band rows and the Laplacian's wall columns,
+each repeated for both species; _fd._node_columns); per size, the
+Dirichlet Poisson factor, the periodic Poisson symbol and band layout
+(_fd._dirichlet_factor, _fd._periodic_symbol, _folded_layout); per
+ModelParams, the arrays z, cbar and G; and per run, the step kernel
+(_fd._Kernel), built from (p, grid, bc) before the first step and owned
+by the run. The kernel holds the run's constants (w, z, G, rho0, sigma /
+dx, 1 + log cbar, the Poisson factor or symbol and the wall potentials)
+and a work buffer for every intermediate, the face buffers with their
+electrode closing rows written once. The band and its
+LU factors are made once per refresh (_fd._band, _factor_step).
+Finiteness is checked once per band, where _fd._band returns J; the
+factorisation writes -dt J straight into LAPACK's band storage and calls
+dgbtrf with no check or copy of its own, and returns the solve on those
+factors, which evolve keeps with the dt they were made for.
 
 At the sizes evolve runs (tens to hundreds of nodes) a step costs mostly
 numpy's overhead per call, not arithmetic, so each state is evaluated
 once, nodes first in u's interleaved (n, 2) layout, where a shift by
-whole nodes is a contiguous slice. Each attempt makes, in order: one
+whole nodes is a contiguous slice, and each evaluation writes into the
+kernel's buffers instead of allocating. Each attempt makes, in order: one
 dgbtrs solve through the module attribute solve_banded (periodic runs
 fold their circular band into an ordinary one), the positivity and
-finiteness test, one Poisson solve on the candidate's charge density
-(_fd._potential), and one _fd._mu_and_energy call, which takes log c,
-G c and the padded face differences of c and phi (_fd._faces) once and
+finiteness test, the candidate's charge density and one Poisson solve
+on it (kernel.charge, kernel.potential; a Dirichlet solve runs in place
+in the fresh phi it returns), and one kernel.mu_and_energy call, which
+takes log c, G c and the padded face differences of c and phi once and
 returns mu and the discrete energy together. The energy test then
 accepts or rejects the attempt. Each pass of the step loop evaluates F
-once, by _fd._flux_divergence from the mu of the current state (the
-accepted step's, or the initial state's), and that F, with its face data
-c_face and dmu, is both the one steady test's max |c_t| and the step's
-right-hand side and band input; a rejected attempt evaluates no F. The
-energy is read without a sign check (a negative concentration leaves it
-NaN, and only then is the sign looked at). The dgbtrf factorisations,
-one per refresh, are called under their own name and counted in
-EvolveResult.factorizations. Both LAPACK routines are _deferred names:
-scipy.linalg is imported at the first factorisation, not with this
-module.
+once, by kernel.flux_divergence from the mu of the current state (the
+accepted step's, or the initial state's), and that F, with the face data
+c_face and dmu that it leaves in the kernel, is both the one steady
+test's max |c_t| and the step's right-hand side and band input; a
+rejected attempt evaluates no F, and overwrites neither F nor its face
+data, so its retry solves the same F and builds its band from the same
+faces. What an observer or the result sees is never a buffer: each
+accepted step has a fresh u (c1, c2 are its columns) and a fresh phi.
+The energy is read without a sign check (a negative concentration
+leaves it NaN, and only then is the sign looked at). The dgbtrf
+factorisations, one per refresh, are called under their own name and
+counted in EvolveResult.factorizations. Both LAPACK routines are
+_deferred names: scipy.linalg is imported at the first factorisation,
+not with this module.
 """
 
 from __future__ import annotations
@@ -92,11 +102,8 @@ from ._deferred import Deferred
 from ._fd import (
     BoundaryConditions,
     _band,
-    _charge,
     _check_grid,
-    _flux_divergence,
-    _mu_and_energy,
-    _potential,
+    _Kernel,
     chemical_potential,
     discrete_energy,
     electrode_bc,
@@ -276,9 +283,10 @@ def evolve(
     # columns of c
     u = np.column_stack((c1, c2)).ravel()
     c = u.reshape(n, 2)
-    rho = _charge(c, p)
-    phi = _potential(rho, grid, bc)
-    mu, e_cur = _mu_and_energy(c, rho, phi, p, grid)
+    kernel = _Kernel(p, grid, bc)
+    rho = kernel.charge(c)
+    phi = kernel.potential(rho)
+    mu, e_cur = kernel.mu_and_energy(c, rho, phi)
     w = grid.weights
     t = 0.0
     dt = min(dt0, dt_max)
@@ -293,7 +301,7 @@ def evolve(
 
     while True:
         # F of the current state, from the mu its energy test computed
-        f, c_face, dmu = _flux_divergence(c, mu, grid)
+        f = kernel.flux_divergence(c, mu)
         dcdt_norm = float(np.abs(f).max())
         if dcdt_norm < steady_tol:
             verdict, reason = "Steady", "initial state already stationary"
@@ -307,7 +315,8 @@ def evolve(
         dt_try = min(dt, t_end - t)
         for _ in range(_MAX_HALVINGS + 1):
             if dt_try != dt_solve:
-                solve = _factor_step(_band(u, c_face, dmu, p, grid), dt_try, grid.periodic)
+                band = _band(u, kernel.c_face, kernel.dmu, p, grid)
+                solve = _factor_step(band, dt_try, grid.periodic)
                 dt_solve = dt_try
                 factorizations += 1
             u_new = u + solve(f)
@@ -316,9 +325,9 @@ def evolve(
             ok = u_new.min() > _POSITIVITY_FLOOR and u_new.max() < np.inf
             if ok:
                 c_new = u_new.reshape(n, 2)
-                rho = _charge(c_new, p)
-                phi_new = _potential(rho, grid, bc)
-                mu, e_new = _mu_and_energy(c_new, rho, phi_new, p, grid)
+                rho = kernel.charge(c_new)
+                phi_new = kernel.potential(rho)
+                mu, e_new = kernel.mu_and_energy(c_new, rho, phi_new)
                 ok = math.isfinite(e_new) and e_new <= e_cur + _ENERGY_TOL
             if ok:
                 break

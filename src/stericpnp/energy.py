@@ -51,6 +51,13 @@ def _entropy(c: np.ndarray, cbar: float) -> np.ndarray:
     return c * np.log(np.where(c > 0, c / cbar, 1.0))
 
 
+def _admissible(c: np.ndarray, strict: bool) -> bool:
+    """Whether every entry of c is finite and positive (strict) or
+    nonnegative; NaN fails both bounds."""
+    lo = c.min(initial=np.inf)
+    return (lo > 0 if strict else lo >= 0) and c.max(initial=0.0) < np.inf
+
+
 def free_energy_density(c1: _ArrayLike, c2: _ArrayLike, p: ModelParams) -> _ArrayLike:
     """Bulk density h(c); accepts scalars or arrays, c_i >= 0.
 
@@ -59,8 +66,8 @@ def free_energy_density(c1: _ArrayLike, c2: _ArrayLike, p: ModelParams) -> _Arra
     """
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
-    if not (np.all(c1 >= 0) and np.all(c2 >= 0)):  # NaN fails
-        raise ParameterError("free energy density needs nonnegative concentrations")
+    if not (_admissible(c1, strict=False) and _admissible(c2, strict=False)):
+        raise ParameterError("free energy density needs finite nonnegative concentrations")
     ent = _entropy(c1, p.cbar1) - c1 + _entropy(c2, p.cbar2) - c2
     steric = 0.5 * (p.g11 * c1 * c1 + 2.0 * p.g12 * c1 * c2 + p.g22 * c2 * c2)
     out = ent + steric
@@ -69,8 +76,8 @@ def free_energy_density(c1: _ArrayLike, c2: _ArrayLike, p: ModelParams) -> _Arra
 
 def hessian(c1: float, c2: float, p: ModelParams) -> np.ndarray:
     """Hessian of h at a strictly positive point."""
-    if not (c1 > 0 and c2 > 0):  # NaN fails
-        raise ParameterError("Hessian needs strictly positive concentrations")
+    if not (0 < c1 < np.inf and 0 < c2 < np.inf):  # NaN fails
+        raise ParameterError("Hessian needs finite strictly positive concentrations")
     return np.array(
         [[1.0 / c1 + p.g11, p.g12], [p.g12, 1.0 / c2 + p.g22]]
     )
@@ -85,8 +92,8 @@ def hessian_det(c1: _ArrayLike, c2: _ArrayLike, p: ModelParams) -> _ArrayLike:
     """
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
-    if not (np.all(c1 > 0) and np.all(c2 > 0)):  # NaN fails
-        raise ParameterError("D(c) needs strictly positive concentrations")
+    if not (_admissible(c1, strict=True) and _admissible(c2, strict=True)):
+        raise ParameterError("D(c) needs finite strictly positive concentrations")
     det_g = p.g11 * p.g22 - p.g12**2
     out = 1.0 / (c1 * c2) + p.g22 / c1 + p.g11 / c2 + det_g
     return float(out) if out.ndim == 0 else out

@@ -452,6 +452,9 @@ def test_ivp_stops_at_its_guards(tmp_path, model, launch, status, x_end):
         ("ivp", "ivp.c1_0=inf"),
         # NaN passed the sign checks, and energy.json held nulls
         ("energy", "energy.c1=nan"),
+        # so did inf, after two RuntimeWarnings
+        ("energy", "energy.c1=inf"),
+        ("energy", "energy.c2=inf"),
     ],
 )
 def test_non_finite_launch_data_is_a_parameter_error(tmp_path, capsys, command, override):

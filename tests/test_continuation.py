@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stericpnp import _fd, dynamics
+from stericpnp import _fd
 from stericpnp._fd import _assemble, _dresidual_dparam, _pack
 from stericpnp.continuation import (
     _SAME_TOL,
@@ -273,11 +273,11 @@ def test_trace_branch_truncates_when_ds_falls_below_its_floor():
 
 def test_stability_probe_reports_an_abandoned_relaxation(monkeypatch):
     # an energy that rises on every evaluation makes evolve give up
-    # (evolve takes mu and the energy from one _mu_and_energy call)
+    # (evolve takes mu and the energy from one _Kernel.mu_and_energy call)
     calls = iter(range(1000))
-    real = dynamics._mu_and_energy
+    real = _fd._Kernel.mu_and_energy
     monkeypatch.setattr(
-        dynamics, "_mu_and_energy", lambda *args: (real(*args)[0], float(next(calls)))
+        _fd._Kernel, "mu_and_energy", lambda *args: (real(*args)[0], float(next(calls)))
     )
     d = DomainSpec(2.0)
     grid = make_grid(d, 24)
@@ -476,16 +476,17 @@ def test_evolve_band_is_the_flux_operator_on_the_assembled_mu_block(sigma_term, 
     M = _dense_jacobian(ab, C, D)[np.ix_(conc, conc)]
 
     c = u[conc].reshape(n, 2)
-    mu = _fd.chemical_potential(*c.T, u[2 : 3 * n : 3], p, grid).T
-    _, c_face, dmu = _fd._flux_divergence(c, mu, grid)
-    band = _fd._band(u[conc], c_face, 0.0 * dmu, p, grid)
+    kernel = _fd._Kernel(p, grid)
+    kernel.flux_divergence(c, kernel.mu_and_energy(c, kernel.charge(c), u[2 : 3 * n : 3])[0])
+    band = _fd._band(u[conc], kernel.c_face, 0.0 * kernel.dmu, p, grid)
     size = 2 * n
     J = sum(np.diag(band[4 - o, max(o, 0) : size + min(o, 0)], o) for o in range(-4, 5))
 
     face_diff = np.eye(n, k=1) - np.eye(n)
     face_diff[-1] = 0.0
     Dl = np.kron(face_diff, np.eye(2))
-    A = c_face.ravel() / grid.dx
+    # c_face row k holds face k - 2: faces 0 ... n - 1 are rows 2 ... n + 1
+    A = kernel.c_face[2:-1].ravel() / grid.dx
     J_ref = -(Dl.T @ (A[:, None] * (Dl @ M))) / np.repeat(grid.weights, 2)[:, None]
     assert np.max(np.abs(J - J_ref)) <= 1e-13 * np.max(np.abs(J_ref))
 

@@ -13,8 +13,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import trapezoid
 
 import stericpnp
-from stericpnp import dynamics
-from stericpnp._fd import _band, _flux_divergence
+from stericpnp import _fd, dynamics
+from stericpnp._fd import _band, _Kernel
 from stericpnp.dynamics import (
     _ENERGY_TOL,
     _MAX_HALVINGS,
@@ -314,8 +314,9 @@ def _interleaved(a, b):
 def _f_and_band(u, phi, p, grid):
     """F and the band J of the state u, as evolve builds them at a refresh."""
     c = u.reshape(grid.n, 2)
-    f, c_face, dmu = _flux_divergence(c, chemical_potential(*c.T, phi, p, grid).T, grid)
-    return f, _band(u, c_face, dmu, p, grid)
+    kernel = _Kernel(p, grid)
+    f = kernel.flux_divergence(c, kernel.mu_and_energy(c, kernel.charge(c), phi)[0])
+    return f, _band(u, kernel.c_face, kernel.dmu, p, grid)
 
 
 def _dense_from_band(band, periodic):
@@ -683,14 +684,93 @@ def test_monitored_energy_is_the_discrete_energy_of_each_accepted_state(kind):
         assert e == discrete_energy(c1, c2, phi, p, grid)
 
 
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+def test_observed_states_are_never_overwritten(kind):
+    """evolve reuses its work buffers from attempt to attempt, but never one
+    that an observer or the result sees: references to (c1, c2, phi) kept
+    at every step still hold, at the end, the values copied at that step."""
+    p, grid, bc, prof = _rough_start(kind)
+    kept, copied = [], []
+
+    def observer(t, c1, c2, phi):
+        kept.append((c1, c2, phi))
+        copied.append((c1.copy(), c2.copy(), phi.copy()))
+        return 0.0
+
+    res = evolve(p, prof, bc, t_end=2.0, dt0=5.0, dt_max=5.0, observer=observer)
+    assert res.rejects > 0 and len(kept) == res.steps + 1
+    for refs, copies in zip(kept, copied):
+        for ref, copy in zip(refs, copies):
+            assert np.array_equal(ref, copy)
+    final = res.profile
+    for ref, arr in zip(kept[-1], (final.c1, final.c2, final.phi)):
+        assert np.array_equal(ref, arr) and not np.shares_memory(ref, arr)
+
+
+def _assert_same_run(res, ref):
+    for name in ("t", "verdict", "reason", "steps", "rejects", "factorizations", "dcdt_norm"):
+        assert getattr(res, name) == getattr(ref, name), name
+    for name in ("times", "energy", "mass1", "mass2", "observables"):
+        assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+    for name in ("c1", "c2", "phi"):
+        assert np.array_equal(getattr(res.profile, name), getattr(ref.profile, name)), name
+
+
+def test_a_run_inside_another_runs_observer_shares_no_state():
+    """A periodic run started from the observer of an electrode run, on a
+    grid of the same size, and the electrode run itself give the results
+    of the same runs made alone: each run owns its buffers."""
+    pa, _, bc_a, prof_a = _rough_start("electrode")
+    pb, _, bc_b, prof_b = _rough_start("periodic")
+    opts = {"t_end": 2.0, "dt0": 5.0, "dt_max": 5.0}
+    nested = []
+
+    def observer(t, c1, c2, phi):
+        if len(nested) < 3:
+            nested.append(evolve(pb, prof_b, bc_b, **opts))
+        return float(c1.max())
+
+    res_a = evolve(pa, prof_a, bc_a, observer=observer, **opts)
+    alone_a = evolve(pa, prof_a, bc_a, observer=lambda t, c1, c2, phi: float(c1.max()), **opts)
+    alone_b = evolve(pb, prof_b, bc_b, **opts)
+    assert res_a.rejects > 0 and len(nested) == 3
+    _assert_same_run(res_a, alone_a)
+    for res_b in nested:
+        _assert_same_run(res_b, alone_b)
+
+
+@pytest.mark.parametrize("sigma_term", [False, True], ids=["sigma0", "sigma"])
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_a_kernel_evaluation_depends_on_its_state_alone(kind, sigma_term, data):
+    """A kernel that has evaluated state A gives, at state B, the rho, phi,
+    mu, energy, F and face data of a fresh kernel at B, bit for bit: no
+    buffer carries anything from one evaluation into the next."""
+    p, grid, bc, a1, a2 = data.draw(_linearization_case(kind, sigma_term))
+    scale = arrays(np.float64, grid.n, elements=st.floats(0.2, 2.0))
+    state_b = np.column_stack((p.cbar1 * data.draw(scale), p.cbar2 * data.draw(scale)))
+
+    def evaluate(kernel, c):
+        rho = kernel.charge(c)
+        phi = kernel.potential(rho)
+        mu, energy = kernel.mu_and_energy(c, rho, phi)
+        f = kernel.flux_divergence(c, mu)
+        return [x.tobytes() for x in (rho, phi, mu, f, kernel.c_face, kernel.dmu)] + [energy]
+
+    kernel = _Kernel(p, grid, bc)
+    evaluate(kernel, np.column_stack((a1, a2)))
+    assert evaluate(kernel, state_b) == evaluate(_Kernel(p, grid, bc), state_b)
+
+
 def test_evolve_gives_up_when_no_halving_lowers_the_energy(monkeypatch):
     # an energy that rises on every evaluation rejects every candidate step, so
     # the first step is abandoned after _MAX_HALVINGS halvings
-    # (evolve takes mu and the energy from one _mu_and_energy call)
+    # (evolve takes mu and the energy from one _Kernel.mu_and_energy call)
     calls = iter(range(1000))
-    real = dynamics._mu_and_energy
+    real = _fd._Kernel.mu_and_energy
     monkeypatch.setattr(
-        dynamics, "_mu_and_energy", lambda *args: (real(*args)[0], float(next(calls)))
+        _fd._Kernel, "mu_and_energy", lambda *args: (real(*args)[0], float(next(calls)))
     )
     g = make_grid(DomainSpec(2.0), 33)
     bump = 0.1 * np.cos(np.pi * g.x / 2.0)

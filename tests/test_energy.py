@@ -88,6 +88,17 @@ def test_free_energy_density_rejects_nan_concentrations(point):
         free_energy_density(*point, P_SYM)
 
 
+@pytest.mark.parametrize("point", [(np.inf, 1.0), (1.0, [0.5, np.inf])], ids=["c1", "c2"])
+def test_energy_diagnostics_reject_infinite_concentrations(point):
+    """inf passed the sign checks: h became NaN and D(c) the c -> inf limit."""
+    with pytest.raises(ParameterError, match="finite nonnegative"):
+        free_energy_density(*point, P_SYM)
+    with pytest.raises(ParameterError, match="finite strictly positive"):
+        hessian_det(*point, P_SYM)
+    with pytest.raises(ParameterError, match="finite strictly positive"):
+        hessian(point[0], np.max(point[1]), P_SYM)
+
+
 def test_convexity_class_symmetric():
     cc = convexity_class(P_SYM)
     assert not cc.is_convex

@@ -16,8 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from stericpnp._fd import _band, _flux_divergence
-from stericpnp.dynamics import chemical_potential, periodic_bc, solve_potential
+from stericpnp._fd import _band, _Kernel
+from stericpnp.dynamics import periodic_bc, solve_potential
 from stericpnp.energy import g12_critical, hessian_det
 from stericpnp.errors import NoOnsetError
 from stericpnp.model import homogeneous_profile, make_params, make_periodic_grid, with_sigma
@@ -176,8 +176,9 @@ def _uniform_state_jacobian(p, n, half):
     phi = solve_potential(prof.c1, prof.c2, p, grid, periodic_bc())
     c = np.column_stack((prof.c1, prof.c2))
     u = c.ravel()
-    _, c_face, dmu = _flux_divergence(c, chemical_potential(*c.T, phi, p, grid).T, grid)
-    band = _band(u, c_face, dmu, p, grid)
+    kernel = _Kernel(p, grid)
+    kernel.flux_divergence(c, kernel.mu_and_energy(c, kernel.charge(c), phi)[0])
+    band = _band(u, kernel.c_face, kernel.dmu, p, grid)
     size = 2 * n
     J = np.zeros((size, size))
     cols = np.arange(size)
