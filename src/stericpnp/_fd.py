@@ -35,11 +35,13 @@ mu_and_energy writes mu and the discrete energy, and flux_divergence
 writes F with the face data that _band reads. solve_potential,
 time_derivatives, chemical_potential, discrete_energy and the stationary
 residual each build a kernel per call, and the time stepper one per run.
-The closing face lives here only: _faces pads each face array with it (0
-at an electrode wall, the wrap on a periodic grid), and second_derivative,
-mu, the energy and F all difference those arrays. _node_columns holds the
-Laplacian's matrix columns for _dmu_dc, the d mu / d c behind both exact
-Jacobians: _band, the time stepper's, and _assemble, the stationary solver's.
+The closing face lives here only: each face array is padded with it (0
+at an electrode wall, the wrap on a periodic grid, which _close alone
+writes, for _faces and for the kernel's buffers alike), and
+second_derivative, mu, the energy and F all difference those arrays.
+_node_columns holds the Laplacian's matrix columns for _dmu_dc, the d mu /
+d c behind both exact Jacobians: _band, the time stepper's, and
+_jacobian, the stationary solver's.
 
 Stationary states have spatially constant chemical potentials. With the
 potential slaved to the charge through Poisson and the total masses
@@ -56,11 +58,12 @@ wall-to-wall grid is (_pack, _unpack)
 with Dirichlet rows phi_0 - phi_left and phi_{n-1} - phi_right replacing
 the wall Poisson rows, plus two mass rows sum_j w_j c_{i,j} - 2 L cbar_i.
 Its mu rows are _Kernel.mu_and_energy's mu, so converged states are
-exact fixed points of the time stepper. _assemble writes the residual
-and its Jacobian: banded (l = u = 3 in the node-interleaved ordering),
-bordered by dense columns for the multipliers and dense mass rows.
-_dresidual_dparam is the residual's derivative in the continuation
-parameter.
+exact fixed points of the time stepper. _residual writes the residual
+and _jacobian its Jacobian, apart, so that Newton's line search
+evaluates the residual alone: banded (l = u = 3 in the node-interleaved
+ordering, in LAPACK gbsv's storage), bordered by dense columns for the
+multipliers and dense mass rows. _dresidual_dparam is the residual's
+derivative in the continuation parameter.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ dpttrf = Deferred("scipy.linalg.lapack", "dpttrf")
 dpttrs = Deferred("scipy.linalg.lapack", "dpttrs")
 
 _STEP_BAND = 4  # _band, interleaved (c1_j, c2_j): node offset 2, sigma reach 2 nodes
-_STATIONARY_BAND = 3  # _assemble, interleaved (c1_j, c2_j, phi_j)
+_STATIONARY_BAND = 3  # _jacobian, interleaved (c1_j, c2_j, phi_j)
 
 
 def gradient(arr: np.ndarray, grid: Grid) -> np.ndarray:
@@ -89,24 +92,29 @@ def gradient(arr: np.ndarray, grid: Grid) -> np.ndarray:
     return np.gradient(arr, grid.dx, edge_order=2)
 
 
-def _faces(
-    arr: np.ndarray, grid: Grid, op=np.subtract, out: np.ndarray | None = None
-) -> np.ndarray:
-    """op(arr[f + 1], arr[f]) at each face f along the first (node) axis,
+def _faces(arr: np.ndarray, grid: Grid) -> np.ndarray:
+    """arr[f + 1] - arr[f] at each face f along the first (node) axis,
     padded to n + 1 rows, row f + 1 for face f.
 
     Rows 0 and n both hold the closing face n - 1, from the last node to the
-    first: op(arr[0], arr[-1]) on a periodic grid, 0 at an electrode wall.
-    The outflow of the cells, of widths w, is then (q[1:] - q[:-1]) / w.
-    out, if given, receives the faces; on an electrode grid its rows 0 and
-    n must already hold 0 (a _Kernel buffer, zeroed once when made).
+    first: arr[0] - arr[-1] on a periodic grid (_close), 0 at an electrode
+    wall. The outflow of the cells, of widths w, is then (q[1:] - q[:-1]) /
+    w. _Kernel pads its face buffers the same way.
     """
-    q = np.zeros((arr.shape[0] + 1,) + arr.shape[1:]) if out is None else out
-    op(arr[1:], arr[:-1], out=q[1:-1])
+    q = np.zeros((arr.shape[0] + 1,) + arr.shape[1:])
+    np.subtract(arr[1:], arr[:-1], out=q[1:-1])
     if grid.periodic:
-        op(arr[:1], arr[-1:], out=q[-1:])
-        q[0] = q[-1]
+        _close(q, arr, np.subtract)
     return q
+
+
+def _close(q: np.ndarray, arr: np.ndarray, op) -> None:
+    """Write a periodic grid's closing face, op(arr[0], arr[-1]), into rows
+    0 and n of a face array q padded like _faces': the one writer of that
+    face, for _faces and the _Kernel buffers (op is np.add for the sums
+    of c_face)."""
+    op(arr[:1], arr[-1:], out=q[-1:])
+    q[0] = q[-1]
 
 
 def second_derivative(arr: np.ndarray, grid: Grid) -> np.ndarray:
@@ -324,12 +332,15 @@ class _Kernel:
     energy (mu_and_energy) and of F = (c mu_x)_x with its face data
     (flux_divergence).
 
-    evolve builds one per run; the public functions above and _assemble
+    evolve builds one per run; the public functions above and _residual
     build one per call. It holds what no state changes: z, G, rho0, sigma
     / dx, 1 + log cbar, the quadrature weights, and, when bc is given, the
-    Dirichlet factor and wall potentials or the periodic symbol. It also
-    holds a work buffer for every intermediate, each face buffer with its
-    electrode closing rows zeroed once (_faces), so that an evaluation
+    Dirichlet factor and wall potentials or the periodic symbol; a bc that
+    does not suit the grid raises ParameterError. It also holds a work
+    buffer for every intermediate, each face buffer padded like _faces'
+    with its electrode closing rows zero from construction, and makes once
+    the views of them that every evaluation reads (the face interiors,
+    into which it writes, and the shifted rows), so that an evaluation
     allocates nothing but the fresh phi that potential returns.
 
     A result held in a buffer (rho, mu, F and the face data c_face and
@@ -341,7 +352,7 @@ class _Kernel:
 
     def __init__(self, p: ModelParams, grid: Grid, bc: BoundaryConditions | None = None):
         n = grid.n
-        self.grid = grid
+        self.periodic = grid.periodic
         self.dx = grid.dx
         self.weights = grid.weights
         self.w = _node_columns(grid)[0]
@@ -352,10 +363,12 @@ class _Kernel:
         self.sigma_dx = p.sigma / grid.dx
         self.log_cbar1 = 1.0 + np.log(p.cbar)
         self.symbol = self.dirichlet = None
-        if bc is not None and bc.kind == "periodic":
-            self.symbol = _periodic_symbol(n, grid.dx)
-        elif bc is not None:
-            self.dirichlet = (grid.dx**2, _dirichlet_factor(n - 2), bc.phi_left, bc.phi_right)
+        if bc is not None:
+            _check_grid(grid, bc)
+            if grid.periodic:
+                self.symbol = _periodic_symbol(n, grid.dx)
+            else:
+                self.dirichlet = (grid.dx**2, _dirichlet_factor(n - 2), bc.phi_left, bc.phi_right)
 
         self.rho = np.empty(n)
         self._rho_phi = np.empty(n)
@@ -363,13 +376,23 @@ class _Kernel:
         self._dc = np.zeros((n + 1, 2))
         self._dphi = np.zeros(n + 1)
         # c_face row k holds face k - 2 mod n, the layout _band reads; its
-        # rows 1 ... n + 1 are the _faces padding of the sums
+        # rows 1 ... n + 1 are the _faces padding of the sums, and _band
+        # writes the wrap rows 0 and n + 2
         self.c_face = np.zeros((n + 3, 2))
         self._c_sum = self.c_face[1:-1]
         self.dmu = np.zeros((n + 1, 2))
         self._flux = np.empty((n + 1, 2))
         self._f = np.empty((n, 2))
         self._f_flat = self._f.reshape(-1)
+        # the views that every evaluation reads, made once: the interior
+        # faces of each padded face buffer, and the shifted rows
+        self._dc_in, self._dphi_in, self._c_sum_in, self._dmu_in = (
+            x[1:-1] for x in (self._dc, self._dphi, self._c_sum, self.dmu)
+        )
+        self._dc_next, self._dc_prev = self._dc[1:], self._dc[:-1]
+        self._dphi_next = self._dphi[1:]
+        self._flux_next, self._flux_prev = self._flux[1:], self._flux[:-1]
+        self._z_row = self.z[None]
 
     def charge(self, c: np.ndarray) -> np.ndarray:
         """rho = z . c + rho0 of an (n, 2) state, nodes first."""
@@ -390,20 +413,22 @@ class _Kernel:
 
         The one writer of the chemical potential and of the discrete energy
         (see chemical_potential and discrete_energy): log c, G c and the
-        face differences dc (_faces) are computed once and shared. The
-        Laplacian in mu is the divergence of dc / dx, the Neumann closure of
-        second_derivative. The bulk density is h = sum_i c_i (log(c_i /
-        cbar_i) - 1 + (G c)_i / 2), with h_i = 0 at c_i = 0 (0 log 0 -> 0);
-        a negative concentration, which leaves it NaN, raises
+        face differences dc (_faces' padding) are computed once and shared.
+        The Laplacian in mu is the divergence of dc / dx, the Neumann
+        closure of second_derivative. The bulk density is h = sum_i c_i
+        (log(c_i / cbar_i) - 1 + (G c)_i / 2), with h_i = 0 at c_i = 0 (0
+        log 0 -> 0); a negative concentration, which leaves it NaN, raises
         ParameterError.
         """
         w = self.w
         log_c = np.log(c, out=self._log_c)
         gc = np.dot(c, self.G, out=self._gc)  # (G c)_i at every node; G is symmetric
-        dc = _faces(c, self.grid, out=self._dc)
+        np.subtract(c[1:], c[:-1], out=self._dc_in)
+        if self.periodic:
+            _close(self._dc, c, np.subtract)
         mu = np.add(log_c, gc, out=self.mu)
-        mu += np.dot(phi[:, None], self.z[None], out=self._zphi)  # z_i phi_j, one outer product
-        lap = np.subtract(dc[1:], dc[:-1], out=self._lap)
+        mu += np.dot(phi[:, None], self._z_row, out=self._zphi)  # z_i phi_j, one outer product
+        lap = np.subtract(self._dc_next, self._dc_prev, out=self._lap)
         lap /= w
         lap *= self.sigma_dx
         mu -= lap
@@ -420,7 +445,10 @@ class _Kernel:
                 raise ParameterError("concentrations must be nonnegative")
             dens[c == 0] = 0.0
             bulk = float(np.vdot(w, dens))
-        dc, dphi = dc[1:], _faces(phi, self.grid, out=self._dphi)[1:]  # the closing face once
+        np.subtract(phi[1:], phi[:-1], out=self._dphi_in)
+        if self.periodic:
+            _close(self._dphi, phi, np.subtract)
+        dc, dphi = self._dc_next, self._dphi_next  # the closing face once
         energy = (
             bulk
             + float(self.weights @ np.multiply(rho, phi, out=self._rho_phi))
@@ -434,23 +462,28 @@ class _Kernel:
 
         Face f joins nodes f and f + 1 (mod n); on electrode grids face n - 1
         is the closed wall and carries nothing. Its flux is c_face dmu / dx,
-        with c_face = (c_f + c_f+1) / 2 and dmu = mu_f+1 - mu_f from _faces,
-        and F_j = (flux_j - flux_j-1) / w_j. Nodes first is u's interleaved
-        order, in which a shift by whole nodes is a contiguous slice.
+        with c_face = (c_f + c_f+1) / 2 and dmu = mu_f+1 - mu_f padded like
+        _faces, and F_j = (flux_j - flux_j-1) / w_j. Nodes first is u's
+        interleaved order, in which a shift by whole nodes is a contiguous
+        slice.
 
         Leaves the face data that _band reads in the kernel: c_face, shape
-        (n + 3, 2), holds face k - 2 mod n at row k, and dmu, shape (n + 1,
-        2), face k - 1 mod n at row k (_faces' padding).
+        (n + 3, 2), holds face k - 2 mod n at row k, except the wrap rows 0
+        and n + 2, which _band writes; dmu, shape (n + 1, 2), holds face k -
+        1 mod n at row k (_faces' padding).
         """
-        q = _faces(c, self.grid, np.add, out=self._c_sum)
+        q = self._c_sum
+        np.add(c[1:], c[:-1], out=self._c_sum_in)
+        if self.periodic:
+            _close(q, c, np.add)
         q *= 0.5
-        c_face = self.c_face
-        c_face[0] = c_face[-3]
-        c_face[-1] = c_face[2]
-        dmu = _faces(mu, self.grid, out=self.dmu)
+        dmu = self.dmu
+        np.subtract(mu[1:], mu[:-1], out=self._dmu_in)
+        if self.periodic:
+            _close(dmu, mu, np.subtract)
         flux = np.multiply(q, dmu, out=self._flux)
         flux /= self.dx
-        f = np.subtract(flux[1:], flux[:-1], out=self._f)
+        f = np.subtract(self._flux_next, self._flux_prev, out=self._f)
         f /= self.w
         return self._f_flat
 
@@ -461,7 +494,7 @@ def _dmu_dc(
     """(diag, up, down) of d mu / d c at the (n, 2) state c, nodes first.
 
     The one writer of mu's Jacobian, read by both exact Jacobians (_band
-    and _assemble). At column k of species i, diag = d mu_i,k / d c_i,k =
+    and _jacobian). At column k of species i, diag = d mu_i,k / d c_i,k =
     1/c + g_ii + 2 sigma/dx^2, and up, down = d mu_i,k-1 / d c_i,k, d
     mu_i,k+1 / d c_i,k are -sigma/dx^2 times the Laplacian's columns of
     _node_columns, the Neumann wall closure. The species couple only
@@ -469,7 +502,7 @@ def _dmu_dc(
     """
     beta = -p.sigma / grid.dx**2
     up, down = beta * _node_columns(grid)[2]
-    diag = 1.0 / c + np.array([p.g11, p.g22]) - 2.0 * beta
+    diag = 1.0 / c + p.G.diagonal() - 2.0 * beta
     return diag, up, down
 
 
@@ -508,13 +541,15 @@ def _band(
     """The exact Jacobian J of F at frozen phi, interleaved, from the face
     data (c_face, dmu) that _Kernel.flux_divergence left for the same u,
     in its layout: row k of c_face holds face k - 2 mod n, row k of dmu
-    face k - 1 mod n.
+    face k - 1 mod n. _band writes c_face's wrap rows 0 and n + 2 itself.
 
     u and F interleave (c1_k, c2_k). The band holds band[4 - o, col] =
     J[col - o, col], indices mod 2n: scipy's solve_banded storage for
     electrode runs, whose wrapped corners are exactly zero, and circular
     band storage for periodic runs, which dynamics._factor_step folds
-    into an ordinary band.
+    into an ordinary band. It is the transpose of a C-ordered (2n, 9)
+    array, so each column of J is contiguous: the layout LAPACK's band
+    storage takes it in.
 
     The flux of face f (_Kernel.flux_divergence), a_f dmu_f with a_f = c_face /
     dx, depends on the same species at nodes f - 1 ... f + 2, through the
@@ -535,36 +570,48 @@ def _band(
     iw = _node_columns(grid)[1]
 
     diag, up, down = _dmu_dc(u.reshape(n, 2), p, grid)
+    # the wrap rows: row 0 holds face n - 2, row n + 2 face 0
+    c_face[0] = c_face[-3]
+    c_face[-1] = c_face[2]
     # row k of a holds a_f at faces f = k - 2 ... k + 1 in its slices [:-3],
     # [1:-2], [2:-1], [3:]; row k of h holds dmu_f / (2 dx) at faces
     # k - 1, k in [:-1], [1:]
     a = c_face / dx
     h = 0.5 * dmu / dx
-    # d flux_f / d c_k of the same species, f = k - 3 ... k + 2; the end
-    # faces do not see c_k and stay zero
-    dflux = np.zeros((6, n, 2))
-    np.multiply(up, a[:-3], out=dflux[1])
-    np.add(h[:-1], a[1:-2] * (diag - up), out=dflux[2])
-    np.add(h[1:], a[2:-1] * (down - diag), out=dflux[3])
-    np.multiply(-down, a[3:], out=dflux[4])
-    # d flux_f / d c_k of the other species is g12 a_f at f = k - 1 (+)
-    # and f = k (-), a_f of that species; so at column k of species s the
-    # rows at nodes k - 1, k, k + 1 are cross[:, k, 1 - s]
-    ga = p.g12 * a[1:-1]
-    cross = np.array((ga[:-1], -ga[1:] - ga[:-1], ga[1:]))
+    # d flux_f / d c_k of the same species, f = k - 2 ... k + 1; faces k - 3
+    # and k + 2 do not see c_k
+    dflux = np.empty((4, n, 2))
+    np.multiply(up, a[:-3], out=dflux[0])
+    np.add(h[:-1], a[1:-2] * (diag - up), out=dflux[1])
+    np.add(h[1:], a[2:-1] * (down - diag), out=dflux[2])
+    np.multiply(-down, a[3:], out=dflux[3])
 
-    # rows at nodes k - 2 ... k + 2 of the same species sit in band rows
-    # 0, 2, ..., 8; rows at nodes k - 1 ... k + 1 of the other species in
-    # band rows 1, 3, 5 for c2 columns and 3, 5, 7 for c1 columns
-    band = np.zeros((2 * _STEP_BAND + 1, n, 2))
-    np.multiply(dflux[1:] - dflux[:-1], iw, out=band[0::2])
-    cross *= iw[1:4]
-    band[1:6:2, :, 1] = cross[:, :, 0]
-    band[3:8:2, :, 0] = cross[:, :, 1]
+    # bt[k, s, r] = band[r, 2 k + s]: written through its (9, n, 2)
+    # transpose, band[r, k, s], it is J column by column, the order in
+    # which dynamics._factor_step copies it into LAPACK's storage
+    bt = np.zeros((n, 2, 2 * _STEP_BAND + 1))
+    band = bt.transpose(2, 0, 1)
+    # rows at nodes k - 2 ... k + 2 of the same species sit in band rows 0,
+    # 2, ..., 8: the differences of dflux over consecutive faces, the
+    # outer two against the face that does not see c_k (0 - d, not -d,
+    # keeps the sign of a zero)
+    np.multiply(dflux[0], iw[0], out=band[0])
+    np.multiply(dflux[1:] - dflux[:-1], iw[1:4], out=band[2:7:2])
+    np.multiply(0.0 - dflux[3], iw[4], out=band[8])
+    # d flux_f / d c_k of the other species is g12 a_f at f = k - 1 (+) and
+    # f = k (-), a_f of that species, so ga holds each species' a_f at the
+    # other's columns. Its rows at nodes k - 1, k, k + 1 sit in band rows
+    # 3, 5, 7 of c1 columns and 1, 3, 5 of c2 columns, entries 3, 5, 7 and
+    # 10, 12, 14 of node k's 18 in bt: 7 apart in each pair
+    ga = p.g12 * a[1:-1, ::-1]
+    node = bt.reshape(n, 4 * _STEP_BAND + 2)
+    np.multiply(ga[:-1], iw[1], out=node[:, 3:11:7])
+    np.multiply(-ga[1:] - ga[:-1], iw[2], out=node[:, 5:13:7])
+    np.multiply(ga[1:], iw[3], out=node[:, 7:15:7])
     # the one finiteness check per band: the factorisation skips its own
-    if not np.isfinite(band).all():
+    if not np.isfinite(bt).all():
         raise ValueError("array must not contain infs or NaNs")
-    return band.reshape(2 * _STEP_BAND + 1, 2 * n)
+    return bt.reshape(2 * n, 2 * _STEP_BAND + 1).T
 
 
 def _pack(
@@ -585,45 +632,67 @@ def _unpack(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, f
     return u[0:m:3], u[1:m:3], u[2:m:3], float(u[-2]), float(u[-1])
 
 
-def _assemble(
-    u: np.ndarray, p: ModelParams, grid: Grid, bc: BoundaryConditions
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Residual and Jacobian blocks at u.
-
-    Returns (r, ab, C, D): full residual (3n + 2), the core band in
-    solve_banded storage (2*_STATIONARY_BAND + 1, 3n), the dense
-    multiplier columns C (3n, 2) and the mass rows D (2, 3n). The mass
-    rows do not depend on the multipliers, so the 2 x 2 corner of the
-    Jacobian is zero. The walls are Dirichlet in phi, so a periodic grid
-    raises ParameterError.
-    """
+def _stationary_unknowns(
+    u: np.ndarray, grid: Grid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """_unpack(u), once u is seen to be a stationary system's unknowns: on
+    a wall-to-wall grid (the walls are Dirichlet in phi) and with positive
+    concentrations; ParameterError otherwise."""
     if grid.periodic:
         raise ParameterError("the stationary solver needs a wall-to-wall grid")
-    n = grid.n
-    dx2 = grid.dx**2
     c1, c2, phi, lam1, lam2 = _unpack(u)
     if np.any(c1 <= 0.0) or np.any(c2 <= 0.0):
         raise ParameterError("stationary residual needs positive concentrations")
+    return c1, c2, phi, lam1, lam2
+
+
+def _residual(u: np.ndarray, p: ModelParams, grid: Grid, bc: BoundaryConditions) -> np.ndarray:
+    """The stationary residual at u, 3n + 2 entries: node j's rows mu1 -
+    lam1, mu2 - lam2 and Poisson (Dirichlet at the walls), then the two
+    mass rows. Its mu rows are _Kernel.mu_and_energy's."""
+    n = grid.n
+    c1, c2, phi, lam1, lam2 = _stationary_unknowns(u, grid)
     c = np.column_stack((c1, c2))
     kernel = _Kernel(p, grid)
     rho = kernel.charge(c)
-    w = grid.weights
 
-    # residual nodes first: node j's rows mu1 - lam1, mu2 - lam2, Poisson
     m = 3 * n
     r = np.empty(m + 2)
     res = r[:m].reshape(n, 3)
     np.subtract(kernel.mu_and_energy(c, rho, phi)[0], (lam1, lam2), out=res[:, :2])
-    res[1:-1, 2] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dx2 + rho[1:-1]
+    res[1:-1, 2] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / grid.dx**2 + rho[1:-1]
     res[0, 2] = phi[0] - bc.phi_left
     res[-1, 2] = phi[-1] - bc.phi_right
-    r[m:] = w @ c - 2.0 * grid.L * p.cbar
+    r[m:] = grid.weights @ c - 2.0 * grid.L * p.cbar
+    return r
 
-    # Core band, ab[_STATIONARY_BAND + row - col, col] = J[row, col], nodes
-    # first: jac[o + _STATIONARY_BAND, j, s] = J[3 j + s + o, 3 j + s],
-    # column s of node j (c1, c2, phi) at row offset o
-    ab = np.zeros((2 * _STATIONARY_BAND + 1, m))
-    jac = ab.reshape(2 * _STATIONARY_BAND + 1, n, 3)
+
+def _jacobian(
+    u: np.ndarray, p: ModelParams, grid: Grid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jacobian blocks (ab, C, D) of _residual at u, which the wall
+    potentials do not enter.
+
+    ab is the core band in LAPACK gbsv's storage, shape (3 b + 1, 3n) with
+    b = _STATIONARY_BAND, in Fortran order: ab[2 b + row - col, col] =
+    J[row, col], so ab[b:] is solve_banded's storage, and the first b rows
+    are gbsv's workspace, which it writes before it reads. C (3n, 2) holds
+    the dense multiplier columns and D (2, 3n) the mass rows. The mass
+    rows do not depend on the multipliers, so the 2 x 2 corner of the
+    Jacobian is zero.
+    """
+    n = grid.n
+    dx2 = grid.dx**2
+    b = _STATIONARY_BAND
+    c1, c2, *_ = _stationary_unknowns(u, grid)
+    c = np.column_stack((c1, c2))
+    m = 3 * n
+
+    # store[col] is ab[:, col]; jac views its solve_banded part nodes
+    # first: jac[o + b, j, s] = J[3 j + s + o, 3 j + s], column s of node j
+    # (c1, c2, phi) at row offset o
+    store = np.zeros((m, 3 * b + 1))
+    jac = store.reshape(n, 3, 3 * b + 1).transpose(2, 0, 1)[b:]
     # mu_i rows at nodes j, j - 1, j + 1 by c_i,j: _dmu_dc's diag, up, down
     jac[3, :, :2], jac[0, :, :2], jac[6, :, :2] = _dmu_dc(c, p, grid)
     jac[2, :, 1] = jac[4, :, 0] = p.g12  # mu1 by c2, mu2 by c1
@@ -641,9 +710,9 @@ def _assemble(
     C[0:m:3, 0] = -1.0
     C[1:m:3, 1] = -1.0
     D = np.zeros((2, m))
-    D[0, 0:m:3] = w
-    D[1, 1:m:3] = w
-    return r, ab, C, D
+    D[0, 0:m:3] = grid.weights
+    D[1, 1:m:3] = grid.weights
+    return store.T, C, D
 
 
 def _dresidual_dparam(

@@ -1,11 +1,13 @@
 """Stationary states on a finite interval and bifurcation-branch mapping.
 
 The stationary system, its unknown layout and its bordered banded
-Jacobian are _fd's (_fd._pack, _fd._assemble). Each Newton system is
-solved by block elimination: one banded factorization (scipy.linalg's
-solve_banded, imported at the first solve) with a handful of
-right-hand sides and a small Schur complement. One loop, _damped_newton,
-serves newton_solve and the arclength corrector.
+Jacobian are _fd's (_fd._pack, _fd._residual, _fd._jacobian). Each Newton
+system is solved by block elimination: one LAPACK dgbsv call, which
+factors the band and solves for a handful of right-hand sides in place
+in _fd._jacobian's storage (imported at the first solve), and a small
+Schur complement. One loop, _damped_newton, serves newton_solve and the
+arclength corrector; it builds the Jacobian once per iterate that needs
+a step, and its line search tests each trial on the residual alone.
 
 Branches in a model parameter (sigma, or the applied voltage amplitude)
 are traced by pseudo-arclength continuation: secant tangent, predictor
@@ -51,9 +53,10 @@ import numpy as np
 from ._deferred import Deferred
 from ._fd import (
     BoundaryConditions,
-    _assemble,
     _dresidual_dparam,
+    _jacobian,
     _pack,
+    _residual,
     _unpack,
     chemical_potential,
     electrode_bc,
@@ -84,9 +87,10 @@ __all__ = [
     "load_branchset",
 ]
 
-# Imported at the first Newton solve (_deferred), under the name at which
-# perfbench's tracer counts stationary solves
-solve_banded = Deferred("scipy.linalg", "solve_banded")
+# LAPACK's band LU and solve in one call, imported at the first Newton
+# solve (_deferred), under the name at which perfbench's tracer counts
+# stationary solves
+solve_banded = Deferred("scipy.linalg.lapack", "dgbsv")
 
 _NEWTON_TOL = 1e-10  # max-norm residual of a converged state
 _NEWTON_MAX_ITER = 40
@@ -177,11 +181,17 @@ def _solve_bordered(
     """Solve [[B, C], [D, E]] [x; y] = [f; g] with B banded, E zero if None.
 
     One banded factorization over k+1 right-hand sides, then a k x k
-    Schur complement for the border unknowns; B is ab in solve_banded storage.
+    Schur complement for the border unknowns. B is ab in gbsv storage
+    (_fd._jacobian), which the factorization overwrites; one dgbsv call
+    through the module attribute solve_banded factors and solves, the
+    LAPACK call that scipy.linalg.solve_banded makes, without its
+    finiteness scan and its copy of ab. LinAlgError if B is singular.
     """
-    b = (ab.shape[0] - 1) // 2
+    b = (ab.shape[0] - 1) // 3
     rhs = np.column_stack([f, C])
-    X = solve_banded((b, b), ab, rhs)
+    _, _, X, info = solve_banded(b, b, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
     xf = X[:, 0]
     XC = X[:, 1:]
     S = -(D @ XC) if E is None else E - D @ XC
@@ -197,8 +207,7 @@ def stationary_residual(
 ) -> np.ndarray:
     """Residual of the stationary system at u (vector or state)."""
     vec = u.pack() if isinstance(u, StationaryState) else np.asarray(u, float)
-    r, *_ = _assemble(vec, p, grid, bc)
-    return r
+    return _residual(vec, p, grid, bc)
 
 
 def _initial_vector(
@@ -221,34 +230,37 @@ def _initial_vector(
     return _pack(c1, c2, phi, float(np.mean(mu1)), float(np.mean(mu2)))
 
 
-def _damped_newton(w: np.ndarray, system, max_iter: int) -> tuple[np.ndarray, int]:
-    """Damped Newton on system(w) = (r, ab, C, D[, E]); returns (w, iterations).
+def _damped_newton(w: np.ndarray, residual, jacobian, max_iter: int) -> tuple[np.ndarray, int]:
+    """Damped Newton on residual(w) = 0; returns (w, iterations).
 
-    The blocks after r are _solve_bordered's. The first ab.shape[1]
-    entries of w are the nodes' (c1, c2, phi), the rest border unknowns.
-    A step is halved until the concentrations stay positive and the
-    max-norm residual drops; below 1/1024, or with the residual still
-    above _NEWTON_TOL after max_iter steps, NumericsError.
+    jacobian(w) gives _solve_bordered's blocks (ab, C, D[, E]); the first
+    ab.shape[1] entries of w are the nodes' (c1, c2, phi), the rest border
+    unknowns. It is built once per iterate that still needs a step: a
+    trial of the line search evaluates the residual alone (Kelley,
+    Solving Nonlinear Equations with Newton's Method, SIAM 2003, ch. 2). A
+    step is halved until the concentrations stay positive and the max-norm
+    residual drops; below 1/1024, or with the residual still above
+    _NEWTON_TOL after max_iter steps, NumericsError.
     """
-    r, *blocks = system(w)
-    m = blocks[0].shape[1]
+    r = residual(w)
     rnorm = float(np.max(np.abs(r)))
     if not np.isfinite(rnorm):
         raise NumericsError("stationary residual is not finite at the initial guess")
     for it in range(max_iter):
         if rnorm < _NEWTON_TOL:
             return w, it
-        step = _solve_bordered(-r[:m], -r[m:], *blocks)
+        ab, *border = jacobian(w)
+        m = ab.shape[1]
+        step = _solve_bordered(-r[:m], -r[m:], ab, *border)
         t = 1.0
         while True:
             w_try = w + t * step
             if np.all(w_try[0:m:3] > 0.0) and np.all(w_try[1:m:3] > 0.0):
-                r_try, *blocks_try = system(w_try)
+                r_try = residual(w_try)
                 rn_try = float(np.max(np.abs(r_try)))
                 # a NaN residual fails both tests, so its step is halved
                 if rn_try < rnorm * (1.0 - 0.25 * t) or rn_try < _NEWTON_TOL:
-                    w, r, blocks = w_try, r_try, blocks_try
-                    rnorm = rn_try
+                    w, r, rnorm = w_try, r_try, rn_try
                     break
             t *= 0.5
             if t < 1.0 / 1024.0:
@@ -278,7 +290,8 @@ def newton_solve(
     """
     u, _ = _damped_newton(
         _initial_vector(guess, p, grid, bc),
-        lambda u: _assemble(u, p, grid, bc),
+        lambda u: _residual(u, p, grid, bc),
+        lambda u: _jacobian(u, p, grid),
         _NEWTON_MAX_ITER,
     )
     c1, c2, phi, lam1, lam2 = _unpack(u)
@@ -338,9 +351,13 @@ def _corrector(
     """
     m = 3 * grid.n
 
-    def system(w):
+    def residual(w):
         p, bc = _apply_param(p0, d, param_name, float(w[-1]))
-        r, ab, C2, D2 = _assemble(w[:-1], p, grid, bc)
+        return np.append(_residual(w[:-1], p, grid, bc), row @ (w - w_pred))
+
+    def jacobian(w):
+        p, _ = _apply_param(p0, d, param_name, float(w[-1]))
+        ab, C2, D2 = _jacobian(w[:-1], p, grid)
         dps = _dresidual_dparam(w[:-1], p, grid, param_name)
         # Border: columns [lam1, lam2, s]; rows [mass1, mass2, arc]. The
         # mass rows depend on neither the multipliers nor the parameter,
@@ -349,9 +366,9 @@ def _corrector(
         D = np.vstack([D2, row[:m]])
         E = np.zeros((3, 3))
         E[2] = row[m:]
-        return np.append(r, row @ (w - w_pred)), ab, C, D, E
+        return ab, C, D, E
 
-    return _damped_newton(w_pred, system, _CORRECTOR_MAX_ITER)
+    return _damped_newton(w_pred, residual, jacobian, _CORRECTOR_MAX_ITER)
 
 
 def _make_point(w: np.ndarray, grid: Grid, param_name: str) -> BranchPoint:
@@ -395,8 +412,8 @@ def trace_branch(
         return a / np.sqrt((a * weights) @ a)
 
     w0 = np.concatenate([seed.pack(), [seed.param_value]])
-    p, bc = _apply_param(p0, d, param_name, seed.param_value)
-    _, *blocks = _assemble(w0[:-1], p, grid, bc)
+    p, _ = _apply_param(p0, d, param_name, seed.param_value)
+    blocks = _jacobian(w0[:-1], p, grid)
     dps = _dresidual_dparam(w0[:-1], p, grid, param_name)
     t0 = unit(np.append(_solve_bordered(-dps[:m], -dps[m:], *blocks), 1.0))
     legs: list[list[BranchPoint]] = []

@@ -53,12 +53,14 @@ ModelParams, the arrays z, cbar and G; and per run, the step kernel
 by the run. The kernel holds the run's constants (w, z, G, rho0, sigma /
 dx, 1 + log cbar, the Poisson factor or symbol and the wall potentials)
 and a work buffer for every intermediate, the face buffers with their
-electrode closing rows written once. The band and its
-LU factors are made once per refresh (_fd._band, _factor_step).
-Finiteness is checked once per band, where _fd._band returns J; the
-factorisation writes -dt J straight into LAPACK's band storage and calls
-dgbtrf with no check or copy of its own, and returns the solve on those
-factors, which evolve keeps with the dt they were made for.
+electrode closing rows zero from construction, and the views of those
+buffers that each evaluation reads, made once. The band and its LU
+factors are made once per refresh (_fd._band, _factor_step).
+Finiteness is checked once per band, where _fd._band returns J, written
+column by column; the factorisation copies -dt J, a contiguous read,
+straight into LAPACK's band storage and calls dgbtrf with no check or
+copy of its own, and returns the solve on those factors, which evolve
+keeps with the dt they were made for.
 
 At the sizes evolve runs (tens to hundreds of nodes) a step costs mostly
 numpy's overhead per call, not arithmetic, so each state is evaluated
@@ -67,7 +69,9 @@ whole nodes is a contiguous slice, and each evaluation writes into the
 kernel's buffers instead of allocating. Each attempt makes, in order: one
 dgbtrs solve through the module attribute solve_banded (periodic runs
 fold their circular band into an ordinary one), the positivity and
-finiteness test, the candidate's charge density and one Poisson solve
+finiteness test (np.minimum.reduce and np.maximum.reduce, called
+directly, as is the steady test's, without ndarray.min's and max's
+Python wrappers), the candidate's charge density and one Poisson solve
 on it (kernel.charge, kernel.potential; a Dirichlet solve runs in place
 in the fresh phi it returns), and one kernel.mu_and_energy call, which
 takes log c, G c and the padded face differences of c and phi once and
@@ -80,7 +84,8 @@ test's max |c_t| and the step's right-hand side and band input; a
 rejected attempt evaluates no F, and overwrites neither F nor its face
 data, so its retry solves the same F and builds its band from the same
 faces. What an observer or the result sees is never a buffer: each
-accepted step has a fresh u (c1, c2 are its columns) and a fresh phi.
+accepted step has a fresh u (c1, c2, taken for an observer and at the
+end, are its columns) and a fresh phi.
 The energy is read without a sign check (a negative concentration
 leaves it NaN, and only then is the sign looked at). The dgbtrf
 factorisations, one per refresh, are called under their own name and
@@ -102,7 +107,6 @@ from ._deferred import Deferred
 from ._fd import (
     BoundaryConditions,
     _band,
-    _check_grid,
     _Kernel,
     chemical_potential,
     discrete_energy,
@@ -169,9 +173,9 @@ def _folded_layout(size: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     circular band of half-width b (4 for _fd._band) is an ordinary band
     of half-width kl = 2 b (N >= 4 b, so it never overlaps itself).
     fold[p] is the unknown at position p and unfold its inverse; dest maps
-    the raveled circular storage (2 b + 1, N) of _fd._band onto the
-    raveled (N, 3 kl + 1) array whose transpose is dgbtrf's storage for
-    kl = ku = 2 b.
+    the raveled transpose (N, 2 b + 1) of _fd._band's circular storage,
+    column k's entries together, onto the raveled (N, 3 kl + 1) array
+    whose transpose is dgbtrf's storage for kl = ku = 2 b.
     """
     kl = 2 * b
     fold = np.empty(size, dtype=np.intp)
@@ -182,9 +186,10 @@ def _folded_layout(size: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # puts at row rows[r, k] of column unfold[k]
     rows = unfold[(np.arange(size) - np.arange(b, -b - 1, -1)[:, None]) % size]
     dest = (3 * kl + 1) * unfold + 2 * kl + rows - unfold
+    dest = dest.T.ravel()
     for x in (fold, unfold, dest):
         x.setflags(write=False)
-    return fold, unfold, dest.ravel()
+    return fold, unfold, dest
 
 
 def _factor_step(jac: np.ndarray, dt: float, periodic: bool) -> Callable[[np.ndarray], np.ndarray]:
@@ -206,7 +211,7 @@ def _factor_step(jac: np.ndarray, dt: float, periodic: bool) -> Callable[[np.nda
         kl = 2 * b
         fold, unfold, dest = _folded_layout(size, b)
         store = np.zeros((size, 3 * kl + 1))
-        store.reshape(-1)[dest] = -dt * jac.ravel()
+        store.reshape(-1)[dest] = -dt * jac.T.ravel()
     else:
         kl = b
         store = np.empty((size, 3 * kl + 1))
@@ -270,7 +275,6 @@ def evolve(
     (ParameterError otherwise).
     """
     grid = profile0.grid
-    _check_grid(grid, bc)
     settings = {"t_end": t_end, "dt0": dt0, "dt_max": dt_max, "steady_tol": steady_tol}
     for name, value in settings.items():
         if not 0 < value < np.inf:  # NaN fails
@@ -279,11 +283,11 @@ def evolve(
     c1, c2 = profile0.c1, profile0.c2
     if not (c1.min() > 0 and c2.min() > 0 and c1.max() + c2.max() < np.inf):  # NaN, inf fail
         raise ParameterError("initial concentrations must be finite and strictly positive")
-    # u interleaves (c1_j, c2_j); c is its (n, 2) view, and c1, c2 are the
-    # columns of c
+    # u interleaves (c1_j, c2_j); c is its (n, 2) view, and c1, c2, taken
+    # for an observer and at the end, are the columns of c
     u = np.column_stack((c1, c2)).ravel()
     c = u.reshape(n, 2)
-    kernel = _Kernel(p, grid, bc)
+    kernel = _Kernel(p, grid, bc)  # ParameterError if bc does not suit the grid
     rho = kernel.charge(c)
     phi = kernel.potential(rho)
     mu, e_cur = kernel.mu_and_energy(c, rho, phi)
@@ -302,7 +306,7 @@ def evolve(
     while True:
         # F of the current state, from the mu its energy test computed
         f = kernel.flux_divergence(c, mu)
-        dcdt_norm = float(np.abs(f).max())
+        dcdt_norm = float(np.maximum.reduce(np.abs(f)))
         if dcdt_norm < steady_tol:
             verdict, reason = "Steady", "initial state already stationary"
             if steps:
@@ -322,7 +326,10 @@ def evolve(
             u_new = u + solve(f)
             # a NaN makes the minimum NaN, so the two bounds admit only
             # finite states above the floor
-            ok = u_new.min() > _POSITIVITY_FLOOR and u_new.max() < np.inf
+            ok = (
+                np.minimum.reduce(u_new) > _POSITIVITY_FLOOR
+                and np.maximum.reduce(u_new) < np.inf
+            )
             if ok:
                 c_new = u_new.reshape(n, 2)
                 rho = kernel.charge(c_new)
@@ -340,14 +347,14 @@ def evolve(
         t += dt_try
         steps += 1
         u, c, phi, e_cur = u_new, c_new, phi_new, e_new
-        c1, c2 = c.T
         times.append(t)
         energies.append(e_cur)
         masses.append(w @ c)
         if observer:
-            obs_hist.append(observer(t, c1, c2, phi))
+            obs_hist.append(observer(t, *c.T, phi))
         dt = min(1.3 * dt_try, dt_max)
 
+    c1, c2 = c.T
     mass1, mass2 = np.array(masses).T
     prof = Profile(grid=grid, c1=c1.copy(), c2=c2.copy(), phi=phi.copy())
     return EvolveResult(

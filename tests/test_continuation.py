@@ -4,21 +4,25 @@ The expensive bifurcation surveys live in the acceptance suite; these tests
 pin the machinery on small boxes where every answer has a closed form.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stericpnp import _fd
-from stericpnp._fd import _assemble, _dresidual_dparam, _pack
+from stericpnp._fd import _dresidual_dparam, _jacobian, _pack, _residual
 from stericpnp.continuation import (
+    _NEWTON_TOL,
     _SAME_TOL,
     Branch,
     BranchPoint,
     _apply_param,
+    _initial_vector,
+    _solve_bordered,
     l2_norm,
     load_branchset,
     mirror_state,
@@ -38,7 +42,7 @@ from stericpnp.dynamics import (
     solve_potential,
     time_derivatives,
 )
-from stericpnp.errors import ParameterError
+from stericpnp.errors import NumericsError, ParameterError
 from stericpnp.model import (
     DomainSpec,
     Profile,
@@ -390,16 +394,17 @@ def _stationary_case(draw, sigma_term, equal_walls=False):
 
 
 def _dense_jacobian(ab, C, D):
-    """[[B, C], [D, 0]] with B[col + k, col] = ab[b + k, col]; off-matrix slots must be 0."""
+    """[[B, C], [D, 0]] with B[col + k, col] = ab[2 b + k, col], gbsv storage
+    (_jacobian, whose first b rows are workspace); off-matrix slots must be 0."""
     m = ab.shape[1]
-    b = (ab.shape[0] - 1) // 2
+    b = (ab.shape[0] - 1) // 3
     J = np.zeros((m + 2, m + 2))
     cols = np.arange(m)
     for k in range(-b, b + 1):
         rows = cols + k
         inside = (rows >= 0) & (rows < m)
-        J[rows[inside], cols[inside]] = ab[b + k, inside]
-        assert np.all(ab[b + k, ~inside] == 0.0)
+        J[rows[inside], cols[inside]] = ab[2 * b + k, inside]
+        assert np.all(ab[2 * b + k, ~inside] == 0.0)
     J[:m, m:] = C
     J[m:, :m] = D
     return J
@@ -411,7 +416,8 @@ def _dense_jacobian(ab, C, D):
 def test_assembled_jacobian_is_the_derivative_of_the_residual(sigma_term, data):
     p, d, grid, u = data.draw(_stationary_case(sigma_term))
     bc = electrode_bc(d.phi_left, d.phi_right)
-    r, ab, C, D = _assemble(u, p, grid, bc)
+    r = _residual(u, p, grid, bc)
+    ab, C, D = _jacobian(u, p, grid)
     np.testing.assert_array_equal(r, stationary_residual(u, p, grid, bc))
     # the finite differences check the zero multiplier corner too
     J = _dense_jacobian(ab, C, D)
@@ -449,10 +455,11 @@ def test_weighted_stationary_jacobian_is_symmetric(sigma_term, walls, data):
     (log cbar - lam), constant in c and phi, and w_j times its interior
     Poisson row is dE/dphi_j, so the band with each node's three rows scaled
     by w_j is a Hessian once the Dirichlet phi rows and columns are
-    dropped."""
+    dropped. The wall potentials reach only the Dirichlet rows' constants,
+    not the Jacobian (_jacobian takes no bc), so both walls settings read
+    the same band."""
     p, d, grid, u = data.draw(_stationary_case(sigma_term))
-    bc = electrode_bc() if walls == "grounded" else electrode_bc(d.phi_left, d.phi_right)
-    _, ab, C, D = _assemble(u, p, grid, bc)
+    ab, C, D = _jacobian(u, p, grid)
     m = 3 * grid.n
     K = np.repeat(grid.weights, 3)[:, None] * _dense_jacobian(ab, C, D)[:m, :m]
     inner = np.delete(np.arange(m), [2, m - 1])
@@ -465,12 +472,12 @@ def test_weighted_stationary_jacobian_is_symmetric(sigma_term, walls, data):
 @given(data=st.data())
 def test_evolve_band_is_the_flux_operator_on_the_assembled_mu_block(sigma_term, data):
     """With the drift term dropped (dmu = 0), evolve's band is -W^-1 Dl^T A Dl M:
-    M is the mu-row, c-column block of _assemble at the same state, Dl the
+    M is the mu-row, c-column block of _jacobian at the same state, Dl the
     face difference of each species (zero across the wall face), A =
     c_face / dx, and F_j = (flux_j - flux_j-1) / w_j."""
     p, d, grid, u = data.draw(_stationary_case(sigma_term))
     n = grid.n
-    _, ab, C, D = _assemble(u, p, grid, electrode_bc(d.phi_left, d.phi_right))
+    ab, C, D = _jacobian(u, p, grid)
     # (c1_j, c2_j) interleaved, evolve's order
     conc = np.arange(3 * n).reshape(n, 3)[:, :2].ravel()
     M = _dense_jacobian(ab, C, D)[np.ix_(conc, conc)]
@@ -489,6 +496,96 @@ def test_evolve_band_is_the_flux_operator_on_the_assembled_mu_block(sigma_term, 
     A = kernel.c_face[2:-1].ravel() / grid.dx
     J_ref = -(Dl.T @ (A[:, None] * (Dl @ M))) / np.repeat(grid.weights, 2)[:, None]
     assert np.max(np.abs(J - J_ref)) <= 1e-13 * np.max(np.abs(J_ref))
+
+
+@pytest.mark.parametrize("corner", [False, True], ids=["no_corner", "corner"])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_bordered_solve_matches_a_dense_solve(corner, data):
+    """_solve_bordered, one dgbsv call on the band in gbsv storage and a
+    Schur complement for the borders, is np.linalg.solve of the dense
+    [[B, C], [D, E]] (E = 0 without the corner) to 1e-12 relative. B is
+    strictly diagonally dominant by rows and the bordered matrix has
+    condition below 1e3; the workspace rows of the storage hold NaN,
+    which dgbsv must not read."""
+    b = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(3 * b + 2, 40))
+    k = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    B = np.triu(np.tril(rng.uniform(-1.0, 1.0, (m, m)), b), -b)
+    np.fill_diagonal(B, 0.0)
+    np.fill_diagonal(B, (1.0 + np.abs(B).sum(axis=1)) * rng.choice([-1.0, 1.0], m))
+    ab = np.zeros((m, 3 * b + 1)).T  # column-major, gbsv's storage
+    ab[:b] = np.nan
+    for j in range(m):
+        for i in range(max(0, j - b), min(m, j + b + 1)):
+            ab[2 * b + i - j, j] = B[i, j]
+    C = rng.standard_normal((m, k))
+    D = rng.standard_normal((k, m))
+    E = rng.standard_normal((k, k)) if corner else None
+    A = np.block([[B, C], [D, np.zeros((k, k)) if E is None else E]])
+    assume(np.linalg.cond(A) < 1e3)
+    rhs = rng.standard_normal(m + k)
+    expected = np.linalg.solve(A, rhs)
+    x = _solve_bordered(rhs[:m], rhs[m:], ab, C, D, E)
+    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _newton_assembling_every_trial(u, p, grid, bc):
+    """The damped Newton loop of _damped_newton with the residual and the
+    Jacobian built together at every trial, the accepted trial's blocks
+    solving the next step. At each iterate it checks that the residual is
+    stationary_residual's and that neither a Jacobian build nor the solve,
+    which overwrites the band, changes the residual of the iterate."""
+    m = 3 * grid.n
+
+    def system(v):
+        return _residual(v, p, grid, bc), _jacobian(v, p, grid)
+
+    r, blocks = system(u)
+    rnorm = float(np.max(np.abs(r)))
+    for _ in range(40):
+        if rnorm < _NEWTON_TOL:
+            return u
+        np.testing.assert_array_equal(r, stationary_residual(u, p, grid, bc))
+        step = _solve_bordered(-r[:m], -r[m:], *blocks)
+        np.testing.assert_array_equal(r, _residual(u, p, grid, bc))
+        t = 1.0
+        while True:
+            u_try = u + t * step
+            if np.all(u_try[0:m:3] > 0.0) and np.all(u_try[1:m:3] > 0.0):
+                r_try, blocks_try = system(u_try)
+                rn_try = float(np.max(np.abs(r_try)))
+                if rn_try < rnorm * (1.0 - 0.25 * t) or rn_try < _NEWTON_TOL:
+                    u, r, blocks, rnorm = u_try, r_try, blocks_try, rn_try
+                    break
+            t *= 0.5
+            if t < 1.0 / 1024.0:
+                raise NumericsError(f"Newton stalled at residual {rnorm:.3e} (no damped decrease)")
+    raise NumericsError(f"Newton did not converge: residual {rnorm:.3e}")
+
+
+@settings(max_examples=15)
+@given(data=st.data())
+def test_newton_takes_the_steps_of_a_loop_that_assembles_every_trial(data):
+    """newton_solve tests each line-search trial on the residual alone and
+    builds the Jacobian once per iterate that needs a step; a loop that
+    builds both at every trial reaches the same state bit for bit, or the
+    same failure."""
+    p = data.draw(admissible_params(True))
+    voltage = data.draw(st.floats(-0.5, 0.5))
+    grid = make_grid(DomainSpec(data.draw(st.floats(0.5, 5.0))), data.draw(st.integers(12, 32)))
+    bc = electrode_bc(-voltage, voltage)
+    bump = data.draw(st.floats(0.0, 0.3)) * np.cos(np.pi * grid.x / grid.L)
+    prof = Profile(grid, p.cbar1 * (1.0 + bump), p.cbar2 * (1.0 - bump))
+    u0 = _initial_vector(prof, p, grid, bc)
+    try:
+        state = newton_solve(prof, p, grid, bc, "voltage", voltage)
+    except NumericsError as exc:
+        with pytest.raises(NumericsError, match=f"^{re.escape(str(exc))}$"):
+            _newton_assembling_every_trial(u0, p, grid, bc)
+        return
+    np.testing.assert_array_equal(state.pack(), _newton_assembling_every_trial(u0, p, grid, bc))
 
 
 @pytest.mark.parametrize("sigma_term", [False, True], ids=["sigma0", "sigma"])

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import trapezoid
@@ -37,6 +37,7 @@ from stericpnp.model import (
     make_periodic_grid,
     with_sigma,
 )
+from stericpnp.stability import max_growth_rate
 
 from _strategies import admissible_params
 
@@ -410,6 +411,85 @@ def test_evolve_steps_with_the_public_time_derivatives(kind, sigma_term, data):
     final = res.profile
     f = time_derivatives(final.c1, final.c2, final.phi, p, grid)
     assert res.dcdt_norm == np.abs(f).max()
+
+
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+def test_a_boundary_kind_that_does_not_suit_the_grid_is_a_parameter_error(kind):
+    """Periodic conditions on a wall-to-wall grid, or electrode conditions on
+    a periodic one, are refused by the Poisson solve as by evolve, before
+    any potential is computed."""
+    if kind == "electrode":
+        grid, bc = make_periodic_grid(2.0, 32), electrode_bc()
+    else:
+        grid, bc = make_grid(DomainSpec(2.0), 33), periodic_bc()
+    prof = homogeneous_profile(grid, P_SYM)
+    with pytest.raises(ParameterError, match="boundary conditions need"):
+        solve_potential(prof.c1, prof.c2, P_SYM, grid, bc)
+    with pytest.raises(ParameterError, match="boundary conditions need"):
+        evolve(P_SYM, prof, bc, t_end=1.0)
+
+
+def _reflect(u):
+    """x -> -x on the nodes of an interleaved u, (c1_j, c2_j) kept together."""
+    return u.reshape(-1, 2)[::-1].ravel()
+
+
+@pytest.mark.parametrize("sigma_term", [False, True], ids=["sigma0", "sigma"])
+@pytest.mark.parametrize("kind", ["electrode", "periodic"])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_the_dynamics_commute_with_reflection(kind, sigma_term, data):
+    """x -> -x maps the state on a grid with walls (a, b) to the reflected
+    state with walls (b, a), and reverses the nodes of a periodic grid. F,
+    the discrete energy, the potential and one step's du of the reflected
+    state are the reflections of the originals to 1e-12 relative (du to 10
+    eps cond(I - dt J) where the step system is that ill-conditioned), and a
+    short evolve takes the same steps and rejects to the same verdict, its
+    final concentrations reflections to 1e-9 relative. The parameters are well posed on
+    the grid: no mode the grid carries, k = m pi / (2 L) for m = 1 ... n,
+    grows at the uniform state, so the rounding in which the two runs
+    differ is not amplified."""
+    p, grid, bc, prof = data.draw(_relaxation_case(kind, sigma_term))
+    assume(
+        max(max_growth_rate(m * np.pi / (2.0 * grid.L), p, p.sigma) for m in range(1, grid.n + 1))
+        <= 0.0
+    )
+    mirror_bc = bc if grid.periodic else electrode_bc(bc.phi_right, bc.phi_left)
+    c1, c2 = prof.c1, prof.c2
+    r1, r2 = c1[::-1], c2[::-1]
+
+    phi = solve_potential(c1, c2, p, grid, bc)
+    phi_r = solve_potential(r1, r2, p, grid, mirror_bc)
+    assert np.max(np.abs(phi_r - phi[::-1])) <= 1e-12 * np.max(np.abs(phi))
+    phi_r = phi[::-1]
+
+    f = _interleaved(*time_derivatives(c1, c2, phi, p, grid))
+    f_r = _interleaved(*time_derivatives(r1, r2, phi_r, p, grid))
+    assert np.max(np.abs(f_r - _reflect(f))) <= 1e-12 * np.max(np.abs(f))
+    energy, scale = _face_loop_energy(c1, c2, phi, p, grid)
+    assert abs(discrete_energy(r1, r2, phi_r, p, grid) - discrete_energy(c1, c2, phi, p, grid)) <= (
+        1e-12 * scale
+    )
+
+    # the two factorisations eliminate in opposite orders, so their du
+    # differ by rounding times the condition of I - dt J, as in
+    # test_step_solve_matches_a_dense_solve
+    dt = data.draw(st.floats(1e-3, 0.25))
+    u = _interleaved(c1, c2)
+    band = _f_and_band(u, phi, p, grid)[1]
+    du = _factor_step(band, dt, grid.periodic)(f)
+    band_r = _f_and_band(_reflect(u), phi_r, p, grid)[1]
+    du_r = _factor_step(band_r, dt, grid.periodic)(f_r)
+    system = np.eye(u.size) - dt * _dense_from_band(band, grid.periodic)
+    tol = max(1e-12, 10.0 * np.finfo(float).eps * np.linalg.cond(system))
+    assert np.max(np.abs(du_r - _reflect(du))) <= tol * np.max(np.abs(du))
+
+    res = evolve(p, prof, bc, t_end=2.0)
+    res_r = evolve(p, Profile(grid, r1, r2), mirror_bc, t_end=2.0)
+    assert (res_r.steps, res_r.rejects, res_r.verdict) == (res.steps, res.rejects, res.verdict)
+    for name in ("c1", "c2"):
+        a, b = getattr(res.profile, name), getattr(res_r.profile, name)
+        assert np.max(np.abs(b - a[::-1])) <= 1e-9 * np.max(np.abs(a)), name
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

@@ -114,8 +114,8 @@ def test_first_call_of_each_deferred_name_returns_what_scipy_returns():
             return -y
 
         # a symmetric positive definite tridiagonal system and a 5 x 5 band
-        # with one sub- and one superdiagonal, in solve_banded's storage and
-        # in dgbtrf's, whose first row is workspace
+        # with one sub- and one superdiagonal, in LAPACK's band storage,
+        # whose first row is workspace for dgbtrf and dgbsv
         d, e, b = np.array([4.0, 5.0, 6.0]), np.array([1.0, -2.0]), np.array([1.0, 2.0, 3.0])
         ab = np.array([
             [0.0, 1.0, -0.5, 2.0, 0.25],
@@ -126,15 +126,16 @@ def test_first_call_of_each_deferred_name_returns_what_scipy_returns():
         lu_in = np.vstack([np.zeros((1, 5)), ab])
         A = csc_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
 
-        def lapack(trf, trs, gbtrf, gbtrs, banded):
+        def lapack(trf, trs, gbtrf, gbtrs, gbsv):
             df, ef, _ = trf(d, e)
             lu, piv, _ = gbtrf(lu_in.copy(), 1, 1)
+            lu_sv, piv_sv, x_sv, _ = gbsv(1, 1, lu_in.copy(), rhs_band.copy())
             return {
                 "dpttrf": np.concatenate([df, ef]),
                 "dpttrs": trs(df, ef, b.copy())[0],
                 "dgbtrf": np.concatenate([lu.ravel(), piv]),
                 "dgbtrs": gbtrs(lu, 1, 1, rhs_band.copy(), piv)[0],
-                "solve_banded": banded((1, 1), ab, rhs_band),
+                "dgbsv": np.concatenate([lu_sv.ravel(), piv_sv, x_sv]),
             }
 
         ours = lapack(_fd.dpttrf, _fd.dpttrs, dynamics.dgbtrf, dynamics.solve_banded,
@@ -143,11 +144,10 @@ def test_first_call_of_each_deferred_name_returns_what_scipy_returns():
         ours["splu"] = dynamics.splu(A).solve(np.array([1.0, 2.0]))
 
         from scipy.integrate import solve_ivp
-        from scipy.linalg import solve_banded
-        from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
+        from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs, dpttrf, dpttrs
         from scipy.sparse.linalg import splu
 
-        ref = lapack(dpttrf, dpttrs, dgbtrf, dgbtrs, solve_banded)
+        ref = lapack(dpttrf, dpttrs, dgbtrf, dgbtrs, dgbsv)
         same = {name: bool(np.array_equal(ours[name], ref[name])) for name in ref}
         ivp = solve_ivp(rhs, (0.0, 1.0), [1.0, 2.0], rtol=1e-9)
         same["solve_ivp"] = bool(
@@ -159,7 +159,7 @@ def test_first_call_of_each_deferred_name_returns_what_scipy_returns():
         print(json.dumps(same))
         """
     )
-    names = ("dpttrf", "dpttrs", "dgbtrf", "dgbtrs", "solve_banded", "solve_ivp", "splu")
+    names = ("dpttrf", "dpttrs", "dgbtrf", "dgbtrs", "dgbsv", "solve_ivp", "splu")
     assert same == dict.fromkeys(names, True)
 
 
