@@ -27,21 +27,18 @@ Space is discretized with finite volumes: the flux through each interior
 face uses the arithmetic mean of the neighboring concentrations times the
 chemical-potential difference across the face, and wall faces carry zero
 flux. With trapezoid quadrature weights this telescopes exactly, so the
-discrete masses are conserved to roundoff by construction. _Kernel, the
-model at one (p, grid, bc), is the one writer of each quantity: charge
-and potential write rho and phi (potential runs the Dirichlet solve of
-solve_poisson_dirichlet or the periodic one of solve_poisson_periodic),
-mu_and_energy writes mu and the discrete energy, and flux_divergence
-writes F with the face data that _band reads. solve_potential,
-time_derivatives, chemical_potential, discrete_energy and the stationary
-residual each build a kernel per call, and the time stepper one per run.
-The closing face lives here only: each face array is padded with it (0
-at an electrode wall, the wrap on a periodic grid, which _close alone
-writes, for _faces and for the kernel's buffers alike), and
-second_derivative, mu, the energy and F all difference those arrays.
-_node_columns holds the Laplacian's matrix columns for _dmu_dc, the d mu /
-d c behind both exact Jacobians: _band, the time stepper's, and
-_jacobian, the stationary solver's.
+discrete masses are conserved to roundoff by construction.
+
+_Kernel is the model at one (p, grid, bc), and every solver evaluates
+the model through it; it alone knows the per-grid constants, the face
+layout and d mu / d c. The time stepper (dynamics.evolve) builds one per
+run and calls charge, potential, mu_and_energy, flux_divergence and, at
+each refresh, band. Newton (continuation.newton_solve) builds one per
+solve and the arclength corrector one per parameter value, and both call
+residual and jacobian; continuation's parameter derivative reads
+laplacian. solve_potential, chemical_potential, time_derivatives and
+discrete_energy each build one per call. No parameter name is known
+here: continuation maps a parameter value to the (p, bc) of a kernel.
 
 Stationary states have spatially constant chemical potentials. With the
 potential slaved to the charge through Poisson and the total masses
@@ -57,13 +54,12 @@ wall-to-wall grid is (_pack, _unpack)
 
 with Dirichlet rows phi_0 - phi_left and phi_{n-1} - phi_right replacing
 the wall Poisson rows, plus two mass rows sum_j w_j c_{i,j} - 2 L cbar_i.
-Its mu rows are _Kernel.mu_and_energy's mu, so converged states are
-exact fixed points of the time stepper. _residual writes the residual
-and _jacobian its Jacobian, apart, so that Newton's line search
+Its mu rows are mu_and_energy's mu, so converged states are exact fixed
+points of the time stepper. _Kernel.residual writes the residual and
+_Kernel.jacobian its Jacobian, apart, so that Newton's line search
 evaluates the residual alone: banded (l = u = 3 in the node-interleaved
 ordering, in LAPACK gbsv's storage), bordered by dense columns for the
-multipliers and dense mass rows. _dresidual_dparam is the residual's
-derivative in the continuation parameter.
+multipliers and dense mass rows.
 """
 
 from __future__ import annotations
@@ -83,53 +79,13 @@ from .model import Grid, ModelParams
 dpttrf = Deferred("scipy.linalg.lapack", "dpttrf")
 dpttrs = Deferred("scipy.linalg.lapack", "dpttrs")
 
-_STEP_BAND = 4  # _band, interleaved (c1_j, c2_j): node offset 2, sigma reach 2 nodes
-_STATIONARY_BAND = 3  # _jacobian, interleaved (c1_j, c2_j, phi_j)
+_STEP_BAND = 4  # _Kernel.band, interleaved (c1_j, c2_j): node offset 2, sigma reach 2 nodes
+_STATIONARY_BAND = 3  # _Kernel.jacobian, interleaved (c1_j, c2_j, phi_j)
 
 
 def gradient(arr: np.ndarray, grid: Grid) -> np.ndarray:
     """First derivative on a wall-to-wall grid, O(dx^2), one-sided at the walls."""
     return np.gradient(arr, grid.dx, edge_order=2)
-
-
-def _faces(arr: np.ndarray, grid: Grid) -> np.ndarray:
-    """arr[f + 1] - arr[f] at each face f along the first (node) axis,
-    padded to n + 1 rows, row f + 1 for face f.
-
-    Rows 0 and n both hold the closing face n - 1, from the last node to the
-    first: arr[0] - arr[-1] on a periodic grid (_close), 0 at an electrode
-    wall. The outflow of the cells, of widths w, is then (q[1:] - q[:-1]) /
-    w. _Kernel pads its face buffers the same way.
-    """
-    q = np.zeros((arr.shape[0] + 1,) + arr.shape[1:])
-    np.subtract(arr[1:], arr[:-1], out=q[1:-1])
-    if grid.periodic:
-        _close(q, arr, np.subtract)
-    return q
-
-
-def _close(q: np.ndarray, arr: np.ndarray, op) -> None:
-    """Write a periodic grid's closing face, op(arr[0], arr[-1]), into rows
-    0 and n of a face array q padded like _faces': the one writer of that
-    face, for _faces and the _Kernel buffers (op is np.add for the sums
-    of c_face)."""
-    op(arr[:1], arr[-1:], out=q[-1:])
-    q[0] = q[-1]
-
-
-def second_derivative(arr: np.ndarray, grid: Grid) -> np.ndarray:
-    """Three-point second derivative along the last axis.
-
-    The divergence of the _faces differences / dx over the quadrature cells.
-    At an electrode wall the closed face makes it 2 (a1 - a0) / dx^2, an even
-    reflection (ghost = a1): the discrete form of a homogeneous Neumann
-    condition a_x = 0 and the variational closure of the face-difference
-    gradient energy. Each row of a stacked (m, n) input gets the arithmetic
-    of a 1-D call, bit for bit.
-    """
-    w = grid.weights if arr.ndim == 1 else grid.weights[:, None]
-    d = _faces(arr.T, grid) / grid.dx
-    return ((d[1:] - d[:-1]) / w).T
 
 
 @lru_cache(maxsize=16)
@@ -271,7 +227,7 @@ def chemical_potential(
     The rows of _Kernel.mu_and_energy's mu, the only place mu is written:
     the time stepper and the stationary solver both take it from there
     (mu1, mu2 = chemical_potential(...) unpacks the rows). With the Neumann
-    wall closure of second_derivative, mu_i - log cbar_i is exactly (1/w_j)
+    wall closure of _Kernel.laplacian, mu_i - log cbar_i is exactly (1/w_j)
     dE/dc_ij of discrete_energy; the constant log cbar_i is absorbed by
     the mass multipliers and reaches no flux or Hessian.
     """
@@ -327,56 +283,76 @@ def discrete_energy(
 
 
 class _Kernel:
-    """The discrete model at one (p, grid, bc): the one writer of the charge
-    density and the potential (charge, potential), of mu and the discrete
-    energy (mu_and_energy) and of F = (c mu_x)_x with its face data
-    (flux_divergence).
+    """The discrete model at one (p, grid, bc), through which every solver
+    evaluates it: the one writer of the charge density and the potential
+    (charge, potential), of the Neumann Laplacian (laplacian), of mu and
+    the discrete energy (mu_and_energy), of F = (c mu_x)_x with its face
+    data (flux_divergence), of F's exact Jacobian (band), and of the
+    stationary residual with its Jacobian (residual, jacobian).
 
-    evolve builds one per run; the public functions above and _residual
-    build one per call. It holds what no state changes: z, G, rho0, sigma
-    / dx, 1 + log cbar, the quadrature weights, and, when bc is given, the
-    Dirichlet factor and wall potentials or the periodic symbol; a bc that
-    does not suit the grid raises ParameterError. It also holds a work
-    buffer for every intermediate, each face buffer padded like _faces'
-    with its electrode closing rows zero from construction, and makes once
-    the views of them that every evaluation reads (the face interiors,
-    into which it writes, and the shifted rows), so that an evaluation
-    allocates nothing but the fresh phi that potential returns.
+    It holds what no state changes: z, G, rho0, sigma / dx, 1 + log cbar,
+    the quadrature weights, the mass targets, the constants of d mu / d c
+    (_dmu_dc), and, when bc is given, the Dirichlet factor and wall
+    potentials or the periodic symbol; a bc that does not suit the grid
+    raises ParameterError. It also holds a work buffer for every
+    intermediate, and makes once the views of them that every evaluation
+    reads (the face interiors, into which it writes, and the shifted
+    rows), so that the time stepper's evaluation of a state (charge,
+    potential, mu_and_energy, flux_divergence) allocates nothing but the
+    fresh phi that potential returns. laplacian, band, residual and
+    jacobian return fresh arrays.
+
+    Each face array is padded to n + 1 rows, row f + 1 for face f (from
+    node f to node f + 1), with the closing face n - 1, from the last
+    node to the first, at both ends: the wrap on a periodic grid, which
+    _write_faces alone writes, and 0 at an electrode wall, zero from
+    construction. Every divergence (the Laplacian, F) is then (q[1:] -
+    q[:-1]) / w, with no wall or wrap case.
 
     A result held in a buffer (rho, mu, F and the face data c_face and
     dmu) stands until the next call of the method that wrote it. mu and
     the energy's face differences are separate from F's face data, so
     evaluating a candidate state leaves F, c_face and dmu of the current
-    state, which a retried step solves again and builds _band from.
+    state, which a retried step solves again and builds its band from.
     """
 
     def __init__(self, p: ModelParams, grid: Grid, bc: BoundaryConditions | None = None):
         n = grid.n
+        self.n = n
         self.periodic = grid.periodic
         self.dx = grid.dx
+        self.dx2 = grid.dx**2
         self.weights = grid.weights
-        self.w = _node_columns(grid)[0]
+        self.w, self._iw, lap = _node_columns(grid)
         self.z = p.z
         self.G = p.G
+        self.g12 = p.g12
         self.rho0 = p.rho0
         self.half_sigma = 0.5 * p.sigma
         self.sigma_dx = p.sigma / grid.dx
         self.log_cbar1 = 1.0 + np.log(p.cbar)
+        self.masses = 2.0 * grid.L * p.cbar
+        # d mu / d c (_dmu_dc): g_ii and 2 beta for the diagonal, and the
+        # Laplacian's columns times beta = -sigma / dx^2
+        beta = -p.sigma / self.dx2
+        self._g_ii = p.G.diagonal()
+        self._two_beta = 2.0 * beta
+        self._up, self._down = beta * lap
         self.symbol = self.dirichlet = None
         if bc is not None:
             _check_grid(grid, bc)
             if grid.periodic:
                 self.symbol = _periodic_symbol(n, grid.dx)
             else:
-                self.dirichlet = (grid.dx**2, _dirichlet_factor(n - 2), bc.phi_left, bc.phi_right)
+                self.dirichlet = (self.dx2, _dirichlet_factor(n - 2), bc.phi_left, bc.phi_right)
 
         self.rho = np.empty(n)
         self._rho_phi = np.empty(n)
         self._log_c, self._gc, self.mu, self._zphi, self._lap = np.empty((5, n, 2))
         self._dc = np.zeros((n + 1, 2))
         self._dphi = np.zeros(n + 1)
-        # c_face row k holds face k - 2 mod n, the layout _band reads; its
-        # rows 1 ... n + 1 are the _faces padding of the sums, and _band
+        # c_face row k holds face k - 2 mod n, the layout band reads; its
+        # rows 1 ... n + 1 are the padded face array of the sums, and band
         # writes the wrap rows 0 and n + 2
         self.c_face = np.zeros((n + 3, 2))
         self._c_sum = self.c_face[1:-1]
@@ -394,6 +370,16 @@ class _Kernel:
         self._flux_next, self._flux_prev = self._flux[1:], self._flux[:-1]
         self._z_row = self.z[None]
 
+    def _write_faces(self, op, arr: np.ndarray, q: np.ndarray, inner: np.ndarray) -> None:
+        """op(arr[f + 1], arr[f]) at each face f along the first (node) axis,
+        into the padded face buffer q through its interior view inner =
+        q[1:-1]; the one writer of the closing face (op is np.subtract for
+        differences, np.add for the sums of c_face)."""
+        op(arr[1:], arr[:-1], out=inner)
+        if self.periodic:
+            op(arr[:1], arr[-1:], out=q[-1:])
+            q[0] = q[-1]
+
     def charge(self, c: np.ndarray) -> np.ndarray:
         """rho = z . c + rho0 of an (n, 2) state, nodes first."""
         rho = np.dot(c, self.z, out=self.rho)
@@ -406,6 +392,25 @@ class _Kernel:
             return _solve_periodic(rho, self.symbol)
         return _solve_dirichlet(rho, *self.dirichlet)
 
+    def _dx_laplacian(self, c: np.ndarray) -> np.ndarray:
+        """dx c_xx of the (n, 2) state c, in a buffer: the divergence of its
+        face differences dc, which stay in the kernel for the energy.
+
+        At an electrode wall the closed face makes c_xx 2 (c1 - c0) / dx^2,
+        an even reflection (ghost = c1): the discrete form of a homogeneous
+        Neumann condition c_x = 0 and the variational closure of the
+        face-difference gradient energy.
+        """
+        self._write_faces(np.subtract, c, self._dc, self._dc_in)
+        lap = np.subtract(self._dc_next, self._dc_prev, out=self._lap)
+        lap /= self.w
+        return lap
+
+    def laplacian(self, c: np.ndarray) -> np.ndarray:
+        """c_xx of an (n, 2) state, nodes first: the Neumann Laplacian of mu,
+        a fresh array. Its matrix columns are _node_columns' lap."""
+        return self._dx_laplacian(c) / self.dx
+
     def mu_and_energy(
         self, c: np.ndarray, rho: np.ndarray, phi: np.ndarray
     ) -> tuple[np.ndarray, float]:
@@ -413,23 +418,18 @@ class _Kernel:
 
         The one writer of the chemical potential and of the discrete energy
         (see chemical_potential and discrete_energy): log c, G c and the
-        face differences dc (_faces' padding) are computed once and shared.
-        The Laplacian in mu is the divergence of dc / dx, the Neumann
-        closure of second_derivative. The bulk density is h = sum_i c_i
-        (log(c_i / cbar_i) - 1 + (G c)_i / 2), with h_i = 0 at c_i = 0 (0
-        log 0 -> 0); a negative concentration, which leaves it NaN, raises
+        face differences dc are computed once and shared. The Laplacian in
+        mu is _dx_laplacian's. The bulk density is h = sum_i c_i (log(c_i /
+        cbar_i) - 1 + (G c)_i / 2), with h_i = 0 at c_i = 0 (0 log 0 -> 0);
+        a negative concentration, which leaves it NaN, raises
         ParameterError.
         """
         w = self.w
         log_c = np.log(c, out=self._log_c)
         gc = np.dot(c, self.G, out=self._gc)  # (G c)_i at every node; G is symmetric
-        np.subtract(c[1:], c[:-1], out=self._dc_in)
-        if self.periodic:
-            _close(self._dc, c, np.subtract)
         mu = np.add(log_c, gc, out=self.mu)
         mu += np.dot(phi[:, None], self._z_row, out=self._zphi)  # z_i phi_j, one outer product
-        lap = np.subtract(self._dc_next, self._dc_prev, out=self._lap)
-        lap /= w
+        lap = self._dx_laplacian(c)
         lap *= self.sigma_dx
         mu -= lap
 
@@ -445,9 +445,7 @@ class _Kernel:
                 raise ParameterError("concentrations must be nonnegative")
             dens[c == 0] = 0.0
             bulk = float(np.vdot(w, dens))
-        np.subtract(phi[1:], phi[:-1], out=self._dphi_in)
-        if self.periodic:
-            _close(self._dphi, phi, np.subtract)
+        self._write_faces(np.subtract, phi, self._dphi, self._dphi_in)
         dc, dphi = self._dc_next, self._dphi_next  # the closing face once
         energy = (
             bulk
@@ -462,48 +460,194 @@ class _Kernel:
 
         Face f joins nodes f and f + 1 (mod n); on electrode grids face n - 1
         is the closed wall and carries nothing. Its flux is c_face dmu / dx,
-        with c_face = (c_f + c_f+1) / 2 and dmu = mu_f+1 - mu_f padded like
-        _faces, and F_j = (flux_j - flux_j-1) / w_j. Nodes first is u's
-        interleaved order, in which a shift by whole nodes is a contiguous
-        slice.
+        with c_face = (c_f + c_f+1) / 2 and dmu = mu_f+1 - mu_f, and F_j =
+        (flux_j - flux_j-1) / w_j. Nodes first is u's interleaved order, in
+        which a shift by whole nodes is a contiguous slice.
 
-        Leaves the face data that _band reads in the kernel: c_face, shape
+        Leaves the face data that band reads in the kernel: c_face, shape
         (n + 3, 2), holds face k - 2 mod n at row k, except the wrap rows 0
-        and n + 2, which _band writes; dmu, shape (n + 1, 2), holds face k -
-        1 mod n at row k (_faces' padding).
+        and n + 2, which band writes; dmu, shape (n + 1, 2), holds face k -
+        1 mod n at row k.
         """
         q = self._c_sum
-        np.add(c[1:], c[:-1], out=self._c_sum_in)
-        if self.periodic:
-            _close(q, c, np.add)
+        self._write_faces(np.add, c, q, self._c_sum_in)
         q *= 0.5
         dmu = self.dmu
-        np.subtract(mu[1:], mu[:-1], out=self._dmu_in)
-        if self.periodic:
-            _close(dmu, mu, np.subtract)
+        self._write_faces(np.subtract, mu, dmu, self._dmu_in)
         flux = np.multiply(q, dmu, out=self._flux)
         flux /= self.dx
         f = np.subtract(self._flux_next, self._flux_prev, out=self._f)
         f /= self.w
         return self._f_flat
 
+    def _dmu_dc(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(diag, up, down) of d mu / d c at the (n, 2) state c, nodes first.
 
-def _dmu_dc(
-    c: np.ndarray, p: ModelParams, grid: Grid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(diag, up, down) of d mu / d c at the (n, 2) state c, nodes first.
+        The one writer of mu's Jacobian, read by both exact Jacobians (band
+        and jacobian). At column k of species i, diag = d mu_i,k / d c_i,k =
+        1/c + g_ii + 2 sigma/dx^2, and up, down = d mu_i,k-1 / d c_i,k, d
+        mu_i,k+1 / d c_i,k are -sigma/dx^2 times the Laplacian's columns of
+        _node_columns, the Neumann wall closure; they are the kernel's, not
+        to be written. The species couple only through g12, at the same
+        node, which the callers add.
+        """
+        return 1.0 / c + self._g_ii - self._two_beta, self._up, self._down
 
-    The one writer of mu's Jacobian, read by both exact Jacobians (_band
-    and _jacobian). At column k of species i, diag = d mu_i,k / d c_i,k =
-    1/c + g_ii + 2 sigma/dx^2, and up, down = d mu_i,k-1 / d c_i,k, d
-    mu_i,k+1 / d c_i,k are -sigma/dx^2 times the Laplacian's columns of
-    _node_columns, the Neumann wall closure. The species couple only
-    through g12, at the same node, which the callers add.
-    """
-    beta = -p.sigma / grid.dx**2
-    up, down = beta * _node_columns(grid)[2]
-    diag = 1.0 / c + p.G.diagonal() - 2.0 * beta
-    return diag, up, down
+    def band(self, u: np.ndarray) -> np.ndarray:
+        """The exact Jacobian J of F at frozen phi, interleaved, from the face
+        data that flux_divergence left for the same u; band writes c_face's
+        wrap rows 0 and n + 2 itself.
+
+        u and F interleave (c1_k, c2_k). The band holds band[4 - o, col] =
+        J[col - o, col], indices mod 2n: scipy's solve_banded storage for
+        electrode runs, whose wrapped corners are exactly zero, and circular
+        band storage for periodic runs, which dynamics._factor_step folds
+        into an ordinary band. It is the transpose of a C-ordered (2n, 9)
+        array, so each column of J is contiguous: the layout LAPACK's band
+        storage takes it in.
+
+        The flux of face f, a_f dmu_f with a_f = c_face / dx, depends on the
+        same species at nodes f - 1 ... f + 2, through the diagonal and
+        off-diagonals of d mu / d c (_dmu_dc), and on the other species at
+        nodes f, f + 1 through g12. F_j = (flux_j - flux_j-1) / w_j, so
+        column k of J holds the differences of d flux_f / d c_k over the
+        faces f = k - 3 ... k + 2, each over its row's weight: they
+        telescope to zero against the weights.
+
+        Everything is built nodes first, (n, 2) like u.reshape(n, 2), so node
+        shifts are contiguous slices and the band comes out interleaved.
+
+        Raises ValueError if the band is not finite; a non-finite c_face or
+        dmu, the only way F can fail to be finite, reaches it too.
+        """
+        n = self.n
+        dx = self.dx
+        iw = self._iw
+
+        diag, up, down = self._dmu_dc(u.reshape(n, 2))
+        c_face = self.c_face
+        # the wrap rows: row 0 holds face n - 2, row n + 2 face 0
+        c_face[0] = c_face[-3]
+        c_face[-1] = c_face[2]
+        # row k of a holds a_f at faces f = k - 2 ... k + 1 in its slices [:-3],
+        # [1:-2], [2:-1], [3:]; row k of h holds dmu_f / (2 dx) at faces
+        # k - 1, k in [:-1], [1:]
+        a = c_face / dx
+        h = 0.5 * self.dmu / dx
+        # d flux_f / d c_k of the same species, f = k - 2 ... k + 1; faces k - 3
+        # and k + 2 do not see c_k
+        dflux = np.empty((4, n, 2))
+        np.multiply(up, a[:-3], out=dflux[0])
+        np.add(h[:-1], a[1:-2] * (diag - up), out=dflux[1])
+        np.add(h[1:], a[2:-1] * (down - diag), out=dflux[2])
+        np.multiply(-down, a[3:], out=dflux[3])
+
+        # bt[k, s, r] = band[r, 2 k + s]: written through its (9, n, 2)
+        # transpose, band[r, k, s], it is J column by column, the order in
+        # which dynamics._factor_step copies it into LAPACK's storage
+        bt = np.zeros((n, 2, 2 * _STEP_BAND + 1))
+        band = bt.transpose(2, 0, 1)
+        # rows at nodes k - 2 ... k + 2 of the same species sit in band rows 0,
+        # 2, ..., 8: the differences of dflux over consecutive faces, the
+        # outer two against the face that does not see c_k (0 - d, not -d,
+        # keeps the sign of a zero)
+        np.multiply(dflux[0], iw[0], out=band[0])
+        np.multiply(dflux[1:] - dflux[:-1], iw[1:4], out=band[2:7:2])
+        np.multiply(0.0 - dflux[3], iw[4], out=band[8])
+        # d flux_f / d c_k of the other species is g12 a_f at f = k - 1 (+) and
+        # f = k (-), a_f of that species, so ga holds each species' a_f at the
+        # other's columns. Its rows at nodes k - 1, k, k + 1 sit in band rows
+        # 3, 5, 7 of c1 columns and 1, 3, 5 of c2 columns, entries 3, 5, 7 and
+        # 10, 12, 14 of node k's 18 in bt: 7 apart in each pair
+        ga = self.g12 * a[1:-1, ::-1]
+        node = bt.reshape(n, 4 * _STEP_BAND + 2)
+        np.multiply(ga[:-1], iw[1], out=node[:, 3:11:7])
+        np.multiply(-ga[1:] - ga[:-1], iw[2], out=node[:, 5:13:7])
+        np.multiply(ga[1:], iw[3], out=node[:, 7:15:7])
+        # the one finiteness check per band: the factorisation skips its own
+        if not np.isfinite(bt).all():
+            raise ValueError("array must not contain infs or NaNs")
+        return bt.reshape(2 * n, 2 * _STEP_BAND + 1).T
+
+    def _stationary_unknowns(
+        self, u: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+        """_unpack(u), once u is seen to be a stationary system's unknowns: on
+        a wall-to-wall grid (the walls are Dirichlet in phi) and with positive
+        concentrations; ParameterError otherwise."""
+        if self.periodic:
+            raise ParameterError("the stationary solver needs a wall-to-wall grid")
+        c1, c2, phi, lam1, lam2 = _unpack(u)
+        if np.any(c1 <= 0.0) or np.any(c2 <= 0.0):
+            raise ParameterError("stationary residual needs positive concentrations")
+        return c1, c2, phi, lam1, lam2
+
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        """The stationary residual at u, 3n + 2 entries: node j's rows mu1 -
+        lam1, mu2 - lam2 and Poisson (Dirichlet at the walls, to the
+        kernel's bc), then the two mass rows. Its mu rows are
+        mu_and_energy's."""
+        n = self.n
+        c1, c2, phi, lam1, lam2 = self._stationary_unknowns(u)
+        c = np.column_stack((c1, c2))
+        rho = self.charge(c)
+        _, _, left, right = self.dirichlet
+
+        m = 3 * n
+        r = np.empty(m + 2)
+        res = r[:m].reshape(n, 3)
+        np.subtract(self.mu_and_energy(c, rho, phi)[0], (lam1, lam2), out=res[:, :2])
+        res[1:-1, 2] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / self.dx2 + rho[1:-1]
+        res[0, 2] = phi[0] - left
+        res[-1, 2] = phi[-1] - right
+        r[m:] = self.weights @ c - self.masses
+        return r
+
+    def jacobian(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Jacobian blocks (ab, C, D) of residual at u, which the wall
+        potentials do not enter.
+
+        ab is the core band in LAPACK gbsv's storage, shape (3 b + 1, 3n) with
+        b = _STATIONARY_BAND, in Fortran order: ab[2 b + row - col, col] =
+        J[row, col], so ab[b:] is solve_banded's storage, and the first b rows
+        are gbsv's workspace, which it writes before it reads. C (3n, 2) holds
+        the dense multiplier columns and D (2, 3n) the mass rows. The mass
+        rows do not depend on the multipliers, so the 2 x 2 corner of the
+        Jacobian is zero.
+        """
+        n = self.n
+        dx2 = self.dx2
+        b = _STATIONARY_BAND
+        c1, c2, *_ = self._stationary_unknowns(u)
+        c = np.column_stack((c1, c2))
+        m = 3 * n
+        z1, z2 = self.z
+
+        # store[col] is ab[:, col]; jac views its solve_banded part nodes
+        # first: jac[o + b, j, s] = J[3 j + s + o, 3 j + s], column s of node j
+        # (c1, c2, phi) at row offset o
+        store = np.zeros((m, 3 * b + 1))
+        jac = store.reshape(n, 3, 3 * b + 1).transpose(2, 0, 1)[b:]
+        # mu_i rows at nodes j, j - 1, j + 1 by c_i,j: _dmu_dc's diag, up, down
+        jac[3, :, :2], jac[0, :, :2], jac[6, :, :2] = self._dmu_dc(c)
+        jac[2, :, 1] = jac[4, :, 0] = self.g12  # mu1 by c2, mu2 by c1
+        jac[1:3, :, 2] = self.z[:, None]  # mu1, mu2 by phi
+
+        # Poisson rows at interior nodes j by c1_j, c2_j, phi_j, phi_j+-1;
+        # Dirichlet rows at the walls
+        jac[5, 1:-1, 0] = z1
+        jac[4, 1:-1, 1] = z2
+        jac[3, 1:-1, 2] = -2.0 / dx2
+        jac[0, 2:, 2] = jac[6, :-2, 2] = 1.0 / dx2
+        jac[3, [0, -1], 2] = 1.0
+
+        C = np.zeros((m, 2))
+        C[0:m:3, 0] = -1.0
+        C[1:m:3, 1] = -1.0
+        D = np.zeros((2, m))
+        D[0, 0:m:3] = self.weights
+        D[1, 1:m:3] = self.weights
+        return store.T, C, D
 
 
 @lru_cache(maxsize=16)
@@ -512,12 +656,12 @@ def _node_columns(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     w is the quadrature weight, shape (n, 2); iw[2 + e] = 1 / w_{k+e} for
     the band rows at nodes k + e, e = -2 ... 2, shape (5, n, 2). lap holds
-    L[k - 1, k] and L[k + 1, k] of second_derivative's matrix L, times
-    dx^2, shape (2, n, 2): 1 inside, 2 next to a wall (the _faces closure
-    counts the neighbour twice), 0 beyond a wall, 1 on periodic grids.
-    Repeating them for both species keeps every product full size: numpy's
-    inner loop would otherwise run over the two species only. Per grid,
-    read-only.
+    L[k - 1, k] and L[k + 1, k] of the matrix L of _Kernel.laplacian, times
+    dx^2, shape (2, n, 2): 1 inside, 2 next to a wall (the closed wall
+    face counts the neighbour twice), 0 beyond a wall, 1 on periodic
+    grids. Repeating them for both species keeps every product full size:
+    numpy's inner loop would otherwise run over the two species only. Per
+    grid, read-only.
     """
     inv_w = 1.0 / grid.weights
     iw = np.stack([np.roll(inv_w, -e) for e in range(-2, 3)])
@@ -529,89 +673,6 @@ def _node_columns(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for x in out:
         x.setflags(write=False)
     return out
-
-
-def _band(
-    u: np.ndarray,
-    c_face: np.ndarray,
-    dmu: np.ndarray,
-    p: ModelParams,
-    grid: Grid,
-) -> np.ndarray:
-    """The exact Jacobian J of F at frozen phi, interleaved, from the face
-    data (c_face, dmu) that _Kernel.flux_divergence left for the same u,
-    in its layout: row k of c_face holds face k - 2 mod n, row k of dmu
-    face k - 1 mod n. _band writes c_face's wrap rows 0 and n + 2 itself.
-
-    u and F interleave (c1_k, c2_k). The band holds band[4 - o, col] =
-    J[col - o, col], indices mod 2n: scipy's solve_banded storage for
-    electrode runs, whose wrapped corners are exactly zero, and circular
-    band storage for periodic runs, which dynamics._factor_step folds
-    into an ordinary band. It is the transpose of a C-ordered (2n, 9)
-    array, so each column of J is contiguous: the layout LAPACK's band
-    storage takes it in.
-
-    The flux of face f (_Kernel.flux_divergence), a_f dmu_f with a_f = c_face /
-    dx, depends on the same species at nodes f - 1 ... f + 2, through the
-    diagonal and off-diagonals of d mu / d c (_dmu_dc), and on the other
-    species at nodes f, f + 1 through g12. F_j = (flux_j - flux_j-1) / w_j, so
-    column k of J holds the differences of d flux_f / d c_k over the faces
-    f = k - 3 ... k + 2, each over its row's weight: they telescope to
-    zero against the weights.
-
-    Everything is built nodes first, (n, 2) like u.reshape(n, 2), so node
-    shifts are contiguous slices and the band comes out interleaved.
-
-    Raises ValueError if the band is not finite; a non-finite c_face or
-    dmu, the only way F can fail to be finite, reaches it too.
-    """
-    n = grid.n
-    dx = grid.dx
-    iw = _node_columns(grid)[1]
-
-    diag, up, down = _dmu_dc(u.reshape(n, 2), p, grid)
-    # the wrap rows: row 0 holds face n - 2, row n + 2 face 0
-    c_face[0] = c_face[-3]
-    c_face[-1] = c_face[2]
-    # row k of a holds a_f at faces f = k - 2 ... k + 1 in its slices [:-3],
-    # [1:-2], [2:-1], [3:]; row k of h holds dmu_f / (2 dx) at faces
-    # k - 1, k in [:-1], [1:]
-    a = c_face / dx
-    h = 0.5 * dmu / dx
-    # d flux_f / d c_k of the same species, f = k - 2 ... k + 1; faces k - 3
-    # and k + 2 do not see c_k
-    dflux = np.empty((4, n, 2))
-    np.multiply(up, a[:-3], out=dflux[0])
-    np.add(h[:-1], a[1:-2] * (diag - up), out=dflux[1])
-    np.add(h[1:], a[2:-1] * (down - diag), out=dflux[2])
-    np.multiply(-down, a[3:], out=dflux[3])
-
-    # bt[k, s, r] = band[r, 2 k + s]: written through its (9, n, 2)
-    # transpose, band[r, k, s], it is J column by column, the order in
-    # which dynamics._factor_step copies it into LAPACK's storage
-    bt = np.zeros((n, 2, 2 * _STEP_BAND + 1))
-    band = bt.transpose(2, 0, 1)
-    # rows at nodes k - 2 ... k + 2 of the same species sit in band rows 0,
-    # 2, ..., 8: the differences of dflux over consecutive faces, the
-    # outer two against the face that does not see c_k (0 - d, not -d,
-    # keeps the sign of a zero)
-    np.multiply(dflux[0], iw[0], out=band[0])
-    np.multiply(dflux[1:] - dflux[:-1], iw[1:4], out=band[2:7:2])
-    np.multiply(0.0 - dflux[3], iw[4], out=band[8])
-    # d flux_f / d c_k of the other species is g12 a_f at f = k - 1 (+) and
-    # f = k (-), a_f of that species, so ga holds each species' a_f at the
-    # other's columns. Its rows at nodes k - 1, k, k + 1 sit in band rows
-    # 3, 5, 7 of c1 columns and 1, 3, 5 of c2 columns, entries 3, 5, 7 and
-    # 10, 12, 14 of node k's 18 in bt: 7 apart in each pair
-    ga = p.g12 * a[1:-1, ::-1]
-    node = bt.reshape(n, 4 * _STEP_BAND + 2)
-    np.multiply(ga[:-1], iw[1], out=node[:, 3:11:7])
-    np.multiply(-ga[1:] - ga[:-1], iw[2], out=node[:, 5:13:7])
-    np.multiply(ga[1:], iw[3], out=node[:, 7:15:7])
-    # the one finiteness check per band: the factorisation skips its own
-    if not np.isfinite(bt).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return bt.reshape(2 * n, 2 * _STEP_BAND + 1).T
 
 
 def _pack(
@@ -630,103 +691,3 @@ def _pack(
 def _unpack(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     m = u.size - 2
     return u[0:m:3], u[1:m:3], u[2:m:3], float(u[-2]), float(u[-1])
-
-
-def _stationary_unknowns(
-    u: np.ndarray, grid: Grid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """_unpack(u), once u is seen to be a stationary system's unknowns: on
-    a wall-to-wall grid (the walls are Dirichlet in phi) and with positive
-    concentrations; ParameterError otherwise."""
-    if grid.periodic:
-        raise ParameterError("the stationary solver needs a wall-to-wall grid")
-    c1, c2, phi, lam1, lam2 = _unpack(u)
-    if np.any(c1 <= 0.0) or np.any(c2 <= 0.0):
-        raise ParameterError("stationary residual needs positive concentrations")
-    return c1, c2, phi, lam1, lam2
-
-
-def _residual(u: np.ndarray, p: ModelParams, grid: Grid, bc: BoundaryConditions) -> np.ndarray:
-    """The stationary residual at u, 3n + 2 entries: node j's rows mu1 -
-    lam1, mu2 - lam2 and Poisson (Dirichlet at the walls), then the two
-    mass rows. Its mu rows are _Kernel.mu_and_energy's."""
-    n = grid.n
-    c1, c2, phi, lam1, lam2 = _stationary_unknowns(u, grid)
-    c = np.column_stack((c1, c2))
-    kernel = _Kernel(p, grid)
-    rho = kernel.charge(c)
-
-    m = 3 * n
-    r = np.empty(m + 2)
-    res = r[:m].reshape(n, 3)
-    np.subtract(kernel.mu_and_energy(c, rho, phi)[0], (lam1, lam2), out=res[:, :2])
-    res[1:-1, 2] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / grid.dx**2 + rho[1:-1]
-    res[0, 2] = phi[0] - bc.phi_left
-    res[-1, 2] = phi[-1] - bc.phi_right
-    r[m:] = grid.weights @ c - 2.0 * grid.L * p.cbar
-    return r
-
-
-def _jacobian(
-    u: np.ndarray, p: ModelParams, grid: Grid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jacobian blocks (ab, C, D) of _residual at u, which the wall
-    potentials do not enter.
-
-    ab is the core band in LAPACK gbsv's storage, shape (3 b + 1, 3n) with
-    b = _STATIONARY_BAND, in Fortran order: ab[2 b + row - col, col] =
-    J[row, col], so ab[b:] is solve_banded's storage, and the first b rows
-    are gbsv's workspace, which it writes before it reads. C (3n, 2) holds
-    the dense multiplier columns and D (2, 3n) the mass rows. The mass
-    rows do not depend on the multipliers, so the 2 x 2 corner of the
-    Jacobian is zero.
-    """
-    n = grid.n
-    dx2 = grid.dx**2
-    b = _STATIONARY_BAND
-    c1, c2, *_ = _stationary_unknowns(u, grid)
-    c = np.column_stack((c1, c2))
-    m = 3 * n
-
-    # store[col] is ab[:, col]; jac views its solve_banded part nodes
-    # first: jac[o + b, j, s] = J[3 j + s + o, 3 j + s], column s of node j
-    # (c1, c2, phi) at row offset o
-    store = np.zeros((m, 3 * b + 1))
-    jac = store.reshape(n, 3, 3 * b + 1).transpose(2, 0, 1)[b:]
-    # mu_i rows at nodes j, j - 1, j + 1 by c_i,j: _dmu_dc's diag, up, down
-    jac[3, :, :2], jac[0, :, :2], jac[6, :, :2] = _dmu_dc(c, p, grid)
-    jac[2, :, 1] = jac[4, :, 0] = p.g12  # mu1 by c2, mu2 by c1
-    jac[1:3, :, 2] = p.z[:, None]  # mu1, mu2 by phi
-
-    # Poisson rows at interior nodes j by c1_j, c2_j, phi_j, phi_j+-1;
-    # Dirichlet rows at the walls
-    jac[5, 1:-1, 0] = p.z1
-    jac[4, 1:-1, 1] = p.z2
-    jac[3, 1:-1, 2] = -2.0 / dx2
-    jac[0, 2:, 2] = jac[6, :-2, 2] = 1.0 / dx2
-    jac[3, [0, -1], 2] = 1.0
-
-    C = np.zeros((m, 2))
-    C[0:m:3, 0] = -1.0
-    C[1:m:3, 1] = -1.0
-    D = np.zeros((2, m))
-    D[0, 0:m:3] = grid.weights
-    D[1, 1:m:3] = grid.weights
-    return store.T, C, D
-
-
-def _dresidual_dparam(
-    u: np.ndarray, p: ModelParams, grid: Grid, param_name: str
-) -> np.ndarray:
-    """Analytic derivative of the residual in "sigma" or "voltage"."""
-    n = grid.n
-    m = 3 * n
-    out = np.zeros(m + 2)
-    if param_name == "sigma":
-        c1, c2, _, _, _ = _unpack(u)
-        out[0:m:3], out[1:m:3] = -second_derivative(np.array((c1, c2)), grid)
-    else:
-        # "voltage": Dirichlet rows phi_0 - (-V) and phi_{n-1} - V
-        out[2] = 1.0
-        out[m - 1] = -1.0
-    return out

@@ -133,7 +133,7 @@ _SCHEMA = {
                "bc": _one_of("electrode", "periodic"), "perturb_amp": float,
                "perturb_mode": int, "perturb_seed": _seed},
     "continue": {"param": _one_of("sigma", "voltage"), "lo": float, "hi": float,
-                 "start": float, "ds0": float, "max_points": int, "max_branches": int,
+                 "start": float, "ds0": float, "max_points": _count, "max_branches": _count,
                  "probe_stride": _count, "probe_t_end": float, "probe_seed": _seed},
 }
 

@@ -1,10 +1,11 @@
 """Stationary states on a finite interval and bifurcation-branch mapping.
 
 The stationary system, its unknown layout and its bordered banded
-Jacobian are _fd's (_fd._pack, _fd._residual, _fd._jacobian). Each Newton
+Jacobian are _fd's (_fd._pack, _Kernel.residual, _Kernel.jacobian), at
+the kernel of the solve's parameter value (_kernel_at). Each Newton
 system is solved by block elimination: one LAPACK dgbsv call, which
 factors the band and solves for a handful of right-hand sides in place
-in _fd._jacobian's storage (imported at the first solve), and a small
+in _Kernel.jacobian's storage (imported at the first solve), and a small
 Schur complement. One loop, _damped_newton, serves newton_solve and the
 arclength corrector; it builds the Jacobian once per iterate that needs
 a step, and its line search tests each trial on the residual alone.
@@ -53,15 +54,11 @@ import numpy as np
 from ._deferred import Deferred
 from ._fd import (
     BoundaryConditions,
-    _dresidual_dparam,
-    _jacobian,
+    _Kernel,
     _pack,
-    _residual,
     _unpack,
-    chemical_potential,
     electrode_bc,
     gradient,
-    solve_potential,
     trapz,
 )
 from .dynamics import add_noise, evolve
@@ -170,6 +167,28 @@ def _apply_param(
     raise ParameterError(f"unknown continuation parameter {name!r}")
 
 
+def _kernel_at(p0: ModelParams, d: DomainSpec, grid: Grid, name: str, value: float) -> _Kernel:
+    """The model's kernel at a parameter value (_apply_param)."""
+    p, bc = _apply_param(p0, d, name, value)
+    return _Kernel(p, grid, bc)
+
+
+def _dresidual_dparam(kernel: _Kernel, u: np.ndarray, name: str) -> np.ndarray:
+    """Derivative of the stationary residual at u in the parameter that
+    _apply_param varies, at its kernel: -c_xx in the mu rows for "sigma"
+    (the residual holds -sigma c_xx), and for "voltage" +1 and -1 in the
+    Dirichlet rows phi_0 + V and phi_{n-1} - V."""
+    m = u.size - 2
+    out = np.zeros(m + 2)
+    if name == "sigma":
+        c1, c2, *_ = _unpack(u)
+        out[0:m:3], out[1:m:3] = -kernel.laplacian(np.column_stack((c1, c2))).T
+    else:
+        out[2] = 1.0
+        out[m - 1] = -1.0
+    return out
+
+
 def _solve_bordered(
     f: np.ndarray,
     g: np.ndarray,
@@ -182,7 +201,7 @@ def _solve_bordered(
 
     One banded factorization over k+1 right-hand sides, then a k x k
     Schur complement for the border unknowns. B is ab in gbsv storage
-    (_fd._jacobian), which the factorization overwrites; one dgbsv call
+    (_Kernel.jacobian), which the factorization overwrites; one dgbsv call
     through the module attribute solve_banded factors and solves, the
     LAPACK call that scipy.linalg.solve_banded makes, without its
     finiteness scan and its copy of ab. LinAlgError if B is singular.
@@ -207,16 +226,14 @@ def stationary_residual(
 ) -> np.ndarray:
     """Residual of the stationary system at u (vector or state)."""
     vec = u.pack() if isinstance(u, StationaryState) else np.asarray(u, float)
-    return _residual(vec, p, grid, bc)
+    return _Kernel(p, grid, bc).residual(vec)
 
 
-def _initial_vector(
-    guess: StationaryState | Profile, p: ModelParams, grid: Grid, bc: BoundaryConditions
-) -> np.ndarray:
+def _initial_vector(guess: StationaryState | Profile, kernel: _Kernel, grid: Grid) -> np.ndarray:
     """Packed unknowns from a state, or from a profile on grid.
 
-    A profile without phi gets it from Poisson; its multiplier seeds are
-    the mean chemical potentials.
+    A profile without phi gets it from the kernel's Poisson solve; its
+    multiplier seeds are the mean chemical potentials.
     """
     if isinstance(guess, StationaryState) and guess.c1.size == grid.n:
         return guess.pack()
@@ -225,8 +242,10 @@ def _initial_vector(
             "a seed must be a StationaryState or a Profile on the run's grid"
         )
     c1, c2 = guess.c1, guess.c2
-    phi = solve_potential(c1, c2, p, grid, bc) if guess.phi is None else guess.phi
-    mu1, mu2 = chemical_potential(c1, c2, phi, p, grid)
+    c = np.column_stack((c1, c2))
+    rho = kernel.charge(c)
+    phi = kernel.potential(rho) if guess.phi is None else guess.phi
+    mu1, mu2 = kernel.mu_and_energy(c, rho, phi)[0].T
     return _pack(c1, c2, phi, float(np.mean(mu1)), float(np.mean(mu2)))
 
 
@@ -285,14 +304,12 @@ def newton_solve(
     guess is a StationaryState or a Profile on grid (multiplier seeds
     then come from the mean chemical potentials); anything else raises
     ParameterError. The state records param_name and param_value, the
-    parameter value p and bc were built for. NumericsError if
-    _damped_newton fails.
+    parameter value p and bc were built for. One kernel at (p, grid, bc)
+    evaluates every iterate. NumericsError if _damped_newton fails.
     """
+    kernel = _Kernel(p, grid, bc)
     u, _ = _damped_newton(
-        _initial_vector(guess, p, grid, bc),
-        lambda u: _residual(u, p, grid, bc),
-        lambda u: _jacobian(u, p, grid),
-        _NEWTON_MAX_ITER,
+        _initial_vector(guess, kernel, grid), kernel.residual, kernel.jacobian, _NEWTON_MAX_ITER
     )
     c1, c2, phi, lam1, lam2 = _unpack(u)
     return StationaryState(
@@ -348,17 +365,20 @@ def _corrector(
     """Newton on [stationary residual; row @ (w - w_pred) = 0]. Returns (w, iters).
 
     row is the weighted tangent, so the last equation is <t, w - w_pred> = 0.
+    Each evaluation reads the kernel at its own parameter value w[-1].
     """
     m = 3 * grid.n
 
+    def kernel(w):
+        return _kernel_at(p0, d, grid, param_name, float(w[-1]))
+
     def residual(w):
-        p, bc = _apply_param(p0, d, param_name, float(w[-1]))
-        return np.append(_residual(w[:-1], p, grid, bc), row @ (w - w_pred))
+        return np.append(kernel(w).residual(w[:-1]), row @ (w - w_pred))
 
     def jacobian(w):
-        p, _ = _apply_param(p0, d, param_name, float(w[-1]))
-        ab, C2, D2 = _jacobian(w[:-1], p, grid)
-        dps = _dresidual_dparam(w[:-1], p, grid, param_name)
+        k = kernel(w)
+        ab, C2, D2 = k.jacobian(w[:-1])
+        dps = _dresidual_dparam(k, w[:-1], param_name)
         # Border: columns [lam1, lam2, s]; rows [mass1, mass2, arc]. The
         # mass rows depend on neither the multipliers nor the parameter,
         # so only the arclength row of the corner is nonzero.
@@ -412,9 +432,9 @@ def trace_branch(
         return a / np.sqrt((a * weights) @ a)
 
     w0 = np.concatenate([seed.pack(), [seed.param_value]])
-    p, _ = _apply_param(p0, d, param_name, seed.param_value)
-    blocks = _jacobian(w0[:-1], p, grid)
-    dps = _dresidual_dparam(w0[:-1], p, grid, param_name)
+    kernel = _kernel_at(p0, d, grid, param_name, seed.param_value)
+    blocks = kernel.jacobian(w0[:-1])
+    dps = _dresidual_dparam(kernel, w0[:-1], param_name)
     t0 = unit(np.append(_solve_bordered(-dps[:m], -dps[m:], *blocks), 1.0))
     legs: list[list[BranchPoint]] = []
     truncated = False
@@ -569,7 +589,8 @@ def run_combined(
     queue drains or max_branches is reached.
 
     Seeds are StationaryStates or Profiles on the run's grid; anything
-    else raises ParameterError, as does probe_stride < 1. A state strictly inside param_range is
+    else raises ParameterError, as does max_points, max_branches or
+    probe_stride below 1. A state strictly inside param_range is
     traced from where it is; every other seed is Newton-converged at
     param_start (default: the top of param_range for sigma, matching the
     decreasing-sigma reading of the diagrams; the bottom for voltage). A
@@ -584,8 +605,13 @@ def run_combined(
         raise ParameterError(
             f"{param_name} range ({lo}, {hi}) and start {param_start} must be finite"
         )
-    if probe_stride < 1:
-        raise ParameterError(f"probe_stride must be at least 1, got {probe_stride}")
+    for name, count in (
+        ("max_points", max_points),
+        ("max_branches", max_branches),
+        ("probe_stride", probe_stride),
+    ):
+        if count < 1:
+            raise ParameterError(f"{name} must be at least 1, got {count}")
     grid = make_grid(d, n)
     bs = BranchSet(param_name=param_name)
 

@@ -19,14 +19,11 @@ dt_max reuses the factors and evaluates F alone. The lag moves only the
 time-discretization error: a stationary state is still a fixed point
 (F = 0 gives dc = 0), and the steady test still reads the exact F.
 Freezing phi keeps J banded (bandwidth 4 in the interleaved species
-ordering), and its nine diagonals are written out from the face data of
-the F evaluation at the refreshed state and from d mu / d c, walls
-included (_fd._dmu_dc), which the stationary solver's Jacobian reads too.
-Every column of J sums to zero against the quadrature weights, so the
-linear step conserves mass to roundoff, as F does, whatever state J was
-taken at. The long-range coupling through the Poisson solve is explicit,
-which is harmless for stability since it is a compact perturbation, not
-a stiff term.
+ordering). Every column of J sums to zero against the quadrature
+weights, so the linear step conserves mass to roundoff, as F does,
+whatever state J was taken at. The long-range coupling through the
+Poisson solve is explicit, which is harmless for stability since it is
+a compact perturbation, not a stiff term.
 
 A step controller enforces the physics the scheme is meant to have: a
 candidate step is rejected, and dt halved, whenever a concentration
@@ -42,56 +39,21 @@ halvings abandons the run with verdict "Unstable"; reaching the steady
 tolerance on max |c_t| gives "Steady"; running out the horizon gives
 "Running".
 
-Work that does not change from step to step is done once: per grid, the
-grid's dx and quadrature weights and the per-node columns that F and the
-band need (w, the 1/w of the band rows and the Laplacian's wall columns,
-each repeated for both species; _fd._node_columns); per size, the
-Dirichlet Poisson factor, the periodic Poisson symbol and band layout
-(_fd._dirichlet_factor, _fd._periodic_symbol, _folded_layout); per
-ModelParams, the arrays z, cbar and G; and per run, the step kernel
-(_fd._Kernel), built from (p, grid, bc) before the first step and owned
-by the run. The kernel holds the run's constants (w, z, G, rho0, sigma /
-dx, 1 + log cbar, the Poisson factor or symbol and the wall potentials)
-and a work buffer for every intermediate, the face buffers with their
-electrode closing rows zero from construction, and the views of those
-buffers that each evaluation reads, made once. The band and its LU
-factors are made once per refresh (_fd._band, _factor_step).
-Finiteness is checked once per band, where _fd._band returns J, written
-column by column; the factorisation copies -dt J, a contiguous read,
-straight into LAPACK's band storage and calls dgbtrf with no check or
-copy of its own, and returns the solve on those factors, which evolve
-keeps with the dt they were made for.
-
-At the sizes evolve runs (tens to hundreds of nodes) a step costs mostly
-numpy's overhead per call, not arithmetic, so each state is evaluated
-once, nodes first in u's interleaved (n, 2) layout, where a shift by
-whole nodes is a contiguous slice, and each evaluation writes into the
-kernel's buffers instead of allocating. Each attempt makes, in order: one
-dgbtrs solve through the module attribute solve_banded (periodic runs
-fold their circular band into an ordinary one), the positivity and
-finiteness test (np.minimum.reduce and np.maximum.reduce, called
-directly, as is the steady test's, without ndarray.min's and max's
-Python wrappers), the candidate's charge density and one Poisson solve
-on it (kernel.charge, kernel.potential; a Dirichlet solve runs in place
-in the fresh phi it returns), and one kernel.mu_and_energy call, which
-takes log c, G c and the padded face differences of c and phi once and
-returns mu and the discrete energy together. The energy test then
-accepts or rejects the attempt. Each pass of the step loop evaluates F
-once, by kernel.flux_divergence from the mu of the current state (the
-accepted step's, or the initial state's), and that F, with the face data
-c_face and dmu that it leaves in the kernel, is both the one steady
-test's max |c_t| and the step's right-hand side and band input; a
-rejected attempt evaluates no F, and overwrites neither F nor its face
-data, so its retry solves the same F and builds its band from the same
-faces. What an observer or the result sees is never a buffer: each
-accepted step has a fresh u (c1, c2, taken for an observer and at the
-end, are its columns) and a fresh phi.
-The energy is read without a sign check (a negative concentration
-leaves it NaN, and only then is the sign looked at). The dgbtrf
-factorisations, one per refresh, are called under their own name and
-counted in EvolveResult.factorizations. Both LAPACK routines are
-_deferred names: scipy.linalg is imported at the first factorisation,
-not with this module.
+Each run evaluates the model through one _fd._Kernel, built from (p,
+grid, bc) before the first step; its docstring lists what it holds and
+which buffer each method writes. Each pass of the step loop evaluates F
+once (flux_divergence), from the mu of the current state that its energy
+test computed, and that F is both the steady test's max |c_t| and the
+step's right-hand side; at a refresh, kernel.band builds J from the face
+data that F left, and _factor_step makes the LU factors of I - dt J and
+returns the solve on them. A rejected attempt evaluates no F and
+overwrites neither F nor its face data, so its retry solves the same F
+and builds its band from the same faces. What an observer or the result
+sees is never a buffer: each accepted step has a fresh u and a fresh
+phi. The LAPACK routines (dgbtrf, one call per refresh, counted in
+EvolveResult.factorizations, and dgbtrs through the module attribute
+solve_banded) are _deferred names: scipy.linalg is imported at the first
+factorisation, not with this module.
 """
 
 from __future__ import annotations
@@ -106,7 +68,6 @@ import numpy as np
 from ._deferred import Deferred
 from ._fd import (
     BoundaryConditions,
-    _band,
     _Kernel,
     chemical_potential,
     discrete_energy,
@@ -170,10 +131,10 @@ def _folded_layout(size: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """The circular band as an ordinary band: (fold, unfold, dest).
 
     In the folded order 0, N - 1, 1, N - 2, ... of the N unknowns the
-    circular band of half-width b (4 for _fd._band) is an ordinary band
+    circular band of half-width b (4 for _Kernel.band) is an ordinary band
     of half-width kl = 2 b (N >= 4 b, so it never overlaps itself).
     fold[p] is the unknown at position p and unfold its inverse; dest maps
-    the raveled transpose (N, 2 b + 1) of _fd._band's circular storage,
+    the raveled transpose (N, 2 b + 1) of _Kernel.band's circular storage,
     column k's entries together, onto the raveled (N, 3 kl + 1) array
     whose transpose is dgbtrf's storage for kl = ku = 2 b.
     """
@@ -196,7 +157,7 @@ def _factor_step(jac: np.ndarray, dt: float, periodic: bool) -> Callable[[np.nda
     """Factor I - dt J in one LAPACK dgbtrf call; return the solve
     f -> du of (I - dt J) du = dt f on those factors.
 
-    J is in _fd._band's storage. -dt J goes straight into dgbtrf's
+    J is in _Kernel.band's storage. -dt J goes straight into dgbtrf's
     column-major storage, the transpose of a (N, 3 kl + 1) array holding
     A[i, j] at [j, 2 kl + i - j]; its first kl rows are dgbtrf's workspace
     and need no zeroing. Electrode bands go in as they are (kl = 4, J's
@@ -218,7 +179,7 @@ def _factor_step(jac: np.ndarray, dt: float, periodic: bool) -> Callable[[np.nda
         np.multiply(jac.T, -dt, out=store[:, kl:])
     ab = store.T
     ab[2 * kl] += 1.0
-    # ab is fresh, and _fd._band checked J finite
+    # ab is fresh, and _Kernel.band checked J finite
     lu, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgbtrf failed with info={info}")
@@ -319,7 +280,7 @@ def evolve(
         dt_try = min(dt, t_end - t)
         for _ in range(_MAX_HALVINGS + 1):
             if dt_try != dt_solve:
-                band = _band(u, kernel.c_face, kernel.dmu, p, grid)
+                band = kernel.band(u)
                 solve = _factor_step(band, dt_try, grid.periodic)
                 dt_solve = dt_try
                 factorizations += 1

@@ -93,3 +93,37 @@ def test_no_module_imports_a_private_name_of_the_stepper_or_the_solver():
                     if alias.name.startswith("_")
                 ]
     assert found == []
+
+
+def test_only_the_kernel_and_the_public_wrappers_of_fd_take_the_model_parameters():
+    """_fd._Kernel holds the model at (p, grid, bc): in _fd only its methods
+    and the public wrappers that build one take a ModelParams, so no other
+    function re-derives the model's constants. Nor does _fd hold the name
+    of a continuation parameter, "sigma" or "voltage", to compare with or
+    dispatch on: those names are continuation's."""
+    tree = ast.parse((Path(stericpnp.__file__).parent / "_fd.py").read_text())
+    kernel = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Kernel")
+    allowed = {id(n) for n in kernel.body if isinstance(n, ast.FunctionDef)}
+    allowed |= {
+        id(n)
+        for n in tree.body
+        if isinstance(n, ast.FunctionDef)
+        and n.name in ("solve_potential", "chemical_potential", "time_derivatives", "discrete_energy")
+    }
+    takes_params = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and id(node) not in allowed
+        and any(
+            arg.arg == "p" or (arg.annotation and "ModelParams" in ast.unparse(arg.annotation))
+            for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        )
+    ]
+    assert takes_params == []
+    names = [
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ("sigma", "voltage")
+    ]
+    assert names == []

@@ -355,6 +355,9 @@ def test_retired_keys_are_config_errors(tmp_path, capsys, command, key):
         ("periodic", "periodic.periods=0"),
         ("ivp", "ivp.samples=0"),
         ("continue", "continue.probe_stride=0"),
+        ("continue", "continue.max_points=0"),
+        ("continue", "continue.max_points=-3"),
+        ("continue", "continue.max_branches=0"),
         ("wnl", "wnl.asym_steps=-1"),
         ("wnl", "wnl.g12_steps=0"),
     ],

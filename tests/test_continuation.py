@@ -14,14 +14,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stericpnp import _fd
-from stericpnp._fd import _dresidual_dparam, _jacobian, _pack, _residual
+from stericpnp._fd import _Kernel, _pack
 from stericpnp.continuation import (
     _NEWTON_TOL,
     _SAME_TOL,
     Branch,
     BranchPoint,
     _apply_param,
+    _dresidual_dparam,
     _initial_vector,
+    _kernel_at,
     _solve_bordered,
     l2_norm,
     load_branchset,
@@ -210,6 +212,19 @@ class TestRunCombined:
                 max_points=4, probe_stride=stride,
             )
 
+    @pytest.mark.parametrize(
+        "name, count", [("max_points", 0), ("max_points", -3), ("max_branches", 0)]
+    )
+    def test_rejects_point_and_branch_counts_below_one(self, name, count):
+        # max_points <= 0 gave a one-point map and max_branches 0 an empty one
+        d = DomainSpec(2.0)
+        grid = make_grid(d, 48)
+        opts = {"max_points": 4, name: count}
+        with pytest.raises(ParameterError, match=name):
+            run_combined(
+                [homogeneous_profile(grid, P_SYM)], P_SYM, d, "sigma", (0.2, 0.3), grid.n, **opts
+            )
+
     @pytest.mark.parametrize("ds0", [0.0, -0.01, np.nan, np.inf])
     def test_trace_branch_rejects_ds0_outside_zero_to_inf(self, ds0):
         # a NaN or infinite ds never falls below its floor, 0 makes a NaN
@@ -395,7 +410,7 @@ def _stationary_case(draw, sigma_term, equal_walls=False):
 
 def _dense_jacobian(ab, C, D):
     """[[B, C], [D, 0]] with B[col + k, col] = ab[2 b + k, col], gbsv storage
-    (_jacobian, whose first b rows are workspace); off-matrix slots must be 0."""
+    (_Kernel.jacobian, whose first b rows are workspace); off-matrix slots must be 0."""
     m = ab.shape[1]
     b = (ab.shape[0] - 1) // 3
     J = np.zeros((m + 2, m + 2))
@@ -416,8 +431,9 @@ def _dense_jacobian(ab, C, D):
 def test_assembled_jacobian_is_the_derivative_of_the_residual(sigma_term, data):
     p, d, grid, u = data.draw(_stationary_case(sigma_term))
     bc = electrode_bc(d.phi_left, d.phi_right)
-    r = _residual(u, p, grid, bc)
-    ab, C, D = _jacobian(u, p, grid)
+    kernel = _Kernel(p, grid, bc)
+    r = kernel.residual(u)
+    ab, C, D = kernel.jacobian(u)
     np.testing.assert_array_equal(r, stationary_residual(u, p, grid, bc))
     # the finite differences check the zero multiplier corner too
     J = _dense_jacobian(ab, C, D)
@@ -442,7 +458,7 @@ def test_assembled_jacobian_is_the_derivative_of_the_residual(sigma_term, data):
 
         dv = 1e-3
         fd = (residual_at(value + dv) - residual_at(value)) / dv
-        exact = _dresidual_dparam(u, p, grid, name)
+        exact = _dresidual_dparam(_kernel_at(p, d, grid, name, value), u, name)
         assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
@@ -456,10 +472,10 @@ def test_weighted_stationary_jacobian_is_symmetric(sigma_term, walls, data):
     Poisson row is dE/dphi_j, so the band with each node's three rows scaled
     by w_j is a Hessian once the Dirichlet phi rows and columns are
     dropped. The wall potentials reach only the Dirichlet rows' constants,
-    not the Jacobian (_jacobian takes no bc), so both walls settings read
-    the same band."""
+    not the Jacobian (_Kernel.jacobian reads no bc), so both walls settings
+    read the same band."""
     p, d, grid, u = data.draw(_stationary_case(sigma_term))
-    ab, C, D = _jacobian(u, p, grid)
+    ab, C, D = _Kernel(p, grid).jacobian(u)
     m = 3 * grid.n
     K = np.repeat(grid.weights, 3)[:, None] * _dense_jacobian(ab, C, D)[:m, :m]
     inner = np.delete(np.arange(m), [2, m - 1])
@@ -472,20 +488,21 @@ def test_weighted_stationary_jacobian_is_symmetric(sigma_term, walls, data):
 @given(data=st.data())
 def test_evolve_band_is_the_flux_operator_on_the_assembled_mu_block(sigma_term, data):
     """With the drift term dropped (dmu = 0), evolve's band is -W^-1 Dl^T A Dl M:
-    M is the mu-row, c-column block of _jacobian at the same state, Dl the
+    M is the mu-row, c-column block of _Kernel.jacobian at the same state, Dl the
     face difference of each species (zero across the wall face), A =
     c_face / dx, and F_j = (flux_j - flux_j-1) / w_j."""
     p, d, grid, u = data.draw(_stationary_case(sigma_term))
     n = grid.n
-    ab, C, D = _jacobian(u, p, grid)
+    kernel = _Kernel(p, grid)
+    ab, C, D = kernel.jacobian(u)
     # (c1_j, c2_j) interleaved, evolve's order
     conc = np.arange(3 * n).reshape(n, 3)[:, :2].ravel()
     M = _dense_jacobian(ab, C, D)[np.ix_(conc, conc)]
 
+    # F at mu = 0 leaves the face data of the state with dmu = 0
     c = u[conc].reshape(n, 2)
-    kernel = _fd._Kernel(p, grid)
-    kernel.flux_divergence(c, kernel.mu_and_energy(c, kernel.charge(c), u[2 : 3 * n : 3])[0])
-    band = _fd._band(u[conc], kernel.c_face, 0.0 * kernel.dmu, p, grid)
+    kernel.flux_divergence(c, np.zeros((n, 2)))
+    band = kernel.band(u[conc])
     size = 2 * n
     J = sum(np.diag(band[4 - o, max(o, 0) : size + min(o, 0)], o) for o in range(-4, 5))
 
@@ -538,9 +555,10 @@ def _newton_assembling_every_trial(u, p, grid, bc):
     stationary_residual's and that neither a Jacobian build nor the solve,
     which overwrites the band, changes the residual of the iterate."""
     m = 3 * grid.n
+    kernel = _Kernel(p, grid, bc)
 
     def system(v):
-        return _residual(v, p, grid, bc), _jacobian(v, p, grid)
+        return kernel.residual(v), kernel.jacobian(v)
 
     r, blocks = system(u)
     rnorm = float(np.max(np.abs(r)))
@@ -549,7 +567,7 @@ def _newton_assembling_every_trial(u, p, grid, bc):
             return u
         np.testing.assert_array_equal(r, stationary_residual(u, p, grid, bc))
         step = _solve_bordered(-r[:m], -r[m:], *blocks)
-        np.testing.assert_array_equal(r, _residual(u, p, grid, bc))
+        np.testing.assert_array_equal(r, kernel.residual(u))
         t = 1.0
         while True:
             u_try = u + t * step
@@ -578,7 +596,7 @@ def test_newton_takes_the_steps_of_a_loop_that_assembles_every_trial(data):
     bc = electrode_bc(-voltage, voltage)
     bump = data.draw(st.floats(0.0, 0.3)) * np.cos(np.pi * grid.x / grid.L)
     prof = Profile(grid, p.cbar1 * (1.0 + bump), p.cbar2 * (1.0 - bump))
-    u0 = _initial_vector(prof, p, grid, bc)
+    u0 = _initial_vector(prof, _Kernel(p, grid, bc), grid)
     try:
         state = newton_solve(prof, p, grid, bc, "voltage", voltage)
     except NumericsError as exc:

@@ -14,7 +14,7 @@ from scipy.integrate import trapezoid
 
 import stericpnp
 from stericpnp import _fd, dynamics
-from stericpnp._fd import _band, _Kernel
+from stericpnp._fd import _Kernel, _pack
 from stericpnp.dynamics import (
     _ENERGY_TOL,
     _MAX_HALVINGS,
@@ -317,7 +317,7 @@ def _f_and_band(u, phi, p, grid):
     c = u.reshape(grid.n, 2)
     kernel = _Kernel(p, grid)
     f = kernel.flux_divergence(c, kernel.mu_and_energy(c, kernel.charge(c), phi)[0])
-    return f, _band(u, kernel.c_face, kernel.dmu, p, grid)
+    return f, kernel.band(u)
 
 
 def _dense_from_band(band, periodic):
@@ -825,22 +825,42 @@ def test_a_run_inside_another_runs_observer_shares_no_state():
 @given(data=st.data())
 def test_a_kernel_evaluation_depends_on_its_state_alone(kind, sigma_term, data):
     """A kernel that has evaluated state A gives, at state B, the rho, phi,
-    mu, energy, F and face data of a fresh kernel at B, bit for bit: no
-    buffer carries anything from one evaluation into the next."""
+    mu, energy, F, face data, band, Laplacian, stationary residual and
+    Jacobian of a fresh kernel at B, bit for bit, even with every method
+    but flux_divergence run at A between B's F and its band: no method
+    reads another's leftover buffer, and band reads only the face data of
+    the last F."""
     p, grid, bc, a1, a2 = data.draw(_linearization_case(kind, sigma_term))
     scale = arrays(np.float64, grid.n, elements=st.floats(0.2, 2.0))
+    state_a = np.column_stack((a1, a2))
     state_b = np.column_stack((p.cbar1 * data.draw(scale), p.cbar2 * data.draw(scale)))
 
-    def evaluate(kernel, c):
+    def stationary(kernel, c, phi):
+        if grid.periodic:  # the stationary system needs Dirichlet walls
+            return []
+        u = _pack(c[:, 0], c[:, 1], phi, 0.5, -0.5)
+        return [x.tobytes() for x in (kernel.residual(u), *kernel.jacobian(u))]
+
+    def evaluate(kernel, c, other=None):
         rho = kernel.charge(c)
         phi = kernel.potential(rho)
         mu, energy = kernel.mu_and_energy(c, rho, phi)
+        out = [x.tobytes() for x in (rho, phi, mu)] + [energy]
         f = kernel.flux_divergence(c, mu)
-        return [x.tobytes() for x in (rho, phi, mu, f, kernel.c_face, kernel.dmu)] + [energy]
+        # c_face's wrap rows are band's, written at each band before it reads them
+        out += [x.tobytes() for x in (f, kernel.c_face[1:-1], kernel.dmu)]
+        if other is not None:
+            rho_o = kernel.charge(other)
+            phi_o = kernel.potential(rho_o)
+            kernel.mu_and_energy(other, rho_o, phi_o)
+            kernel.laplacian(other)
+            stationary(kernel, other, phi_o)
+        out += [kernel.band(c.ravel()).tobytes(), kernel.laplacian(c).tobytes()]
+        return out + stationary(kernel, c, phi)
 
     kernel = _Kernel(p, grid, bc)
-    evaluate(kernel, np.column_stack((a1, a2)))
-    assert evaluate(kernel, state_b) == evaluate(_Kernel(p, grid, bc), state_b)
+    evaluate(kernel, state_a)
+    assert evaluate(kernel, state_b, state_a) == evaluate(_Kernel(p, grid, bc), state_b)
 
 
 def test_evolve_gives_up_when_no_halving_lowers_the_energy(monkeypatch):

@@ -1,5 +1,5 @@
 """The Dirichlet and periodic Poisson solves, checked against direct solves,
-and the Laplacian's column stencil, checked against its apply form."""
+and the Laplacian's column stencil, checked against the kernel's Laplacian."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from scipy.linalg import solveh_banded
 
 from stericpnp._fd import (
+    _Kernel,
     _node_columns,
     _periodic_symbol,
-    second_derivative,
     solve_poisson_dirichlet,
     solve_poisson_periodic,
 )
-from stericpnp.model import DomainSpec, make_grid, make_periodic_grid
+from stericpnp.model import DomainSpec, make_grid, make_params, make_periodic_grid
+
+P_SYM = make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0)
 
 
 def _reference(rhs, grid, left, right):
@@ -77,6 +79,7 @@ def test_periodic_poisson_matches_a_dense_circulant_solve(n):
 @pytest.mark.parametrize("periodic", [False, True], ids=["electrode", "periodic"])
 def test_laplacian_columns_rebuild_second_derivative(periodic, n):
     grid = make_periodic_grid(1.5, n) if periodic else make_grid(DomainSpec(1.5), n)
+    kernel = _Kernel(P_SYM, grid)
     lap = _node_columns(grid)[2]
     assert lap is _node_columns(grid)[2]
     with pytest.raises(ValueError):
@@ -92,14 +95,15 @@ def test_laplacian_columns_rebuild_second_derivative(periodic, n):
     L /= grid.dx**2
     rng = np.random.default_rng(n)
     for _ in range(5):
-        v = rng.uniform(-1.0, 1.0, n)
-        expected = second_derivative(v, grid)
-        assert np.max(np.abs(L @ v - expected)) <= 1e-13 * np.max(np.abs(v)) / grid.dx**2
-    # a stacked (2, n) input, C or Fortran ordered: each row is the 1-D
-    # call, bit for bit
-    stacked = rng.uniform(-1.0, 1.0, (2, n))
-    for arr in (stacked, np.asfortranarray(stacked)):
-        rows = second_derivative(arr, grid)
-        assert rows.shape == (2, n)
-        for row, v in zip(rows, stacked):
-            assert row.tobytes() == second_derivative(v, grid).tobytes()
+        c = rng.uniform(-1.0, 1.0, (n, 2))
+        expected = kernel.laplacian(c)
+        assert np.max(np.abs(L @ c - expected)) <= 1e-13 * np.max(np.abs(c)) / grid.dx**2
+    # C or Fortran ordered, each species column is its own: paired with
+    # any other column, it gives the same bits
+    state = rng.uniform(-1.0, 1.0, (n, 2))
+    for arr in (state, np.asfortranarray(state)):
+        cols = kernel.laplacian(arr)
+        assert cols.shape == (n, 2)
+        for s in range(2):
+            other = np.column_stack((state[:, s], rng.uniform(-1.0, 1.0, n)))
+            assert cols[:, s].tobytes() == kernel.laplacian(other)[:, 0].tobytes()

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from stericpnp._fd import _band, _Kernel
+from stericpnp._fd import _Kernel
 from stericpnp.dynamics import periodic_bc, solve_potential
 from stericpnp.energy import g12_critical, hessian_det
 from stericpnp.errors import NoOnsetError
@@ -167,7 +167,7 @@ def _uniform_state_jacobian(p, n, half):
     """Dense Jacobian of evolve's right-hand side at the uniform state on an
     n-node periodic grid, unknowns interleaved (c1_j, c2_j), and the grid.
 
-    _band is the Jacobian at frozen phi. The potential adds c_i z_i
+    _Kernel.band is the Jacobian at frozen phi. The potential adds c_i z_i
     d(phi)_xx = -cbar_i z_i (z . dc - its mean), node-local apart from the
     mean, which the periodic Poisson solve drops.
     """
@@ -178,7 +178,7 @@ def _uniform_state_jacobian(p, n, half):
     u = c.ravel()
     kernel = _Kernel(p, grid)
     kernel.flux_divergence(c, kernel.mu_and_energy(c, kernel.charge(c), phi)[0])
-    band = _band(u, kernel.c_face, kernel.dmu, p, grid)
+    band = kernel.band(u)
     size = 2 * n
     J = np.zeros((size, size))
     cols = np.arange(size)
