@@ -3,7 +3,8 @@
 The package imports only NumPy when it is loaded. Its SciPy routines are
 LAPACK's band and tridiagonal solvers (scipy.linalg, about 0.2 s and 28 MB
 to import), which the time stepper, Newton and the Dirichlet Poisson solve
-call, and solve_ivp (scipy.integrate), which the field integrations call.
+call, its symmetric band eigensolver, which the stability index calls, and
+solve_ivp (scipy.integrate), which the field integrations call.
 The onset, the weakly nonlinear map, the orbits, the periodic profiles and
 the free-energy density need none of them. So a module binds each such routine to a
 ``Deferred`` under the name it calls it by. The first call imports the

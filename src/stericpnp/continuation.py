@@ -26,11 +26,13 @@ of the receiver. It alone decides whether a probe returned, whether an
 escape is new, whether a queued state lies on a known branch, and which
 re-converged states states_at keeps.
 
-Stability is decided by the dynamics rather than eigenvalues:
-stability_probe perturbs a converged state with seeded zero-mean noise,
-relaxes it with evolve, and declares the state stable when it returns to
-itself. When the probe escapes to a different attractor, the relaxed
-profile is Newton-polished into a new stationary state. run_combined
+Stability is decided by the Hessian's inertia: stability_index counts
+the negative directions of the discrete energy on the mass constraints,
+from the same banded Jacobian and one LAPACK band eigenvalue call, and a
+state is stable iff that index is 0. The dynamics only searches for
+escapes: stability_probe perturbs an unstable state with seeded zero-mean
+noise, relaxes it with evolve, and Newton-polishes the relaxed profile
+into a new stationary state when it lands somewhere else. run_combined
 chains the two: continue a branch, probe every accepted point, queue
 escape targets that differ from the previous one, skip each queued state
 that lands on an already-known branch, and launch fresh continuations
@@ -76,6 +78,7 @@ __all__ = [
     "stationary_residual",
     "newton_solve",
     "trace_branch",
+    "stability_index",
     "stability_probe",
     "run_combined",
     "states_at",
@@ -88,6 +91,9 @@ __all__ = [
 # solve (_deferred), under the name at which perfbench's tracer counts
 # stationary solves
 solve_banded = Deferred("scipy.linalg.lapack", "dgbsv")
+# LAPACK's symmetric band eigenvalues, selected by index, imported at the
+# first stability_index (_deferred)
+dsbevx = Deferred("scipy.linalg.lapack", "dsbevx")
 
 _NEWTON_TOL = 1e-10  # max-norm residual of a converged state
 _NEWTON_MAX_ITER = 40
@@ -95,6 +101,7 @@ _CORRECTOR_MAX_ITER = 12
 _DS_MAX = 0.05  # arclength step bounds of trace_branch
 _DS_MIN = 1e-6
 _PROBE_NOISE = 1e-3  # amplitude of stability_probe's perturbation
+_INDEX_WINDOW = 8  # eigenvalues in stability_index's first dsbevx range
 _SAME_TOL = 1e-4  # same_as: relative max-norm distance of one state
 
 _log = logging.getLogger(__name__)
@@ -229,6 +236,66 @@ def stationary_residual(
     return _Kernel(p, grid, bc).residual(vec)
 
 
+def stability_index(
+    state: StationaryState, p: ModelParams, grid: Grid, bc: BoundaryConditions
+) -> int:
+    """The number of unstable directions of a stationary state: negative
+    eigenvalues of the discrete energy's Hessian on the two mass
+    constraints, 0 at a constrained minimum. The dynamics is a gradient
+    flow of discrete_energy with positive mobility, so they are its
+    growing modes.
+
+    K is _Kernel.jacobian's band with each node's three rows scaled by the
+    node's weight w_j, and the two Dirichlet phi unknowns decoupled by a 1
+    on the diagonal. It is symmetric, and its interior phi block, the
+    Poisson operator, is negative definite, so K has n - 2 negative
+    eigenvalues besides those of the Hessian in c (Haynsworth's inertia
+    additivity, Linear Algebra Appl. 1, 1968). By Sylvester's law of
+    inertia, K bordered by the mass rows D, [[K, D^T], [D, 0]], has n +
+    index negative eigenvalues; if K is regular, as many as K and -D K^-1
+    D^T together. That 2 x 2 is -S for S = -D J^-1 C, the Schur complement
+    of _solve_bordered, so index = neg(K) + pos(S) - n. dsbevx finds the
+    negatives among K's eigenvalues n - 1, n, ... by index: _INDEX_WINDOW
+    of them, then twice as many above while all of the last were negative.
+    If the banded factorisation of J is singular (a fold, to rounding), the
+    bordered matrix's inertia is counted densely instead.
+    """
+    ab, C, D = _Kernel(p, grid, bc).jacobian(state.pack())
+    n, m, b = grid.n, 3 * grid.n, (ab.shape[0] - 1) // 3
+    # K in LAPACK's lower band storage, low[k, col] = K[col + k, col], from
+    # gbsv's ab[2 b + k, col] = J[col + k, col] times the row's weight
+    rows = np.repeat(grid.weights, 3)
+    rows[[2, m - 1]] = 1.0
+    low = ab[2 * b :].copy()
+    for k in range(b + 1):
+        low[k, : m - k] *= rows[k:]
+    # phi_0's column below the diagonal (the Poisson row of node 1); the
+    # Dirichlet rows hold only their diagonal, so the lower band already
+    # decouples phi_{n-1}
+    low[1:, 2] = 0.0
+    _, _, X, info = solve_banded(b, b, ab, C, overwrite_ab=True)
+    if info > 0:
+        K = np.diag(low[0])
+        for k in range(1, b + 1):
+            K += np.diag(low[k, : m - k], -k) + np.diag(low[k, : m - k], k)
+        bordered = np.block([[K, D.T], [D, np.zeros((2, 2))]])
+        return int(np.sum(np.linalg.eigvalsh(bordered) < 0.0)) - n
+    S = -(D @ X)
+    # neg(K) is n - 2 plus the negatives from eigenvalue n - 1 on
+    index = int(np.sum(np.linalg.eigvalsh(0.5 * (S + S.T)) > 0.0)) - 2
+    first, width = n - 1, _INDEX_WINDOW
+    while first <= m:
+        last = min(first + width - 1, m)
+        w, _, found, _, _ = dsbevx(low, 0.0, 0.0, first, last, compute_v=0, range=2,
+                                   lower=1, overwrite_ab=0)
+        negative = int(np.sum(w[:found] < 0.0))
+        index += negative
+        if negative < found:
+            break
+        first, width = last + 1, 2 * width
+    return index
+
+
 def _initial_vector(guess: StationaryState | Profile, kernel: _Kernel, grid: Grid) -> np.ndarray:
     """Packed unknowns from a state, or from a profile on grid.
 
@@ -325,6 +392,7 @@ class BranchPoint:
     l2: float
     wnorm: float
     stable: bool | None = None
+    index: int | None = None  # stability_index, at probed points only
 
     @property
     def param(self) -> float:
@@ -351,7 +419,8 @@ class BranchSet:
 class ProbeResult:
     stable: bool
     target: StationaryState | None
-    verdict: str
+    verdict: str  # "Minimum" at index 0, else the relaxation's evolve verdict
+    index: int
 
 
 def _corrector(
@@ -483,32 +552,33 @@ def stability_probe(
     t_end: float = 200.0,
     seed: int = 0,
 ) -> ProbeResult:
-    """Dynamic stability of a stationary state.
+    """Stability of a stationary state, and an escape target if it has one.
 
-    Perturbs the concentrations with seeded zero-mean noise (zero mean in
-    the trapezoid sense, so the mass constraints stay put), relaxes with
-    evolve, and calls the state stable iff the relaxed profile is
-    state.same_as it. An escaped probe is Newton-polished at
-    the same parameter value and handed back as the new target; a polish
-    failure (or an aborted evolve) returns target None. A polish that
-    lands back on the input state counts as stable: near-marginal modes
-    (decay rates of order 1/t_end) leave a residual displacement that
-    looks like an escape but is not one.
+    The state's stability_index decides: stable iff it is 0, and then no
+    dynamics runs (verdict "Minimum"). An unstable state is perturbed with
+    seeded zero-mean noise (zero mean in the trapezoid sense, so the mass
+    constraints stay put) and relaxed with evolve, only to find where it
+    escapes to: an escaped profile is Newton-polished at the same
+    parameter value and handed back as the target. The verdict is then
+    evolve's. A relaxation that aborts or returns to the state (directly,
+    or through the polish: the unstable modes can grow too slowly for
+    t_end), and a polish that fails, give target None.
     """
     p, bc = _apply_param(p0, d, param_name, state.param_value)
+    index = stability_index(state, p, grid, bc)
+    if index == 0:
+        return ProbeResult(True, None, "Minimum", index)
     prof = add_noise(state.as_profile(grid), _PROBE_NOISE, seed)
     res = evolve(p, prof, bc, t_end=t_end)
-    if res.verdict == "Unstable":
-        return ProbeResult(False, None, res.verdict)
-    if state.same_as(res.profile):
-        return ProbeResult(True, None, res.verdict)
-    try:
-        target = newton_solve(res.profile, p, grid, bc, param_name, state.param_value)
-    except NumericsError:
-        target = None
+    target = None
+    if res.verdict != "Unstable" and not state.same_as(res.profile):
+        try:
+            target = newton_solve(res.profile, p, grid, bc, param_name, state.param_value)
+        except NumericsError:
+            pass
     if target is not None and state.same_as(target):
-        return ProbeResult(True, None, res.verdict)
-    return ProbeResult(False, target, res.verdict)
+        target = None
+    return ProbeResult(False, target, res.verdict, index)
 
 
 def mirror_state(state: StationaryState) -> StationaryState:
@@ -583,10 +653,12 @@ def run_combined(
 
     For each queued seed: converge it, skip it if it lies on a branch
     already traced, trace its branch across param_range, then walk the
-    branch probing every probe_stride-th point with the dynamics. Probe
-    escapes that differ from the previous escape target are queued as
-    fresh seeds (both continuation directions). The walk ends when the
-    queue drains or max_branches is reached.
+    branch probing every probe_stride-th point (stability_probe). A probed
+    point takes its stable flag and its index from the stability index;
+    points in between keep None for both. Relaxing the unstable points
+    finds escapes, and those that differ from the previous escape target
+    are queued as fresh seeds (both continuation directions). The walk
+    ends when the queue drains or max_branches is reached.
 
     Seeds are StationaryStates or Profiles on the run's grid; anything
     else raises ParameterError, as does max_points, max_branches or
@@ -681,7 +753,7 @@ def run_combined(
             probe = stability_probe(
                 pt.state, p0, d, grid, param_name, t_end=probe_t_end, seed=probe_seed
             )
-            pt.stable = probe.stable
+            pt.stable, pt.index = probe.stable, probe.index
             if probe.stable or probe.target is None:
                 prev_target = pt.state if probe.stable else None
                 continue
@@ -722,6 +794,7 @@ def save_branchset(bs: BranchSet, grid: Grid, out_dir: str | Path) -> Path:
                     "l2": pt.l2,
                     "wnorm": pt.wnorm,
                     "stable": pt.stable,
+                    "index": pt.index,
                     "lam1": pt.state.lam1,
                     "lam2": pt.state.lam2,
                     "csv": fname,
@@ -748,7 +821,13 @@ def load_branchset(out_dir: str | Path) -> tuple[BranchSet, Grid]:
             lam1, lam2, param = (float(pentry[k]) for k in ("lam1", "lam2", "param"))
             state = StationaryState(c1, c2, phi, lam1, lam2, index["param_name"], param)
             branch.points.append(
-                BranchPoint(state, float(pentry["l2"]), float(pentry["wnorm"]), pentry["stable"])
+                BranchPoint(
+                    state,
+                    float(pentry["l2"]),
+                    float(pentry["wnorm"]),
+                    pentry["stable"],
+                    pentry.get("index"),  # absent from databases written before it
+                )
             )
         bs.branches.append(branch)
     return bs, grid

@@ -13,13 +13,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stericpnp import _fd
+from stericpnp import _fd, continuation
 from stericpnp._fd import _Kernel, _pack
 from stericpnp.continuation import (
     _NEWTON_TOL,
     _SAME_TOL,
     Branch,
     BranchPoint,
+    BranchSet,
     _apply_param,
     _dresidual_dparam,
     _initial_vector,
@@ -31,6 +32,7 @@ from stericpnp.continuation import (
     newton_solve,
     run_combined,
     save_branchset,
+    stability_index,
     stability_probe,
     states_at,
     stationary_residual,
@@ -171,6 +173,13 @@ class TestRunCombined:
             )
             assert float(np.max(np.abs(r))) < 1e-10
 
+    def test_every_probed_flag_is_index_zero(self):
+        bs, grid = self._run()
+        for pt in bs.branches[0].points:
+            p = with_sigma(P_SYM, pt.param)
+            assert pt.index == stability_index(pt.state, p, grid, electrode_bc())
+            assert pt.stable == (pt.index == 0)
+
     def test_deterministic_replay(self):
         a, _ = self._run()
         b, _ = self._run()
@@ -292,16 +301,77 @@ def test_trace_branch_truncates_when_ds_falls_below_its_floor():
 
 def test_stability_probe_reports_an_abandoned_relaxation(monkeypatch):
     # an energy that rises on every evaluation makes evolve give up
-    # (evolve takes mu and the energy from one _Kernel.mu_and_energy call)
+    # (evolve takes mu and the energy from one _Kernel.mu_and_energy call);
+    # only an unstable state is relaxed at all
+    d = DomainSpec(2.0)
+    grid = make_grid(d, 24)
+    state = _hom_state(grid, sigma=0.02)  # below sigma_c = 1/32
+    assert stability_index(state, with_sigma(P_SYM, 0.02), grid, electrode_bc()) >= 1
     calls = iter(range(1000))
     real = _fd._Kernel.mu_and_energy
     monkeypatch.setattr(
         _fd._Kernel, "mu_and_energy", lambda *args: (real(*args)[0], float(next(calls)))
     )
+    probe = stability_probe(state, P_SYM, d, grid, "sigma")
+    assert (probe.stable, probe.target, probe.verdict) == (False, None, "Unstable")
+
+
+def test_an_index_zero_probe_runs_no_dynamics(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evolve called for a constrained energy minimum")
+
+    monkeypatch.setattr(continuation, "evolve", refuse)
     d = DomainSpec(2.0)
     grid = make_grid(d, 24)
     probe = stability_probe(_hom_state(grid), P_SYM, d, grid, "sigma")
-    assert (probe.stable, probe.target, probe.verdict) == (False, None, "Unstable")
+    assert probe == continuation.ProbeResult(True, None, "Minimum", 0)
+
+
+def _dense_index(state, p, grid, bc):
+    """Negative eigenvalues of the dense bordered weighted Hessian, less n:
+    each node's rows of _Kernel.jacobian times w_j, with the Dirichlet phi
+    rows and columns dropped, bordered by the mass rows (numpy's eigvalsh,
+    which reads the lower triangle)."""
+    ab, C, D = _Kernel(p, grid, bc).jacobian(state.pack())
+    m = 3 * grid.n
+    K = np.repeat(grid.weights, 3)[:, None] * _dense_jacobian(ab, C, D)[:m, :m]
+    inner = np.delete(np.arange(m), [2, m - 1])
+    bordered = np.block(
+        [[K[np.ix_(inner, inner)], D[:, inner].T], [D[:, inner], np.zeros((2, 2))]]
+    )
+    return int(np.sum(np.linalg.eigvalsh(bordered) < 0.0)) - grid.n
+
+
+def _fig10_cases():
+    """Criterion 11's states: the three at sigma = 0.003 (the uniform one, the
+    mirror-asymmetric pair), then the uniform state down the census range,
+    with their indices. sigma = 0.0053 is weakly unstable, its growing mode
+    at a rate of about 2e-5."""
+    d = DomainSpec(3 * np.pi / (2 * find_onset(P_FIG10).k_c))
+    grid = make_grid(d, 96)
+    bc = electrode_bc()
+    asym = _fig10_asymmetric_state(grid)
+    cases = [(asym, 0), (mirror_state(asym), 0)]
+    for sigma, index in (
+        (0.003, 1), (0.0005, 4), (0.001, 1), (0.0049, 1), (0.0053, 1),
+        (0.0055, 1), (0.006, 0), (0.0075, 0),
+    ):
+        p = with_sigma(P_FIG10, sigma)
+        cases.append((newton_solve(homogeneous_profile(grid, p), p, grid, bc, "sigma", sigma), index))
+    return [(st, with_sigma(P_FIG10, st.param_value), grid, bc, index) for st, index in cases]
+
+
+def test_stability_index_is_the_dense_inertia_count():
+    for state, p, grid, bc, index in _fig10_cases():
+        assert stability_index(state, p, grid, bc) == _dense_index(state, p, grid, bc) == index
+
+
+def test_stability_index_counts_densely_on_a_singular_band(monkeypatch):
+    # dgbsv reports an exactly zero pivot with info > 0
+    cases = _fig10_cases()
+    monkeypatch.setattr(continuation, "solve_banded", lambda *args, **kwargs: (None, None, None, 1))
+    for state, p, grid, bc, index in cases:
+        assert stability_index(state, p, grid, bc) == index
 
 
 @pytest.mark.parametrize("bc", [electrode_bc(), periodic_bc()], ids=["electrode", "periodic"])
@@ -390,6 +460,20 @@ def test_branchset_roundtrip(tmp_path):
         for pa, pb in zip(ba.points, bb.points):
             for name in ("c1", "c2", "phi"):
                 np.testing.assert_array_equal(getattr(pa.state, name), getattr(pb.state, name))
+
+
+def test_branchset_roundtrip_keeps_the_index(tmp_path):
+    # an index at probed points, None at the others
+    grid = make_grid(DomainSpec(2.0), 24)
+    state = _hom_state(grid)
+    points = [
+        BranchPoint(state, l2=1.0, wnorm=2.0, stable=stable, index=index)
+        for stable, index in ((None, None), (True, 0), (False, 2))
+    ]
+    save_branchset(BranchSet([Branch(points)]), grid, tmp_path / "run")
+    loaded, _ = load_branchset(tmp_path / "run")
+    got = [(pt.stable, pt.index) for pt in loaded.branches[0].points]
+    assert got == [(None, None), (True, 0), (False, 2)]
 
 
 @st.composite

@@ -4,8 +4,9 @@ Importing the package loads no SciPy. The onset, the weakly nonlinear map,
 the orbits, the periodic profiles and the free-energy density run on numpy
 alone. Each SciPy routine the package calls is bound to a name that
 imports it at its first call (stericpnp._deferred): LAPACK's band and
-tridiagonal solvers, which load scipy.linalg at the first step of evolve
-or the first Newton solve; solve_ivp, which loads scipy.integrate; and
+tridiagonal solvers and its symmetric band eigensolver, which load
+scipy.linalg at the first step of evolve, the first Newton solve or the
+first stability index; solve_ivp, which loads scipy.integrate; and
 splu, which nothing calls.
 """
 
@@ -140,14 +141,24 @@ def test_first_call_of_each_deferred_name_returns_what_scipy_returns():
 
         ours = lapack(_fd.dpttrf, _fd.dpttrs, dynamics.dgbtrf, dynamics.solve_banded,
                       continuation.solve_banded)
+        # the two lowest eigenvalues of a symmetric tridiagonal, lower band storage
+        sym = np.array([[4.0, -1.0, 2.0, 5.0], [1.0, 0.5, -3.0, 0.0]])
+
+        def lowest(sbevx):
+            w, _, found, _, _ = sbevx(sym, 0.0, 0.0, 1, 2, compute_v=0, range=2, lower=1,
+                                      overwrite_ab=0)
+            return w[:found]
+
+        ours["dsbevx"] = lowest(continuation.dsbevx)
         ours["solve_ivp"] = trajectories.solve_ivp(rhs, (0.0, 1.0), [1.0, 2.0], rtol=1e-9)
         ours["splu"] = dynamics.splu(A).solve(np.array([1.0, 2.0]))
 
         from scipy.integrate import solve_ivp
-        from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs, dpttrf, dpttrs
+        from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs, dpttrf, dpttrs, dsbevx
         from scipy.sparse.linalg import splu
 
         ref = lapack(dpttrf, dpttrs, dgbtrf, dgbtrs, dgbsv)
+        ref["dsbevx"] = lowest(dsbevx)
         same = {name: bool(np.array_equal(ours[name], ref[name])) for name in ref}
         ivp = solve_ivp(rhs, (0.0, 1.0), [1.0, 2.0], rtol=1e-9)
         same["solve_ivp"] = bool(
@@ -159,7 +170,7 @@ def test_first_call_of_each_deferred_name_returns_what_scipy_returns():
         print(json.dumps(same))
         """
     )
-    names = ("dpttrf", "dpttrs", "dgbtrf", "dgbtrs", "dgbsv", "solve_ivp", "splu")
+    names = ("dpttrf", "dpttrs", "dgbtrf", "dgbtrs", "dgbsv", "dsbevx", "solve_ivp", "splu")
     assert same == dict.fromkeys(names, True)
 
 
@@ -170,6 +181,7 @@ def test_first_call_of_each_deferred_name_returns_what_scipy_returns():
         "dynamics.splu",
         "dynamics.solve_banded",
         "continuation.solve_banded",
+        "continuation.dsbevx",
     ],
 )
 def test_deferred_names_are_not_plain_functions(name):
