@@ -48,16 +48,9 @@ dE^2/dc2 = 2 z.(c - cbar) D / br2 along the orbit, which avoids the
 cancellation of the ptilde difference, and the half-length is the
 quadrature x = int D dc2 / (-br2 E).
 
-Solutions that reach D = 0 with E != 0 suffer gradient blow-up. The
-exceptional solutions that pass through the degenerate curve do so at
-points where E vanishes simultaneously, with the finite limit
-
-    (E / D)^2 -> f(c*) = -[z . (c* - cbar)] c1^2 c2^2 / W(c*),
-    W = [z1 (1 + c2 g22) - z2 c2 g12] (1 + g22 c2)
-      + [z2 (1 + c1 g11) - z1 c1 g12] (1 + g11 c1),
-
-valid where f > 0. `cross_d_zero` builds that regularized solution from a
-short Taylor step and verifies the limit along the way.
+Solutions that reach D = 0 with E != 0 suffer gradient blow-up;
+integrate_field_ivp stops at the degenerate curve and reports it as
+FieldSolution.blow_up.
 """
 
 from __future__ import annotations
@@ -84,27 +77,23 @@ __all__ = [
     "PeriodicSolution",
     "build_periodic",
     "stationary_residual_fd",
-    "crossing_f",
     "d_zero_c1",
-    "CrossingSolution",
-    "cross_d_zero",
 ]
 
-# Imported on first call (_deferred): only integrate_field_ivp and
-# cross_d_zero load scipy.integrate.
+# Imported on first call (_deferred): only integrate_field_ivp loads
+# scipy.integrate.
 solve_ivp = Deferred("scipy.integrate", "solve_ivp")
 
 _RTOL = 1e-10  # field integrations (solve_ivp RK45)
 _ATOL = 1e-12
+_D_GUARD = 1e-6  # integrate_field_ivp stops where |D| falls to this
+_C_FLOOR = 1e-12  # integrate_field_ivp: the positivity floor of a concentration
 _C1_MIN, _C1_MAX = 1e-12, 1e12  # compute_trajectory: orbits end where c1 leaves these
 _CHEB_POINTS = (32, 64, 128, 256, 512, 1024)  # build_periodic: interpolation sizes tried
 _CHEB_TAIL = 1e-13  # a series is resolved when its last 3 coefficients fall below this share
 _NEWTON_MAX = 100  # Newton steps polishing orbit crossings, and inverting x(s)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)  # _field_sq's rule on [0, 1]
 _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
-_CROSS_X_MAX = 0.5  # cross_d_zero: reach on each side of the crossing
-_CROSS_H = 1e-6  # cross_d_zero: Taylor step off the degenerate curve
-_CROSS_N_SIDE = 400  # cross_d_zero: geometric samples per side
 
 
 # ---------------------------------------------------------------------------
@@ -421,29 +410,31 @@ def integrate_field_ivp(
     E0: float = 0.0,
     x_span: tuple[float, float] = (0.0, 50.0),
     stop_at_neutral: bool = False,
-    d_guard: float = 1e-6,
 ) -> FieldSolution:
     """Integrate the spatial system from (c0, E0) across x_span.
 
     phi starts at phi_of_c(c0), the potential that puts the start on the
     bulk chemical potentials.
 
-    The run always terminates when the orbit comes within d_guard of the
-    degenerate curve (the flow is singular there); the result is flagged
-    blow_up when the field was not simultaneously small, since that is
-    the gradient blow-up scenario rather than a regular crossing. D^2
-    falls like the distance to a blow-up, so the guard lies about
-    d_guard^2 before it in x, which must be a step RK45 can take (1e-8
-    is not). A concentration falling to 1e-12 ends the run with status
-    "positivity"; the flow is NaN where one is <= 0, so RK45 rejects
-    that stage. With stop_at_neutral the run also stops where
-    z . (c - cbar) changes sign, which is where |E| peaks. c0 must be
-    finite and positive, and E0 and x_span finite (ParameterError
-    otherwise): a non-finite span never ends RK45's run.
+    The run always terminates when the orbit comes within |D| = 1e-6 of
+    the degenerate curve (the flow is singular there); the result is
+    flagged blow_up when the field was not simultaneously small, since
+    that is the gradient blow-up scenario. D^2 falls like the distance to
+    a blow-up, so the guard lies about 1e-12 before it in x, which must
+    be a step RK45 can take (a guard of 1e-8 is not). A concentration
+    falling to the floor 1e-12 ends the run with status "positivity"; the
+    flow is NaN where one is <= 0, so RK45 rejects that stage. With
+    stop_at_neutral the run also stops where z . (c - cbar) changes sign,
+    which is where |E| peaks. c0 must be finite and above the floor, and
+    E0 and x_span finite (ParameterError otherwise): a non-finite span
+    never ends RK45's run, and a launch at or below the floor would
+    never meet the positivity event.
     """
     c1_0, c2_0 = c0
-    if not (0 < c1_0 < np.inf and 0 < c2_0 < np.inf):  # NaN fails
-        raise ParameterError("initial concentrations must be finite and positive")
+    if not (_C_FLOOR < c1_0 < np.inf and _C_FLOOR < c2_0 < np.inf):  # NaN fails
+        raise ParameterError(
+            f"initial concentrations must be finite and above the positivity floor {_C_FLOOR}"
+        )
     if not np.isfinite((E0, *x_span)).all():
         raise ParameterError("E0 and the ends of x_span must be finite")
     phi0 = float(phi_of_c(c1_0, c2_0, p))
@@ -455,9 +446,9 @@ def integrate_field_ivp(
         lambda x, y: _neutral_deviation(y[0], y[1], p), stop_at_neutral
     )
     ev_shell = _event(
-        lambda x, y: hessian_det(y[0], y[1], p) ** 2 - d_guard**2, True
+        lambda x, y: hessian_det(y[0], y[1], p) ** 2 - _D_GUARD**2, True
     )
-    ev_positive = _event(lambda x, y: min(y[0], y[1]) - 1e-12, True)
+    ev_positive = _event(lambda x, y: min(y[0], y[1]) - _C_FLOOR, True)
     sol = solve_ivp(
         rhs,
         x_span,
@@ -827,16 +818,7 @@ def stationary_residual_fd(
 
 
 # ---------------------------------------------------------------------------
-# regular crossings of the degenerate curve
-
-
-def crossing_f(c1: float, c2: float, p: ModelParams) -> float:
-    """Limit of (E/D)^2 for a regular crossing at (c1, c2) on D = 0."""
-    num = -_neutral_deviation(c1, c2, p) * c1 * c1 * c2 * c2
-    den = (p.z1 * (1.0 + c2 * p.g22) - p.z2 * c2 * p.g12) * (1.0 + p.g22 * c2) + (
-        p.z2 * (1.0 + c1 * p.g11) - p.z1 * c1 * p.g12
-    ) * (1.0 + p.g11 * c1)
-    return num / den
+# the degenerate curve
 
 
 def d_zero_c1(c2: float, p: ModelParams) -> float:
@@ -848,99 +830,3 @@ def d_zero_c1(c2: float, p: ModelParams) -> float:
             f"degenerate curve does not reach c2 = {c2} for these interactions"
         )
     return 1.0 / (need - p.g11)
-
-
-@dataclass(eq=False)
-class CrossingSolution:
-    """Regularized solution through a point of the degenerate curve.
-
-    x = 0 sits on D = 0 with E = 0; the solution continues smoothly to
-    both sides with c_i,x(0) = -br_i sqrt(f). ratio_x / ratio record
-    E/D sampled on approach to 0 so the limit sqrt(f) can be checked.
-    """
-
-    p: ModelParams
-    c_star: tuple[float, float]
-    f_value: float
-    sqrt_f: float
-    x: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    E: np.ndarray
-    phi: np.ndarray
-    ratio_x: np.ndarray
-    ratio: np.ndarray
-
-
-def cross_d_zero(p: ModelParams, c_star: tuple[float, float]) -> CrossingSolution:
-    """Regularized solution through c_star on the degenerate curve.
-
-    The point must satisfy D(c_star) = 0 (checked to 1e-10 relative) and
-    f(c_star) > 0. A first-order Taylor step of size 1e-6 seeds the regular
-    flow on each side, which runs out to |x| = 0.5 with 400 geometric
-    samples. The concentration slopes at the crossing take the positive
-    sqrt(f); the negative root gives the mirror solution x -> -x.
-    """
-    c1s, c2s = c_star
-    a1 = 1.0 / c1s + p.g11
-    a2 = 1.0 / c2s + p.g22
-    D0 = a1 * a2 - p.g12 * p.g12
-    if abs(D0) > 1e-10 * (a1 * a2 + p.g12 * p.g12):
-        raise ParameterError(
-            f"point {c_star} is not on the degenerate curve (D = {D0:.3e})"
-        )
-    f = crossing_f(c1s, c2s, p)
-    if f <= 0:
-        raise RegimeError(
-            f"no regular crossing at {c_star}: the limit value f = {f:.3e} is not positive"
-        )
-    sq = float(np.sqrt(f))
-    br1, br2 = _brackets(c1s, c2s, p)
-    c1_x0 = -br1 * sq
-    c2_x0 = -br2 * sq
-    E_x0 = -_neutral_deviation(c1s, c2s, p)
-    phi_star = float(phi_of_c(c1s, c2s, p))
-
-    sides = {}
-    for s in (+1, -1):
-        x0 = s * _CROSS_H
-        c1_seed = c1s + x0 * c1_x0
-        c2_seed = c2s + x0 * c2_x0
-        E_seed = x0 * E_x0
-        fs = integrate_field_ivp(
-            p,
-            (c1_seed, c2_seed),
-            E0=E_seed,
-            x_span=(x0, s * _CROSS_X_MAX),
-            d_guard=1e-13,
-        )
-        sides[s] = fs
-
-    def side_samples(s):
-        fs = sides[s]
-        xs = s * np.geomspace(_CROSS_H, abs(fs.x_end), _CROSS_N_SIDE)
-        return xs, fs.at(xs)
-
-    x_neg, y_neg = side_samples(-1)
-    x_pos, y_pos = side_samples(+1)
-    x_all = np.concatenate([x_neg[::-1], [0.0], x_pos])
-    state0 = np.array([[c1s], [c2s], [0.0], [phi_star]])
-    y_all = np.concatenate([y_neg[:, ::-1], state0, y_pos], axis=1)
-
-    ratio_x = np.geomspace(_CROSS_H, 1e-2, 12)
-    ry = sides[+1].at(ratio_x)
-    ratio = ry[2] / hessian_det(ry[0], ry[1], p)
-
-    return CrossingSolution(
-        p=p,
-        c_star=(float(c1s), float(c2s)),
-        f_value=float(f),
-        sqrt_f=sq,
-        x=x_all,
-        c1=y_all[0],
-        c2=y_all[1],
-        E=y_all[2],
-        phi=y_all[3],
-        ratio_x=ratio_x,
-        ratio=ratio,
-    )

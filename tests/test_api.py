@@ -1,5 +1,6 @@
 """The library's keyword options, pinned with the caller that sets each one,
-and the module boundary around the discrete model."""
+the public names that only unit tests reach, and the module boundary around
+the discrete model."""
 
 import ast
 from pathlib import Path
@@ -35,12 +36,23 @@ OPTIONS = {
     "trajectories.integrate_field_ivp:E0": "[ivp] e0",
     "trajectories.integrate_field_ivp:x_span": "[ivp] x_max",
     "trajectories.integrate_field_ivp:stop_at_neutral": "[ivp] stop_at_neutral",
-    "trajectories.integrate_field_ivp:d_guard": "cross_d_zero (1e-13; the CLI keeps 1e-6)",
     "trajectories.PeriodicSolution.sample:n_per_period": "[periodic] samples",
     "trajectories.PeriodicSolution.sample:periods": "[periodic] periods",
     "trajectories.stationary_residual_fd:periodic": "perfbench analysis",
     "weakly_nonlinear.criticality_map:g_sum": "[wnl] g_sum",
     "weakly_nonlinear.criticality_map:cbar": "[wnl] cbar",
+}
+
+
+# module.name -> why it stays public. A name in a module's __all__ that no
+# package module, no perfbench workload and no acceptance criterion refers
+# to fails the test until it is listed here or deleted, so code that only
+# its own unit tests reach shows up in review.
+UNIT_TESTED_ONLY = {
+    "continuation.load_branchset": "the reader of the continue command's branches/ directory",
+    "dynamics.chemical_potential": "the public mu",
+    "stability.sigma_zero_locus": "the paper's marginal locus, listed in the README",
+    "trajectories.d_zero_c1": "the reference of the orbit tests' D = 0 crossings",
 }
 
 
@@ -73,6 +85,36 @@ def test_keyword_options_are_the_listed_ones():
     ]
     assert len(scanned) == len(set(scanned))
     assert sorted(scanned) == sorted(OPTIONS)
+
+
+def _references(path: Path) -> set[str]:
+    """Names a module loads, bare or as an attribute, outside its strings."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_public_names_that_only_unit_tests_reach_are_the_listed_ones():
+    package = Path(stericpnp.__file__).parent
+    root = Path(__file__).resolve().parents[1]
+    callers = [*sorted(package.glob("*.py")), root / "perfbench" / "workloads.py",
+               root / "tests" / "test_acceptance.py"]
+    reached = set().union(*map(_references, callers))
+    public = [
+        f"{path.stem}.{name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    ]
+    assert sorted(n for n in public if n.rpartition(".")[2] not in reached) == sorted(
+        UNIT_TESTED_ONLY
+    )
 
 
 def test_no_module_imports_a_private_name_of_the_stepper_or_the_solver():

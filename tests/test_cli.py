@@ -453,6 +453,11 @@ def test_ivp_stops_at_its_guards(tmp_path, model, launch, status, x_end):
         # SciPy's ValueError on a non-finite y0 was a traceback and exit 1
         ("ivp", "ivp.e0=nan"),
         ("ivp", "ivp.c1_0=inf"),
+        # a launch on the positivity floor wrote a run of length 0, and one
+        # below it ran until D^2 overflowed: a traceback and exit 1
+        ("ivp", "ivp.c1_0=1e-12"),
+        ("ivp", "ivp.c1_0=1e-160"),
+        ("ivp", "ivp.c2_0=1e-200"),
         # NaN passed the sign checks, and energy.json held nulls
         ("energy", "energy.c1=nan"),
         # so did inf, after two RuntimeWarnings

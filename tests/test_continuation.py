@@ -58,6 +58,7 @@ from stericpnp.model import (
 )
 from stericpnp.stability import find_onset
 
+from _dense import dense_index, dense_jacobian
 from _strategies import admissible_params
 
 P_SYM = make_params(1, -1, 2.0, 2.0, 3.5, 1.0, 1.0)
@@ -327,21 +328,6 @@ def test_an_index_zero_probe_runs_no_dynamics(monkeypatch):
     assert probe == continuation.ProbeResult(True, None, "Minimum", 0)
 
 
-def _dense_index(state, p, grid, bc):
-    """Negative eigenvalues of the dense bordered weighted Hessian, less n:
-    each node's rows of _Kernel.jacobian times w_j, with the Dirichlet phi
-    rows and columns dropped, bordered by the mass rows (numpy's eigvalsh,
-    which reads the lower triangle)."""
-    ab, C, D = _Kernel(p, grid, bc).jacobian(state.pack())
-    m = 3 * grid.n
-    K = np.repeat(grid.weights, 3)[:, None] * _dense_jacobian(ab, C, D)[:m, :m]
-    inner = np.delete(np.arange(m), [2, m - 1])
-    bordered = np.block(
-        [[K[np.ix_(inner, inner)], D[:, inner].T], [D[:, inner], np.zeros((2, 2))]]
-    )
-    return int(np.sum(np.linalg.eigvalsh(bordered) < 0.0)) - grid.n
-
-
 def _fig10_cases():
     """Criterion 11's states: the three at sigma = 0.003 (the uniform one, the
     mirror-asymmetric pair), then the uniform state down the census range,
@@ -363,7 +349,7 @@ def _fig10_cases():
 
 def test_stability_index_is_the_dense_inertia_count():
     for state, p, grid, bc, index in _fig10_cases():
-        assert stability_index(state, p, grid, bc) == _dense_index(state, p, grid, bc) == index
+        assert stability_index(state, p, grid, bc) == dense_index(state, p, grid, bc) == index
 
 
 def test_stability_index_counts_densely_on_a_singular_band(monkeypatch):
@@ -492,23 +478,6 @@ def _stationary_case(draw, sigma_term, equal_walls=False):
     return p, d, make_grid(d, n), u
 
 
-def _dense_jacobian(ab, C, D):
-    """[[B, C], [D, 0]] with B[col + k, col] = ab[2 b + k, col], gbsv storage
-    (_Kernel.jacobian, whose first b rows are workspace); off-matrix slots must be 0."""
-    m = ab.shape[1]
-    b = (ab.shape[0] - 1) // 3
-    J = np.zeros((m + 2, m + 2))
-    cols = np.arange(m)
-    for k in range(-b, b + 1):
-        rows = cols + k
-        inside = (rows >= 0) & (rows < m)
-        J[rows[inside], cols[inside]] = ab[2 * b + k, inside]
-        assert np.all(ab[2 * b + k, ~inside] == 0.0)
-    J[:m, m:] = C
-    J[m:, :m] = D
-    return J
-
-
 @pytest.mark.parametrize("sigma_term", [False, True], ids=["sigma0", "sigma"])
 @settings(max_examples=25)
 @given(data=st.data())
@@ -520,7 +489,7 @@ def test_assembled_jacobian_is_the_derivative_of_the_residual(sigma_term, data):
     ab, C, D = kernel.jacobian(u)
     np.testing.assert_array_equal(r, stationary_residual(u, p, grid, bc))
     # the finite differences check the zero multiplier corner too
-    J = _dense_jacobian(ab, C, D)
+    J = dense_jacobian(ab, C, D)
 
     J_fd = np.empty_like(J)
     for k in range(u.size):
@@ -561,7 +530,7 @@ def test_weighted_stationary_jacobian_is_symmetric(sigma_term, walls, data):
     p, d, grid, u = data.draw(_stationary_case(sigma_term))
     ab, C, D = _Kernel(p, grid).jacobian(u)
     m = 3 * grid.n
-    K = np.repeat(grid.weights, 3)[:, None] * _dense_jacobian(ab, C, D)[:m, :m]
+    K = np.repeat(grid.weights, 3)[:, None] * dense_jacobian(ab, C, D)[:m, :m]
     inner = np.delete(np.arange(m), [2, m - 1])
     K = K[np.ix_(inner, inner)]
     assert np.max(np.abs(K - K.T)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(K))
@@ -581,7 +550,7 @@ def test_evolve_band_is_the_flux_operator_on_the_assembled_mu_block(sigma_term, 
     ab, C, D = kernel.jacobian(u)
     # (c1_j, c2_j) interleaved, evolve's order
     conc = np.arange(3 * n).reshape(n, 3)[:, :2].ravel()
-    M = _dense_jacobian(ab, C, D)[np.ix_(conc, conc)]
+    M = dense_jacobian(ab, C, D)[np.ix_(conc, conc)]
 
     # F at mu = 0 leaves the face data of the state with dmu = 0
     c = u[conc].reshape(n, 2)
